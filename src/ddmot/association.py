@@ -2,19 +2,23 @@
 
 High-confidence detections are matched to predicted boxes first (blended
 IoU/appearance cost); the leftover predictions get a second chance against
-low-confidence detections on IoU alone. Matched tracks update their
-history, unmatched tracks age out, and confident leftover detections
-spawn new tracks.
+low-confidence detections on IoU alone. Matched tracks pass their
+detection to the predictor, unmatched tracks age out, and confident
+leftover detections spawn new tracks.
+
+A ``Track`` holds only its lifecycle (status and frames since its last
+match). The predictor session under the same track id is the only owner
+of per-track motion state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BoundingBox, Detection, InvalidInputError, Motion, iou_matrix, motion_from_boxes
+from .core import BoundingBox, Detection, InvalidInputError, iou_matrix
 
 AppearanceCost = Callable[[Sequence["Track"], Sequence[Detection]], np.ndarray]
 
@@ -111,31 +115,16 @@ def hungarian(cost: CostMatrix) -> Assignment:
 
 @dataclass
 class Track:
+    """Lifecycle of one track. Its motion history lives in the predictor
+    session under the same id."""
+
     track_id: int
-    frames: list[int] = field(default_factory=list)
-    boxes: list[BoundingBox] = field(default_factory=list)
-    motions: list[Motion] = field(default_factory=list)
     status: str = "active"
     frames_since_update: int = 0
-    history_cap: int = 64
 
-    def update(self, frame: int, box: BoundingBox) -> None:
-        if self.frames and frame <= self.frames[-1]:
-            raise InvalidInputError(f"track {self.track_id}: frames must strictly increase")
-        # motion is the raw delta from the last recorded box, even across
-        # a gap of lost frames (gap handling is unspecified upstream)
-        motion = motion_from_boxes(self.boxes[-1], box) if self.boxes else Motion.zero()
-        self.frames.append(frame)
-        self.boxes.append(box)
-        self.motions.append(motion)
-        if len(self.frames) > self.history_cap:
-            del self.frames[0], self.boxes[0], self.motions[0]
+    def update(self) -> None:
         self.status = "active"
         self.frames_since_update = 0
-
-    @property
-    def last_box(self) -> BoundingBox:
-        return self.boxes[-1]
 
 
 @dataclass
@@ -204,7 +193,7 @@ class Tracker:
         matched_ids = set()
         result = FrameResult(frame, [], [], [])
         for tid, det in sorted(matched, key=lambda m: m[0]):
-            self.tracks[tid].update(frame, det.box)
+            self.tracks[tid].update()
             self.predictor.observe(tid, det.box)
             matched_ids.add(tid)
             result.matched.append((tid, det.box))
@@ -227,9 +216,7 @@ class Tracker:
             if det.confidence > self.config.new_track_conf:
                 tid = self._next_id
                 self._next_id += 1
-                track = Track(tid)
-                track.update(frame, det.box)
-                self.tracks[tid] = track
+                self.tracks[tid] = Track(tid)
                 self.predictor.start(tid, det.box)
                 result.matched.append((tid, det.box))
                 result.new_tracks.append(tid)

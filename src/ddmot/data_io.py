@@ -116,12 +116,17 @@ def parse_mot(text: str | Iterable[str], meta: SequenceMeta | None = None, norma
             raise FormatError(f"line {lineno}: {e}") from e
         if frame < 1:
             raise FormatError(f"line {lineno}: frame index must be >= 1, got {frame}")
+        if math.isnan(conf):
+            raise FormatError(f"line {lineno}: confidence is NaN")
         if w <= 0 or h <= 0:
             skipped += 1
             continue
-        box = tlwh_to_center(left, top, w, h, "px")
-        if normalized:
-            box = normalize_box(box, meta.width, meta.height)
+        try:
+            box = tlwh_to_center(left, top, w, h, "px")
+            if normalized:
+                box = normalize_box(box, meta.width, meta.height)
+        except InvalidInputError as e:
+            raise FormatError(f"line {lineno}: {e}") from e
         records.append(MotRecord(frame, track_id, box, min(max(conf, 0.0), 1.0)))
     records.sort(key=lambda r: r.frame)
     return ParseResult(records, skipped)
@@ -395,6 +400,15 @@ def save_model(params: dict, config: ModelConfig) -> bytes:
     return MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(header)) + header + payload.getvalue()
 
 
+def _is_index_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(v) is int for v in [entry.get("offset"), *entry["shape"]])
+    )
+
+
 def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
     """Parse and validate the container; arrays come back as float64."""
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -410,12 +424,18 @@ def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
         index = header["tensors"]
     except (KeyError, TypeError, ValueError, InvalidInputError) as e:
         raise FormatError(f"bad model header: {e}") from e
+    if not isinstance(index, list):
+        raise FormatError("bad model header: the tensor index must be a list")
     payload = data[12 + header_len :]
     expected = parameter_shapes(config)
     seen = set()
     params: dict[str, np.ndarray] = {}
     for entry in index:
-        name, shape, off = entry["name"], tuple(entry["shape"]), int(entry["offset"])
+        if not _is_index_entry(entry):
+            raise FormatError(
+                f"bad tensor index entry {entry!r:.80}: want a string name, an int list shape and an int offset"
+            )
+        name, shape, off = entry["name"], tuple(entry["shape"]), entry["offset"]
         if entry.get("dtype") != "<f4":
             raise FormatError(f"tensor '{name}': unsupported dtype {entry.get('dtype')!r}")
         if name not in expected:
@@ -425,7 +445,10 @@ def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
         nbytes = int(np.prod(shape)) * 4 if shape else 4
         if off < 0 or off + nbytes > len(payload):
             raise FormatError(f"tensor '{name}': extent [{off}, {off + nbytes}) outside payload of {len(payload)} bytes")
-        params[name] = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=off).reshape(shape).astype(np.float64)
+        value = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=off).reshape(shape)
+        if not np.all(np.isfinite(value)):
+            raise FormatError(f"tensor '{name}': non-finite values in payload")
+        params[name] = value.astype(np.float64)
         seen.add(name)
     missing = sorted(set(expected) - seen)
     if missing:

@@ -73,15 +73,6 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class PredictedTarget:
-    """Network output: attenuation prediction, plus a noise prediction for
-    the two-branch variant."""
-
-    c_hat: np.ndarray
-    z_hat: np.ndarray | None = None
-
-
 def apply_condition_variant(windows: np.ndarray, variant: str) -> np.ndarray:
     """Zero out window columns according to the condition ablation.
 
@@ -235,6 +226,8 @@ class HMINet:
         return x + self._mlp2(self._ln(x, f"{prefix}.ln2"), f"{prefix}.ffn")
 
     def _mfl(self, cond: Tensor, motion_feat: Tensor, prefix: str) -> Tensor:
+        """Motion fusion layer: scale/shift gating of motion features by the
+        condition embedding, Sigmoid(MLP(e)) * m + MLP(e)."""
         gate = ad.sigmoid(self._mlp2(cond, f"{prefix}.scale"))
         shift = self._mlp2(cond, f"{prefix}.shift")
         return ad.mul(gate, motion_feat) + shift
@@ -268,18 +261,6 @@ class HMINet:
         emb = ad.slice_(x, (slice(None), 0))
         return ad.reshape(emb, (d,)) if single else emb
 
-    def fuse_motion(self, cond_emb: Tensor | np.ndarray, noisy_motion: np.ndarray) -> Tensor:
-        """Scale/shift gating of the encoded noisy motion by the condition
-        embedding (no time term): Sigmoid(MLP(e)) * MLP(m) + MLP(e)."""
-        e = cond_emb if isinstance(cond_emb, Tensor) else Tensor(np.asarray(cond_emb, dtype=np.float64))
-        single = e.value.ndim == 1
-        if single:
-            e = ad.reshape(e, (1, -1))
-        m = np.atleast_2d(np.asarray(noisy_motion, dtype=np.float64))
-        feat = self._mlp2(Tensor(m), "motion")
-        out = self._mfl(e, feat, "mfl0")
-        return ad.reshape(out, (self.config.token_dim,)) if single else out
-
     def predict_graph(self, noisy_motion, t, windows) -> tuple[Tensor, Tensor | None]:
         """Differentiable forward pass; returns (c_hat, z_hat) tensors of
         shape (B, 4). Inputs may be single or batched."""
@@ -310,14 +291,6 @@ class HMINet:
         """Forward pass returning plain arrays (sampling-side entry point)."""
         c, z = self.predict_graph(noisy_motion, t, windows)
         return c.value, None if z is None else z.value
-
-    def predict_target(self, noisy_motion, t, windows) -> PredictedTarget:
-        single = np.asarray(windows).ndim == 2
-        c, z = self.predict_values(noisy_motion, t, windows)
-        if single:
-            c = c.reshape(4)
-            z = None if z is None else z.reshape(4)
-        return PredictedTarget(c_hat=c, z_hat=z)
 
     @property
     def history_length(self) -> int:

@@ -2,9 +2,13 @@
 
 Each predictor keeps per-track state keyed by track id: ``start`` a track
 from its first box, ``predict`` the next-frame box (once per frame),
-``observe`` the matched detection, ``drop`` a removed track. KF state
-advances on every predict so misses compound; the constant-velocity and
-diffusion predictors are pure functions of the stored box history.
+``observe`` the matched detection, ``drop`` a removed track. This session
+is the only owner of per-track motion state; the tracker's ``Track`` holds
+only lifecycle. A session keeps only the boxes its predictor reads: the
+last two for KF and constant velocity, ``model.history_length + 1`` for
+the diffusion predictor. KF state advances on every predict so misses
+compound; the constant-velocity and diffusion predictors are pure
+functions of the stored box history.
 
 The diffusion predictor batches all tracks of a frame through one network
 call; per-track rng streams seeded from (master seed, track id) keep each
@@ -13,7 +17,7 @@ track's draws independent of which other tracks share the batch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +39,6 @@ PREDICTOR_KINDS = ("kf", "cv", "d2mp")
 @dataclass(frozen=True)
 class PredictorConfig:
     kind: str = "kf"
-    history_length: int = 5
     sampling_steps: int = 1
     deterministic: bool = False
     seed: int = 0
@@ -49,8 +52,6 @@ class PredictorConfig:
             raise InvalidInputError(f"predictor kind must be one of {PREDICTOR_KINDS}, got {self.kind!r}")
         if self.sampling_steps < 1:
             raise InvalidInputError("sampling_steps must be >= 1")
-        if self.history_length < 1:
-            raise InvalidInputError("history_length must be >= 1")
         if self.kf_pos_weight <= 0 or self.kf_vel_weight <= 0 or self.min_box_extent <= 0:
             raise InvalidInputError("noise weights and min_box_extent must be positive")
 
@@ -157,35 +158,23 @@ def build_condition_window(history: Sequence[BoundingBox], n: int) -> np.ndarray
     return np.stack(rows)
 
 
-def d2mp_predict(
-    history: Sequence[BoundingBox],
-    model,
-    config: PredictorConfig,
-    rng: np.random.Generator,
-) -> BoundingBox:
-    """Sample next-frame motion from the diffusion model conditioned on the
-    track history and shift the last box by it."""
-    window = build_condition_window(history, config.history_length)
-    motion = sample_k_steps(config.sampling_steps, window, model, rng, config.deterministic)
-    box, _ = _shift_box_clamped(history[-1], motion, config.min_box_extent)
-    return box
-
-
 # ---------------------------------------------------------------------------
 # session-style predictors
 
 
 class MotionPredictor:
-    """Per-track prediction sessions. Subclasses fill in the strategy."""
+    """Per-track prediction sessions. Subclasses fill in the strategy;
+    ``keep`` is how many of a track's latest boxes the strategy reads."""
 
-    def __init__(self, config: PredictorConfig):
+    def __init__(self, config: PredictorConfig, keep: int = 2):
         self.config = config
+        self._keep = keep
         self._history: dict[int, deque[BoundingBox]] = {}
 
     def start(self, track_id: int, box: BoundingBox) -> None:
         if track_id in self._history:
             raise InvalidInputError(f"track {track_id} already started")
-        self._history[track_id] = deque([box], maxlen=max(self.config.history_length + 1, 2))
+        self._history[track_id] = deque([box], maxlen=self._keep)
 
     def observe(self, track_id: int, box: BoundingBox) -> None:
         self._history[track_id].append(box)
@@ -249,10 +238,7 @@ class D2MPPredictor(MotionPredictor):
     """Diffusion-based predictor; predictions for a frame run as one batch."""
 
     def __init__(self, model, config: PredictorConfig | None = None):
-        config = config or PredictorConfig(kind="d2mp")
-        if config.history_length != model.history_length:
-            config = replace(config, history_length=model.history_length)
-        super().__init__(config)
+        super().__init__(config or PredictorConfig(kind="d2mp"), model.history_length + 1)
         self.model = model
         self.clamp_count = 0
         self._rngs: dict[int, np.random.Generator] = {}
@@ -274,7 +260,7 @@ class D2MPPredictor(MotionPredictor):
     def predict_all(self, track_ids: Sequence[int]) -> list[BoundingBox]:
         if not track_ids:
             return []
-        n = self.config.history_length
+        n = self.model.history_length
         windows = np.stack([build_condition_window(self._history[t], n) for t in track_ids])
         rngs = [self._rngs[t] for t in track_ids]
         motions = sample_k_steps(self.config.sampling_steps, windows, self.model, rngs, self.config.deterministic)
@@ -287,7 +273,7 @@ class D2MPPredictor(MotionPredictor):
 
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
         # one batched network call per trajectory instead of one per frame
-        n = self.config.history_length
+        n = self.model.history_length
         windows = np.stack([build_condition_window(boxes[:i], n) for i in range(1, len(boxes))])
         rng = self._track_rng(track_id)
         motions = sample_k_steps(self.config.sampling_steps, windows, self.model, rng, self.config.deterministic)

@@ -343,8 +343,8 @@ def test_criterion_11_serialization(desk_model):
         w = rng.normal(size=(5, 8)) * 0.3
         m = rng.normal(size=4)
         t = float(rng.uniform(T_MIN, 1.0))
-        a = model.predict_target(m, t, w).c_hat
-        b = loaded.predict_target(m, t, w).c_hat
+        a, _ = model.predict_values(m, t, w)
+        b, _ = loaded.predict_values(m, t, w)
         worst = max(worst, float(np.abs(a - b).max()))
     report(11, "model file round trip", byte_stable and worst < 1e-4,
            f"save-load-save identical={byte_stable}, max prediction drift {worst:.2e}")

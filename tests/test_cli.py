@@ -1,11 +1,13 @@
 import json
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from ddmot.cli import main
-from ddmot.data_io import parse_mot, trajectories_from_records
+from ddmot.data_io import parse_mot, save_model, trajectories_from_records
+from ddmot.hminet import ModelConfig, init_params
 from ddmot.metrics import idf1, mota
 
 SMALL_MODEL = {"token_dim": 16, "n_heads": 2, "n_condition_layers": 1, "n_fusion_blocks": 1}
@@ -195,3 +197,75 @@ class TestErrorSurface:
         assert main(["eval", "--gt", str(tmp_path / "a.txt"), "--res", str(tmp_path / "b.txt")]) == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert err.startswith("error: missing-input:")
+
+
+def _header(blob: bytes) -> tuple[dict, int]:
+    """The JSON header of a model container and the offset of its payload."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12 : 12 + header_len]), 12 + header_len
+
+
+def repack(blob: bytes, edit) -> bytes:
+    """Apply ``edit`` to the JSON header of a model container."""
+    header, payload_at = _header(blob)
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[payload_at:]
+
+
+def poison(blob: bytes, tensor: str, value: float) -> bytes:
+    """Overwrite the first element of ``tensor`` in the payload."""
+    header, payload_at = _header(blob)
+    (entry,) = [e for e in header["tensors"] if e["name"] == tensor]
+    at = payload_at + entry["offset"]
+    return blob[:at] + struct.pack("<f", value) + blob[at + 4 :]
+
+
+BAD_INDEX_EDITS = {
+    "index-not-a-list": lambda h: h.update(tensors={"head.b2": 0}),
+    "entry-not-an-object": lambda h: h.update(tensors=[1, 2]),
+    "name-not-a-string": lambda h: h["tensors"][0].update(name=["head.b2"]),
+    "shape-not-a-list": lambda h: h["tensors"][0].update(shape=4),
+    "offset-not-an-int": lambda h: h["tensors"][0].update(offset=None),
+}
+
+
+class TestMalformedInputs:
+    """Malformed files end in one ``error: format-error:`` line, exit 2."""
+
+    def _track(self, scene, tmp_path, capsys, model_bytes=None, det_text=None):
+        det = scene / "det.txt"
+        if det_text is not None:
+            det = tmp_path / "det.txt"
+            det.write_text(det_text)
+        predictor = ["--predictor", "kf"]
+        if model_bytes is not None:
+            (tmp_path / "m.d2mp").write_bytes(model_bytes)
+            predictor = ["--predictor", "d2mp", "--model", str(tmp_path / "m.d2mp")]
+        code = main(["track", "--detections", str(det), "--meta", str(scene / "meta.json"),
+                     "--out", str(tmp_path / "res.txt")] + predictor)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: format-error:"), err
+        return err[0]
+
+    def _model(self):
+        cfg = ModelConfig(**SMALL_MODEL)
+        return save_model(init_params(cfg, 0), cfg)
+
+    @pytest.mark.parametrize("case", sorted(BAD_INDEX_EDITS))
+    def test_bad_tensor_index(self, scene, tmp_path, capsys, case):
+        self._track(scene, tmp_path, capsys, model_bytes=repack(self._model(), BAD_INDEX_EDITS[case]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_payload(self, scene, tmp_path, capsys, value):
+        err = self._track(scene, tmp_path, capsys, model_bytes=poison(self._model(), "head.b2", value))
+        assert "head.b2" in err
+
+    @pytest.mark.parametrize("field", ["left", "conf"])
+    def test_nan_detection_field(self, scene, tmp_path, capsys, field):
+        lines = (scene / "det.txt").read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[2 if field == "left" else 6] = "nan"
+        lines[2] = ",".join(parts)
+        err = self._track(scene, tmp_path, capsys, det_text="\n".join(lines) + "\n")
+        assert "line 3" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmot.core import BoundingBox, FormatError, InvalidInputError, apply_motion, Motion
 from ddmot.data_io import (
@@ -20,6 +22,21 @@ from ddmot.data_io import (
     write_mot,
 )
 from ddmot.hminet import HMINet, ModelConfig, init_params, parameter_shapes
+
+
+# one MOT line without line breaks: well-typed numbers (non-finite floats
+# too), or fields that mix numbers with short junk
+_FIELD = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6),
+)
+MOT_LINES = st.one_of(
+    st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**6), *[st.floats()] * 5).map(
+        lambda v: ",".join(map(repr, v))
+    ),
+    st.lists(_FIELD, max_size=11).map(",".join),
+)
 
 
 class TestParseMot:
@@ -53,6 +70,29 @@ class TestParseMot:
     def test_normalized_requires_meta(self):
         with pytest.raises(InvalidInputError):
             parse_mot("1,-1,0,0,5,5,1,-1,-1,-1", normalized=True)
+
+    @pytest.mark.parametrize("field", [2, 3, 4, 5])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_box_field_names_line(self, field, value):
+        parts = "1,-1,10,20,4,8,0.9,-1,-1,-1".split(",")
+        parts[field] = value
+        with pytest.raises(FormatError, match="line 2"):
+            parse_mot("1,-1,0,0,5,5,1,-1,-1,-1\n" + ",".join(parts))
+
+    def test_nan_confidence_names_line(self):
+        with pytest.raises(FormatError, match="line 2"):
+            parse_mot("1,-1,0,0,5,5,1,-1,-1,-1\n1,-1,10,20,4,8,nan,-1,-1,-1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=MOT_LINES, normalized=st.booleans())
+    def test_any_line_parses_or_names_its_line(self, line, normalized):
+        text = "1,-1,0,0,5,5,1,-1,-1,-1\n" + line
+        try:
+            result = parse_mot(text, SequenceMeta(10, 640, 480), normalized)
+        except FormatError as e:
+            assert str(e).startswith("line 2:")
+        else:
+            assert len(result.records) + result.skipped <= 2
 
     def test_normalized_conversion(self):
         meta = SequenceMeta(10, 100, 200)
@@ -237,8 +277,8 @@ class TestModelFile:
         again = load_hminet(save_model(net.params, SMALL))
         rng = np.random.default_rng(0)
         w = rng.normal(size=(5, 8)) * 0.2
-        a = net.predict_target(np.zeros(4), 1.0, w).c_hat
-        b = again.predict_target(np.zeros(4), 1.0, w).c_hat
+        a, _ = net.predict_values(np.zeros(4), 1.0, w)
+        b, _ = again.predict_values(np.zeros(4), 1.0, w)
         assert np.abs(a - b).max() < 1e-4  # float32 storage rounding only
 
 

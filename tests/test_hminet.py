@@ -115,11 +115,14 @@ class TestConditionVariants:
 
 
 class TestFuseMotion:
+    """The motion fusion layer ``_mfl`` that the forward pass runs."""
+
     def test_shape_and_finiteness(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(4)
-        out = net.fuse_motion(net.embed_condition(window(rng)), rng.normal(size=4))
-        assert out.shape == (16,) and np.all(np.isfinite(out.value))
+        feat = net._mlp2(Tensor(rng.normal(size=(1, 4))), "motion")
+        out = net._mfl(net.embed_condition(window(rng, b=1)), feat, "mfl0")
+        assert out.shape == (1, 16) and np.all(np.isfinite(out.value))
 
     def test_saturated_gate_leaves_shift_branch(self):
         net = HMINet.init(SMALL, 0)
@@ -127,10 +130,10 @@ class TestFuseMotion:
         net.params["mfl0.scale.w2"].value[:] = 0.0
         net.params["mfl0.scale.b2"].value[:] = -60.0
         rng = np.random.default_rng(5)
-        e = Tensor(rng.normal(size=16))
-        m = rng.normal(size=4)
-        fused = net.fuse_motion(e, m).value
-        shift = net._mlp2(ad.reshape(e, (1, 16)), "mfl0.shift").value[0]
+        e = Tensor(rng.normal(size=(1, 16)))
+        feat = net._mlp2(Tensor(rng.normal(size=(1, 4))), "motion")
+        fused = net._mfl(e, feat, "mfl0").value[0]
+        shift = net._mlp2(e, "mfl0.shift").value[0]
         assert np.abs(fused - shift).max() < 1e-12
 
     def test_zero_embedding_keeps_product_term_only(self):
@@ -138,40 +141,41 @@ class TestFuseMotion:
         # branch vanishes: output = sigmoid(0) * MLP(m) = 0.5 * MLP(m)
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(6)
-        m = rng.normal(size=4)
-        fused = net.fuse_motion(np.zeros(16), m).value
-        feat = net._mlp2(Tensor(m.reshape(1, 4)), "motion").value[0]
-        assert np.abs(fused - 0.5 * feat).max() < 1e-12
+        feat = net._mlp2(Tensor(rng.normal(size=(1, 4))), "motion")
+        fused = net._mfl(Tensor(np.zeros((1, 16))), feat, "mfl0").value[0]
+        assert np.abs(fused - 0.5 * feat.value[0]).max() < 1e-12
 
 
 class TestPredictTarget:
+    """The network's target prediction, ``predict_values``."""
+
     def test_shape_contract(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(7)
-        out = net.predict_target(rng.normal(size=4), 0.5, window(rng))
-        assert out.c_hat.shape == (4,) and out.z_hat is None
+        c_hat, z_hat = net.predict_values(rng.normal(size=4), 0.5, window(rng))
+        assert c_hat.shape == (1, 4) and z_hat is None
 
     def test_tb_variant_returns_noise_head(self):
         cfg = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1, variant="TB")
         net = HMINet.init(cfg, 0)
         rng = np.random.default_rng(8)
-        out = net.predict_target(rng.normal(size=4), 0.5, window(rng))
-        assert out.z_hat is not None and out.z_hat.shape == (4,)
+        _, z_hat = net.predict_values(rng.normal(size=4), 0.5, window(rng))
+        assert z_hat is not None and z_hat.shape == (1, 4)
 
     def test_bit_determinism(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(9)
         m, w = rng.normal(size=4), window(rng)
-        a = net.predict_target(m, 0.7, w).c_hat
-        b = net.predict_target(m, 0.7, w).c_hat
+        a, _ = net.predict_values(m, 0.7, w)
+        b, _ = net.predict_values(m, 0.7, w)
         assert np.array_equal(a, b)
 
     def test_time_parameter_matters(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(10)
         m, w = rng.normal(size=4), window(rng)
-        a = net.predict_target(m, 0.1, w).c_hat
-        b = net.predict_target(m, 0.9, w).c_hat
+        a, _ = net.predict_values(m, 0.1, w)
+        b, _ = net.predict_values(m, 0.9, w)
         assert np.abs(a - b).max() > 1e-10
 
     def test_time_range_validated(self):
@@ -180,8 +184,8 @@ class TestPredictTarget:
         # reaching the network with t outside [t_min, 1] is a caller bug
         # guarded at the diffusion layer; the network itself only needs t
         # to be finite, so just confirm a legal boundary value works
-        out = net.predict_target(rng.normal(size=4), 1.0, window(rng))
-        assert np.all(np.isfinite(out.c_hat))
+        c_hat, _ = net.predict_values(rng.normal(size=4), 1.0, window(rng))
+        assert np.all(np.isfinite(c_hat))
 
 
 class TestGradients:

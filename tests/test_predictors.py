@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmot.core import BoundingBox, InvalidInputError, Motion, UnitMismatchError, iou
 from ddmot.predictors import (
@@ -9,7 +11,6 @@ from ddmot.predictors import (
     PredictorConfig,
     build_condition_window,
     cv_predict,
-    d2mp_predict,
     kf_initiate,
     kf_predict,
     kf_update,
@@ -41,6 +42,26 @@ class LookupOracle:
             key = tuple(np.round(row[0, :4], 9))
             out.append(-np.asarray(self.table[key]))
         return np.stack(out), None
+
+
+class WindowRecorder:
+    """A zero-motion network that keeps every condition batch it sees."""
+
+    def __init__(self, history_length):
+        self.history_length = history_length
+        self.windows = []
+
+    def predict_values(self, noisy, t, windows):
+        self.windows.append(np.array(windows))
+        return np.zeros((len(windows), 4)), None
+
+
+def observed(predictor, boxes, track_id=1):
+    """Start a session on boxes[0] and observe the rest."""
+    predictor.start(track_id, boxes[0])
+    for b in boxes[1:]:
+        predictor.observe(track_id, b)
+    return predictor
 
 
 class TestKalman:
@@ -153,28 +174,60 @@ class TestD2MPPredict:
             tuple(np.round(boxes[i].as_array(), 9)): (boxes[i + 1].as_array() - boxes[i].as_array())
             for i in range(len(boxes) - 1)
         }
-        model = LookupOracle(table)
-        cfg = PredictorConfig(kind="d2mp")
-        rng = np.random.default_rng(0)
+        p = D2MPPredictor(LookupOracle(table), PredictorConfig(kind="d2mp"))
+        p.start(1, boxes[0])
         for i in range(1, len(boxes) - 1):
-            pred = d2mp_predict(boxes[: i + 1], model, cfg, rng)
+            p.observe(1, boxes[i])
+            pred = p.predict(1)
             assert np.abs(pred.as_array() - boxes[i + 1].as_array()).max() < 1e-12
 
     def test_zero_motion_model_keeps_box(self):
-        model = LookupOracle({tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)})
-        pred = d2mp_predict([nbox(0.4, 0.4)], model, PredictorConfig(kind="d2mp"), np.random.default_rng(1))
-        assert pred == nbox(0.4, 0.4)
+        p = D2MPPredictor(LookupOracle({tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}))
+        p.start(1, nbox(0.4, 0.4))
+        assert p.predict(1) == nbox(0.4, 0.4)
 
     def test_fixed_seed_deterministic(self):
         boxes = self._trajectory(6)
         table = {
             tuple(np.round(b.as_array(), 9)): np.array([0.004, 0.0, 0.0, 0.0]) for b in boxes
         }
-        model = LookupOracle(table)
-        cfg = PredictorConfig(kind="d2mp", sampling_steps=10)
-        a = d2mp_predict(boxes, model, cfg, np.random.default_rng(5)).as_array()
-        b = d2mp_predict(boxes, model, cfg, np.random.default_rng(5)).as_array()
+        cfg = PredictorConfig(kind="d2mp", sampling_steps=10, seed=5)
+        a = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict(1).as_array()
+        b = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict(1).as_array()
         assert np.array_equal(a, b)
+
+    def test_window_length_comes_from_model(self):
+        boxes = [nbox(0.3 + 0.01 * i, 0.3) for i in range(6)]
+        model = WindowRecorder(history_length=3)
+        p = observed(observed(D2MPPredictor(model), boxes, 1), boxes, 2)
+        p.predict_all([1, 2])
+        assert model.windows[-1].shape == (2, 3, 8)
+
+
+box_sequences = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 0.3), st.floats(0.01, 0.3)
+    ).map(lambda v: nbox(*v)),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBoundedSessionHistory:
+    """A session keeps only a track's latest boxes; what its predictor reads
+    must equal what it would read from the whole observed sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=box_sequences)
+    def test_cv_matches_full_history(self, seq):
+        assert observed(ConstantVelocityPredictor(), seq).predict(1) == cv_predict(seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=box_sequences, n=st.integers(1, 6))
+    def test_d2mp_window_matches_full_history(self, seq, n):
+        model = WindowRecorder(history_length=n)
+        observed(D2MPPredictor(model), seq).predict(1)
+        assert np.array_equal(model.windows[-1][0], build_condition_window(seq, n))
 
 
 class TestSessions:
