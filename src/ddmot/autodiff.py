@@ -7,11 +7,20 @@ order. Every op validates shapes up front and checks its output for
 non-finite values; both failure modes raise structured errors naming the
 offending node.
 
+Inside ``with no_grad():`` the same ops run without building a graph: an
+op's output records no parents, gets its op name instead of a unique node
+name, and never requires a gradient. Inference uses this mode, so sampling
+runs the training network's ops without paying for the graph. The per-op
+finite check stays on in this mode: checking only the final output would
+miss an overflow that a sigmoid gate or a softmax squashes back into a
+finite value.
+
 The Adam optimizer and a central-finite-difference gradient checker live
 here too, because they only make sense next to the graph.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -23,6 +32,7 @@ from .core import InvalidInputError, NumericError, TrackingError
 Array = np.ndarray
 
 _node_ids = itertools.count()
+_grad_enabled = True
 
 
 class ShapeError(TrackingError, ValueError):
@@ -53,7 +63,7 @@ class Tensor:
     ):
         v = np.asarray(value, dtype=np.float64)
         self.name = name if name is not None else f"tensor{next(_node_ids)}"
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteError(f"node '{self.name}': non-finite value")
         self.value = v
         self.grad: Array | None = None
@@ -104,17 +114,32 @@ def parameter(value, name: str) -> Tensor:
     return Tensor(value, requires_grad=True, name=name)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph; the previous mode comes back on
+    exit, also when the body raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(value: Array, op: str, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
-    name = f"{op}#{next(_node_ids)}"
-    requires = any(p.requires_grad for p, _ in parents)
     out = Tensor.__new__(Tensor)
-    out.name = name
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"node '{name}': non-finite value")
+    if _grad_enabled:
+        out.name = f"{op}#{next(_node_ids)}"
+        out.requires_grad = any(p.requires_grad for p, _ in parents)
+        out._parents = tuple(parents)
+    else:
+        out.name = op
+        out.requires_grad = False
+        out._parents = ()
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"node '{out.name}': non-finite value")
     out.value = value
     out.grad = None
-    out.requires_grad = requires
-    out._parents = tuple(parents)
     return out
 
 
@@ -334,6 +359,7 @@ def backward(output: Tensor, wrt: Iterable[Tensor]) -> list[Array]:
     depend on get zero gradients. Also stores each gradient on ``w.grad``.
     """
     wrt = list(wrt)
+    wanted = {id(w) for w in wrt}
     if output.value.size != 1:
         raise InvalidInputError(f"backward: output node '{output.name}' is not scalar (shape {output.shape})")
     grads: dict[int, Array] = {id(output): np.ones_like(output.value)}
@@ -350,7 +376,7 @@ def backward(output: Tensor, wrt: Iterable[Tensor]) -> list[Array]:
                 grads[key] = grads[key] + contribution
             else:
                 grads[key] = contribution
-        if any(node is w for w in wrt):
+        if id(node) in wanted:
             grads[id(node)] = g  # keep gradients requested by the caller
     out = []
     for w in wrt:

@@ -56,16 +56,24 @@ def _read_text(path: str) -> str:
     return p.read_text()
 
 
-def _read_config_file(path: str | None) -> dict:
+def _read_config_file(path: str | None, what: str = "config file") -> dict:
     if path is None:
         return {}
     try:
         cfg = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
-        raise FormatError(f"config file {path}: {e}") from e
+        raise FormatError(f"{what} {path}: {e}") from e
     if not isinstance(cfg, dict):
-        raise FormatError(f"config file {path}: top level must be a JSON object")
+        raise FormatError(f"{what} {path}: top level must be a JSON object")
     return cfg
+
+
+def _config_section(file_cfg: dict, name: str, path: str | None) -> dict:
+    """A copy of one section of a config file; absent means empty."""
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise FormatError(f"config file {path}: section '{name}' must be a JSON object")
+    return dict(section)
 
 
 def _build(cls, section: dict, what: str):
@@ -111,12 +119,8 @@ def _load_sequence_dirs(paths: list[str]) -> list[tuple]:
 
 def cmd_synth(args) -> int:
     file_cfg = _read_config_file(args.config)
-    section = dict(file_cfg.get("spec", {}))
-    if args.spec:
-        try:
-            section.update(json.loads(_read_text(args.spec)))
-        except json.JSONDecodeError as e:
-            raise FormatError(f"spec file {args.spec}: {e}") from e
+    section = _config_section(file_cfg, "spec", args.config)
+    section.update(_read_config_file(args.spec, "spec file"))
     spec = SyntheticSpec.from_dict(section) if section else SyntheticSpec()
     result = synth_sequence(spec, args.seed)
 
@@ -135,8 +139,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     file_cfg = _read_config_file(args.config)
-    model_cfg = _build(ModelConfig, file_cfg.get("model", {}), "model config")
-    train_section = dict(file_cfg.get("train", {}))
+    model_cfg = _build(ModelConfig, _config_section(file_cfg, "model", args.config), "model config")
+    train_section = _config_section(file_cfg, "train", args.config)
     for flag, key in (("steps", "steps"), ("batch_size", "batch_size"), ("lr", "learning_rate")):
         value = getattr(args, flag)
         if value is not None:
@@ -170,7 +174,7 @@ def cmd_train(args) -> int:
 
 
 def _predictor_from_args(args, file_cfg: dict):
-    section = dict(file_cfg.get("predictor", {}))
+    section = _config_section(file_cfg, "predictor", args.config)
     section["kind"] = args.predictor
     section["seed"] = args.seed
     if getattr(args, "sampling_steps", None) is not None:
@@ -191,7 +195,7 @@ def _predictor_from_args(args, file_cfg: dict):
 
 def cmd_track(args) -> int:
     file_cfg = _read_config_file(args.config)
-    tracker_cfg = _build(TrackerConfig, file_cfg.get("tracker", {}), "tracker config")
+    tracker_cfg = _build(TrackerConfig, _config_section(file_cfg, "tracker", args.config), "tracker config")
     pred_cfg, model = _predictor_from_args(args, file_cfg)
     meta = SequenceMeta.from_json(_read_text(args.meta))
     parsed = parse_mot(_read_text(args.detections), meta, normalized=True)

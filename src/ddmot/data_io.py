@@ -55,7 +55,7 @@ class SequenceMeta:
         try:
             d = json.loads(text)
             return cls(int(d["frame_count"]), int(d["width"]), int(d["height"]), int(d.get("frame_rate", 30)))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise FormatError(f"bad sequence metadata: {e}") from e
 
 

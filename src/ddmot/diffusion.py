@@ -182,6 +182,12 @@ def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False):
     Motion for a single window, else a (B, 4) array. ``deterministic``
     suppresses the noise term at every step (the final step is noise-free
     regardless).
+
+    The model protocol is ``embed_condition(windows) -> emb``, called once
+    per call under ``autodiff.no_grad``; ``predict_values(noisy, t, emb)
+    -> (c_hat, z_hat)``, called once per step with (B, 4) arrays (z_hat is
+    None for one-branch models); and ``history_length``, read by callers
+    that build the windows.
     """
     if k < 1:
         raise InvalidInputError(f"sampling steps must be >= 1, got {k}")
@@ -191,11 +197,13 @@ def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False):
         w = w[None]
     b = w.shape[0]
     m = _normal_draws(rng, b)
+    with ad.no_grad():
+        emb = model.embed_condition(w)
     for i in range(k, 0, -1):
         t = i / k
         dt = 1.0 / k
         query_t = max(t, T_MIN)
-        c_hat, z_hat = model.predict_values(m, np.full(b, query_t), w)
+        c_hat, z_hat = model.predict_values(m, np.full(b, query_t), emb)
         state = NoisyMotion(m, np.full(b, t))
         sigma2 = dt * (t - dt) / t
         noise = None

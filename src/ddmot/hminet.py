@@ -8,6 +8,13 @@ time, and is gated by the condition embedding through motion fusion
 layers (scale/shift gating). A final MLP emits the attenuation prediction
 (one-branch) or attenuation plus noise predictions (two-branch).
 
+The forward pass splits at the condition embedding. ``embed_condition``
+is the encoder; ``_fusion_head`` is the time embedding, motion fusion and
+head, run on a precomputed embedding. Training calls ``predict_graph``
+(encoder then fusion+head, recording the graph). Sampling encodes a
+frame's windows once and calls ``predict_values`` (fusion+head with no
+graph) once per sampling step; both paths share one network definition.
+
 Unstated-by-construction choices (documented here because they are load
 bearing): condition rows get a learned 8->token_dim embedding plus learned
 positional encodings; time enters as a sinusoidal feature added to the
@@ -261,15 +268,19 @@ class HMINet:
         emb = ad.slice_(x, (slice(None), 0))
         return ad.reshape(emb, (d,)) if single else emb
 
-    def predict_graph(self, noisy_motion, t, windows) -> tuple[Tensor, Tensor | None]:
-        """Differentiable forward pass; returns (c_hat, z_hat) tensors of
-        shape (B, 4). Inputs may be single or batched."""
-        w, single = self._window_batch(np.asarray(windows))
-        b, d = w.shape[0], self.config.token_dim
+    def _fusion_head(self, noisy_motion, t, emb: Tensor | np.ndarray) -> tuple[Tensor, Tensor | None]:
+        """Fusion blocks and head on a precomputed (d,) or (B, d) condition
+        embedding; returns (c_hat, z_hat) of shape (B, 4)."""
+        d = self.config.token_dim
+        e = emb if isinstance(emb, Tensor) else Tensor(emb)
+        if e.value.ndim not in (1, 2) or e.shape[-1] != d:
+            raise InvalidInputError(f"condition embedding must have shape ({d},) or (B, {d}), got {e.shape}")
+        if e.value.ndim == 1:
+            e = ad.reshape(e, (1, d))
+        b = e.shape[0]
         m = np.asarray(noisy_motion, dtype=np.float64).reshape(b, 4)
         t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (b,))
 
-        e = self.embed_condition(w)
         feat = self._mlp2(Tensor(m), "motion")
         feat = feat + self._mlp2(Tensor(sinusoidal_features(t_arr, d)), "time")
         fused = self._mfl(e, feat, "mfl0")
@@ -287,9 +298,18 @@ class HMINet:
             return ad.slice_(out, (slice(None), slice(0, 4))), ad.slice_(out, (slice(None), slice(4, 8)))
         return out, None
 
-    def predict_values(self, noisy_motion, t, windows) -> tuple[np.ndarray, np.ndarray | None]:
-        """Forward pass returning plain arrays (sampling-side entry point)."""
-        c, z = self.predict_graph(noisy_motion, t, windows)
+    def predict_graph(self, noisy_motion, t, windows) -> tuple[Tensor, Tensor | None]:
+        """Differentiable forward pass (training): the encoder, then fusion
+        and head; returns (c_hat, z_hat) tensors of shape (B, 4). Inputs may
+        be single or batched."""
+        return self._fusion_head(noisy_motion, t, self.embed_condition(windows))
+
+    def predict_values(self, noisy_motion, t, emb) -> tuple[np.ndarray, np.ndarray | None]:
+        """One sampling step: fusion and head on an embedding from
+        ``embed_condition``, run without a graph; returns plain (B, 4)
+        arrays. A single (d,) embedding counts as a batch of one."""
+        with ad.no_grad():
+            c, z = self._fusion_head(noisy_motion, t, emb)
         return c.value, None if z is None else z.value
 
     @property

@@ -64,6 +64,9 @@ class OracleNet:
         self.target = np.asarray(target, dtype=np.float64)
         self.history_length = history_length
 
+    def embed_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         b = np.atleast_2d(np.asarray(noisy)).shape[0]
         return np.broadcast_to(-self.target, (b, 4)).copy(), None
@@ -343,8 +346,8 @@ def test_criterion_11_serialization(desk_model):
         w = rng.normal(size=(5, 8)) * 0.3
         m = rng.normal(size=4)
         t = float(rng.uniform(T_MIN, 1.0))
-        a, _ = model.predict_values(m, t, w)
-        b, _ = loaded.predict_values(m, t, w)
+        a, _ = model.predict_values(m, t, model.embed_condition(w))
+        b, _ = loaded.predict_values(m, t, loaded.embed_condition(w))
         worst = max(worst, float(np.abs(a - b).max()))
     report(11, "model file round trip", byte_stable and worst < 1e-4,
            f"save-load-save identical={byte_stable}, max prediction drift {worst:.2e}")

@@ -239,3 +239,50 @@ class TestFiniteDifferenceCheck:
         report = ad.finite_difference_check(f, {"a": a}, h=1e-5, tolerance=1e-4, analytic=bad)
         assert not report.ok
         assert report.worst[0] == "a"
+
+
+class TestNoGrad:
+    """``no_grad`` runs the same ops without recording a graph."""
+
+    def test_node_has_no_parents(self):
+        x, y = t(3.0, grad=True), t(4.0, grad=True)
+        with ad.no_grad():
+            out = ad.sigmoid(ad.mul(x, y) + y)
+        assert out._parents == () and not out.requires_grad and out.name == "sigmoid"
+
+    def test_same_values_as_graph_mode(self):
+        rng = np.random.default_rng(4)
+        x, w = t(rng.normal(size=(4, 8)), grad=True), t(rng.normal(size=(8, 8)), grad=True)
+
+        def run():
+            h = ad.matmul(x, w)
+            return ad.softmax(ad.mul(ad.sigmoid(h), ad.layer_norm(h))).value
+
+        with ad.no_grad():
+            free = run()
+        assert np.array_equal(free, run())
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        x = t(2.0, grad=True)
+        out = ad.mul(x, x)
+        assert out.requires_grad and len(out._parents) == 2
+        assert ad.backward(out, [x])[0] == pytest.approx(4.0)
+
+    def test_nested_contexts_restore_outer_mode(self):
+        x = t(2.0, grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.mul(x, x).requires_grad
+        assert ad.mul(x, x).requires_grad
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_every_op_still_checks_finiteness(self):
+        # x*x overflows to inf; the sigmoid would squash it to a finite 1.0,
+        # so only the check on the intermediate op catches it
+        x = t([1e200])
+        with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="node 'mul'"):
+            ad.sigmoid(ad.mul(x, x))

@@ -233,16 +233,19 @@ BAD_INDEX_EDITS = {
 class TestMalformedInputs:
     """Malformed files end in one ``error: format-error:`` line, exit 2."""
 
-    def _track(self, scene, tmp_path, capsys, model_bytes=None, det_text=None):
-        det = scene / "det.txt"
+    def _track(self, scene, tmp_path, capsys, model_bytes=None, det_text=None, meta_text=None):
+        det, meta = scene / "det.txt", scene / "meta.json"
         if det_text is not None:
             det = tmp_path / "det.txt"
             det.write_text(det_text)
+        if meta_text is not None:
+            meta = tmp_path / "meta.json"
+            meta.write_text(meta_text)
         predictor = ["--predictor", "kf"]
         if model_bytes is not None:
             (tmp_path / "m.d2mp").write_bytes(model_bytes)
             predictor = ["--predictor", "d2mp", "--model", str(tmp_path / "m.d2mp")]
-        code = main(["track", "--detections", str(det), "--meta", str(scene / "meta.json"),
+        code = main(["track", "--detections", str(det), "--meta", str(meta),
                      "--out", str(tmp_path / "res.txt")] + predictor)
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1 and err[0].startswith("error: format-error:"), err
@@ -269,3 +272,42 @@ class TestMalformedInputs:
         lines[2] = ",".join(parts)
         err = self._track(scene, tmp_path, capsys, det_text="\n".join(lines) + "\n")
         assert "line 3" in err
+
+    def test_overflowing_meta_field(self, scene, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which no int holds
+        err = self._track(scene, tmp_path, capsys, meta_text='{"frame_count": 1e400, "width": 640, "height": 480}')
+        assert "metadata" in err
+
+
+class TestConfigSections:
+    """A config section that is not a JSON object ends in one
+    ``error: format-error:`` line naming the file and the section."""
+
+    @staticmethod
+    def _argv(command, scene, tmp_path):
+        out = str(tmp_path / "out")
+        if command == "track":
+            return ["track", "--detections", str(scene / "det.txt"), "--meta", str(scene / "meta.json"),
+                    "--predictor", "kf", "--out", out]
+        if command == "synth":
+            return ["synth", "--out", out]
+        return ["train", "--data", str(scene), "--out", out]
+
+    @pytest.mark.parametrize("value", ["x", ["ab", "cd"], 7, None])
+    @pytest.mark.parametrize("command, section", [
+        ("track", "predictor"), ("track", "tracker"), ("synth", "spec"), ("train", "model"), ("train", "train"),
+    ])
+    def test_non_object_section(self, scene, tmp_path, capsys, command, section, value):
+        cfg = write_json(tmp_path / "cfg.json", {section: value})
+        code = main(self._argv(command, scene, tmp_path) + ["--config", cfg])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: format-error:"), err
+        assert cfg in err[0] and f"'{section}'" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_file_not_an_object(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('["ab", "cd"]')
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: format-error: spec file"), err

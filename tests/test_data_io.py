@@ -277,8 +277,8 @@ class TestModelFile:
         again = load_hminet(save_model(net.params, SMALL))
         rng = np.random.default_rng(0)
         w = rng.normal(size=(5, 8)) * 0.2
-        a, _ = net.predict_values(np.zeros(4), 1.0, w)
-        b, _ = again.predict_values(np.zeros(4), 1.0, w)
+        a, _ = net.predict_values(np.zeros(4), 1.0, net.embed_condition(w))
+        b, _ = again.predict_values(np.zeros(4), 1.0, again.embed_condition(w))
         assert np.abs(a - b).max() < 1e-4  # float32 storage rounding only
 
 

@@ -31,6 +31,9 @@ class OracleModel:
         self.history_length = history_length
         self.with_z = with_z
 
+    def embed_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         b = np.atleast_2d(np.asarray(noisy)).shape[0]
         c = np.broadcast_to(-self.target, (b, 4)).copy()
@@ -262,7 +265,8 @@ class TestTrain:
         ds = constant_dataset(rng, 256, [1.0, 0, 0, 0])
         net = HMINet.init(SMALL, 5)
         train(ds, net, TrainConfig(steps=1500, batch_size=64, learning_rate=1e-3, seed=6, stop_below=5e-4))
-        c_hat, _ = net.predict_values(rng.normal(size=(32, 4)), rng.uniform(T_MIN, 1, 32), ds.conditions[:32])
+        c_hat, _ = net.predict_values(rng.normal(size=(32, 4)), rng.uniform(T_MIN, 1, 32),
+                                    net.embed_condition(ds.conditions[:32]))
         assert np.abs(c_hat - np.array([-1.0, 0, 0, 0])).mean() < 0.05
 
     def test_empty_dataset_rejected(self):

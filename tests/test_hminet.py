@@ -152,30 +152,30 @@ class TestPredictTarget:
     def test_shape_contract(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(7)
-        c_hat, z_hat = net.predict_values(rng.normal(size=4), 0.5, window(rng))
+        c_hat, z_hat = net.predict_values(rng.normal(size=4), 0.5, net.embed_condition(window(rng)))
         assert c_hat.shape == (1, 4) and z_hat is None
 
     def test_tb_variant_returns_noise_head(self):
         cfg = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1, variant="TB")
         net = HMINet.init(cfg, 0)
         rng = np.random.default_rng(8)
-        _, z_hat = net.predict_values(rng.normal(size=4), 0.5, window(rng))
+        _, z_hat = net.predict_values(rng.normal(size=4), 0.5, net.embed_condition(window(rng)))
         assert z_hat is not None and z_hat.shape == (1, 4)
 
     def test_bit_determinism(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(9)
         m, w = rng.normal(size=4), window(rng)
-        a, _ = net.predict_values(m, 0.7, w)
-        b, _ = net.predict_values(m, 0.7, w)
+        a, _ = net.predict_values(m, 0.7, net.embed_condition(w))
+        b, _ = net.predict_values(m, 0.7, net.embed_condition(w))
         assert np.array_equal(a, b)
 
     def test_time_parameter_matters(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(10)
         m, w = rng.normal(size=4), window(rng)
-        a, _ = net.predict_values(m, 0.1, w)
-        b, _ = net.predict_values(m, 0.9, w)
+        a, _ = net.predict_values(m, 0.1, net.embed_condition(w))
+        b, _ = net.predict_values(m, 0.9, net.embed_condition(w))
         assert np.abs(a - b).max() > 1e-10
 
     def test_time_range_validated(self):
@@ -184,7 +184,7 @@ class TestPredictTarget:
         # reaching the network with t outside [t_min, 1] is a caller bug
         # guarded at the diffusion layer; the network itself only needs t
         # to be finite, so just confirm a legal boundary value works
-        c_hat, _ = net.predict_values(rng.normal(size=4), 1.0, window(rng))
+        c_hat, _ = net.predict_values(rng.normal(size=4), 1.0, net.embed_condition(window(rng)))
         assert np.all(np.isfinite(c_hat))
 
 

@@ -1,0 +1,198 @@
+"""Graph-free inference: sampling encodes each batch of windows once and
+runs fusion+head per step without a graph, with outputs equal to the
+training forward pass."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddmot import autodiff as ad
+from ddmot.autodiff import NonFiniteError
+from ddmot.core import BoundingBox, InvalidInputError
+from ddmot.diffusion import (
+    T_MIN,
+    NoisyMotion,
+    TrainConfig,
+    TrainingSet,
+    _normal_draws,
+    attenuation_constant,
+    forward_diffuse,
+    reverse_step,
+    sample_k_steps,
+    train,
+    training_loss,
+)
+from ddmot.hminet import HMINet, ModelConfig
+from ddmot.predictors import D2MPPredictor, PredictorConfig
+
+from test_predictors import WindowRecorder
+
+SMALL = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1)
+
+
+def graph_sample(k, windows, net, rng):
+    """The sampler as a loop over the training forward pass: encoder,
+    fusion and head rebuilt as a graph at every step."""
+    w = np.asarray(windows, dtype=np.float64)
+    single = w.ndim == 2
+    if single:
+        w = w[None]
+    b = w.shape[0]
+    m = _normal_draws(rng, b)
+    for i in range(k, 0, -1):
+        t, dt = i / k, 1.0 / k
+        c_hat, z_hat = net.predict_graph(m, np.full(b, max(t, T_MIN)), w)
+        noise = _normal_draws(rng, b) if dt * (t - dt) / t > 0.0 else None
+        z = None if z_hat is None else z_hat.value
+        m = reverse_step(NoisyMotion(m, np.full(b, t)), dt, c_hat.value, z=z, noise=noise).values
+    return m[0] if single else m
+
+
+def streams(b, seed=0):
+    return [np.random.default_rng((seed, i)) for i in range(b)]
+
+
+class TestParity:
+    @pytest.mark.parametrize("variant", ["OB", "TB"])
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    def test_sampler_equals_graph_loop(self, variant, k, b):
+        net = HMINet.init(ModelConfig(variant=variant), 3)
+        rng = np.random.default_rng(b)
+        # b == 1 goes through the single-window path and its (d,) embedding
+        windows = rng.normal(size=(5, 8) if b == 1 else (b, 5, 8)) * 0.3
+        got = sample_k_steps(k, windows, net, streams(b))
+        want = graph_sample(k, windows, net, streams(b))
+        if b == 1:
+            got = got.as_array()
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        b=st.integers(1, 6),
+        t=st.floats(T_MIN, 1.0),
+        variant=st.sampled_from(["OB", "TB"]),
+    )
+    def test_predict_values_equals_graph_values(self, seed, b, t, variant):
+        net = HMINet.init(ModelConfig(**{**SMALL.to_dict(), "variant": variant}), seed % 100)
+        rng = np.random.default_rng(seed)
+        w, m = rng.normal(size=(b, 5, 8)), rng.normal(size=(b, 4))
+        c_free, z_free = net.predict_values(m, t, net.embed_condition(w))
+        c_graph, z_graph = net.predict_graph(m, t, w)
+        assert np.array_equal(c_free, c_graph.value)
+        assert (z_free is None) == (z_graph is None)
+        if z_graph is not None:
+            assert np.array_equal(z_free, z_graph.value)
+
+    def test_embedding_shape_checked(self):
+        net = HMINet.init(SMALL, 0)
+        with pytest.raises(InvalidInputError, match="embedding"):
+            net.predict_values(np.zeros(4), 1.0, np.zeros((5, 8)))
+
+
+class CountingNet(HMINet):
+    def __init__(self, config, params):
+        super().__init__(config, params)
+        self.encodes = 0
+        self.steps = 0
+
+    def embed_condition(self, windows):
+        self.encodes += 1
+        return super().embed_condition(windows)
+
+    def predict_values(self, noisy_motion, t, emb):
+        self.steps += 1
+        return super().predict_values(noisy_motion, t, emb)
+
+
+class TestEncodeOnce:
+    def test_one_encode_per_sample_call(self):
+        net = CountingNet.init(SMALL, 1)
+        windows = np.random.default_rng(2).normal(size=(4, 5, 8))
+        sample_k_steps(10, windows, net, streams(4))
+        assert (net.encodes, net.steps) == (1, 10)
+
+    def test_sampling_records_no_graph(self):
+        net = HMINet.init(SMALL, 1)
+        sampled = []
+        fusion_head = net._fusion_head
+
+        def spy(noisy_motion, t, emb):
+            out = fusion_head(noisy_motion, t, emb)
+            sampled.append((emb, out[0]))
+            return out
+
+        net._fusion_head = spy
+        sample_k_steps(3, np.zeros((2, 5, 8)), net, streams(2))
+        assert len(sampled) == 3
+        for emb, c_hat in sampled:
+            assert emb._parents == () and c_hat._parents == () and not c_hat.requires_grad
+
+    def test_recorder_sees_one_window_batch_per_frame(self):
+        model = WindowRecorder(history_length=3)
+        p = D2MPPredictor(model, PredictorConfig(kind="d2mp"))
+        for tid in (1, 2):
+            p.start(tid, BoundingBox(0.2 * tid, 0.5, 0.1, 0.1, "norm"))
+        for frame in range(4):
+            p.predict_all([1, 2])
+            for tid in (1, 2):
+                p.observe(tid, BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm"))
+        assert len(model.windows) == 4
+        assert all(w.shape == (2, 3, 8) for w in model.windows)
+
+
+TINY = ModelConfig(token_dim=4, n_heads=1, n_condition_layers=1, n_fusion_blocks=1, history_length=2)
+
+
+class TestModeHygiene:
+    def test_training_after_sampling_passes_gradient_audit(self):
+        """Sampling leaves the graph mode on: the training forward run next
+        records a graph whose gradients pass the finite-difference audit of
+        acceptance criterion 4 (same h and tolerance, smaller network)."""
+        rng = np.random.default_rng(5)
+        net = HMINet.init(TINY, 11)
+        windows = rng.normal(size=(3, 2, 8)) * 0.3
+        sample_k_steps(10, windows, net, rng)
+        m0 = rng.normal(size=(3, 4)) * 0.5
+        t = rng.uniform(0.2, 1.0, 3)
+        noisy, _ = forward_diffuse(m0, t, rng.normal(size=(3, 4)))
+
+        def f():
+            c_hat, _ = net.predict_graph(noisy.values, t, windows)
+            return training_loss(c_hat, attenuation_constant(m0))
+
+        audit = ad.finite_difference_check(f, net.params, h=1e-5, tolerance=1e-4)
+        assert audit.ok, audit.flagged[:3]
+
+    def test_train_step_after_sampling_updates_encoder_and_head(self):
+        rng = np.random.default_rng(6)
+        net = HMINet.init(TINY, 2)
+        ds = TrainingSet(rng.normal(size=(16, 2, 8)) * 0.3, rng.normal(size=(16, 4)) * 0.1)
+        sample_k_steps(10, ds.conditions, net, rng)
+        before = {k: p.value.copy() for k, p in net.params.items()}
+        train(ds, net, TrainConfig(steps=1, batch_size=8, learning_rate=1e-3))
+        for name in ("cond.embed.w", "cond.l0.attn.wq", "mfl0.scale.w2", "fuse.l0.attn.wv", "head.w2"):
+            assert not np.array_equal(before[name], net.params[name].value), name
+
+
+class TestFiniteCheckKept:
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_gate_overflow_raises(self):
+        """Scale one unit of the first gate's output layer so that its
+        pre-activation overflows to +inf. The sigmoid turns that into a
+        finite 1.0 and the sample would come out finite, so only the
+        per-op check stops it."""
+        net = HMINet.init(SMALL, 4)
+        window = np.random.default_rng(7).normal(size=(5, 8)) * 0.3
+        e = net.embed_condition(window).value
+        h = e @ net.params["mfl0.scale.w1"].value + net.params["mfl0.scale.b1"].value
+        h = h / (1.0 + np.exp(-h))  # SiLU
+        w2 = net.params["mfl0.scale.w2"]
+        w2.value[:, 0] = np.where(h >= 0, 1.0, -1.0) * np.finfo(np.float64).max
+        with np.errstate(over="ignore"):
+            assert np.isposinf(h @ w2.value[:, 0])  # the overflow this test is about
+        with pytest.raises(NonFiniteError, match="node"):
+            sample_k_steps(1, window, net, np.random.default_rng(8))
+        # the graph mode came back when the error left the sampler
+        assert ad.mul(net.params["head.b2"], net.params["head.b2"]).requires_grad

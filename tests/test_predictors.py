@@ -33,6 +33,9 @@ class LookupOracle:
         self.table = table
         self.history_length = history_length
 
+    def embed_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         w = np.asarray(windows)
         if w.ndim == 2:
@@ -50,6 +53,9 @@ class WindowRecorder:
     def __init__(self, history_length):
         self.history_length = history_length
         self.windows = []
+
+    def embed_condition(self, windows):
+        return windows
 
     def predict_values(self, noisy, t, windows):
         self.windows.append(np.array(windows))
