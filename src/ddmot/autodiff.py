@@ -15,6 +15,12 @@ finite check stays on in this mode: checking only the final output would
 miss an overflow that a sigmoid gate or a softmax squashes back into a
 finite value.
 
+Two fused ops carry the network's hot paths with hand-written
+vector-Jacobian products: ``linear(x, w, b)`` is one GEMM over the
+flattened rows of ``x`` plus an in-place bias add, and ``silu(x)`` is
+``x * sigmoid(x)`` as one node. ``sigmoid`` and ``silu`` use
+``scipy.special.expit``, which is stable on both tails.
+
 The Adam optimizer and a central-finite-difference gradient checker live
 here too, because they only make sense next to the graph.
 """
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .core import InvalidInputError, NumericError, TrackingError
 
@@ -189,33 +196,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must have ndim >= 2 ({a.name}: {a.shape}, {b.name}: {b.shape})")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape} ({a.name}, {b.name})")
-    # the (batched input) @ (2-D weight) case is flattened into one GEMM;
-    # numpy would otherwise loop small GEMMs over the batch
-    b_is_mat = b.value.ndim == 2
-    if b_is_mat and a.value.ndim > 2:
-        v = (a.value.reshape(-1, a.shape[-1]) @ b.value).reshape(*a.shape[:-1], b.shape[-1])
-    else:
-        v = a.value @ b.value
+    return _make(a.value @ b.value, "matmul", [
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape)),
+    ])
 
-    def grad_a(g: Array) -> Array:
-        if b_is_mat:
-            return (g.reshape(-1, g.shape[-1]) @ b.value.T).reshape(a.shape)
-        return _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape)
 
-    def grad_b(g: Array) -> Array:
-        if b_is_mat and a.value.ndim > 2:
-            return a.value.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape)
-
-    return _make(v, "matmul", [(a, grad_a), (b, grad_b)])
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x`` (any leading
+    shape): one GEMM on the flattened rows plus an in-place bias add."""
+    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape} ({x.name}, {w.name}, {b.name})")
+    x2 = x.value.reshape(-1, w.shape[0])
+    v = x2 @ w.value
+    v += b.value
+    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", [
+        (x, lambda g: (g.reshape(-1, g.shape[-1]) @ w.value.T).reshape(x.shape)),
+        (w, lambda g: x2.T @ g.reshape(-1, g.shape[-1])),
+        (b, lambda g: _unbroadcast(g, b.shape)),
+    ])
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # stable on both tails: exp argument is always <= 0
-    x = a.value
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = expit(a.value)
     return _make(s, "sigmoid", [(a, lambda g: g * s * (1.0 - s))])
+
+
+def silu(a: Tensor) -> Tensor:
+    """``x * sigmoid(x)``; its VJP is g*s*(1 + x*(1 - s)), evaluated as the
+    sum of the product-rule and sigmoid terms."""
+    x = a.value
+    s = expit(x)
+    return _make(x * s, "silu", [(a, lambda g: g * s + g * x * s * (1.0 - s))])
 
 
 def softmax(a: Tensor) -> Tensor:

@@ -25,7 +25,6 @@ from .core import (
     InvalidInputError,
     center_to_tlwh,
     denormalize_box,
-    motion_from_boxes,
     normalize_box,
     tlwh_to_center,
 )
@@ -367,13 +366,13 @@ def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_var
     conditions, targets = [], []
     for traj in trajectories:
         boxes = list(traj.boxes)
-        for i in range(1, len(boxes)):
-            window = build_condition_window(boxes[:i], n)
-            conditions.append(apply_condition_variant(window, condition_variant))
-            targets.append(motion_from_boxes(boxes[i - 1], boxes[i]).as_array())
+        if len(boxes) < 2:
+            continue
+        conditions.append(build_condition_window([boxes[:i] for i in range(1, len(boxes))], n))
+        targets.append(np.diff([b.as_array() for b in boxes], axis=0))
     if not conditions:
         raise InvalidInputError("no training samples; trajectories need at least 2 frames")
-    return TrainingSet(np.stack(conditions), np.stack(targets))
+    return TrainingSet(apply_condition_variant(np.concatenate(conditions), condition_variant), np.concatenate(targets))
 
 
 # ---------------------------------------------------------------------------

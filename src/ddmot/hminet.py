@@ -15,6 +15,12 @@ head, run on a precomputed embedding. Training calls ``predict_graph``
 frame's windows once and calls ``predict_values`` (fusion+head with no
 graph) once per sampling step; both paths share one network definition.
 
+Only the class token of the last encoder block is ever read, so that block
+computes queries, attention output, residual, second norm and feed-forward
+for the class token alone; its keys and values still come from every
+token. The embedding and its gradients are those of the full block, at a
+sixth of the cost of the block's widest tensors for a 5-frame window.
+
 Unstated-by-construction choices (documented here because they are load
 bearing): condition rows get a learned 8->token_dim embedding plus learned
 positional encodings; time enters as a sinusoidal feature added to the
@@ -205,31 +211,35 @@ class HMINet:
         return self.params[name]
 
     def _mlp2(self, x: Tensor, prefix: str) -> Tensor:
-        h = ad.matmul(x, self._p(f"{prefix}.w1")) + self._p(f"{prefix}.b1")
-        h = ad.mul(h, ad.sigmoid(h))  # SiLU
-        return ad.matmul(h, self._p(f"{prefix}.w2")) + self._p(f"{prefix}.b2")
+        h = ad.silu(ad.linear(x, self._p(f"{prefix}.w1"), self._p(f"{prefix}.b1")))
+        return ad.linear(h, self._p(f"{prefix}.w2"), self._p(f"{prefix}.b2"))
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return ad.layer_norm(x) * self._p(f"{prefix}.g") + self._p(f"{prefix}.b")
 
-    def _attention(self, x: Tensor, prefix: str) -> Tensor:
-        cfg = self.config
-        b, tk, d = x.shape
-        nh, dh = cfg.n_heads, d // cfg.n_heads
+    def _attention(self, x_q: Tensor, x_n: Tensor, prefix: str) -> Tensor:
+        """Multi-head attention of the query tokens ``x_q`` over every token
+        of the normalized sequence ``x_n``."""
+        b, tq, d = x_q.shape
+        nh, dh = self.config.n_heads, d // self.config.n_heads
 
-        def heads(name: str) -> Tensor:
-            proj = ad.matmul(x_n, self._p(f"{prefix}.attn.w{name}")) + self._p(f"{prefix}.attn.b{name}")
-            return ad.swapaxes(ad.reshape(proj, (b, tk, nh, dh)), 1, 2)
+        def heads(x: Tensor, name: str) -> Tensor:
+            proj = ad.linear(x, self._p(f"{prefix}.attn.w{name}"), self._p(f"{prefix}.attn.b{name}"))
+            return ad.swapaxes(ad.reshape(proj, (b, x.shape[1], nh, dh)), 1, 2)
 
-        x_n = self._ln(x, f"{prefix}.ln1")
-        q, k, v = heads("q"), heads("k"), heads("v")
+        q, k, v = heads(x_q, "q"), heads(x_n, "k"), heads(x_n, "v")
         scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
         attn = ad.matmul(ad.softmax(scores), v)
-        merged = ad.reshape(ad.swapaxes(attn, 1, 2), (b, tk, d))
-        return ad.matmul(merged, self._p(f"{prefix}.attn.wo")) + self._p(f"{prefix}.attn.bo")
+        merged = ad.reshape(ad.swapaxes(attn, 1, 2), (b, tq, d))
+        return ad.linear(merged, self._p(f"{prefix}.attn.wo"), self._p(f"{prefix}.attn.bo"))
 
-    def _block(self, x: Tensor, prefix: str) -> Tensor:
-        x = x + self._attention(x, prefix)
+    def _block(self, x: Tensor, prefix: str, queries: slice = slice(None)) -> Tensor:
+        """Pre-norm attention block; only the ``queries`` tokens are
+        updated and returned, while keys and values come from every token."""
+        x_n = x_q = self._ln(x, f"{prefix}.ln1")
+        if queries != slice(None):
+            x, x_q = ad.slice_(x, (slice(None), queries)), ad.slice_(x_n, (slice(None), queries))
+        x = x + self._attention(x_q, x_n, prefix)
         return x + self._mlp2(self._ln(x, f"{prefix}.ln2"), f"{prefix}.ffn")
 
     def _mfl(self, cond: Tensor, motion_feat: Tensor, prefix: str) -> Tensor:
@@ -258,15 +268,17 @@ class HMINet:
         embeddings; returns shape (token_dim,) or (B, token_dim)."""
         w, single = self._window_batch(windows)
         b, n, d = w.shape[0], self.config.history_length, self.config.token_dim
-        x = ad.matmul(Tensor(w), self._p("cond.embed.w")) + self._p("cond.embed.b")
+        x = ad.linear(Tensor(w), self._p("cond.embed.w"), self._p("cond.embed.b"))
         if self.config.positional_encoding:
             x = x + self._p("cond.pos")
         cls = ad.broadcast_to(ad.reshape(self._p("cond.cls"), (1, 1, d)), (b, 1, d))
         x = ad.concat([cls, x], axis=1)
-        for i in range(self.config.n_condition_layers):
+        last = self.config.n_condition_layers - 1
+        for i in range(last):
             x = self._block(x, f"cond.l{i}")
-        emb = ad.slice_(x, (slice(None), 0))
-        return ad.reshape(emb, (d,)) if single else emb
+        # only the class token is read from the last block: it alone is updated
+        x = self._block(x, f"cond.l{last}", queries=slice(0, 1))
+        return ad.reshape(x, (d,) if single else (b, d))
 
     def _fusion_head(self, noisy_motion, t, emb: Tensor | np.ndarray) -> tuple[Tensor, Tensor | None]:
         """Fusion blocks and head on a precomputed (d,) or (B, d) condition

@@ -133,11 +133,10 @@ def idf1(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
             np.stack([g[1].as_array() for g in gts]),
             np.stack([r[1].as_array() for r in res]),
         )
-        hits = m >= iou_threshold
-        for a, (gid, _) in enumerate(gts):
-            for b, (rid, _) in enumerate(res):
-                if hits[a, b]:
-                    overlap[gt_pos[gid], pred_pos[rid]] += 1
+        a, b = np.nonzero(m >= iou_threshold)
+        rows = np.array([gt_pos[gid] for gid, _ in gts])
+        cols = np.array([pred_pos[rid] for rid, _ in res])
+        np.add.at(overlap, (rows[a], cols[b]), 1)
     total_gt = sum(len(t.frames) for t in gt)
     total_pred = len(records)
     idtp = 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ from .core import (
     BoundingBox,
     InvalidInputError,
     Motion,
-    MotionInfo,
     NumericError,
     UnitMismatchError,
     motion_from_boxes,
@@ -139,23 +139,25 @@ def cv_predict(history: Sequence[BoundingBox], min_extent: float = 1e-4) -> Boun
     return box
 
 
-def build_condition_window(history: Sequence[BoundingBox], n: int) -> np.ndarray:
-    """Last n MotionInfo rows, most recent first, as an (n, 8) array.
+def build_condition_window(histories: Sequence[Sequence[BoundingBox]], n: int) -> np.ndarray:
+    """The last n MotionInfo rows of each history, most recent first, as a
+    (B, n, 8) array.
 
-    History shorter than n is padded by repeating the oldest available
-    row; a length-1 history contributes zero motion components.
+    Each history's last n + 1 boxes are padded to n + 1 by repeating its
+    oldest box, so a history shorter than n + 1 repeats its oldest row
+    (zero motion) and a length-1 history contributes zero motion
+    components.
     """
-    if not history:
-        raise InvalidInputError("cannot build a condition window from an empty history")
-    rows = []
-    for i in range(len(history) - 1, -1, -1):
-        motion = motion_from_boxes(history[i - 1], history[i]) if i > 0 else Motion.zero()
-        rows.append(MotionInfo(history[i], motion).as_array())
-        if len(rows) == n:
-            break
-    while len(rows) < n:
-        rows.append(rows[-1])
-    return np.stack(rows)
+    rows: list[BoundingBox] = []
+    for history in histories:
+        if not history:
+            raise InvalidInputError("cannot build a condition window from an empty history")
+        recent = list(islice(reversed(history), n + 1))
+        rows += recent + [recent[-1]] * (n + 1 - len(recent))
+    if len({b.units for b in rows}) > 1:
+        raise UnitMismatchError("condition window: unit modes differ")
+    boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in rows], dtype=np.float64).reshape(-1, n + 1, 4)
+    return np.concatenate([boxes[:, :n], boxes[:, :n] - boxes[:, 1:]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ class D2MPPredictor(MotionPredictor):
         if not track_ids:
             return []
         n = self.model.history_length
-        windows = np.stack([build_condition_window(self._history[t], n) for t in track_ids])
+        windows = build_condition_window([self._history[t] for t in track_ids], n)
         rngs = [self._rngs[t] for t in track_ids]
         motions = sample_k_steps(self.config.sampling_steps, windows, self.model, rngs, self.config.deterministic)
         out = []
@@ -274,7 +276,7 @@ class D2MPPredictor(MotionPredictor):
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
         # one batched network call per trajectory instead of one per frame
         n = self.model.history_length
-        windows = np.stack([build_condition_window(boxes[:i], n) for i in range(1, len(boxes))])
+        windows = build_condition_window([boxes[:i] for i in range(1, len(boxes))], n)
         rng = self._track_rng(track_id)
         motions = sample_k_steps(self.config.sampling_steps, windows, self.model, rng, self.config.deterministic)
         out = []

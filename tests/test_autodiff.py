@@ -106,7 +106,7 @@ class TestOpGradients:
 
     @pytest.mark.parametrize(
         "name",
-        ["add", "mul", "matmul", "sigmoid", "softmax", "concat", "scale",
+        ["add", "mul", "matmul", "linear", "sigmoid", "silu", "softmax", "concat", "scale",
          "slice", "mean", "layer_norm", "reshape", "swapaxes", "broadcast", "smooth_l1"],
     )
     def test_gradient(self, name):
@@ -121,8 +121,12 @@ class TestOpGradients:
                 out = ad.mul(a, b)
             elif name == "matmul":
                 out = ad.matmul(a, ad.swapaxes(b, 0, 1))
+            elif name == "linear":
+                out = ad.linear(a, ad.swapaxes(b, 0, 1), ad.slice_(b, (slice(None), 0)))
             elif name == "sigmoid":
                 out = ad.sigmoid(a)
+            elif name == "silu":
+                out = ad.silu(a)
             elif name == "softmax":
                 out = ad.mul(ad.softmax(a), b)
             elif name == "concat":
@@ -158,6 +162,46 @@ class TestOpGradients:
 
         report = ad.finite_difference_check(f, {"x": x, "bias": bias}, h=1e-5, tolerance=1e-4)
         assert report.ok
+
+
+    def test_linear_batched_input_gradient(self):
+        # a (B, T, k) input goes through one GEMM on its flattened rows
+        rng = np.random.default_rng(10)
+        x = ad.parameter(rng.normal(size=(2, 3, 4)), "x")
+        w = ad.parameter(rng.normal(size=(4, 5)), "w")
+        bias = ad.parameter(rng.normal(size=(5,)), "bias")
+
+        def f():
+            out = ad.linear(x, w, bias)
+            return ad.mean(ad.mul(out, out))
+
+        report = ad.finite_difference_check(f, {"x": x, "w": w, "bias": bias}, h=1e-5, tolerance=1e-4)
+        assert report.ok, report.flagged[:3]
+
+
+class TestFusedValues:
+    """The fused ops give the values of the ops they replace."""
+
+    def test_linear_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(11)
+        x, w, bias = t(rng.normal(size=(6, 4))), t(rng.normal(size=(4, 3))), t(rng.normal(size=3))
+        assert np.array_equal(ad.linear(x, w, bias).value, (ad.matmul(x, w) + bias).value)
+
+    def test_linear_shape_error_names_op(self):
+        with pytest.raises(ad.ShapeError, match="linear"):
+            ad.linear(t(np.zeros((2, 3))), t(np.zeros((4, 5))), t(np.zeros(5)))
+        with pytest.raises(ad.ShapeError, match="linear"):
+            ad.linear(t(np.zeros((2, 4))), t(np.zeros((4, 5))), t(np.zeros(4)))
+
+    def test_silu_equals_product_with_sigmoid(self):
+        x = t(np.linspace(-40.0, 40.0, 81))
+        assert np.array_equal(ad.silu(x).value, ad.mul(x, ad.sigmoid(x)).value)
+
+    def test_sigmoid_within_three_ulp_of_two_branch_formula(self):
+        x = np.random.default_rng(12).normal(size=10_000) * 8.0
+        e = np.exp(-np.abs(x))
+        ref = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.all(np.abs(ad.sigmoid(t(x)).value - ref) <= 3 * np.spacing(ref))
 
 
 class TestSmoothL1Values:
@@ -278,6 +322,12 @@ class TestNoGrad:
                 pass
             assert not ad.mul(x, x).requires_grad
         assert ad.mul(x, x).requires_grad
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_linear_overflow_names_op(self):
+        x, w, bias = t([[1e200]]), t([[1e200]]), t([0.0])
+        with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="node 'linear'"):
+            ad.linear(x, w, bias)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_every_op_still_checks_finiteness(self):

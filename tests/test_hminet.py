@@ -93,6 +93,44 @@ class TestEmbedCondition:
         assert np.abs(e1 - e2).max() < 1e-10
 
 
+def all_token_embedding(net, windows):
+    """The encoder with every block updating every token; the class token
+    (row 0) of the last block is the embedding."""
+    w, _ = net._window_batch(windows)
+    b, d = w.shape[0], net.config.token_dim
+    x = ad.linear(Tensor(w), net.params["cond.embed.w"], net.params["cond.embed.b"])
+    if net.config.positional_encoding:
+        x = x + net.params["cond.pos"]
+    cls = ad.broadcast_to(ad.reshape(net.params["cond.cls"], (1, 1, d)), (b, 1, d))
+    x = ad.concat([cls, x], axis=1)
+    for i in range(net.config.n_condition_layers):
+        x = net._block(x, f"cond.l{i}")
+    return ad.slice_(x, (slice(None), 0))
+
+
+class TestClassTokenLastBlock:
+    """The last encoder block updates only the class token; the embedding
+    and its gradients are those of a block that updates every token."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_embedding_equals_all_token_reference(self, layers):
+        net = HMINet.init(ModelConfig(token_dim=32, n_heads=4, n_condition_layers=layers), layers)
+        w = window(np.random.default_rng(layers), b=9)
+        np.testing.assert_allclose(
+            net.embed_condition(w).value, all_token_embedding(net, w).value, rtol=1e-12, atol=1e-14
+        )
+
+    def test_gradients_equal_all_token_reference(self):
+        net = HMINet.init(ModelConfig(token_dim=16, n_heads=2), 8)
+        rng = np.random.default_rng(8)
+        w, probe = window(rng, b=4), Tensor(rng.normal(size=(4, 16)))
+        params = list(net.params.values())
+        got = ad.backward(ad.mean(ad.mul(net.embed_condition(w), probe)), params)
+        want = ad.backward(ad.mean(ad.mul(all_token_embedding(net, w), probe)), params)
+        for name, g, r in zip(net.params, got, want):
+            np.testing.assert_allclose(g, r, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
 class TestConditionVariants:
     def test_masks(self):
         rng = np.random.default_rng(1)

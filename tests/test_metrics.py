@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from ddmot.core import BoundingBox
+from ddmot.core import BoundingBox, iou_matrix
 from ddmot.data_io import MotRecord, SyntheticSpec, Trajectory, synth_sequence
 from ddmot.metrics import (
     DiagReport,
+    Idf1Report,
     idf1,
     mota,
     predictor_iou_diagnostic,
@@ -109,6 +114,56 @@ class TestIdf1:
         base = idf1(gt, res).idf1
         relabeled = [MotRecord(r.frame, r.track_id + 1000, r.box, r.conf) for r in res]
         assert idf1(gt, relabeled).idf1 == base
+
+
+grid_boxes = st.builds(
+    nbox,
+    st.sampled_from([0.1, 0.15, 0.2]),
+    st.sampled_from([0.1, 0.15]),
+    st.sampled_from([0.1, 0.15]),
+    st.sampled_from([0.1, 0.15]),
+)
+
+
+@st.composite
+def scored_outputs(draw):
+    """Ground truth and results on a coarse box grid, so many pairs overlap
+    and a frame can hold several records of one predicted id."""
+    gt = []
+    for gid in draw(st.lists(st.integers(1, 6), unique=True, max_size=4)):
+        frames = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1))))
+        gt.append(Trajectory(gid, frames, tuple(draw(grid_boxes) for _ in frames)))
+    records = draw(st.lists(st.builds(MotRecord, st.integers(1, 4), st.integers(1, 3), grid_boxes), max_size=24))
+    return gt, records
+
+
+def brute_force_idf1(gt, records, threshold=0.5):
+    """IDF1 from a per-pair loop: every (ground-truth box, result box) pair
+    of a frame that overlaps by at least the threshold counts once."""
+    gt_ids = sorted({t.track_id for t in gt})
+    pred_ids = sorted({r.track_id for r in records})
+    overlap = np.zeros((len(gt_ids), len(pred_ids)))
+    for t in gt:
+        for f, gbox in zip(t.frames, t.boxes):
+            for r in records:
+                if r.frame == f and iou_matrix(gbox.as_array(), r.box.as_array())[0, 0] >= threshold:
+                    overlap[gt_ids.index(t.track_id), pred_ids.index(r.track_id)] += 1
+    idtp = 0
+    if overlap.size:
+        rows, cols = linear_sum_assignment(-overlap)
+        idtp = int(overlap[rows, cols].sum())
+    idfn = sum(len(t.frames) for t in gt) - idtp
+    idfp = len(records) - idtp
+    denom = 2 * idtp + idfp + idfn
+    return Idf1Report(idtp, idfp, idfn, (2.0 * idtp / denom) if denom else 1.0)
+
+
+class TestIdf1Counting:
+    @settings(max_examples=80, deadline=None)
+    @given(case=scored_outputs())
+    def test_matches_per_pair_count(self, case):
+        gt, records = case
+        assert idf1(gt, records) == brute_force_idf1(gt, records)
 
 
 class OraclePredictor:

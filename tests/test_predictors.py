@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmot.core import BoundingBox, InvalidInputError, Motion, UnitMismatchError, iou
+from ddmot.core import BoundingBox, InvalidInputError, Motion, MotionInfo, UnitMismatchError, iou, motion_from_boxes
 from ddmot.predictors import (
     ConstantVelocityPredictor,
     D2MPPredictor,
@@ -133,10 +133,16 @@ class TestConstantVelocity:
         assert pred.w >= 1e-4 and pred.h >= 1e-4
 
 
+box_strategy = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 0.3), st.floats(0.01, 0.3)
+).map(lambda v: nbox(*v))
+box_sequences = st.lists(box_strategy, min_size=1, max_size=12)
+
+
 class TestConditionWindow:
     def test_full_history(self):
         boxes = [nbox(0.1 + 0.01 * i, 0.2) for i in range(6)]
-        w = build_condition_window(boxes, 3)
+        (w,) = build_condition_window([boxes], 3)
         assert w.shape == (3, 8)
         # most recent first
         assert w[0, 0] == pytest.approx(0.15)
@@ -145,7 +151,7 @@ class TestConditionWindow:
 
     def test_padding_repeats_oldest(self):
         boxes = [nbox(0.1, 0.2), nbox(0.12, 0.2)]
-        w = build_condition_window(boxes, 5)
+        (w,) = build_condition_window([boxes], 5)
         assert w.shape == (5, 8)
         assert np.allclose(w[0, :4], [0.12, 0.2, 0.1, 0.1])
         assert w[0, 4] == pytest.approx(0.02)
@@ -154,13 +160,41 @@ class TestConditionWindow:
             assert np.allclose(w[k], [0.1, 0.2, 0.1, 0.1, 0, 0, 0, 0])
 
     def test_length_one_history_zero_motion(self):
-        w = build_condition_window([nbox(0.4, 0.4)], 4)
+        (w,) = build_condition_window([[nbox(0.4, 0.4)]], 4)
         assert np.allclose(w[:, 4:], 0.0)
         assert np.allclose(w[:, :4], [0.4, 0.4, 0.1, 0.1])
 
     def test_empty_history_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_condition_window([], 5)
+            build_condition_window([[nbox(0.4, 0.4)], []], 5)
+
+    def test_mixed_units_rejected(self):
+        with pytest.raises(UnitMismatchError):
+            build_condition_window([[BoundingBox(10, 10, 5, 5, "px"), nbox(0.4, 0.4)]], 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), batch=st.integers(1, 4))
+    def test_batch_equals_per_row_reference(self, data, n, batch):
+        """Each batch row equals the window built row by row from
+        ``motion_from_boxes``/``MotionInfo``, for histories of 1 to n + 2 boxes."""
+        histories = [
+            data.draw(st.lists(box_strategy, min_size=1, max_size=n + 2)) for _ in range(batch)
+        ]
+        got = build_condition_window(histories, n)
+        assert got.shape == (batch, n, 8)
+        for history, w in zip(histories, got):
+            assert np.array_equal(w, reference_window(history, n))
+
+
+def reference_window(history, n):
+    """Row i is the i-th most recent (box, motion into it); a history with
+    fewer than n + 1 boxes repeats its oldest row, whose motion is zero."""
+    rows = []
+    for i in range(len(history) - 1, max(len(history) - 1 - n, -1), -1):
+        motion = motion_from_boxes(history[i - 1], history[i]) if i > 0 else Motion.zero()
+        rows.append(MotionInfo(history[i], motion).as_array())
+    rows += [rows[-1]] * (n - len(rows))
+    return np.stack(rows)
 
 
 class TestD2MPPredict:
@@ -210,15 +244,6 @@ class TestD2MPPredict:
         assert model.windows[-1].shape == (2, 3, 8)
 
 
-box_sequences = st.lists(
-    st.tuples(
-        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 0.3), st.floats(0.01, 0.3)
-    ).map(lambda v: nbox(*v)),
-    min_size=1,
-    max_size=12,
-)
-
-
 class TestBoundedSessionHistory:
     """A session keeps only a track's latest boxes; what its predictor reads
     must equal what it would read from the whole observed sequence."""
@@ -233,7 +258,7 @@ class TestBoundedSessionHistory:
     def test_d2mp_window_matches_full_history(self, seq, n):
         model = WindowRecorder(history_length=n)
         observed(D2MPPredictor(model), seq).predict(1)
-        assert np.array_equal(model.windows[-1][0], build_condition_window(seq, n))
+        assert np.array_equal(model.windows[-1][0], build_condition_window([seq], n)[0])
 
 
 class TestSessions:
