@@ -3,8 +3,11 @@
 High-confidence detections are matched to predicted boxes first (blended
 IoU/appearance cost); the leftover predictions get a second chance against
 low-confidence detections on IoU alone. Matched tracks pass their
-detection to the predictor, unmatched tracks age out, and confident
+detections to the predictor, unmatched tracks age out, and confident
 leftover detections spawn new tracks.
+
+Per frame, ``Tracker.step`` makes one ``predict_all`` call, returning a
+(T, 4) array, and one ``observe`` call with every matched detection.
 
 A ``Track`` holds only its lifecycle (status and frames since its last
 match). The predictor session under the same track id is the only owner
@@ -18,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BoundingBox, Detection, InvalidInputError, iou_matrix
+from .core import BoundingBox, Detection, InvalidInputError, check_field_types, iou_matrix, stack_boxes
 
 AppearanceCost = Callable[[Sequence["Track"], Sequence[Detection]], np.ndarray]
 
@@ -34,6 +37,7 @@ class TrackerConfig:
     iou_weight: float = 1.0  # cost = w*(1-IoU) + (1-w)*appearance
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not (0.0 <= self.tau_low < self.tau_high <= 1.0):
             raise InvalidInputError(f"need 0 <= tau_low < tau_high <= 1, got {self.tau_low}, {self.tau_high}")
         if self.new_track_conf < self.tau_high:
@@ -61,21 +65,19 @@ class Assignment:
 
 
 def build_cost_matrix(
-    predicted: Sequence[BoundingBox],
-    detections: Sequence[BoundingBox],
+    predicted: np.ndarray,
+    detections: np.ndarray,
     gate: float,
     appearance: np.ndarray | None = None,
     iou_weight: float = 1.0,
 ) -> CostMatrix:
-    """1 - IoU costs, optionally blended with an appearance cost matrix;
-    pairs below the IoU gate are marked infeasible."""
-    if not predicted or not detections:
+    """1 - IoU costs between (T, 4) predicted and (N, 4) detected boxes,
+    optionally blended with an appearance cost matrix; pairs below the IoU
+    gate are marked infeasible."""
+    if len(predicted) == 0 or len(detections) == 0:
         shape = (len(predicted), len(detections))
         return CostMatrix(np.zeros(shape), np.zeros(shape, dtype=bool))
-    overlap = iou_matrix(
-        np.stack([b.as_array() for b in predicted]),
-        np.stack([b.as_array() for b in detections]),
-    )
+    overlap = iou_matrix(predicted, detections)
     costs = 1.0 - overlap
     if appearance is not None and iou_weight < 1.0:
         appearance = np.asarray(appearance, dtype=np.float64)
@@ -171,7 +173,7 @@ class Tracker:
         stage1 = hungarian(
             build_cost_matrix(
                 predicted,
-                [d.box for d in d_first],
+                stack_boxes(d.box for d in d_first),
                 self.config.iou_gate_first,
                 appearance,
                 self.config.iou_weight,
@@ -183,20 +185,19 @@ class Tracker:
         rest_rows = list(stage1.unmatched_rows)
         stage2 = hungarian(
             build_cost_matrix(
-                [predicted[r] for r in rest_rows],
-                [d.box for d in d_second],
+                predicted[rest_rows],
+                stack_boxes(d.box for d in d_second),
                 self.config.iou_gate_second,
             )
         )
         matched += [(track_ids[rest_rows[r]], d_second[c]) for r, c in stage2.matches]
 
-        matched_ids = set()
-        result = FrameResult(frame, [], [], [])
-        for tid, det in sorted(matched, key=lambda m: m[0]):
+        matched.sort(key=lambda m: m[0])
+        result = FrameResult(frame, [(tid, det.box) for tid, det in matched], [], [])
+        self.predictor.observe([tid for tid, _ in result.matched], [box for _, box in result.matched])
+        matched_ids = {tid for tid, _ in matched}
+        for tid in matched_ids:
             self.tracks[tid].update()
-            self.predictor.observe(tid, det.box)
-            matched_ids.add(tid)
-            result.matched.append((tid, det.box))
 
         # age and possibly remove unmatched tracks
         for tid in track_ids:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .association import TrackerConfig, run_sequence
@@ -76,9 +77,12 @@ def _config_section(file_cfg: dict, name: str, path: str | None) -> dict:
     return dict(section)
 
 
-def _build(cls, section: dict, what: str):
+def _build(cls, section: dict, what: str, **overrides):
+    """``cls`` from one config-file section, then the command line's
+    overrides: the file's own values are validated even where a flag
+    replaces them."""
     try:
-        return cls(**section)
+        return replace(cls(**section), **overrides)
     except TypeError as e:
         raise InvalidInputError(f"{what}: {e}") from e
 
@@ -140,13 +144,12 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     file_cfg = _read_config_file(args.config)
     model_cfg = _build(ModelConfig, _config_section(file_cfg, "model", args.config), "model config")
-    train_section = _config_section(file_cfg, "train", args.config)
+    overrides = {"seed": args.seed}
     for flag, key in (("steps", "steps"), ("batch_size", "batch_size"), ("lr", "learning_rate")):
         value = getattr(args, flag)
         if value is not None:
-            train_section[key] = value
-    train_section["seed"] = args.seed
-    train_cfg = _build(TrainConfig, train_section, "train config")
+            overrides[key] = value
+    train_cfg = _build(TrainConfig, _config_section(file_cfg, "train", args.config), "train config", **overrides)
 
     sequences = _load_sequence_dirs(args.data)
     trajectories = [t for _, _, trajs in sequences for t in trajs]
@@ -174,14 +177,12 @@ def cmd_train(args) -> int:
 
 
 def _predictor_from_args(args, file_cfg: dict):
-    section = _config_section(file_cfg, "predictor", args.config)
-    section["kind"] = args.predictor
-    section["seed"] = args.seed
+    overrides = {"kind": args.predictor, "seed": args.seed}
     if getattr(args, "sampling_steps", None) is not None:
-        section["sampling_steps"] = args.sampling_steps
+        overrides["sampling_steps"] = args.sampling_steps
     if getattr(args, "deterministic", False):
-        section["deterministic"] = True
-    pred_cfg = _build(PredictorConfig, section, "predictor config")
+        overrides["deterministic"] = True
+    pred_cfg = _build(PredictorConfig, _config_section(file_cfg, "predictor", args.config), "predictor config", **overrides)
     model = None
     if args.predictor == "d2mp":
         if not args.model:

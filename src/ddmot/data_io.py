@@ -25,12 +25,14 @@ from .core import (
     InvalidInputError,
     center_to_tlwh,
     denormalize_box,
+    check_field_types,
     normalize_box,
+    stack_boxes,
     tlwh_to_center,
 )
 from .diffusion import TrainingSet
 from .hminet import HMINet, ModelConfig, apply_condition_variant, parameter_shapes
-from .predictors import build_condition_window
+from .predictors import build_condition_window, trajectory_windows
 
 MOTION_PROGRAMS = ("linear", "sinusoidal", "circular", "accelerate", "direction_flip")
 
@@ -211,6 +213,7 @@ class SyntheticSpec:
     frame_rate: int = 30
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.program not in MOTION_PROGRAMS:
             raise InvalidInputError(f"program must be one of {MOTION_PROGRAMS}, got {self.program!r}")
         if self.object_count < 1 or self.length < 2:
@@ -365,11 +368,11 @@ def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_var
     MotionInfo rows before f and the target motion into f."""
     conditions, targets = [], []
     for traj in trajectories:
-        boxes = list(traj.boxes)
-        if len(boxes) < 2:
+        if len(traj) < 2:
             continue
-        conditions.append(build_condition_window([boxes[:i] for i in range(1, len(boxes))], n))
-        targets.append(np.diff([b.as_array() for b in boxes], axis=0))
+        boxes = stack_boxes(traj.boxes)
+        conditions.append(build_condition_window(trajectory_windows(boxes, n)))
+        targets.append(np.diff(boxes, axis=0))
     if not conditions:
         raise InvalidInputError("no training samples; trajectories need at least 2 frames")
     return TrainingSet(apply_condition_variant(np.concatenate(conditions), condition_variant), np.concatenate(targets))

@@ -16,13 +16,12 @@ predicted by the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import InvalidInputError, Motion, NumericError
+from .core import InvalidInputError, Motion, NumericError, check_field_types
 
 T_MIN = 0.001
 
@@ -74,12 +73,6 @@ class ForwardDecomposition:
     noise_term: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    condition: np.ndarray  # (n, 8)
-    target: np.ndarray  # (4,) clean motion M_0
-
-
 class TrainingSet:
     """Stacked training samples: conditions (N, n, 8) and targets (N, 4)."""
 
@@ -93,17 +86,8 @@ class TrainingSet:
         self.conditions = conditions
         self.targets = targets
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[TrainingSample]) -> "TrainingSet":
-        if not samples:
-            raise InvalidInputError("empty training set")
-        return cls(np.stack([s.condition for s in samples]), np.stack([s.target for s in samples]))
-
     def __len__(self) -> int:
         return self.conditions.shape[0]
-
-    def __getitem__(self, i: int) -> TrainingSample:
-        return TrainingSample(self.conditions[i], self.targets[i])
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +246,11 @@ class TrainConfig:
     stop_below: float | None = None  # end early once the loss dips under this
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.steps < 1 or self.batch_size < 1:
             raise InvalidInputError("steps and batch_size must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate <= 0:
             raise InvalidInputError("learning_rate must be positive")
         if not (0.0 < self.t_min < 1.0):

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import iou, iou_matrix
+from .core import BoundingBox, UnitMismatchError, iou, iou_matrix, iou_pairs, stack_boxes
 from .data_io import MotRecord, Trajectory
 
 
@@ -48,14 +48,29 @@ class DiagReport:
                 "per_trajectory": {str(k): v for k, v in self.per_trajectory.items()}}
 
 
-def _frame_index(gt: Sequence[Trajectory], records: Sequence[MotRecord]):
-    gt_frames: dict[int, list[tuple[int, object]]] = {}
+FrameRows = tuple[list[int], list[BoundingBox]]  # one frame's ids and boxes
+# a frame with more continuity pairs than this scores them in one vectorised
+# call; below it, per-pair ``iou`` is cheaper than numpy's per-call overhead
+VECTOR_KEEPERS = 16
+
+
+def _frame_index(gt: Sequence[Trajectory], records: Sequence[MotRecord]) -> tuple[dict[int, FrameRows], dict[int, FrameRows]]:
+    """Ground truth and results grouped by frame. All boxes must share one
+    unit mode."""
+    gt_frames: dict[int, FrameRows] = {}
     for t in gt:
         for f, b in zip(t.frames, t.boxes):
-            gt_frames.setdefault(f, []).append((t.track_id, b))
-    res_frames: dict[int, list[tuple[int, object]]] = {}
+            ids, boxes = gt_frames.setdefault(f, ([], []))
+            ids.append(t.track_id)
+            boxes.append(b)
+    res_frames: dict[int, FrameRows] = {}
     for r in records:
-        res_frames.setdefault(r.frame, []).append((r.track_id, r.box))
+        ids, boxes = res_frames.setdefault(r.frame, ([], []))
+        ids.append(r.track_id)
+        boxes.append(r.box)
+    units = {b.units for frames in (gt_frames, res_frames) for _, boxes in frames.values() for b in boxes}
+    if len(units) > 1:
+        raise UnitMismatchError(f"ground truth and results mix unit modes {sorted(units)}")
     return gt_frames, res_frames
 
 
@@ -69,49 +84,46 @@ def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
     last_match: dict[int, int] = {}
     fp = fn = idsw = gt_total = 0
     for frame in sorted(set(gt_frames) | set(res_frames)):
-        gts = gt_frames.get(frame, [])
-        res = res_frames.get(frame, [])
-        gt_total += len(gts)
+        gt_ids, gt_boxes = gt_frames.get(frame, ([], []))
+        res_ids, res_boxes = res_frames.get(frame, ([], []))
+        gt_total += len(gt_ids)
         matched_gt: dict[int, int] = {}  # gt id -> res index
         used_res: set[int] = set()
 
         # continuity: keep previous correspondences that still hold
-        res_by_id = {rid: j for j, (rid, _) in enumerate(res)}
-        keepers = []
-        for gid, gbox in gts:
-            j = res_by_id.get(last_match.get(gid, None))
-            if j is not None and j not in used_res:
-                ov = iou(gbox, res[j][1])
-                if ov >= iou_threshold:
-                    keepers.append((ov, gid, j))
-        for _, gid, j in sorted(keepers, reverse=True):
-            if gid in matched_gt or j in used_res:
-                continue
-            matched_gt[gid] = j
-            used_res.add(j)
+        res_by_id = {rid: j for j, rid in enumerate(res_ids)}
+        kept = [(i, res_by_id[last_match[gid]]) for i, gid in enumerate(gt_ids) if last_match.get(gid) in res_by_id]
+        if kept:
+            if len(kept) > VECTOR_KEEPERS:
+                g = stack_boxes(gt_boxes[i] for i, _ in kept)
+                overlaps = iou_pairs(g, stack_boxes(res_boxes[j] for _, j in kept)).tolist()
+            else:
+                overlaps = [iou(gt_boxes[i], res_boxes[j]) for i, j in kept]
+            keepers = [(ov, gt_ids[i], j) for ov, (i, j) in zip(overlaps, kept) if ov >= iou_threshold]
+            for _, gid, j in sorted(keepers, reverse=True):
+                if gid in matched_gt or j in used_res:
+                    continue
+                matched_gt[gid] = j
+                used_res.add(j)
 
-        rem_gt = [(gid, gbox) for gid, gbox in gts if gid not in matched_gt]
-        rem_res = [j for j in range(len(res)) if j not in used_res]
+        rem_gt = [i for i, gid in enumerate(gt_ids) if gid not in matched_gt]
+        rem_res = [j for j in range(len(res_ids)) if j not in used_res]
         if rem_gt and rem_res:
-            overlap = iou_matrix(
-                np.stack([g[1].as_array() for g in rem_gt]),
-                np.stack([res[j][1].as_array() for j in rem_res]),
-            )
+            overlap = iou_matrix(stack_boxes(gt_boxes[i] for i in rem_gt), stack_boxes(res_boxes[j] for j in rem_res))
             cost = np.where(overlap >= iou_threshold, 1.0 - overlap, 1e9)
             rows, cols = linear_sum_assignment(cost)
             for r_i, c_i in zip(rows, cols):
                 if overlap[r_i, c_i] >= iou_threshold:
-                    gid = rem_gt[r_i][0]
-                    matched_gt[gid] = rem_res[c_i]
+                    matched_gt[gt_ids[rem_gt[r_i]]] = rem_res[c_i]
                     used_res.add(rem_res[c_i])
 
         for gid, j in matched_gt.items():
-            rid = res[j][0]
+            rid = res_ids[j]
             if gid in last_match and last_match[gid] != rid:
                 idsw += 1
             last_match[gid] = rid
-        fn += len(gts) - len(matched_gt)
-        fp += len(res) - len(used_res)
+        fn += len(gt_ids) - len(matched_gt)
+        fp += len(res_ids) - len(used_res)
     score = 1.0 - (fp + fn + idsw) / max(gt_total, 1)
     return MotaReport(fp, fn, idsw, gt_total, score)
 
@@ -125,17 +137,13 @@ def idf1(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
     gt_pos = {g: i for i, g in enumerate(gt_ids)}
     pred_pos = {p: i for i, p in enumerate(pred_ids)}
     overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    for frame, gts in gt_frames.items():
-        res = res_frames.get(frame, [])
-        if not res:
+    for frame, (frame_gt_ids, gt_boxes) in gt_frames.items():
+        if frame not in res_frames:
             continue
-        m = iou_matrix(
-            np.stack([g[1].as_array() for g in gts]),
-            np.stack([r[1].as_array() for r in res]),
-        )
-        a, b = np.nonzero(m >= iou_threshold)
-        rows = np.array([gt_pos[gid] for gid, _ in gts])
-        cols = np.array([pred_pos[rid] for rid, _ in res])
+        frame_res_ids, res_boxes = res_frames[frame]
+        a, b = np.nonzero(iou_matrix(stack_boxes(gt_boxes), stack_boxes(res_boxes)) >= iou_threshold)
+        rows = np.array([gt_pos[gid] for gid in frame_gt_ids])
+        cols = np.array([pred_pos[rid] for rid in frame_res_ids])
         np.add.at(overlap, (rows[a], cols[b]), 1)
     total_gt = sum(len(t.frames) for t in gt)
     total_pred = len(records)

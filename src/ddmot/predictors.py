@@ -1,39 +1,38 @@
 """Motion predictors behind one session-style contract.
 
-Each predictor keeps per-track state keyed by track id: ``start`` a track
-from its first box, ``predict`` the next-frame box (once per frame),
-``observe`` the matched detection, ``drop`` a removed track. This session
-is the only owner of per-track motion state; the tracker's ``Track`` holds
-only lifecycle. A session keeps only the boxes its predictor reads: the
-last two for KF and constant velocity, ``model.history_length + 1`` for
-the diffusion predictor. KF state advances on every predict so misses
-compound; the constant-velocity and diffusion predictors are pure
-functions of the stored box history.
+A session holds its tracks as rows of stacked arrays, in ascending track
+id, and has one unit mode, taken from its first box. ``start`` a track
+from its first box, ``predict_all`` a (T, 4) array of next-frame boxes
+once per frame, ``observe`` all of a frame's matched boxes in one call,
+``drop`` a removed track. This session is the only owner of per-track
+motion state; the tracker's ``Track`` holds only lifecycle.
 
-The diffusion predictor batches all tracks of a frame through one network
-call; per-track rng streams seeded from (master seed, track id) keep each
-track's draws independent of which other tracks share the batch.
+Constant velocity and the diffusion predictor read a front-padded
+(T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
+(T, 8, 8) covariances, advanced on every predict so misses compound. The
+diffusion predictor's per-track rng streams, seeded from (master seed,
+track id), keep each track's draws independent of its batch.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     BoundingBox,
     InvalidInputError,
-    Motion,
     NumericError,
     UnitMismatchError,
-    motion_from_boxes,
+    check_field_types,
+    stack_boxes,
 )
 from .diffusion import sample_k_steps
 
 PREDICTOR_KINDS = ("kf", "cv", "d2mp")
+MAX_SAMPLING_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -48,22 +47,19 @@ class PredictorConfig:
     min_box_extent: float = 1e-4
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in PREDICTOR_KINDS:
             raise InvalidInputError(f"predictor kind must be one of {PREDICTOR_KINDS}, got {self.kind!r}")
-        if self.sampling_steps < 1:
-            raise InvalidInputError("sampling_steps must be >= 1")
+        if not (1 <= self.sampling_steps <= MAX_SAMPLING_STEPS):
+            raise InvalidInputError(f"sampling_steps must lie in [1, {MAX_SAMPLING_STEPS}], got {self.sampling_steps}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.kf_pos_weight <= 0 or self.kf_vel_weight <= 0 or self.min_box_extent <= 0:
             raise InvalidInputError("noise weights and min_box_extent must be positive")
 
 
 # ---------------------------------------------------------------------------
-# Kalman filter (constant velocity over cx, cy, w, h)
-
-
-@dataclass
-class KalmanState:
-    mean: np.ndarray  # (8,) positions then velocities
-    cov: np.ndarray  # (8, 8)
+# Kalman filter (constant velocity over cx, cy, w, h), batched over tracks
 
 
 _F = np.eye(8)
@@ -71,93 +67,91 @@ _F[:4, 4:] = np.eye(4)
 _H = np.eye(4, 8)
 
 
-def kf_initiate(box: BoundingBox, config: PredictorConfig) -> KalmanState:
+def _diag(values: np.ndarray) -> np.ndarray:
+    """(T, k) -> (T, k, k) diagonal matrices."""
+    return np.eye(values.shape[1]) * values[:, None, :]
+
+
+def kf_initiate(boxes: np.ndarray, config: PredictorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 4) first boxes -> (T, 8) means and (T, 8, 8) covariances."""
     # velocity prior deliberately weak (SORT inflates it too): the first
     # few measurements then pin the velocity almost exactly
-    mean = np.concatenate([box.as_array(), np.zeros(4)])
-    p, v, h = config.kf_pos_weight, config.kf_vel_weight, box.h
-    std = np.concatenate([np.full(4, 2.0 * p * h), np.full(4, 100.0 * v * h)])
-    return KalmanState(mean, np.diag(std * std))
+    p, v = config.kf_pos_weight, config.kf_vel_weight
+    std = np.repeat([2.0 * p, 100.0 * v], 4) * boxes[:, 3:4]
+    return np.concatenate([boxes, np.zeros_like(boxes)], axis=1), _diag(std * std)
 
 
 def _check_cov(cov: np.ndarray) -> np.ndarray:
-    cov = (cov + cov.T) / 2.0
-    if np.any(np.diag(cov) < -1e-9) or not np.all(np.isfinite(cov)):
+    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
+    if np.any(np.diagonal(cov, axis1=1, axis2=2) < -1e-9) or not np.isfinite(cov).all():
         raise NumericError("Kalman covariance left the PSD cone")
     return cov
 
 
-def kf_predict(state: KalmanState, config: PredictorConfig, units: str = "norm") -> tuple[BoundingBox, KalmanState]:
-    """Constant-velocity time update; returns the predicted box and the
-    advanced state. Mean extents are floored so the box stays valid."""
-    mean = _F @ state.mean
+def kf_predict(mean: np.ndarray, cov: np.ndarray, config: PredictorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-velocity time update of (T, 8) means and (T, 8, 8)
+    covariances. Mean extents are floored so the boxes stay valid."""
     eps = config.min_box_extent
-    mean[2], mean[3] = max(mean[2], eps), max(mean[3], eps)
-    p, v, h = config.kf_pos_weight, config.kf_vel_weight, max(state.mean[3], eps)
-    std = np.concatenate([np.full(4, p * h), np.full(4, v * h)])
-    cov = _check_cov(_F @ state.cov @ _F.T + np.diag(std * std))
-    box = BoundingBox(mean[0], mean[1], mean[2], mean[3], units)
-    return box, KalmanState(mean, cov)
+    std = np.repeat([config.kf_pos_weight, config.kf_vel_weight], 4) * np.maximum(mean[:, 3:4], eps)
+    mean = (_F @ mean[:, :, None])[:, :, 0]
+    mean[:, 2:4] = np.maximum(mean[:, 2:4], eps)
+    return mean, _check_cov(_F @ cov @ _F.T + _diag(std * std))
 
 
-def kf_update(state: KalmanState, measurement: BoundingBox, config: PredictorConfig) -> KalmanState:
-    """Standard gain correction with Joseph-form covariance update."""
-    p, h = config.kf_pos_weight, max(measurement.h, config.min_box_extent)
-    r = np.diag(np.full(4, (p * h) ** 2))
-    s = _H @ state.cov @ _H.T + r
+def kf_update(
+    mean: np.ndarray, cov: np.ndarray, measurement: np.ndarray, config: PredictorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standard gain correction with Joseph-form covariance update, for
+    (T, 8) means, (T, 8, 8) covariances and (T, 4) measured boxes."""
+    std = config.kf_pos_weight * np.maximum(measurement[:, 3:4], config.min_box_extent)
+    r = _diag(np.repeat(std**2, 4, axis=1))
+    s = _H @ cov @ _H.T + r
     try:
-        gain = np.linalg.solve(s, _H @ state.cov).T
+        gain = np.linalg.solve(s, _H @ cov).transpose(0, 2, 1)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"singular innovation covariance: {e}") from e
-    innovation = measurement.as_array() - _H @ state.mean
-    mean = state.mean + gain @ innovation
+    innovation = measurement - (_H @ mean[:, :, None])[:, :, 0]
+    mean = mean + (gain @ innovation[:, :, None])[:, :, 0]
     ikh = np.eye(8) - gain @ _H
-    cov = _check_cov(ikh @ state.cov @ ikh.T + gain @ r @ gain.T)
-    return KalmanState(mean, cov)
+    cov = _check_cov(ikh @ cov @ ikh.transpose(0, 2, 1) + gain @ r @ gain.transpose(0, 2, 1))
+    return mean, cov
 
 
 # ---------------------------------------------------------------------------
-# pure prediction functions
+# pure prediction functions over box arrays
 
 
-def _shift_box_clamped(box: BoundingBox, motion: Motion, min_extent: float) -> tuple[BoundingBox, bool]:
-    w, h = box.w + motion.dw, box.h + motion.dh
-    clamped = w < min_extent or h < min_extent
-    return (
-        BoundingBox(box.cx + motion.dcx, box.cy + motion.dcy, max(w, min_extent), max(h, min_extent), box.units),
-        clamped,
-    )
+def _apply_motion(last: np.ndarray, motion: np.ndarray, min_extent: float) -> tuple[np.ndarray, int]:
+    """last + motion for (T, 4) arrays, extents floored at min_extent;
+    also returns how many rows were floored."""
+    pred = last + motion
+    small = pred[:, 2:] < min_extent
+    pred[:, 2:] = np.maximum(pred[:, 2:], min_extent)
+    return pred, int(small.any(axis=1).sum())
 
 
-def cv_predict(history: Sequence[BoundingBox], min_extent: float = 1e-4) -> BoundingBox:
-    """Repeat the last observed motion; a single box predicts itself."""
-    if not history:
+def cv_predict(history: np.ndarray, min_extent: float = 1e-4) -> np.ndarray:
+    """Repeat each track's last observed motion: (T, k, 4) box histories,
+    oldest first, -> (T, 4) boxes. A one-box history predicts itself."""
+    if history.shape[1] == 0:
         raise InvalidInputError("cv_predict needs at least one box")
-    if len(history) == 1:
-        return history[-1]
-    box, _ = _shift_box_clamped(history[-1], motion_from_boxes(history[-2], history[-1]), min_extent)
-    return box
+    last = history[:, -1]
+    return _apply_motion(last, last - history[:, max(history.shape[1] - 2, 0)], min_extent)[0]
 
 
-def build_condition_window(histories: Sequence[Sequence[BoundingBox]], n: int) -> np.ndarray:
-    """The last n MotionInfo rows of each history, most recent first, as a
-    (B, n, 8) array.
+def build_condition_window(boxes: np.ndarray) -> np.ndarray:
+    """(B, n + 1, 4) box windows, oldest first -> the (B, n, 8) MotionInfo
+    rows (box, motion into it), most recent first. Front padding repeats
+    the oldest box's row with zero motion."""
+    recent = boxes[:, ::-1]
+    return np.concatenate([recent[:, :-1], recent[:, :-1] - recent[:, 1:]], axis=-1)
 
-    Each history's last n + 1 boxes are padded to n + 1 by repeating its
-    oldest box, so a history shorter than n + 1 repeats its oldest row
-    (zero motion) and a length-1 history contributes zero motion
-    components.
-    """
-    rows: list[BoundingBox] = []
-    for history in histories:
-        if not history:
-            raise InvalidInputError("cannot build a condition window from an empty history")
-        recent = list(islice(reversed(history), n + 1))
-        rows += recent + [recent[-1]] * (n + 1 - len(recent))
-    if len({b.units for b in rows}) > 1:
-        raise UnitMismatchError("condition window: unit modes differ")
-    boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in rows], dtype=np.float64).reshape(-1, n + 1, 4)
-    return np.concatenate([boxes[:, :n], boxes[:, :n] - boxes[:, 1:]], axis=-1)
+
+def trajectory_windows(boxes: np.ndarray, n: int) -> np.ndarray:
+    """(L, 4) trajectory -> (L - 1, n + 1, 4): the window of n + 1 boxes
+    ending at each box but the last, front-padded with the first box."""
+    padded = np.concatenate([np.repeat(boxes[:1], n, axis=0), boxes])
+    return sliding_window_view(padded, (n + 1, 4))[:-1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +159,67 @@ def build_condition_window(histories: Sequence[Sequence[BoundingBox]], n: int) -
 
 
 class MotionPredictor:
-    """Per-track prediction sessions. Subclasses fill in the strategy;
-    ``keep`` is how many of a track's latest boxes the strategy reads."""
+    """Per-track prediction sessions over stacked arrays. Row i of every
+    array named in ``_per_track`` belongs to track ``_ids[i]``; subclasses
+    give a new track's rows (``_first_rows``), take a frame's matched boxes
+    (``_update_rows``) and predict raw (T, 4) boxes (``_predict_rows``)."""
 
-    def __init__(self, config: PredictorConfig, keep: int = 2):
+    _per_track: tuple[str, ...] = ()
+
+    def __init__(self, config: PredictorConfig):
         self.config = config
-        self._keep = keep
-        self._history: dict[int, deque[BoundingBox]] = {}
+        self.clamp_count = 0
+        self._ids = np.empty(0, dtype=np.int64)
+        self._units: str | None = None
+
+    def _rows(self, track_ids: Sequence[int]) -> np.ndarray:
+        ids = np.asarray(track_ids, dtype=np.int64).reshape(-1)
+        rows = np.searchsorted(self._ids, ids)
+        if ids.size and not (self._ids.size and np.array_equal(self._ids.take(rows, mode="clip"), ids)):
+            raise KeyError(f"a track of {ids.tolist()} was never started")
+        return rows
+
+    def _as_array(self, boxes: Sequence[BoundingBox]) -> np.ndarray:
+        """(N, 4) array of boxes in this session's unit mode."""
+        if any(b.units != self._units for b in boxes):
+            raise UnitMismatchError(f"this session holds {self._units} boxes, got {sorted({b.units for b in boxes})}")
+        return stack_boxes(boxes)
 
     def start(self, track_id: int, box: BoundingBox) -> None:
-        if track_id in self._history:
+        self._units = self._units or box.units
+        first = self._as_array([box])[0]
+        if track_id in self._ids:
             raise InvalidInputError(f"track {track_id} already started")
-        self._history[track_id] = deque([box], maxlen=self._keep)
+        row = int(np.searchsorted(self._ids, track_id))
+        self._ids = np.insert(self._ids, row, track_id)
+        for name, value in zip(self._per_track, self._first_rows(track_id, first)):
+            setattr(self, name, np.insert(getattr(self, name), row, value, axis=0))
 
-    def observe(self, track_id: int, box: BoundingBox) -> None:
-        self._history[track_id].append(box)
+    def observe(self, track_ids: Sequence[int], boxes: Sequence[BoundingBox]) -> None:
+        """The matched detection of each of a frame's matched tracks."""
+        if len(track_ids) != len(boxes):
+            raise InvalidInputError(f"{len(track_ids)} track ids but {len(boxes)} boxes")
+        rows = self._rows(track_ids)
+        self._update_rows(rows, self._as_array(boxes))
 
     def drop(self, track_id: int) -> None:
-        self._history.pop(track_id, None)
+        if track_id in self._ids:
+            row = int(np.searchsorted(self._ids, track_id))
+            for name in ("_ids", *self._per_track):
+                setattr(self, name, np.delete(getattr(self, name), row, axis=0))
+
+    def predict_all(self, track_ids: Sequence[int]) -> np.ndarray:
+        """(T, 4) next-frame boxes in the order of ``track_ids``."""
+        rows = self._rows(track_ids)
+        if not rows.size:
+            return np.empty((0, 4))
+        pred = self._predict_rows(rows)
+        if not np.isfinite(pred).all():
+            raise NumericError("a predicted box is not finite")
+        return pred
 
     def predict(self, track_id: int) -> BoundingBox:
-        return self.predict_all([track_id])[0]
-
-    def predict_all(self, track_ids: Sequence[int]) -> list[BoundingBox]:
-        raise NotImplementedError
+        return BoundingBox(*self.predict_all([track_id])[0].tolist(), self._units)
 
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
         """One-frame-ahead predictions for frames 2..L given the true
@@ -197,94 +228,93 @@ class MotionPredictor:
         preds = []
         for box in boxes[1:]:
             preds.append(self.predict(track_id))
-            self.observe(track_id, box)
+            self.observe([track_id], [box])
         self.drop(track_id)
         return preds
 
 
 class KalmanPredictor(MotionPredictor):
+    _per_track = ("_mean", "_cov")
+
     def __init__(self, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="kf"))
-        self._states: dict[int, KalmanState] = {}
+        self._mean = np.empty((0, 8))
+        self._cov = np.empty((0, 8, 8))
 
-    def start(self, track_id: int, box: BoundingBox) -> None:
-        super().start(track_id, box)
-        self._states[track_id] = kf_initiate(box, self.config)
+    def _first_rows(self, track_id: int, box: np.ndarray):
+        return kf_initiate(box[None], self.config)
 
-    def observe(self, track_id: int, box: BoundingBox) -> None:
-        super().observe(track_id, box)
-        self._states[track_id] = kf_update(self._states[track_id], box, self.config)
+    def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
+        self._mean[rows], self._cov[rows] = kf_update(self._mean[rows], self._cov[rows], boxes, self.config)
 
-    def drop(self, track_id: int) -> None:
-        super().drop(track_id)
-        self._states.pop(track_id, None)
-
-    def predict_all(self, track_ids: Sequence[int]) -> list[BoundingBox]:
-        out = []
-        for tid in track_ids:
-            units = self._history[tid][-1].units
-            box, self._states[tid] = kf_predict(self._states[tid], self.config, units)
-            out.append(box)
-        return out
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        mean, cov = kf_predict(self._mean[rows], self._cov[rows], self.config)
+        self._mean[rows], self._cov[rows] = mean, cov
+        return mean[:, :4]
 
 
-class ConstantVelocityPredictor(MotionPredictor):
+class _BoxHistoryPredictor(MotionPredictor):
+    """Keeps each track's latest ``keep`` boxes, oldest first, as one
+    (T, keep, 4) array front-padded with the track's first box."""
+
+    _per_track = ("_boxes",)
+
+    def __init__(self, config: PredictorConfig, keep: int):
+        super().__init__(config)
+        self._boxes = np.empty((0, keep, 4))
+
+    def _first_rows(self, track_id: int, box: np.ndarray):
+        return (box,)
+
+    def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
+        self._boxes[rows, :-1] = self._boxes[rows, 1:]
+        self._boxes[rows, -1] = boxes
+
+
+class ConstantVelocityPredictor(_BoxHistoryPredictor):
     def __init__(self, config: PredictorConfig | None = None):
-        super().__init__(config or PredictorConfig(kind="cv"))
+        super().__init__(config or PredictorConfig(kind="cv"), keep=2)
 
-    def predict_all(self, track_ids: Sequence[int]) -> list[BoundingBox]:
-        return [cv_predict(self._history[tid], self.config.min_box_extent) for tid in track_ids]
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        return cv_predict(self._boxes[rows], self.config.min_box_extent)
 
 
-class D2MPPredictor(MotionPredictor):
-    """Diffusion-based predictor; predictions for a frame run as one batch."""
+class D2MPPredictor(_BoxHistoryPredictor):
+    """Diffusion-based predictor on normalized boxes; predictions for a
+    frame run as one batch."""
+
+    _per_track = ("_boxes", "_rngs")
 
     def __init__(self, model, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="d2mp"), model.history_length + 1)
         self.model = model
-        self.clamp_count = 0
-        self._rngs: dict[int, np.random.Generator] = {}
+        self._units = "norm"
+        self._rngs = np.empty(0, dtype=object)
 
     def _track_rng(self, track_id: int) -> np.random.Generator:
         # SeedSequence entropy must be non-negative; map ids through 2^32
         return np.random.default_rng((self.config.seed, track_id % (2**32)))
 
-    def start(self, track_id: int, box: BoundingBox) -> None:
-        if box.units != "norm":
-            raise UnitMismatchError("the diffusion predictor operates on normalized boxes")
-        super().start(track_id, box)
-        self._rngs[track_id] = self._track_rng(track_id)
+    def _first_rows(self, track_id: int, box: np.ndarray):
+        return box, self._track_rng(track_id)
 
-    def drop(self, track_id: int) -> None:
-        super().drop(track_id)
-        self._rngs.pop(track_id, None)
+    def _sample(self, windows: np.ndarray, last: np.ndarray, rng) -> np.ndarray:
+        cfg = self.config
+        motions = sample_k_steps(cfg.sampling_steps, build_condition_window(windows), self.model, rng, cfg.deterministic)
+        pred, clamped = _apply_motion(last, motions, cfg.min_box_extent)
+        self.clamp_count += clamped
+        return pred
 
-    def predict_all(self, track_ids: Sequence[int]) -> list[BoundingBox]:
-        if not track_ids:
-            return []
-        n = self.model.history_length
-        windows = build_condition_window([self._history[t] for t in track_ids], n)
-        rngs = [self._rngs[t] for t in track_ids]
-        motions = sample_k_steps(self.config.sampling_steps, windows, self.model, rngs, self.config.deterministic)
-        out = []
-        for tid, m in zip(track_ids, motions):
-            box, clamped = _shift_box_clamped(self._history[tid][-1], Motion(*m), self.config.min_box_extent)
-            self.clamp_count += int(clamped)
-            out.append(box)
-        return out
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        windows = self._boxes[rows]
+        return self._sample(windows, windows[:, -1], list(self._rngs[rows]))
 
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
         # one batched network call per trajectory instead of one per frame
-        n = self.model.history_length
-        windows = build_condition_window([boxes[:i] for i in range(1, len(boxes))], n)
-        rng = self._track_rng(track_id)
-        motions = sample_k_steps(self.config.sampling_steps, windows, self.model, rng, self.config.deterministic)
-        out = []
-        for box, m in zip(boxes[:-1], motions):
-            pred, clamped = _shift_box_clamped(box, Motion(*m), self.config.min_box_extent)
-            self.clamp_count += int(clamped)
-            out.append(pred)
-        return out
+        arr = self._as_array(boxes)
+        windows = trajectory_windows(arr, self.model.history_length)
+        pred = self._sample(windows, arr[:-1], self._track_rng(track_id))
+        return [BoundingBox(*row, "norm") for row in pred.tolist()]
 
 
 def make_predictor(config: PredictorConfig, model=None) -> MotionPredictor:

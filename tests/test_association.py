@@ -11,7 +11,7 @@ from ddmot.association import (
     hungarian,
     run_sequence,
 )
-from ddmot.core import BoundingBox, Detection, InvalidInputError
+from ddmot.core import BoundingBox, Detection, InvalidInputError, stack_boxes
 from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor
 
 
@@ -42,32 +42,32 @@ def brute_force_min_cost(costs: np.ndarray, feasible: np.ndarray):
 
 class TestBuildCostMatrix:
     def test_identical_boxes_cost_zero(self):
-        cm = build_cost_matrix([nbox(0.5, 0.5)], [nbox(0.5, 0.5)], gate=0.3)
+        cm = build_cost_matrix(stack_boxes([nbox(0.5, 0.5)]), stack_boxes([nbox(0.5, 0.5)]), gate=0.3)
         assert cm.costs[0, 0] == 0.0 and cm.feasible[0, 0]
 
     def test_disjoint_gated_out(self):
-        cm = build_cost_matrix([nbox(0.2, 0.2)], [nbox(0.8, 0.8)], gate=0.1)
+        cm = build_cost_matrix(stack_boxes([nbox(0.2, 0.2)]), stack_boxes([nbox(0.8, 0.8)]), gate=0.1)
         assert not cm.feasible[0, 0]
 
     def test_third_overlap_cost(self):
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 0, 2, 2)
-        cm = build_cost_matrix([a], [b], gate=0.0)
+        cm = build_cost_matrix(stack_boxes([a]), stack_boxes([b]), gate=0.0)
         assert cm.costs[0, 0] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_appearance_blend(self):
         a, b = nbox(0.5, 0.5), nbox(0.5, 0.5)
         appearance = np.array([[0.8]])
-        cm = build_cost_matrix([a], [b], gate=0.0, appearance=appearance, iou_weight=0.5)
+        cm = build_cost_matrix(stack_boxes([a]), stack_boxes([b]), gate=0.0, appearance=appearance, iou_weight=0.5)
         assert cm.costs[0, 0] == pytest.approx(0.5 * 0.0 + 0.5 * 0.8)
 
     def test_iou_weight_one_ignores_appearance(self):
-        cm = build_cost_matrix([nbox(0.5, 0.5)], [nbox(0.5, 0.5)], gate=0.0,
+        cm = build_cost_matrix(stack_boxes([nbox(0.5, 0.5)]), stack_boxes([nbox(0.5, 0.5)]), gate=0.0,
                                appearance=np.array([[0.8]]), iou_weight=1.0)
         assert cm.costs[0, 0] == 0.0
 
     def test_empty(self):
-        cm = build_cost_matrix([], [nbox(0.5, 0.5)], gate=0.3)
+        cm = build_cost_matrix(stack_boxes([]), stack_boxes([nbox(0.5, 0.5)]), gate=0.3)
         assert cm.costs.shape == (0, 1)
 
 

@@ -311,3 +311,57 @@ class TestConfigSections:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: format-error: spec file"), err
+
+
+class TestConfigTypes:
+    """A config value of the wrong kind ends in one ``error: invalid-config:``
+    line, exit 2, before any output is written: an int field takes an int,
+    never a bool or a float, and a bool field takes a bool."""
+
+    def _argv(self, command, scene, tmp_path):
+        out = str(tmp_path / "out")
+        if command == "track":
+            cfg = ModelConfig(**SMALL_MODEL)
+            (tmp_path / "m.d2mp").write_bytes(save_model(init_params(cfg, 0), cfg))
+            return ["track", "--detections", str(scene / "det.txt"), "--meta", str(scene / "meta.json"),
+                    "--predictor", "d2mp", "--model", str(tmp_path / "m.d2mp"), "--out", out]
+        if command == "synth":
+            return ["synth", "--out", out]
+        return ["train", "--data", str(scene), "--out", out, "--steps", "1"]
+
+    def _assert_invalid(self, argv, tmp_path, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: invalid-config:"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("track", "predictor", "sampling_steps", 2.5),
+        ("track", "predictor", "sampling_steps", 1e12),
+        ("track", "predictor", "sampling_steps", 10**12),
+        ("track", "predictor", "deterministic", "x"),
+        ("track", "predictor", "seed", 1.5),
+        ("track", "tracker", "max_age", 2.5),
+        ("track", "tracker", "max_age", True),
+        ("train", "train", "steps", 2.5),
+        ("train", "train", "batch_size", 2.5),
+        ("synth", "spec", "object_count", 2.5),
+        ("synth", "spec", "object_count", True),
+        ("synth", "spec", "length", 60.0),
+        ("synth", "spec", "width", 640.5),
+        ("synth", "spec", "height", 480.0),
+        ("synth", "spec", "frame_rate", True),
+    ])
+    def test_wrong_kind_rejected(self, scene, tmp_path, capsys, command, section, field, value):
+        cfg = write_json(tmp_path / "cfg.json", {section: {field: value}})
+        self._assert_invalid(self._argv(command, scene, tmp_path) + ["--config", cfg], tmp_path, capsys)
+
+    def test_train_flag_overrides_still_checked(self, scene, tmp_path, capsys):
+        # the command line replaces the file's steps; the file's value must still be valid
+        cfg = write_json(tmp_path / "cfg.json", {"train": {"steps": 2.5}})
+        self._assert_invalid(["train", "--data", str(scene), "--out", str(tmp_path / "out"), "--steps", "3",
+                              "--config", cfg], tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["track", "train"])
+    def test_negative_seed_rejected(self, scene, tmp_path, capsys, command):
+        self._assert_invalid(self._argv(command, scene, tmp_path) + ["--seed", "-1"], tmp_path, capsys)

@@ -14,8 +14,10 @@ from ddmot.core import (
     denormalize_box,
     iou,
     iou_matrix,
+    iou_pairs,
     motion_from_boxes,
     normalize_box,
+    stack_boxes,
     tlwh_to_center,
 )
 
@@ -103,6 +105,15 @@ class TestIou:
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+
+    def test_pairs_equal_scalar(self):
+        """Row-by-row IoU is bit-equal to the scalar one, identical boxes
+        (exactly 1) included."""
+        rng = np.random.default_rng(4)
+        boxes_a = [random_box(rng) for _ in range(200)]
+        boxes_b = [random_box(rng) if i % 2 else a for i, a in enumerate(boxes_a)]
+        got = iou_pairs(stack_boxes(boxes_a), stack_boxes(boxes_b))
+        assert got.tolist() == [iou(a, b) for a, b in zip(boxes_a, boxes_b)]
 
 
 class TestTlwhConversion:

@@ -1,0 +1,90 @@
+"""Output pins: every predictor's tracking output, the training set and the
+linearity diagnostic on one seeded scene hash to recorded digests.
+
+A change that alters any of these outputs on purpose updates the digest
+here and names it in CHANGES.md.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from ddmot.association import TrackerConfig, run_sequence
+from ddmot.core import Detection, denormalize_box
+from ddmot.data_io import MotRecord, SyntheticSpec, build_training_set, synth_sequence, write_mot
+from ddmot.hminet import HMINet, ModelConfig
+from ddmot.predictors import PredictorConfig, make_predictor
+
+SPEC = SyntheticSpec(
+    program="circular", object_count=6, length=60, drop_prob=0.1, fp_rate=0.3,
+    jitter_sigma=0.003, conf_range=(0.5, 1.0),
+)
+SEED = 7
+
+# (kind, sampling steps, unit mode) -> sha256 of the written MOT text and
+# of the unrounded boxes, so a last-ulp change shows too
+TRACK_DIGESTS = {
+    ("kf", 1, "norm"): "8cfce5d282b11183eb4efee742256ff4081be05d01118f73529023c3e6817903",
+    ("cv", 1, "norm"): "5e1ebbc8cb7d3393f1daad04ec650f9ca56df5c0f98ed222b137a1bb7b8ceaaa",
+    ("d2mp", 1, "norm"): "8e58de213f2f3e04303710329de5a47411d691945523c9b31c7d26d3fe15c136",
+    ("d2mp", 10, "norm"): "f680fdc836a1edd36c02006e9e8ec367fa62c0b03ff756e20e018b197f4c3f6d",
+    ("kf", 1, "px"): "b5282b7738c6ab087801abcb99099d69b09bbc54f3e3e2fb93ecd1f9f91d85dc",
+    ("cv", 1, "px"): "73d78bf6ad5087a49788afd8986efac4d5d656b6d54fba4e54b5c04d760a2500",
+}
+TRAINING_SET_DIGEST = "eee3b69bcb1976039d9dcfee9110892b54bb071d4e0420a571a21240618036d5"
+DIAG_DIGESTS = {
+    "kf": "542ca8467f6f14a0fd38a764df83f9acfe15d07598e3f93a5d255e0aba62c80f",
+    "cv": "0b22e52c0c7db43edbfac432cbd2ff4c2543c0b7f866a57298864baf9e883c97",
+    "d2mp": "1ce5464160dc225b16c70aaa5813e927288fb8408023556b99a498cb7fc570cc",
+}
+
+
+def sha(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p)
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return synth_sequence(SPEC, SEED)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return HMINet.init(ModelConfig(), 0)
+
+
+def _frames(scene, units):
+    meta = scene.meta
+    for f in sorted(scene.detections):
+        dets = scene.detections[f]
+        if units == "px":
+            dets = [Detection(d.frame, denormalize_box(d.box, meta.width, meta.height), d.confidence) for d in dets]
+        yield f, dets
+
+
+@pytest.mark.parametrize("key", list(TRACK_DIGESTS), ids=lambda k: f"{k[0]}-k{k[1]}-{k[2]}")
+def test_tracking_output(scene, model, key):
+    kind, steps, units = key
+    predictor = make_predictor(PredictorConfig(kind=kind, sampling_steps=steps, seed=3), model if kind == "d2mp" else None)
+    rows = run_sequence(_frames(scene, units), predictor, TrackerConfig())
+    text = write_mot([MotRecord(f, tid, box, 1.0) for f, tid, box in rows], scene.meta)
+    raw = np.array([(f, tid, b.cx, b.cy, b.w, b.h) for f, tid, b in rows])
+    assert sha(text.encode(), raw.tobytes()) == TRACK_DIGESTS[key]
+
+
+def test_training_set(scene):
+    ds = build_training_set(scene.trajectories, ModelConfig().history_length)
+    assert sha(ds.conditions.tobytes(), ds.targets.tobytes()) == TRAINING_SET_DIGEST
+
+
+@pytest.mark.parametrize("kind", list(DIAG_DIGESTS))
+def test_diagnostic_predictions(scene, model, kind):
+    predictor = make_predictor(PredictorConfig(kind=kind, seed=3), model if kind == "d2mp" else None)
+    preds = [
+        np.array([[p.cx, p.cy, p.w, p.h] for p in predictor.diagnose_trajectory(list(t.boxes), t.track_id)])
+        for t in scene.trajectories
+    ]
+    assert sha(*(p.tobytes() for p in preds)) == DIAG_DIGESTS[kind]

@@ -136,8 +136,7 @@ class TestEncodeOnce:
             p.start(tid, BoundingBox(0.2 * tid, 0.5, 0.1, 0.1, "norm"))
         for frame in range(4):
             p.predict_all([1, 2])
-            for tid in (1, 2):
-                p.observe(tid, BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm"))
+            p.observe([1, 2], [BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)])
         assert len(model.windows) == 4
         assert all(w.shape == (2, 3, 8) for w in model.windows)
 

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from ddmot.core import BoundingBox, iou_matrix
+from ddmot import metrics
+from ddmot.core import BoundingBox, UnitMismatchError, iou, iou_matrix, iou_pairs
 from ddmot.data_io import MotRecord, SyntheticSpec, Trajectory, synth_sequence
+from ddmot.association import TrackerConfig, run_sequence
 from ddmot.metrics import (
+    VECTOR_KEEPERS,
     DiagReport,
     Idf1Report,
+    MotaReport,
     idf1,
     mota,
     predictor_iou_diagnostic,
@@ -164,6 +168,80 @@ class TestIdf1Counting:
     def test_matches_per_pair_count(self, case):
         gt, records = case
         assert idf1(gt, records) == brute_force_idf1(gt, records)
+
+
+def reference_mota(gt, records, threshold=0.5):
+    """CLEAR MOTA with the continuity rule, one scalar ``iou`` call per
+    ground-truth object that keeps its previous hypothesis."""
+    gt_frames, res_frames = {}, {}
+    for t in gt:
+        for f, b in zip(t.frames, t.boxes):
+            gt_frames.setdefault(f, []).append((t.track_id, b))
+    for r in records:
+        res_frames.setdefault(r.frame, []).append((r.track_id, r.box))
+    last_match = {}
+    fp = fn = idsw = gt_total = 0
+    for frame in sorted(set(gt_frames) | set(res_frames)):
+        gts, res = gt_frames.get(frame, []), res_frames.get(frame, [])
+        gt_total += len(gts)
+        matched_gt, used_res = {}, set()
+        res_by_id = {rid: j for j, (rid, _) in enumerate(res)}
+        keepers = []
+        for gid, gbox in gts:
+            j = res_by_id.get(last_match.get(gid, None))
+            if j is not None:
+                ov = iou(gbox, res[j][1])
+                if ov >= threshold:
+                    keepers.append((ov, gid, j))
+        for _, gid, j in sorted(keepers, reverse=True):
+            if gid not in matched_gt and j not in used_res:
+                matched_gt[gid] = j
+                used_res.add(j)
+        rem_gt = [(gid, gbox) for gid, gbox in gts if gid not in matched_gt]
+        rem_res = [j for j in range(len(res)) if j not in used_res]
+        if rem_gt and rem_res:
+            overlap = iou_matrix(np.stack([g[1].as_array() for g in rem_gt]),
+                                 np.stack([res[j][1].as_array() for j in rem_res]))
+            rows, cols = linear_sum_assignment(np.where(overlap >= threshold, 1.0 - overlap, 1e9))
+            for r_i, c_i in zip(rows, cols):
+                if overlap[r_i, c_i] >= threshold:
+                    matched_gt[rem_gt[r_i][0]] = rem_res[c_i]
+                    used_res.add(rem_res[c_i])
+        for gid, j in matched_gt.items():
+            if gid in last_match and last_match[gid] != res[j][0]:
+                idsw += 1
+            last_match[gid] = res[j][0]
+        fn += len(gts) - len(matched_gt)
+        fp += len(res) - len(used_res)
+    return MotaReport(fp, fn, idsw, gt_total, 1.0 - (fp + fn + idsw) / max(gt_total, 1))
+
+
+class TestMotaContinuity:
+    @settings(max_examples=150, deadline=None)
+    @given(case=scored_outputs())
+    def test_matches_scalar_iou_reference(self, case):
+        gt, records = case
+        assert mota(gt, records) == reference_mota(gt, records)
+
+    def test_matches_reference_on_a_crowded_scene(self, monkeypatch):
+        """Frames with more continuity pairs than ``VECTOR_KEEPERS`` score
+        them in one vectorised call; the counts still equal the reference."""
+        scene = synth_sequence(SyntheticSpec(object_count=40, length=30, box_min=0.03, box_max=0.06,
+                                             jitter_sigma=0.002, drop_prob=0.1, fp_rate=2.0), 3)
+        frames = [(f, scene.detections[f]) for f in sorted(scene.detections)]
+        res = [MotRecord(f, tid, b) for f, tid, b in run_sequence(frames, KalmanPredictor(), TrackerConfig())]
+        calls = []
+        monkeypatch.setattr(metrics, "iou_pairs", lambda a, b: calls.append(len(a)) or iou_pairs(a, b))
+        assert mota(scene.trajectories, res) == reference_mota(scene.trajectories, res)
+        assert calls and min(calls) > VECTOR_KEEPERS
+
+    def test_mixed_units_rejected(self):
+        gt = [straight_trajectory(1, 3)]
+        res = [MotRecord(1, 1, BoundingBox(10, 10, 5, 5, "px"))]
+        with pytest.raises(UnitMismatchError):
+            mota(gt, res)
+        with pytest.raises(UnitMismatchError):
+            idf1(gt, res)
 
 
 class OraclePredictor:

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmot.core import BoundingBox, InvalidInputError, Motion, MotionInfo, UnitMismatchError, iou, motion_from_boxes
+from ddmot.core import (
+    BoundingBox,
+    InvalidInputError,
+    Motion,
+    MotionInfo,
+    NumericError,
+    UnitMismatchError,
+    iou,
+    motion_from_boxes,
+    stack_boxes,
+)
 from ddmot.predictors import (
     ConstantVelocityPredictor,
     D2MPPredictor,
@@ -15,6 +25,7 @@ from ddmot.predictors import (
     kf_predict,
     kf_update,
     make_predictor,
+    trajectory_windows,
 )
 
 KF_CFG = PredictorConfig(kind="kf")
@@ -66,71 +77,116 @@ def observed(predictor, boxes, track_id=1):
     """Start a session on boxes[0] and observe the rest."""
     predictor.start(track_id, boxes[0])
     for b in boxes[1:]:
-        predictor.observe(track_id, b)
+        predictor.observe([track_id], [b])
     return predictor
+
+
+def stack(*boxes):
+    """One track's boxes as a T=1 stack."""
+    return stack_boxes(boxes)[None]
+
+
+def session_windows(histories, n):
+    """The (B, n, 8) condition windows a d2mp session builds for tracks
+    that observed ``histories``."""
+    model = WindowRecorder(history_length=n)
+    p = D2MPPredictor(model)
+    for tid, history in enumerate(histories, start=1):
+        observed(p, history, tid)
+    p.predict_all(list(range(1, len(histories) + 1)))
+    return model.windows[-1]
 
 
 class TestKalman:
     def test_linear_transition(self):
-        state = kf_initiate(nbox(10, 10, 4, 8), KF_CFG)
-        state.mean[4:] = [1.0, 0.0, 0.0, 0.0]
-        box, _ = kf_predict(state, KF_CFG, "norm")
-        assert np.allclose(box.as_array(), [11, 10, 4, 8])
+        mean, cov = kf_initiate(stack_boxes([nbox(10, 10, 4, 8)]), KF_CFG)
+        mean[:, 4:] = [1.0, 0.0, 0.0, 0.0]
+        mean, _ = kf_predict(mean, cov, KF_CFG)
+        assert np.allclose(mean[0, :4], [11, 10, 4, 8])
 
     def test_zero_velocity_is_stationary(self):
-        state = kf_initiate(nbox(0.4, 0.4), KF_CFG)
-        box, _ = kf_predict(state, KF_CFG, "norm")
-        assert np.allclose(box.as_array(), [0.4, 0.4, 0.1, 0.1])
+        mean, cov = kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG)
+        mean, _ = kf_predict(mean, cov, KF_CFG)
+        assert np.allclose(mean[0, :4], [0.4, 0.4, 0.1, 0.1])
 
     def test_covariance_grows_under_predict(self):
-        state = kf_initiate(nbox(0.4, 0.4), KF_CFG)
-        _, advanced = kf_predict(state, KF_CFG)
-        assert np.trace(advanced.cov) > np.trace(state.cov)
+        mean, cov = kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG)
+        _, advanced = kf_predict(mean, cov, KF_CFG)
+        assert np.trace(advanced[0]) > np.trace(cov[0])
 
     def test_update_with_predicted_mean_changes_nothing(self):
-        state = kf_initiate(nbox(0.4, 0.4), KF_CFG)
-        _, state = kf_predict(state, KF_CFG)
-        measurement = BoundingBox(*state.mean[:4], "norm")
-        updated = kf_update(state, measurement, KF_CFG)
-        assert np.allclose(updated.mean, state.mean, atol=1e-12)
+        mean, cov = kf_predict(*kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG), KF_CFG)
+        updated, _ = kf_update(mean, cov, mean[:, :4], KF_CFG)
+        assert np.allclose(updated, mean, atol=1e-12)
 
     def test_repeated_updates_converge_to_measurement(self):
-        state = kf_initiate(nbox(0.2, 0.2), KF_CFG)
-        target = nbox(0.6, 0.6)
+        mean, cov = kf_initiate(stack_boxes([nbox(0.2, 0.2)]), KF_CFG)
+        target = stack_boxes([nbox(0.6, 0.6)])
         for _ in range(60):
-            _, state = kf_predict(state, KF_CFG)
-            state = kf_update(state, target, KF_CFG)
-        assert np.abs(state.mean[:4] - target.as_array()).max() < 1e-3
+            mean, cov = kf_update(*kf_predict(mean, cov, KF_CFG), target, KF_CFG)
+        assert np.abs(mean[:, :4] - target).max() < 1e-3
 
     def test_update_contracts_position_variance(self):
-        state = kf_initiate(nbox(0.4, 0.4), KF_CFG)
-        _, state = kf_predict(state, KF_CFG)
-        updated = kf_update(state, nbox(0.41, 0.4), KF_CFG)
-        assert np.all(np.diag(updated.cov)[:4] <= np.diag(state.cov)[:4] + 1e-15)
+        mean, cov = kf_predict(*kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG), KF_CFG)
+        _, updated = kf_update(mean, cov, stack_boxes([nbox(0.41, 0.4)]), KF_CFG)
+        assert np.all(np.diag(updated[0])[:4] <= np.diag(cov[0])[:4] + 1e-15)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_covariance_raises(self, bad):
+        """A negative variance or a non-finite entry in any row fails the
+        batched predict and update."""
+        mean, cov = kf_initiate(stack_boxes([nbox(0.3, 0.3), nbox(0.6, 0.6)]), KF_CFG)
+        cov[1, 6, 6] = bad  # the width velocity, which no measurement corrects
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            kf_predict(mean, cov, KF_CFG)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            kf_update(mean, cov, mean[:, :4], KF_CFG)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 12))
+    def test_batch_equals_per_track(self, seed, t):
+        """Each row of a batched predict and update is bit-identical to the
+        same filter run on that track alone."""
+        rng = np.random.default_rng(seed)
+        boxes = np.column_stack([rng.uniform(0, 1, (t, 2)), rng.uniform(0.01, 0.3, (t, 2))])
+        mean, cov = kf_initiate(boxes, KF_CFG)
+        for _ in range(3):
+            measured = boxes + rng.normal(0, 0.01, (t, 4))
+            batch = kf_update(*kf_predict(mean, cov, KF_CFG), measured, KF_CFG)
+            for i in range(t):
+                alone = kf_update(*kf_predict(mean[i:i + 1], cov[i:i + 1], KF_CFG), measured[i:i + 1], KF_CFG)
+                assert np.array_equal(batch[0][i], alone[0][0]) and np.array_equal(batch[1][i], alone[1][0])
+            mean, cov = batch
 
 
 class TestConstantVelocity:
     def test_linear_extrapolation(self):
-        pred = cv_predict([BoundingBox(8, 9, 4, 8), BoundingBox(10, 10, 4, 8)])
-        assert np.allclose(pred.as_array(), [12, 11, 4, 8])
+        pred = cv_predict(stack(BoundingBox(8, 9, 4, 8), BoundingBox(10, 10, 4, 8)))
+        assert np.allclose(pred, [[12, 11, 4, 8]])
 
     def test_stationary(self):
         b = nbox(0.3, 0.3)
-        assert cv_predict([b, b]) == b
+        assert np.array_equal(cv_predict(stack(b, b)), stack_boxes([b]))
 
     def test_single_box(self):
         b = nbox(0.3, 0.3)
-        assert cv_predict([b]) == b
+        assert np.array_equal(cv_predict(stack(b)), stack_boxes([b]))
 
     def test_empty_history_rejected(self):
         with pytest.raises(InvalidInputError):
-            cv_predict([])
+            cv_predict(np.empty((1, 0, 4)))
 
     def test_shrinking_box_clamped(self):
         big = nbox(0.5, 0.5, 0.3, 0.3)
         small = nbox(0.5, 0.5, 0.05, 0.05)
-        pred = cv_predict([big, small], min_extent=1e-4)
-        assert pred.w >= 1e-4 and pred.h >= 1e-4
+        pred = cv_predict(stack(big, small), min_extent=1e-4)
+        assert pred[0, 2] >= 1e-4 and pred[0, 3] >= 1e-4
+
+    def test_non_finite_prediction_raises(self):
+        # each box is finite, but the repeated motion overflows
+        p = observed(ConstantVelocityPredictor(), [BoundingBox(-1.5e308, 0, 4, 8), BoundingBox(1.5e308, 0, 4, 8)])
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            p.predict_all([1])
 
 
 box_strategy = st.tuples(
@@ -142,7 +198,7 @@ box_sequences = st.lists(box_strategy, min_size=1, max_size=12)
 class TestConditionWindow:
     def test_full_history(self):
         boxes = [nbox(0.1 + 0.01 * i, 0.2) for i in range(6)]
-        (w,) = build_condition_window([boxes], 3)
+        (w,) = build_condition_window(stack(*boxes[-4:]))
         assert w.shape == (3, 8)
         # most recent first
         assert w[0, 0] == pytest.approx(0.15)
@@ -151,7 +207,7 @@ class TestConditionWindow:
 
     def test_padding_repeats_oldest(self):
         boxes = [nbox(0.1, 0.2), nbox(0.12, 0.2)]
-        (w,) = build_condition_window([boxes], 5)
+        (w,) = session_windows([boxes], 5)
         assert w.shape == (5, 8)
         assert np.allclose(w[0, :4], [0.12, 0.2, 0.1, 0.1])
         assert w[0, 4] == pytest.approx(0.02)
@@ -160,17 +216,27 @@ class TestConditionWindow:
             assert np.allclose(w[k], [0.1, 0.2, 0.1, 0.1, 0, 0, 0, 0])
 
     def test_length_one_history_zero_motion(self):
-        (w,) = build_condition_window([[nbox(0.4, 0.4)]], 4)
+        (w,) = session_windows([[nbox(0.4, 0.4)]], 4)
         assert np.allclose(w[:, 4:], 0.0)
         assert np.allclose(w[:, :4], [0.4, 0.4, 0.1, 0.1])
 
     def test_empty_history_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_condition_window([[nbox(0.4, 0.4)], []], 5)
+        # a track with no history is one the session never started
+        p = observed(D2MPPredictor(WindowRecorder(history_length=5)), [nbox(0.4, 0.4)])
+        with pytest.raises(KeyError):
+            p.predict_all([1, 2])
 
     def test_mixed_units_rejected(self):
-        with pytest.raises(UnitMismatchError):
-            build_condition_window([[BoundingBox(10, 10, 5, 5, "px"), nbox(0.4, 0.4)]], 3)
+        """A session takes its unit mode from its first box and rejects a box
+        in the other mode, whether it starts a track or is observed."""
+        for p in (KalmanPredictor(), ConstantVelocityPredictor()):
+            p.start(1, BoundingBox(10, 10, 5, 5, "px"))
+            with pytest.raises(UnitMismatchError):
+                p.start(2, nbox(0.4, 0.4))
+            with pytest.raises(UnitMismatchError):
+                p.observe([1], [nbox(0.4, 0.4)])
+            p.observe([1], [BoundingBox(11, 10, 5, 5, "px")])
+            assert p.predict(1).units == "px"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6), batch=st.integers(1, 4))
@@ -180,10 +246,20 @@ class TestConditionWindow:
         histories = [
             data.draw(st.lists(box_strategy, min_size=1, max_size=n + 2)) for _ in range(batch)
         ]
-        got = build_condition_window(histories, n)
+        got = session_windows(histories, n)
         assert got.shape == (batch, n, 8)
         for history, w in zip(histories, got):
             assert np.array_equal(w, reference_window(history, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=st.lists(box_strategy, min_size=2, max_size=12), n=st.integers(1, 6))
+    def test_trajectory_windows_match_reference(self, seq, n):
+        """The training-set and diagnostic windows of a whole trajectory: row
+        i is the window of the prefix that ends at box i."""
+        got = build_condition_window(trajectory_windows(stack_boxes(seq), n))
+        assert got.shape == (len(seq) - 1, n, 8)
+        for i, w in enumerate(got):
+            assert np.array_equal(w, reference_window(seq[:i + 1], n))
 
 
 def reference_window(history, n):
@@ -217,7 +293,7 @@ class TestD2MPPredict:
         p = D2MPPredictor(LookupOracle(table), PredictorConfig(kind="d2mp"))
         p.start(1, boxes[0])
         for i in range(1, len(boxes) - 1):
-            p.observe(1, boxes[i])
+            p.observe([1], [boxes[i]])
             pred = p.predict(1)
             assert np.abs(pred.as_array() - boxes[i + 1].as_array()).max() < 1e-12
 
@@ -251,14 +327,15 @@ class TestBoundedSessionHistory:
     @settings(max_examples=60, deadline=None)
     @given(seq=box_sequences)
     def test_cv_matches_full_history(self, seq):
-        assert observed(ConstantVelocityPredictor(), seq).predict(1) == cv_predict(seq)
+        pred = observed(ConstantVelocityPredictor(), seq).predict(1)
+        assert np.array_equal(stack_boxes([pred]), cv_predict(stack(*seq)))
 
     @settings(max_examples=60, deadline=None)
     @given(seq=box_sequences, n=st.integers(1, 6))
     def test_d2mp_window_matches_full_history(self, seq, n):
         model = WindowRecorder(history_length=n)
         observed(D2MPPredictor(model), seq).predict(1)
-        assert np.array_equal(model.windows[-1][0], build_condition_window([seq], n)[0])
+        assert np.array_equal(model.windows[-1][0], reference_window(seq, n))
 
 
 class TestSessions:
@@ -276,6 +353,30 @@ class TestSessions:
             p.drop(1)
             with pytest.raises(KeyError):
                 p.predict(1)
+
+    def test_start_live_id_rejected(self):
+        table = {tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}
+        for p in (KalmanPredictor(), ConstantVelocityPredictor(), D2MPPredictor(LookupOracle(table))):
+            p.start(1, nbox(0.4, 0.4))
+            with pytest.raises(InvalidInputError):
+                p.start(1, nbox(0.4, 0.4))
+            p.drop(1)
+            p.start(1, nbox(0.4, 0.4))  # a dropped id may start again
+            assert p.predict(1) == nbox(0.4, 0.4)
+
+    def test_d2mp_clamps_floored_and_counted(self):
+        shrink, keep = nbox(0.4, 0.4), nbox(0.7, 0.7)
+        table = {
+            tuple(np.round(shrink.as_array(), 9)): np.array([0.0, 0.0, -0.2, 0.0]),
+            tuple(np.round(keep.as_array(), 9)): np.zeros(4),
+        }
+        p = D2MPPredictor(LookupOracle(table))
+        for tid, b in ((1, shrink), (2, shrink), (3, keep)):
+            p.start(tid, b)
+        pred = p.predict_all([1, 2, 3])
+        assert np.array_equal(pred[:2, 2], [p.config.min_box_extent] * 2)
+        assert np.array_equal(pred[2], keep.as_array())
+        assert p.clamp_count == 2
 
     def test_d2mp_requires_normalized_boxes(self):
         p = D2MPPredictor(LookupOracle({}))
@@ -302,7 +403,7 @@ class TestSessions:
             p.start(tid, b)
         batch = p.predict_all([1, 2, 3])
         for tid, b in zip([1, 2, 3], starts):
-            assert np.allclose(batch[tid - 1].as_array(), b.as_array() + [0.01, 0, 0, 0])
+            assert np.allclose(batch[tid - 1], b.as_array() + [0.01, 0, 0, 0])
 
     def test_make_predictor_dispatch(self):
         assert isinstance(make_predictor(PredictorConfig(kind="kf")), KalmanPredictor)
