@@ -48,29 +48,29 @@ class DiagReport:
                 "per_trajectory": {str(k): v for k, v in self.per_trajectory.items()}}
 
 
-FrameRows = tuple[list[int], list[BoundingBox]]  # one frame's ids and boxes
-# a frame with more continuity pairs than this scores them in one vectorised
-# call; below it, per-pair ``iou`` is cheaper than numpy's per-call overhead
-VECTOR_KEEPERS = 16
+FrameRows = tuple[list[int], np.ndarray]  # one frame's ids and (k, 4) boxes
+_NO_ROWS: FrameRows = ([], np.empty((0, 4)))
+
+
+def _by_frame(frames: list[int], ids: list[int], boxes: list[BoundingBox]) -> dict[int, FrameRows]:
+    """Rows grouped by frame, each frame's rows in their given order."""
+    order = np.argsort(frames, kind="stable")
+    starts, first = np.unique(np.asarray(frames)[order], return_index=True)
+    ids, boxes = np.asarray(ids)[order].tolist(), stack_boxes(boxes)[order]
+    ends = [*first[1:].tolist(), len(ids)]
+    return {f: (ids[s:e], boxes[s:e]) for f, s, e in zip(starts.tolist(), first.tolist(), ends)}
 
 
 def _frame_index(gt: Sequence[Trajectory], records: Sequence[MotRecord]) -> tuple[dict[int, FrameRows], dict[int, FrameRows]]:
     """Ground truth and results grouped by frame. All boxes must share one
     unit mode."""
-    gt_frames: dict[int, FrameRows] = {}
-    for t in gt:
-        for f, b in zip(t.frames, t.boxes):
-            ids, boxes = gt_frames.setdefault(f, ([], []))
-            ids.append(t.track_id)
-            boxes.append(b)
-    res_frames: dict[int, FrameRows] = {}
-    for r in records:
-        ids, boxes = res_frames.setdefault(r.frame, ([], []))
-        ids.append(r.track_id)
-        boxes.append(r.box)
-    units = {b.units for frames in (gt_frames, res_frames) for _, boxes in frames.values() for b in boxes}
+    gt_boxes = [b for t in gt for b in t.boxes]
+    res_boxes = [r.box for r in records]
+    units = {b.units for b in gt_boxes} | {b.units for b in res_boxes}
     if len(units) > 1:
         raise UnitMismatchError(f"ground truth and results mix unit modes {sorted(units)}")
+    gt_frames = _by_frame([f for t in gt for f in t.frames], [t.track_id for t in gt for _ in t.frames], gt_boxes)
+    res_frames = _by_frame([r.frame for r in records], [r.track_id for r in records], res_boxes)
     return gt_frames, res_frames
 
 
@@ -84,8 +84,8 @@ def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
     last_match: dict[int, int] = {}
     fp = fn = idsw = gt_total = 0
     for frame in sorted(set(gt_frames) | set(res_frames)):
-        gt_ids, gt_boxes = gt_frames.get(frame, ([], []))
-        res_ids, res_boxes = res_frames.get(frame, ([], []))
+        gt_ids, gt_boxes = gt_frames.get(frame, _NO_ROWS)
+        res_ids, res_boxes = res_frames.get(frame, _NO_ROWS)
         gt_total += len(gt_ids)
         matched_gt: dict[int, int] = {}  # gt id -> res index
         used_res: set[int] = set()
@@ -94,11 +94,8 @@ def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
         res_by_id = {rid: j for j, rid in enumerate(res_ids)}
         kept = [(i, res_by_id[last_match[gid]]) for i, gid in enumerate(gt_ids) if last_match.get(gid) in res_by_id]
         if kept:
-            if len(kept) > VECTOR_KEEPERS:
-                g = stack_boxes(gt_boxes[i] for i, _ in kept)
-                overlaps = iou_pairs(g, stack_boxes(res_boxes[j] for _, j in kept)).tolist()
-            else:
-                overlaps = [iou(gt_boxes[i], res_boxes[j]) for i, j in kept]
+            gi, rj = zip(*kept)
+            overlaps = iou_pairs(gt_boxes[list(gi)], res_boxes[list(rj)]).tolist()
             keepers = [(ov, gt_ids[i], j) for ov, (i, j) in zip(overlaps, kept) if ov >= iou_threshold]
             for _, gid, j in sorted(keepers, reverse=True):
                 if gid in matched_gt or j in used_res:
@@ -109,7 +106,7 @@ def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
         rem_gt = [i for i, gid in enumerate(gt_ids) if gid not in matched_gt]
         rem_res = [j for j in range(len(res_ids)) if j not in used_res]
         if rem_gt and rem_res:
-            overlap = iou_matrix(stack_boxes(gt_boxes[i] for i in rem_gt), stack_boxes(res_boxes[j] for j in rem_res))
+            overlap = iou_matrix(gt_boxes[rem_gt], res_boxes[rem_res])
             cost = np.where(overlap >= iou_threshold, 1.0 - overlap, 1e9)
             rows, cols = linear_sum_assignment(cost)
             for r_i, c_i in zip(rows, cols):
@@ -141,7 +138,7 @@ def idf1(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
         if frame not in res_frames:
             continue
         frame_res_ids, res_boxes = res_frames[frame]
-        a, b = np.nonzero(iou_matrix(stack_boxes(gt_boxes), stack_boxes(res_boxes)) >= iou_threshold)
+        a, b = np.nonzero(iou_matrix(gt_boxes, res_boxes) >= iou_threshold)
         rows = np.array([gt_pos[gid] for gid in frame_gt_ids])
         cols = np.array([pred_pos[rid] for rid in frame_res_ids])
         np.add.at(overlap, (rows[a], cols[b]), 1)

@@ -67,18 +67,13 @@ _F[:4, 4:] = np.eye(4)
 _H = np.eye(4, 8)
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    """(T, k) -> (T, k, k) diagonal matrices."""
-    return np.eye(values.shape[1]) * values[:, None, :]
-
-
 def kf_initiate(boxes: np.ndarray, config: PredictorConfig) -> tuple[np.ndarray, np.ndarray]:
     """(T, 4) first boxes -> (T, 8) means and (T, 8, 8) covariances."""
     # velocity prior deliberately weak (SORT inflates it too): the first
     # few measurements then pin the velocity almost exactly
     p, v = config.kf_pos_weight, config.kf_vel_weight
     std = np.repeat([2.0 * p, 100.0 * v], 4) * boxes[:, 3:4]
-    return np.concatenate([boxes, np.zeros_like(boxes)], axis=1), _diag(std * std)
+    return np.concatenate([boxes, np.zeros_like(boxes)], axis=1), np.eye(8) * (std * std)[:, None]
 
 
 def _check_cov(cov: np.ndarray) -> np.ndarray:
@@ -95,7 +90,7 @@ def kf_predict(mean: np.ndarray, cov: np.ndarray, config: PredictorConfig) -> tu
     std = np.repeat([config.kf_pos_weight, config.kf_vel_weight], 4) * np.maximum(mean[:, 3:4], eps)
     mean = (_F @ mean[:, :, None])[:, :, 0]
     mean[:, 2:4] = np.maximum(mean[:, 2:4], eps)
-    return mean, _check_cov(_F @ cov @ _F.T + _diag(std * std))
+    return mean, _check_cov(_F @ cov @ _F.T + np.eye(8) * (std * std)[:, None])
 
 
 def kf_update(
@@ -104,7 +99,7 @@ def kf_update(
     """Standard gain correction with Joseph-form covariance update, for
     (T, 8) means, (T, 8, 8) covariances and (T, 4) measured boxes."""
     std = config.kf_pos_weight * np.maximum(measurement[:, 3:4], config.min_box_extent)
-    r = _diag(np.repeat(std**2, 4, axis=1))
+    r = np.eye(4) * (std**2)[:, :, None]
     s = _H @ cov @ _H.T + r
     try:
         gain = np.linalg.solve(s, _H @ cov).transpose(0, 2, 1)
@@ -172,11 +167,17 @@ class MotionPredictor:
         self._ids = np.empty(0, dtype=np.int64)
         self._units: str | None = None
 
-    def _rows(self, track_ids: Sequence[int]) -> np.ndarray:
+    def _rows(self, track_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each id's row (its insertion point if the id is not live) and
+        whether it is live."""
         ids = np.asarray(track_ids, dtype=np.int64).reshape(-1)
         rows = np.searchsorted(self._ids, ids)
-        if ids.size and not (self._ids.size and np.array_equal(self._ids.take(rows, mode="clip"), ids)):
-            raise KeyError(f"a track of {ids.tolist()} was never started")
+        return rows, self._ids.take(rows, mode="clip") == ids if self._ids.size else np.zeros(ids.size, bool)
+
+    def _live_rows(self, track_ids: Sequence[int]) -> np.ndarray:
+        rows, live = self._rows(track_ids)
+        if not live.all():
+            raise KeyError(f"a track of {list(track_ids)} was never started")
         return rows
 
     def _as_array(self, boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -188,9 +189,9 @@ class MotionPredictor:
     def start(self, track_id: int, box: BoundingBox) -> None:
         self._units = self._units or box.units
         first = self._as_array([box])[0]
-        if track_id in self._ids:
+        (row,), (live,) = self._rows([track_id])
+        if live:
             raise InvalidInputError(f"track {track_id} already started")
-        row = int(np.searchsorted(self._ids, track_id))
         self._ids = np.insert(self._ids, row, track_id)
         for name, value in zip(self._per_track, self._first_rows(track_id, first)):
             setattr(self, name, np.insert(getattr(self, name), row, value, axis=0))
@@ -199,18 +200,17 @@ class MotionPredictor:
         """The matched detection of each of a frame's matched tracks."""
         if len(track_ids) != len(boxes):
             raise InvalidInputError(f"{len(track_ids)} track ids but {len(boxes)} boxes")
-        rows = self._rows(track_ids)
-        self._update_rows(rows, self._as_array(boxes))
+        self._update_rows(self._live_rows(track_ids), self._as_array(boxes))
 
     def drop(self, track_id: int) -> None:
-        if track_id in self._ids:
-            row = int(np.searchsorted(self._ids, track_id))
+        (row,), (live,) = self._rows([track_id])
+        if live:
             for name in ("_ids", *self._per_track):
                 setattr(self, name, np.delete(getattr(self, name), row, axis=0))
 
     def predict_all(self, track_ids: Sequence[int]) -> np.ndarray:
         """(T, 4) next-frame boxes in the order of ``track_ids``."""
-        rows = self._rows(track_ids)
+        rows = self._live_rows(track_ids)
         if not rows.size:
             return np.empty((0, 4))
         pred = self._predict_rows(rows)
@@ -298,23 +298,21 @@ class D2MPPredictor(_BoxHistoryPredictor):
     def _first_rows(self, track_id: int, box: np.ndarray):
         return box, self._track_rng(track_id)
 
-    def _sample(self, windows: np.ndarray, last: np.ndarray, rng) -> np.ndarray:
+    def _sample(self, windows: np.ndarray, rng) -> np.ndarray:
+        """Sampled next boxes after the last box of each (B, n + 1, 4) window."""
         cfg = self.config
         motions = sample_k_steps(cfg.sampling_steps, build_condition_window(windows), self.model, rng, cfg.deterministic)
-        pred, clamped = _apply_motion(last, motions, cfg.min_box_extent)
+        pred, clamped = _apply_motion(windows[:, -1], motions, cfg.min_box_extent)
         self.clamp_count += clamped
         return pred
 
     def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        windows = self._boxes[rows]
-        return self._sample(windows, windows[:, -1], list(self._rngs[rows]))
+        return self._sample(self._boxes[rows], list(self._rngs[rows]))
 
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
         # one batched network call per trajectory instead of one per frame
-        arr = self._as_array(boxes)
-        windows = trajectory_windows(arr, self.model.history_length)
-        pred = self._sample(windows, arr[:-1], self._track_rng(track_id))
-        return [BoundingBox(*row, "norm") for row in pred.tolist()]
+        windows = trajectory_windows(self._as_array(boxes), self.model.history_length)
+        return [BoundingBox(*row, "norm") for row in self._sample(windows, self._track_rng(track_id)).tolist()]
 
 
 def make_predictor(config: PredictorConfig, model=None) -> MotionPredictor:
