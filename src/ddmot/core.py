@@ -171,17 +171,15 @@ def stack_boxes(boxes) -> np.ndarray:
 
 
 def _iou_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of center-format boxes along the last axis, broadcasting the rest."""
-    ax1, ay1 = a[..., 0] - a[..., 2] / 2, a[..., 1] - a[..., 3] / 2
-    ax2, ay2 = a[..., 0] + a[..., 2] / 2, a[..., 1] + a[..., 3] / 2
-    bx1, by1 = b[..., 0] - b[..., 2] / 2, b[..., 1] - b[..., 3] / 2
-    bx2, by2 = b[..., 0] + b[..., 2] / 2, b[..., 1] + b[..., 3] / 2
-    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    # np.maximum/np.minimum, not np.clip: the same values at a fraction of
-    # the call overhead on the few-box frames of a sparse scene
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    """IoU of center-format boxes given coordinate-first, as (4, ...)
+    arrays, broadcasting the rest."""
+    a_half, b_half = a[2:] / 2, b[2:] / 2
+    # (x, y) overlap extents; np.maximum/np.minimum, not np.clip: the same
+    # values at a fraction of the call overhead on few-box frames
+    ext = np.minimum(a[:2] + a_half, b[:2] + b_half) - np.maximum(a[:2] - a_half, b[:2] - b_half)
+    ext = np.maximum(ext, 0.0)
+    inter = ext[0] * ext[1]
+    union = a[2] * a[3] + b[2] * b[3] - inter
     return np.minimum(np.maximum(inter / union, 0.0), 1.0)
 
 
@@ -194,13 +192,14 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    return _iou_broadcast(a[:, None], b[None, :])
+    # contiguous coordinate rows keep the (2, N, M) broadcasts fast on large matrices
+    return _iou_broadcast(np.ascontiguousarray(a.T)[:, :, None], np.ascontiguousarray(b.T)[:, None, :])
 
 
 def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row IoU of two (N, 4) arrays of center-format boxes, equal
     to ``iou`` on each pair (identical boxes give exactly 1)."""
-    return np.where((a == b).all(axis=1), 1.0, _iou_broadcast(a, b))
+    return np.where((a == b).all(axis=1), 1.0, _iou_broadcast(a.T, b.T))
 
 
 def tlwh_to_center(left: float, top: float, w: float, h: float, units: str = "px") -> BoundingBox:

@@ -131,17 +131,17 @@ def idf1(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
     gt_frames, res_frames = _frame_index(gt, records)
     gt_ids = sorted({t.track_id for t in gt})
     pred_ids = sorted({r.track_id for r in records})
-    gt_pos = {g: i for i, g in enumerate(gt_ids)}
-    pred_pos = {p: i for i, p in enumerate(pred_ids)}
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
+    hit_gt: list[int] = []  # ids of each overlapping (gt, result) pair
+    hit_res: list[int] = []
     for frame, (frame_gt_ids, gt_boxes) in gt_frames.items():
         if frame not in res_frames:
             continue
         frame_res_ids, res_boxes = res_frames[frame]
         a, b = np.nonzero(iou_matrix(gt_boxes, res_boxes) >= iou_threshold)
-        rows = np.array([gt_pos[gid] for gid in frame_gt_ids])
-        cols = np.array([pred_pos[rid] for rid in frame_res_ids])
-        np.add.at(overlap, (rows[a], cols[b]), 1)
+        hit_gt += [frame_gt_ids[i] for i in a.tolist()]
+        hit_res += [frame_res_ids[j] for j in b.tolist()]
+    overlap = np.zeros((len(gt_ids), len(pred_ids)))
+    np.add.at(overlap, (np.searchsorted(gt_ids, hit_gt), np.searchsorted(pred_ids, hit_res)), 1)
     total_gt = sum(len(t.frames) for t in gt)
     total_pred = len(records)
     idtp = 0
