@@ -50,16 +50,15 @@ class PerfectNet:
         return windows
 
     def predict_values(self, noisy, t, windows):
-        b = np.atleast_2d(noisy).shape[0]
-        return np.broadcast_to(-m0, (b, 4)).copy(), None
+        return np.broadcast_to(-m0, noisy.shape).copy(), None
 
 
 print("5) sampling: draw M_1 ~ N(0, I), predict c, undo the diffusion.")
-window = np.zeros((5, 8))  # conditioning is the model's business
-one = sample_one_step(window, PerfectNet(), np.random.default_rng(1))
-print(f"   one-step sample      = {one.as_array()}  (target {m0})")
+windows = np.zeros((1, 5, 8))  # a batch of one track; conditioning is the model's business
+one = sample_one_step(windows, PerfectNet(), np.random.default_rng(1))
+print(f"   one-step sample      = {one[0]}  (target {m0})")
 for k in (10, 20):
-    out = sample_k_steps(k, window, PerfectNet(), np.random.default_rng(1), deterministic=True)
-    print(f"   {k:2d}-step deterministic = {out.as_array()}")
+    out = sample_k_steps(k, windows, PerfectNet(), np.random.default_rng(1), deterministic=True)
+    print(f"   {k:2d}-step deterministic = {out[0]}")
 print("   with a perfect network every schedule reaches the same answer;")
 print("   a learned network gets one cheap shot at it per frame.")

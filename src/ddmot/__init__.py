@@ -8,7 +8,7 @@ cascade (`association`), file formats and synthetic data (`data_io`),
 evaluation (`metrics`), and a CLI (`cli`).
 """
 
-from .core import BoundingBox, Detection, Motion, MotionInfo, apply_motion, iou, motion_from_boxes
+from .core import BoundingBox, Detection, iou
 from .hminet import HMINet, ModelConfig
 from .diffusion import TrainConfig, TrainingSet, sample_k_steps, sample_one_step, train
 from .predictors import (
@@ -27,11 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundingBox",
     "Detection",
-    "Motion",
-    "MotionInfo",
-    "apply_motion",
     "iou",
-    "motion_from_boxes",
     "HMINet",
     "ModelConfig",
     "TrainConfig",

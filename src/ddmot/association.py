@@ -9,9 +9,9 @@ leftover detections spawn new tracks.
 Per frame, ``Tracker.step`` makes one ``predict_all`` call, returning a
 (T, 4) array, and one ``observe`` call with every matched detection.
 
-A ``Track`` holds only its lifecycle (status and frames since its last
-match). The predictor session under the same track id is the only owner
-of per-track motion state.
+The tracker keeps only each live track's frames since its last match
+(``Tracker.tracks``). The predictor session under the same track id is the
+only owner of per-track motion state.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import BoundingBox, Detection, InvalidInputError, check_field_types, iou_matrix, stack_boxes
 
-AppearanceCost = Callable[[Sequence["Track"], Sequence[Detection]], np.ndarray]
+# (live track ids in row order, high-confidence detections) -> (T, N) costs
+AppearanceCost = Callable[[Sequence[int], Sequence[Detection]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -116,20 +117,6 @@ def hungarian(cost: CostMatrix) -> Assignment:
 
 
 @dataclass
-class Track:
-    """Lifecycle of one track. Its motion history lives in the predictor
-    session under the same id."""
-
-    track_id: int
-    status: str = "active"
-    frames_since_update: int = 0
-
-    def update(self) -> None:
-        self.status = "active"
-        self.frames_since_update = 0
-
-
-@dataclass
 class FrameResult:
     frame: int
     matched: list[tuple[int, BoundingBox]]  # (track id, updated box)
@@ -144,7 +131,7 @@ class Tracker:
         self.config = config
         self.predictor = predictor
         self.appearance_cost = appearance_cost
-        self.tracks: dict[int, Track] = {}
+        self.tracks: dict[int, int] = {}  # live track id -> frames since its last match
         self._next_id = 1
         self._last_frame = 0
 
@@ -163,13 +150,12 @@ class Tracker:
 
         d_first, d_second = self._split_detections(detections)
         track_ids = sorted(self.tracks)
-        track_list = [self.tracks[t] for t in track_ids]
         predicted = self.predictor.predict_all(track_ids)
 
         # stage 1: predictions x high-confidence detections, blended cost
         appearance = None
-        if self.appearance_cost is not None and self.config.iou_weight < 1.0 and track_list and d_first:
-            appearance = np.asarray(self.appearance_cost(track_list, d_first), dtype=np.float64)
+        if self.appearance_cost is not None and self.config.iou_weight < 1.0 and track_ids and d_first:
+            appearance = np.asarray(self.appearance_cost(track_ids, d_first), dtype=np.float64)
         stage1 = hungarian(
             build_cost_matrix(
                 predicted,
@@ -196,17 +182,14 @@ class Tracker:
         result = FrameResult(frame, [(tid, det.box) for tid, det in matched], [], [])
         self.predictor.observe([tid for tid, _ in result.matched], [box for _, box in result.matched])
         matched_ids = {tid for tid, _ in matched}
-        for tid in matched_ids:
-            self.tracks[tid].update()
 
-        # age and possibly remove unmatched tracks
+        # reset matched tracks; age and possibly remove unmatched ones
         for tid in track_ids:
             if tid in matched_ids:
+                self.tracks[tid] = 0
                 continue
-            track = self.tracks[tid]
-            track.status = "lost"
-            track.frames_since_update += 1
-            if track.frames_since_update > self.config.max_age:
+            self.tracks[tid] += 1
+            if self.tracks[tid] > self.config.max_age:
                 del self.tracks[tid]
                 self.predictor.drop(tid)
                 result.removed_tracks.append(tid)
@@ -217,7 +200,7 @@ class Tracker:
             if det.confidence > self.config.new_track_conf:
                 tid = self._next_id
                 self._next_id += 1
-                self.tracks[tid] = Track(tid)
+                self.tracks[tid] = 0
                 self.predictor.start(tid, det.box)
                 result.matched.append((tid, det.box))
                 result.new_tracks.append(tid)

@@ -1,9 +1,11 @@
-"""Center-format box geometry and frame-to-frame motion arithmetic.
+"""Center-format box geometry: the box and detection types, IoU and unit
+conversions.
 
 Everything downstream (prediction, association, metrics) is built on these
 types. Boxes exist in two unit modes: raw pixels ("px") or image-relative
 ("norm", coordinates divided by frame width/height). Binary operations on
-boxes refuse to mix modes; mixing is always a caller bug.
+boxes refuse to mix modes; mixing is always a caller bug. A motion (the
+per-frame box delta) is a plain array with a trailing dimension of 4.
 
 All values are immutable and double precision.
 """
@@ -82,38 +84,6 @@ class BoundingBox:
 
 
 @dataclass(frozen=True, slots=True)
-class Motion:
-    """Per-frame box delta; components may be negative."""
-
-    dcx: float
-    dcy: float
-    dw: float
-    dh: float
-
-    def __post_init__(self) -> None:
-        _require_finite("Motion", self.dcx, self.dcy, self.dw, self.dh)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dcx, self.dcy, self.dw, self.dh], dtype=np.float64)
-
-    @staticmethod
-    def zero() -> "Motion":
-        return Motion(0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True, slots=True)
-class MotionInfo:
-    """A box together with the motion that produced it: the 8-vector
-    (cx, cy, w, h, dcx, dcy, dw, dh) consumed by the condition encoder."""
-
-    box: BoundingBox
-    motion: Motion
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.box.as_array(), self.motion.as_array()])
-
-
-@dataclass(frozen=True, slots=True)
 class Detection:
     frame: int
     box: BoundingBox
@@ -129,24 +99,6 @@ class Detection:
 def _check_units(a: BoundingBox, b: BoundingBox, op: str) -> None:
     if a.units != b.units:
         raise UnitMismatchError(f"{op}: unit modes differ ({a.units} vs {b.units})")
-
-
-def motion_from_boxes(prev: BoundingBox, curr: BoundingBox) -> Motion:
-    """Componentwise curr - prev."""
-    _check_units(prev, curr, "motion_from_boxes")
-    return Motion(curr.cx - prev.cx, curr.cy - prev.cy, curr.w - prev.w, curr.h - prev.h)
-
-
-def apply_motion(box: BoundingBox, m: Motion) -> BoundingBox:
-    """Componentwise box + m; exact inverse of motion_from_boxes.
-
-    Raises DegenerateBoxError when the shifted extent would be <= 0.
-    """
-    w = box.w + m.dw
-    h = box.h + m.dh
-    if w <= 0 or h <= 0:
-        raise DegenerateBoxError(f"applying motion yields non-positive extent (w={w}, h={h})")
-    return BoundingBox(box.cx + m.dcx, box.cy + m.dcy, w, h, box.units)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -314,6 +314,8 @@ def _program_centers(spec: SyntheticSpec, rng: np.random.Generator, half_w: floa
 def synth_sequence(spec: SyntheticSpec, seed: int) -> SynthResult:
     """Deterministic scene: ground truth stays inside the frame; detections
     carry the requested jitter/drop/false-positive noise."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     meta = SequenceMeta(spec.length, spec.width, spec.height, spec.frame_rate)
     trajectories = []
@@ -365,7 +367,7 @@ def detection_records(result: SynthResult) -> list[MotRecord]:
 
 def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_variant: str = "I") -> TrainingSet:
     """One sample per (trajectory, frame f >= 2): the window of the last n
-    MotionInfo rows before f and the target motion into f."""
+    (box, motion) rows before f and the target motion into f."""
     conditions, targets = [], []
     for traj in trajectories:
         if len(traj) < 2:

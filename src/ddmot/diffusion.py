@@ -21,14 +21,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import InvalidInputError, Motion, NumericError, check_field_types
+from .core import InvalidInputError, NumericError, check_field_types
 
 T_MIN = 0.001
 
 
 def _as_motion_array(m) -> np.ndarray:
-    if isinstance(m, Motion):
-        return m.as_array()
     arr = np.asarray(m, dtype=np.float64)
     if arr.shape[-1] != 4:
         raise InvalidInputError(f"motion array must have trailing dimension 4, got {arr.shape}")
@@ -158,14 +156,13 @@ def _normal_draws(rng, b: int) -> np.ndarray:
     return np.stack(draws)
 
 
-def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False):
+def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False) -> np.ndarray:
     """Generate motion by iterating the reverse step K times from t = 1.
 
-    ``windows`` is one (n, 8) condition window or a (B, n, 8) batch;
-    ``rng`` is a numpy Generator or one Generator per batch row. Returns a
-    Motion for a single window, else a (B, 4) array. ``deterministic``
-    suppresses the noise term at every step (the final step is noise-free
-    regardless).
+    ``windows`` is a (B, n, 8) batch of condition windows; ``rng`` is a
+    numpy Generator or one Generator per batch row. Returns a (B, 4)
+    array. ``deterministic`` suppresses the noise term at every step (the
+    final step is noise-free regardless).
 
     The model protocol is ``embed_condition(windows) -> emb``, called once
     per call under ``autodiff.no_grad``; ``predict_values(noisy, t, emb)
@@ -176,9 +173,8 @@ def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False):
     if k < 1:
         raise InvalidInputError(f"sampling steps must be >= 1, got {k}")
     w = np.asarray(windows, dtype=np.float64)
-    single = w.ndim == 2
-    if single:
-        w = w[None]
+    if w.ndim != 3:
+        raise InvalidInputError(f"condition windows must be a (B, n, 8) batch, got shape {w.shape}")
     b = w.shape[0]
     m = _normal_draws(rng, b)
     with ad.no_grad():
@@ -194,12 +190,12 @@ def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False):
         if not deterministic and sigma2 > 0.0:
             noise = _normal_draws(rng, b)
         m = reverse_step(state, dt, c_hat, z=z_hat, noise=noise).values
-    return Motion(*m[0]) if single else m
+    return m
 
 
-def sample_one_step(windows, model, rng):
+def sample_one_step(windows, model, rng) -> np.ndarray:
     """Single-step generation: draw M_1 ~ N(0, I), predict the attenuation
-    at t = 1, return the clean motion (variance coefficient is 0)."""
+    at t = 1, return the (B, 4) clean motion (variance coefficient is 0)."""
     return sample_k_steps(1, windows, model, rng)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import InvalidInputError
+from .core import InvalidInputError, check_field_types
 
 CONDITION_VARIANTS = ("B", "M", "I")
 NETWORK_VARIANTS = ("OB", "TB")
@@ -57,15 +57,9 @@ class ModelConfig:
     positional_encoding: bool = True
 
     def __post_init__(self) -> None:
-        counts = {
-            "token_dim": self.token_dim,
-            "n_heads": self.n_heads,
-            "n_condition_layers": self.n_condition_layers,
-            "n_fusion_blocks": self.n_fusion_blocks,
-            "history_length": self.history_length,
-        }
-        for name, v in counts.items():
-            if not isinstance(v, int) or v < 1:
+        check_field_types(self)
+        for name in ("token_dim", "n_heads", "n_condition_layers", "n_fusion_blocks", "history_length"):
+            if (v := getattr(self, name)) < 1:
                 raise InvalidInputError(f"ModelConfig.{name} must be a positive integer, got {v!r}")
         if self.token_dim % self.n_heads != 0:
             raise InvalidInputError(
@@ -243,31 +237,23 @@ class HMINet:
         return x + self._mlp2(self._ln(x, f"{prefix}.ln2"), f"{prefix}.ffn")
 
     def _mfl(self, cond: Tensor, motion_feat: Tensor, prefix: str) -> Tensor:
-        """Motion fusion layer: scale/shift gating of motion features by the
-        condition embedding, Sigmoid(MLP(e)) * m + MLP(e)."""
+        """The motion fusion layer: scale/shift gating of motion features by
+        the condition embedding, Sigmoid(MLP(e)) * m + MLP(e)."""
         gate = ad.sigmoid(self._mlp2(cond, f"{prefix}.scale"))
         shift = self._mlp2(cond, f"{prefix}.shift")
         return ad.mul(gate, motion_feat) + shift
 
     # -- public forward ---------------------------------------------------
 
-    def _window_batch(self, windows: np.ndarray) -> tuple[np.ndarray, bool]:
-        w = np.asarray(windows, dtype=np.float64)
-        single = w.ndim == 2
-        if single:
-            w = w[None]
-        n = self.config.history_length
-        if w.ndim != 3 or w.shape[1] != n or w.shape[2] != 8:
-            raise InvalidInputError(
-                f"condition window must have shape (n={n}, 8) or (B, {n}, 8), got {w.shape}"
-            )
-        return apply_condition_variant(w, self.config.condition_variant), single
-
     def embed_condition(self, windows: np.ndarray) -> Tensor:
-        """Encode one (n, 8) window or a (B, n, 8) batch into condition
-        embeddings; returns shape (token_dim,) or (B, token_dim)."""
-        w, single = self._window_batch(windows)
-        b, n, d = w.shape[0], self.config.history_length, self.config.token_dim
+        """Encode a (B, n, 8) batch of condition windows into (B, token_dim)
+        condition embeddings."""
+        w = np.asarray(windows, dtype=np.float64)
+        n = self.config.history_length
+        if w.ndim != 3 or w.shape[1:] != (n, 8):
+            raise InvalidInputError(f"condition windows must have shape (B, {n}, 8), got {w.shape}")
+        w = apply_condition_variant(w, self.config.condition_variant)
+        b, d = w.shape[0], self.config.token_dim
         x = ad.linear(Tensor(w), self._p("cond.embed.w"), self._p("cond.embed.b"))
         if self.config.positional_encoding:
             x = x + self._p("cond.pos")
@@ -278,17 +264,15 @@ class HMINet:
             x = self._block(x, f"cond.l{i}")
         # only the class token is read from the last block: it alone is updated
         x = self._block(x, f"cond.l{last}", queries=slice(0, 1))
-        return ad.reshape(x, (d,) if single else (b, d))
+        return ad.reshape(x, (b, d))
 
     def _fusion_head(self, noisy_motion, t, emb: Tensor | np.ndarray) -> tuple[Tensor, Tensor | None]:
-        """Fusion blocks and head on a precomputed (d,) or (B, d) condition
+        """Fusion blocks and head on a precomputed (B, d) condition
         embedding; returns (c_hat, z_hat) of shape (B, 4)."""
         d = self.config.token_dim
         e = emb if isinstance(emb, Tensor) else Tensor(emb)
-        if e.value.ndim not in (1, 2) or e.shape[-1] != d:
-            raise InvalidInputError(f"condition embedding must have shape ({d},) or (B, {d}), got {e.shape}")
-        if e.value.ndim == 1:
-            e = ad.reshape(e, (1, d))
+        if e.value.ndim != 2 or e.shape[1] != d:
+            raise InvalidInputError(f"condition embedding must have shape (B, {d}), got {e.shape}")
         b = e.shape[0]
         m = np.asarray(noisy_motion, dtype=np.float64).reshape(b, 4)
         t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (b,))
@@ -312,14 +296,14 @@ class HMINet:
 
     def predict_graph(self, noisy_motion, t, windows) -> tuple[Tensor, Tensor | None]:
         """Differentiable forward pass (training): the encoder, then fusion
-        and head; returns (c_hat, z_hat) tensors of shape (B, 4). Inputs may
-        be single or batched."""
+        and head on a (B, n, 8) window batch; returns (c_hat, z_hat) tensors
+        of shape (B, 4)."""
         return self._fusion_head(noisy_motion, t, self.embed_condition(windows))
 
     def predict_values(self, noisy_motion, t, emb) -> tuple[np.ndarray, np.ndarray | None]:
         """One sampling step: fusion and head on an embedding from
         ``embed_condition``, run without a graph; returns plain (B, 4)
-        arrays. A single (d,) embedding counts as a batch of one."""
+        arrays."""
         with ad.no_grad():
             c, z = self._fusion_head(noisy_motion, t, emb)
         return c.value, None if z is None else z.value

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BoundingBox, UnitMismatchError, iou, iou_matrix, iou_pairs, stack_boxes
+from .core import BoundingBox, UnitMismatchError, iou_matrix, iou_pairs, stack_boxes
 from .data_io import MotRecord, Trajectory
 
 
@@ -164,7 +164,7 @@ def predictor_iou_diagnostic(trajectories: Sequence[Trajectory], predictor, burn
         if len(traj) < 2:
             continue
         preds = predictor.diagnose_trajectory(list(traj.boxes), traj.track_id)
-        ious = [iou(p, b) for p, b in zip(preds, traj.boxes[1:])][burn_in:]
+        ious = iou_pairs(preds, stack_boxes(traj.boxes[1:])).tolist()[burn_in:]
         if not ious:
             continue
         per_traj[traj.track_id] = float(np.mean(ious))

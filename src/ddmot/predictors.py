@@ -1,11 +1,12 @@
-"""Motion predictors behind one session-style contract.
+"""Next-box predictors behind one session-style contract.
 
 A session holds its tracks as rows of stacked arrays, in ascending track
 id, and has one unit mode, taken from its first box. ``start`` a track
 from its first box, ``predict_all`` a (T, 4) array of next-frame boxes
 once per frame, ``observe`` all of a frame's matched boxes in one call,
 ``drop`` a removed track. This session is the only owner of per-track
-motion state; the tracker's ``Track`` holds only lifecycle.
+motion state; the tracker keeps only each track's frames since its last
+match.
 
 Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
@@ -135,7 +136,7 @@ def cv_predict(history: np.ndarray, min_extent: float = 1e-4) -> np.ndarray:
 
 
 def build_condition_window(boxes: np.ndarray) -> np.ndarray:
-    """(B, n + 1, 4) box windows, oldest first -> the (B, n, 8) MotionInfo
+    """(B, n + 1, 4) box windows, oldest first -> the (B, n, 8) condition
     rows (box, motion into it), most recent first. Front padding repeats
     the oldest box's row with zero motion."""
     recent = boxes[:, ::-1]
@@ -218,16 +219,13 @@ class MotionPredictor:
             raise NumericError("a predicted box is not finite")
         return pred
 
-    def predict(self, track_id: int) -> BoundingBox:
-        return BoundingBox(*self.predict_all([track_id])[0].tolist(), self._units)
-
-    def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
-        """One-frame-ahead predictions for frames 2..L given the true
-        prefix; used by the linearity diagnostic."""
+    def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> np.ndarray:
+        """(L - 1, 4) one-frame-ahead predictions for frames 2..L given the
+        true prefix; used by the linearity diagnostic."""
         self.start(track_id, boxes[0])
-        preds = []
-        for box in boxes[1:]:
-            preds.append(self.predict(track_id))
+        preds = np.empty((len(boxes) - 1, 4))
+        for i, box in enumerate(boxes[1:]):
+            preds[i] = self.predict_all([track_id])[0]
             self.observe([track_id], [box])
         self.drop(track_id)
         return preds
@@ -309,10 +307,10 @@ class D2MPPredictor(_BoxHistoryPredictor):
     def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._sample(self._boxes[rows], list(self._rngs[rows]))
 
-    def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> list[BoundingBox]:
+    def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> np.ndarray:
         # one batched network call per trajectory instead of one per frame
         windows = trajectory_windows(self._as_array(boxes), self.model.history_length)
-        return [BoundingBox(*row, "norm") for row in self._sample(windows, self._track_rng(track_id)).tolist()]
+        return self._sample(windows, self._track_rng(track_id))
 
 
 def make_predictor(config: PredictorConfig, model=None) -> MotionPredictor:

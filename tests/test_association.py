@@ -180,7 +180,7 @@ class TestTwoStage:
         tracker.step(1, [det(1, 0.5, 0.5, conf=0.9)])
         r = tracker.step(2, [det(2, 0.5, 0.5, conf=0.3)])
         assert r.matched == []
-        assert tracker.tracks[1].status == "lost"
+        assert tracker.tracks[1] == 1  # frames since its last match
 
     def test_max_age_zero_is_immediate_deletion(self):
         tracker = make_tracker(max_age=0)
@@ -204,7 +204,7 @@ class TestTwoStage:
         tracker.step(2, [])
         r = tracker.step(3, [det(3, 0.5, 0.5, conf=0.9)])
         assert [tid for tid, _ in r.matched] == [1]
-        assert tracker.tracks[1].status == "active"
+        assert tracker.tracks[1] == 0
 
     def test_duplicate_frame_rejected(self):
         tracker = make_tracker()

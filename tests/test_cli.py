@@ -264,6 +264,11 @@ class TestMalformedInputs:
         err = self._track(scene, tmp_path, capsys, model_bytes=poison(self._model(), "head.b2", value))
         assert "head.b2" in err
 
+    def test_wrong_kind_in_model_config(self, scene, tmp_path, capsys):
+        model = repack(self._model(), lambda h: h["config"].update(positional_encoding="x"))
+        err = self._track(scene, tmp_path, capsys, model_bytes=model)
+        assert "positional_encoding" in err
+
     @pytest.mark.parametrize("field", ["left", "conf"])
     def test_nan_detection_field(self, scene, tmp_path, capsys, field):
         lines = (scene / "det.txt").read_text().splitlines()
@@ -345,6 +350,8 @@ class TestConfigTypes:
         ("track", "tracker", "max_age", True),
         ("train", "train", "steps", 2.5),
         ("train", "train", "batch_size", 2.5),
+        ("train", "model", "history_length", True),
+        ("train", "model", "positional_encoding", "x"),
         ("synth", "spec", "object_count", 2.5),
         ("synth", "spec", "object_count", True),
         ("synth", "spec", "length", 60.0),
@@ -362,6 +369,6 @@ class TestConfigTypes:
         self._assert_invalid(["train", "--data", str(scene), "--out", str(tmp_path / "out"), "--steps", "3",
                               "--config", cfg], tmp_path, capsys)
 
-    @pytest.mark.parametrize("command", ["track", "train"])
+    @pytest.mark.parametrize("command", ["track", "train", "synth"])
     def test_negative_seed_rejected(self, scene, tmp_path, capsys, command):
         self._assert_invalid(self._argv(command, scene, tmp_path) + ["--seed", "-1"], tmp_path, capsys)

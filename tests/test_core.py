@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmot.core import (
     BoundingBox,
     DegenerateBoxError,
     Detection,
     InvalidInputError,
-    Motion,
-    MotionInfo,
     UnitMismatchError,
-    apply_motion,
     center_to_tlwh,
     denormalize_box,
     iou,
     iou_matrix,
     iou_pairs,
-    motion_from_boxes,
     normalize_box,
     stack_boxes,
     tlwh_to_center,
 )
+from ddmot.predictors import _apply_motion, build_condition_window
 
 
 def box(cx, cy, w, h, units="px"):
@@ -30,42 +29,52 @@ def random_box(rng, units="px"):
     return BoundingBox(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.1, 4), rng.uniform(0.1, 4), units)
 
 
+def window_motion(prev, curr):
+    """The motion into ``curr`` as the condition window of (prev, curr)
+    carries it."""
+    return build_condition_window(stack_boxes([prev, curr])[None])[0, 0, 4:]
+
+
 class TestMotionFromBoxes:
+    """A motion is a box array's row-wise delta; the condition window's
+    motion half is its one implementation."""
+
     def test_direct_delta(self):
-        m = motion_from_boxes(box(8, 9, 4, 8), box(10, 10, 4, 8))
-        assert (m.dcx, m.dcy, m.dw, m.dh) == (2, 1, 0, 0)
+        assert window_motion(box(8, 9, 4, 8), box(10, 10, 4, 8)).tolist() == [2, 1, 0, 0]
 
     def test_identity(self):
         b = box(3, 4, 2, 2)
-        assert motion_from_boxes(b, b) == Motion(0, 0, 0, 0)
+        assert window_motion(b, b).tolist() == [0, 0, 0, 0]
 
     def test_negative_components(self):
-        m = motion_from_boxes(box(0.5, 0.5, 0.2, 0.4, "norm"), box(0.45, 0.5, 0.25, 0.4, "norm"))
-        assert np.allclose(m.as_array(), [-0.05, 0.0, 0.05, 0.0])
-
-    def test_unit_mismatch(self):
-        with pytest.raises(UnitMismatchError):
-            motion_from_boxes(box(1, 1, 1, 1, "px"), box(1, 1, 1, 1, "norm"))
+        m = window_motion(box(0.5, 0.5, 0.2, 0.4, "norm"), box(0.45, 0.5, 0.25, 0.4, "norm"))
+        assert np.allclose(m, [-0.05, 0.0, 0.05, 0.0])
 
 
 class TestApplyMotion:
+    """Boxes plus motions with floored extents, the one implementation
+    that the constant-velocity and d2mp predictors share."""
+
     def test_inverse_of_delta(self):
-        assert apply_motion(box(8, 9, 4, 8), Motion(2, 1, 0, 0)) == box(10, 10, 4, 8)
+        pred, clamped = _apply_motion(np.array([[8.0, 9, 4, 8]]), np.array([[2.0, 1, 0, 0]]), 1e-4)
+        assert pred.tolist() == [[10, 10, 4, 8]] and clamped == 0
 
     def test_zero_motion(self):
-        b = box(8, 9, 4, 8)
-        assert apply_motion(b, Motion.zero()) == b
+        b = np.array([[8.0, 9, 4, 8]])
+        assert np.array_equal(_apply_motion(b, np.zeros((1, 4)), 1e-4)[0], b)
 
     def test_degenerate_width(self):
-        with pytest.raises(DegenerateBoxError):
-            apply_motion(box(0.5, 0.5, 0.1, 0.1, "norm"), Motion(0, 0, -0.1, 0))
+        # a motion that closes the box is floored at the minimum extent and counted
+        pred, clamped = _apply_motion(np.array([[0.5, 0.5, 0.1, 0.1]]), np.array([[0.0, 0, -0.1, 0]]), 1e-4)
+        assert pred.tolist() == [[0.5, 0.5, 1e-4, 0.1]] and clamped == 1
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            prev, curr = random_box(rng), random_box(rng)
-            back = apply_motion(prev, motion_from_boxes(prev, curr))
-            assert np.abs(back.as_array() - curr.as_array()).max() < 1e-12
+        prev = stack_boxes([random_box(rng) for _ in range(200)])
+        curr = stack_boxes([random_box(rng) for _ in range(200)])
+        motion = build_condition_window(np.stack([prev, curr], axis=1))[:, 0, 4:]
+        back, _ = _apply_motion(prev, motion, 1e-4)
+        assert np.abs(back - curr).max() < 1e-12
 
 
 class TestIou:
@@ -115,6 +124,20 @@ class TestIou:
         got = iou_pairs(stack_boxes(boxes_a), stack_boxes(boxes_b))
         assert got.tolist() == [iou(a, b) for a, b in zip(boxes_a, boxes_b)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8), m=st.integers(0, 8))
+    def test_array_forms_symmetric_and_bounded(self, data, n, m):
+        """``iou_matrix`` is exactly its own transpose under swapped
+        arguments and lies in [0, 1]; ``iou_pairs`` is exactly symmetric."""
+        rows = st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(1e-3, 4), st.floats(1e-3, 4))
+        a = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.float64).reshape(n, 4)
+        b = np.array(data.draw(st.lists(rows, min_size=m, max_size=m)), dtype=np.float64).reshape(m, 4)
+        ab = iou_matrix(a, b)
+        assert np.array_equal(ab, iou_matrix(b, a).T)
+        assert ((ab >= 0.0) & (ab <= 1.0)).all()
+        k = min(n, m)
+        assert np.array_equal(iou_pairs(a[:k], b[:k]), iou_pairs(b[:k], a[:k]))
+
 
 class TestTlwhConversion:
     def test_definition(self):
@@ -145,10 +168,6 @@ class TestTypes:
             BoundingBox(0, 0, 1, 1, "furlongs")
         with pytest.raises(InvalidInputError):
             BoundingBox(np.nan, 0, 1, 1)
-
-    def test_motion_info_is_box_plus_motion(self):
-        mi = MotionInfo(box(1, 2, 3, 4), Motion(0.1, 0.2, 0.3, 0.4))
-        assert np.allclose(mi.as_array(), [1, 2, 3, 4, 0.1, 0.2, 0.3, 0.4])
 
     def test_detection_invariants(self):
         with pytest.raises(InvalidInputError):

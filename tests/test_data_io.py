@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmot.core import BoundingBox, FormatError, InvalidInputError, apply_motion, Motion
+from ddmot.core import BoundingBox, FormatError, InvalidInputError, stack_boxes
 from ddmot.data_io import (
     MotRecord,
     SequenceMeta,
@@ -209,10 +209,11 @@ class TestTrainingSetAssembly:
         ds = build_training_set(trajs, n=5)
         k = 0
         for traj in trajs:
-            for i in range(1, len(traj.boxes)):
-                back = apply_motion(traj.boxes[i - 1], Motion(*ds.targets[k]))
-                assert np.abs(back.as_array() - traj.boxes[i].as_array()).max() < 1e-12
-                k += 1
+            boxes = stack_boxes(traj.boxes)
+            back = boxes[:-1] + ds.targets[k:k + len(boxes) - 1]
+            assert np.abs(back - boxes[1:]).max() < 1e-12
+            k += len(boxes) - 1
+        assert k == len(ds)
 
     def test_condition_variant_b_zeroes_motion_half(self):
         boxes = [BoundingBox(0.2 + 0.01 * i, 0.5, 0.1, 0.1, "norm") for i in range(6)]
@@ -276,9 +277,9 @@ class TestModelFile:
         net = HMINet.init(SMALL, 1)
         again = load_hminet(save_model(net.params, SMALL))
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(5, 8)) * 0.2
-        a, _ = net.predict_values(np.zeros(4), 1.0, net.embed_condition(w))
-        b, _ = again.predict_values(np.zeros(4), 1.0, again.embed_condition(w))
+        w = rng.normal(size=(1, 5, 8)) * 0.2
+        a, _ = net.predict_values(np.zeros((1, 4)), 1.0, net.embed_condition(w))
+        b, _ = again.predict_values(np.zeros((1, 4)), 1.0, again.embed_condition(w))
         assert np.abs(a - b).max() < 1e-4  # float32 storage rounding only
 
 

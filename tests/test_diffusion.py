@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddmot.autodiff import Tensor
-from ddmot.core import InvalidInputError, Motion, NumericError
+from ddmot.core import InvalidInputError, NumericError
 from ddmot.diffusion import (
     T_MIN,
     NoisyMotion,
@@ -35,17 +35,15 @@ class OracleModel:
         return windows
 
     def predict_values(self, noisy, t, windows):
-        b = np.atleast_2d(np.asarray(noisy)).shape[0]
-        c = np.broadcast_to(-self.target, (b, 4)).copy()
+        c = np.broadcast_to(-self.target, noisy.shape).copy()
         if not self.with_z:
             return c, None
-        state = NoisyMotion(np.atleast_2d(noisy), np.broadcast_to(np.asarray(t), (b,)))
-        return c, derive_noise(state, c)
+        return c, derive_noise(NoisyMotion(noisy, t), c)
 
 
 class TestAttenuation:
     def test_negation(self):
-        assert np.array_equal(attenuation_constant(Motion(2, 1, 0, 0)), [-2, -1, 0, 0])
+        assert np.array_equal(attenuation_constant(np.array([2.0, 1, 0, 0])), [-2, -1, 0, 0])
 
     def test_zero(self):
         assert np.array_equal(attenuation_constant(np.zeros(4)), np.zeros(4))
@@ -160,22 +158,22 @@ class TestSampling:
         target = np.array([0.02, -0.01, 0.0, 0.005])
         model = OracleModel(target)
         rng = np.random.default_rng(6)
-        out = sample_one_step(np.zeros((5, 8)), model, rng)
-        assert np.array_equal(out.as_array(), target)
+        out = sample_one_step(np.zeros((1, 5, 8)), model, rng)
+        assert np.array_equal(out, target[None])
 
     def test_seeded_determinism(self):
         model = OracleModel(np.zeros(4))
-        w = np.zeros((5, 8))
-        a = sample_one_step(w, model, np.random.default_rng(11)).as_array()
-        b = sample_one_step(w, model, np.random.default_rng(11)).as_array()
+        w = np.zeros((1, 5, 8))
+        a = sample_one_step(w, model, np.random.default_rng(11))
+        b = sample_one_step(w, model, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [1, 10, 20])
     def test_oracle_k_step_deterministic_telescopes(self, k):
         target = np.array([0.5, -0.25, 0.1, 0.0])
         model = OracleModel(target)
-        out = sample_k_steps(k, np.zeros((5, 8)), model, np.random.default_rng(7), deterministic=True)
-        assert np.abs(out.as_array() - target).max() < 1e-9
+        out = sample_k_steps(k, np.zeros((1, 5, 8)), model, np.random.default_rng(7), deterministic=True)
+        assert out.shape == (1, 4) and np.abs(out - target).max() < 1e-9
 
     @pytest.mark.parametrize("k", [1, 10, 20])
     def test_k_step_loop_contract(self, k):
@@ -185,14 +183,19 @@ class TestSampling:
 
     def test_k1_equals_one_step(self):
         model = OracleModel(np.array([1.0, 2.0, 3.0, 4.0]))
-        w = np.zeros((5, 8))
-        a = sample_one_step(w, model, np.random.default_rng(9)).as_array()
-        b = sample_k_steps(1, w, model, np.random.default_rng(9)).as_array()
+        w = np.zeros((1, 5, 8))
+        a = sample_one_step(w, model, np.random.default_rng(9))
+        b = sample_k_steps(1, w, model, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidInputError):
-            sample_k_steps(0, np.zeros((5, 8)), OracleModel(np.zeros(4)), np.random.default_rng(0))
+            sample_k_steps(0, np.zeros((1, 5, 8)), OracleModel(np.zeros(4)), np.random.default_rng(0))
+
+    def test_single_window_rejected(self):
+        # a lone (n, 8) window is not a batch of one
+        with pytest.raises(InvalidInputError, match="batch"):
+            sample_one_step(np.zeros((5, 8)), OracleModel(np.zeros(4)), np.random.default_rng(0))
 
 
 class TestTrainingLoss:

@@ -83,8 +83,5 @@ def test_training_set(scene):
 @pytest.mark.parametrize("kind", list(DIAG_DIGESTS))
 def test_diagnostic_predictions(scene, model, kind):
     predictor = make_predictor(PredictorConfig(kind=kind, seed=3), model if kind == "d2mp" else None)
-    preds = [
-        np.array([[p.cx, p.cy, p.w, p.h] for p in predictor.diagnose_trajectory(list(t.boxes), t.track_id)])
-        for t in scene.trajectories
-    ]
+    preds = [predictor.diagnose_trajectory(list(t.boxes), t.track_id) for t in scene.trajectories]
     assert sha(*(p.tobytes() for p in preds)) == DIAG_DIGESTS[kind]

@@ -17,9 +17,8 @@ from ddmot.hminet import (
 SMALL = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1)
 
 
-def window(rng, b=None, n=5):
-    shape = (n, 8) if b is None else (b, n, 8)
-    return rng.normal(size=shape) * 0.3
+def window(rng, b=1, n=5):
+    return rng.normal(size=(b, n, 8)) * 0.3
 
 
 class TestConfig:
@@ -65,23 +64,25 @@ class TestEmbedCondition:
     def test_output_shape(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(0)
-        assert net.embed_condition(window(rng)).shape == (16,)
+        assert net.embed_condition(window(rng)).shape == (1, 16)
         assert net.embed_condition(window(rng, b=7)).shape == (7, 16)
 
     def test_wrong_window_length(self):
         net = HMINet.init(SMALL, 0)
         with pytest.raises(InvalidInputError):
-            net.embed_condition(np.zeros((4, 8)))
+            net.embed_condition(np.zeros((1, 4, 8)))
+        with pytest.raises(InvalidInputError):
+            net.embed_condition(np.zeros((5, 8)))  # a lone window is not a batch of one
 
     def test_zero_window_is_finite(self):
         net = HMINet.init(SMALL, 0)
-        out = net.embed_condition(np.zeros((5, 8)))
+        out = net.embed_condition(np.zeros((1, 5, 8)))
         assert np.all(np.isfinite(out.value))
 
     def test_permutation_sensitivity_follows_positional_flag(self):
         rng = np.random.default_rng(3)
         w = window(rng)
-        perm = w[::-1].copy()
+        perm = w[:, ::-1].copy()
         with_pos = HMINet.init(SMALL, 5)
         e1, e2 = with_pos.embed_condition(w).value, with_pos.embed_condition(perm).value
         assert np.abs(e1 - e2).max() > 1e-8
@@ -96,7 +97,7 @@ class TestEmbedCondition:
 def all_token_embedding(net, windows):
     """The encoder with every block updating every token; the class token
     (row 0) of the last block is the embedding."""
-    w, _ = net._window_batch(windows)
+    w = apply_condition_variant(windows, net.config.condition_variant)
     b, d = w.shape[0], net.config.token_dim
     x = ad.linear(Tensor(w), net.params["cond.embed.w"], net.params["cond.embed.b"])
     if net.config.positional_encoding:
@@ -138,8 +139,8 @@ class TestConditionVariants:
         b = apply_condition_variant(w, "B")
         m = apply_condition_variant(w, "M")
         i = apply_condition_variant(w, "I")
-        assert np.array_equal(b[:, 4:], np.zeros((5, 4))) and np.array_equal(b[:, :4], w[:, :4])
-        assert np.array_equal(m[:, :4], np.zeros((5, 4))) and np.array_equal(m[:, 4:], w[:, 4:])
+        assert np.array_equal(b[..., 4:], np.zeros((1, 5, 4))) and np.array_equal(b[..., :4], w[..., :4])
+        assert np.array_equal(m[..., :4], np.zeros((1, 5, 4))) and np.array_equal(m[..., 4:], w[..., 4:])
         assert np.array_equal(i, w)
 
     def test_embedding_ignores_masked_columns(self):
@@ -148,7 +149,7 @@ class TestConditionVariants:
         rng = np.random.default_rng(2)
         w1 = window(rng)
         w2 = w1.copy()
-        w2[:, 4:] = rng.normal(size=(5, 4))  # motion half differs
+        w2[..., 4:] = rng.normal(size=(1, 5, 4))  # motion half differs
         assert np.array_equal(net.embed_condition(w1).value, net.embed_condition(w2).value)
 
 
@@ -190,20 +191,20 @@ class TestPredictTarget:
     def test_shape_contract(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(7)
-        c_hat, z_hat = net.predict_values(rng.normal(size=4), 0.5, net.embed_condition(window(rng)))
+        c_hat, z_hat = net.predict_values(rng.normal(size=(1, 4)), 0.5, net.embed_condition(window(rng)))
         assert c_hat.shape == (1, 4) and z_hat is None
 
     def test_tb_variant_returns_noise_head(self):
         cfg = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1, variant="TB")
         net = HMINet.init(cfg, 0)
         rng = np.random.default_rng(8)
-        _, z_hat = net.predict_values(rng.normal(size=4), 0.5, net.embed_condition(window(rng)))
+        _, z_hat = net.predict_values(rng.normal(size=(1, 4)), 0.5, net.embed_condition(window(rng)))
         assert z_hat is not None and z_hat.shape == (1, 4)
 
     def test_bit_determinism(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(9)
-        m, w = rng.normal(size=4), window(rng)
+        m, w = rng.normal(size=(1, 4)), window(rng)
         a, _ = net.predict_values(m, 0.7, net.embed_condition(w))
         b, _ = net.predict_values(m, 0.7, net.embed_condition(w))
         assert np.array_equal(a, b)
@@ -211,7 +212,7 @@ class TestPredictTarget:
     def test_time_parameter_matters(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(10)
-        m, w = rng.normal(size=4), window(rng)
+        m, w = rng.normal(size=(1, 4)), window(rng)
         a, _ = net.predict_values(m, 0.1, net.embed_condition(w))
         b, _ = net.predict_values(m, 0.9, net.embed_condition(w))
         assert np.abs(a - b).max() > 1e-10
@@ -222,7 +223,7 @@ class TestPredictTarget:
         # reaching the network with t outside [t_min, 1] is a caller bug
         # guarded at the diffusion layer; the network itself only needs t
         # to be finite, so just confirm a legal boundary value works
-        c_hat, _ = net.predict_values(rng.normal(size=4), 1.0, net.embed_condition(window(rng)))
+        c_hat, _ = net.predict_values(rng.normal(size=(1, 4)), 1.0, net.embed_condition(window(rng)))
         assert np.all(np.isfinite(c_hat))
 
 

@@ -34,9 +34,6 @@ def graph_sample(k, windows, net, rng):
     """The sampler as a loop over the training forward pass: encoder,
     fusion and head rebuilt as a graph at every step."""
     w = np.asarray(windows, dtype=np.float64)
-    single = w.ndim == 2
-    if single:
-        w = w[None]
     b = w.shape[0]
     m = _normal_draws(rng, b)
     for i in range(k, 0, -1):
@@ -45,7 +42,7 @@ def graph_sample(k, windows, net, rng):
         noise = _normal_draws(rng, b) if dt * (t - dt) / t > 0.0 else None
         z = None if z_hat is None else z_hat.value
         m = reverse_step(NoisyMotion(m, np.full(b, t)), dt, c_hat.value, z=z, noise=noise).values
-    return m[0] if single else m
+    return m
 
 
 def streams(b, seed=0):
@@ -59,12 +56,9 @@ class TestParity:
     def test_sampler_equals_graph_loop(self, variant, k, b):
         net = HMINet.init(ModelConfig(variant=variant), 3)
         rng = np.random.default_rng(b)
-        # b == 1 goes through the single-window path and its (d,) embedding
-        windows = rng.normal(size=(5, 8) if b == 1 else (b, 5, 8)) * 0.3
+        windows = rng.normal(size=(b, 5, 8)) * 0.3
         got = sample_k_steps(k, windows, net, streams(b))
         want = graph_sample(k, windows, net, streams(b))
-        if b == 1:
-            got = got.as_array()
         assert np.array_equal(got, want)
 
     @settings(max_examples=25, deadline=None)
@@ -87,8 +81,9 @@ class TestParity:
 
     def test_embedding_shape_checked(self):
         net = HMINet.init(SMALL, 0)
-        with pytest.raises(InvalidInputError, match="embedding"):
-            net.predict_values(np.zeros(4), 1.0, np.zeros((5, 8)))
+        for emb in (np.zeros((5, 8)), np.zeros(16)):  # a lone (d,) embedding is not a batch of one
+            with pytest.raises(InvalidInputError, match="embedding"):
+                net.predict_values(np.zeros((1, 4)), 1.0, emb)
 
 
 class CountingNet(HMINet):
@@ -183,8 +178,8 @@ class TestFiniteCheckKept:
         finite 1.0 and the sample would come out finite, so only the
         per-op check stops it."""
         net = HMINet.init(SMALL, 4)
-        window = np.random.default_rng(7).normal(size=(5, 8)) * 0.3
-        e = net.embed_condition(window).value
+        window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
+        e = net.embed_condition(window).value[0]
         h = e @ net.params["mfl0.scale.w1"].value + net.params["mfl0.scale.b1"].value
         h = h / (1.0 + np.exp(-h))  # SiLU
         w2 = net.params["mfl0.scale.w2"]

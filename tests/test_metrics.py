@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ddmot import metrics
-from ddmot.core import BoundingBox, UnitMismatchError, iou, iou_matrix, iou_pairs
+from ddmot.core import BoundingBox, UnitMismatchError, iou, iou_matrix, iou_pairs, stack_boxes
 from ddmot.data_io import MotRecord, SyntheticSpec, Trajectory, synth_sequence
 from ddmot.association import TrackerConfig, run_sequence
 from ddmot.metrics import (
@@ -247,7 +247,7 @@ class OraclePredictor:
     """Returns the true next box (upper bound for the diagnostic)."""
 
     def diagnose_trajectory(self, boxes, track_id=-1):
-        return list(boxes[1:])
+        return stack_boxes(boxes[1:])
 
 
 class TestDiagnostic:

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from ddmot.core import (
     BoundingBox,
     InvalidInputError,
-    Motion,
-    MotionInfo,
     NumericError,
     UnitMismatchError,
-    iou,
-    motion_from_boxes,
+    iou_pairs,
     stack_boxes,
 )
 from ddmot.predictors import (
@@ -48,11 +45,8 @@ class LookupOracle:
         return windows
 
     def predict_values(self, noisy, t, windows):
-        w = np.asarray(windows)
-        if w.ndim == 2:
-            w = w[None]
         out = []
-        for row in w:
+        for row in windows:
             key = tuple(np.round(row[0, :4], 9))
             out.append(-np.asarray(self.table[key]))
         return np.stack(out), None
@@ -236,13 +230,14 @@ class TestConditionWindow:
             with pytest.raises(UnitMismatchError):
                 p.observe([1], [nbox(0.4, 0.4)])
             p.observe([1], [BoundingBox(11, 10, 5, 5, "px")])
-            assert p.predict(1).units == "px"
+            # the prediction stays on the pixel scale of the px boxes
+            assert np.allclose(p.predict_all([1])[0, 1:], [10, 5, 5])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6), batch=st.integers(1, 4))
     def test_batch_equals_per_row_reference(self, data, n, batch):
-        """Each batch row equals the window built row by row from
-        ``motion_from_boxes``/``MotionInfo``, for histories of 1 to n + 2 boxes."""
+        """Each batch row equals the window built row by row by
+        ``reference_window``, for histories of 1 to n + 2 boxes."""
         histories = [
             data.draw(st.lists(box_strategy, min_size=1, max_size=n + 2)) for _ in range(batch)
         ]
@@ -265,10 +260,11 @@ class TestConditionWindow:
 def reference_window(history, n):
     """Row i is the i-th most recent (box, motion into it); a history with
     fewer than n + 1 boxes repeats its oldest row, whose motion is zero."""
+    boxes = [b.as_array() for b in history]
     rows = []
-    for i in range(len(history) - 1, max(len(history) - 1 - n, -1), -1):
-        motion = motion_from_boxes(history[i - 1], history[i]) if i > 0 else Motion.zero()
-        rows.append(MotionInfo(history[i], motion).as_array())
+    for i in range(len(boxes) - 1, max(len(boxes) - 1 - n, -1), -1):
+        motion = boxes[i] - boxes[i - 1] if i > 0 else np.zeros(4)
+        rows.append(np.concatenate([boxes[i], motion]))
     rows += [rows[-1]] * (n - len(rows))
     return np.stack(rows)
 
@@ -294,13 +290,13 @@ class TestD2MPPredict:
         p.start(1, boxes[0])
         for i in range(1, len(boxes) - 1):
             p.observe([1], [boxes[i]])
-            pred = p.predict(1)
-            assert np.abs(pred.as_array() - boxes[i + 1].as_array()).max() < 1e-12
+            pred = p.predict_all([1])[0]
+            assert np.abs(pred - boxes[i + 1].as_array()).max() < 1e-12
 
     def test_zero_motion_model_keeps_box(self):
         p = D2MPPredictor(LookupOracle({tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}))
         p.start(1, nbox(0.4, 0.4))
-        assert p.predict(1) == nbox(0.4, 0.4)
+        assert np.array_equal(p.predict_all([1]), stack(nbox(0.4, 0.4))[0])
 
     def test_fixed_seed_deterministic(self):
         boxes = self._trajectory(6)
@@ -308,8 +304,8 @@ class TestD2MPPredict:
             tuple(np.round(b.as_array(), 9)): np.array([0.004, 0.0, 0.0, 0.0]) for b in boxes
         }
         cfg = PredictorConfig(kind="d2mp", sampling_steps=10, seed=5)
-        a = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict(1).as_array()
-        b = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict(1).as_array()
+        a = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict_all([1])
+        b = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict_all([1])
         assert np.array_equal(a, b)
 
     def test_window_length_comes_from_model(self):
@@ -327,14 +323,14 @@ class TestBoundedSessionHistory:
     @settings(max_examples=60, deadline=None)
     @given(seq=box_sequences)
     def test_cv_matches_full_history(self, seq):
-        pred = observed(ConstantVelocityPredictor(), seq).predict(1)
-        assert np.array_equal(stack_boxes([pred]), cv_predict(stack(*seq)))
+        pred = observed(ConstantVelocityPredictor(), seq).predict_all([1])
+        assert np.array_equal(pred, cv_predict(stack(*seq)))
 
     @settings(max_examples=60, deadline=None)
     @given(seq=box_sequences, n=st.integers(1, 6))
     def test_d2mp_window_matches_full_history(self, seq, n):
         model = WindowRecorder(history_length=n)
-        observed(D2MPPredictor(model), seq).predict(1)
+        observed(D2MPPredictor(model), seq).predict_all([1])
         assert np.array_equal(model.windows[-1][0], reference_window(seq, n))
 
 
@@ -348,11 +344,11 @@ class TestSessions:
         ]
         for p in predictors:
             p.start(1, nbox(0.4, 0.4))
-            box = p.predict(1)
-            assert isinstance(box, BoundingBox) and box.w > 0 and box.h > 0
+            pred = p.predict_all([1])
+            assert pred.shape == (1, 4) and (pred[:, 2:] > 0).all()
             p.drop(1)
             with pytest.raises(KeyError):
-                p.predict(1)
+                p.predict_all([1])
 
     def test_start_live_id_rejected(self):
         table = {tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}
@@ -362,7 +358,7 @@ class TestSessions:
                 p.start(1, nbox(0.4, 0.4))
             p.drop(1)
             p.start(1, nbox(0.4, 0.4))  # a dropped id may start again
-            assert p.predict(1) == nbox(0.4, 0.4)
+            assert np.array_equal(p.predict_all([1]), stack(nbox(0.4, 0.4))[0])
 
     def test_d2mp_clamps_floored_and_counted(self):
         shrink, keep = nbox(0.4, 0.4), nbox(0.7, 0.7)
@@ -389,7 +385,7 @@ class TestSessions:
         boxes = [nbox(0.2 + 0.004 * f, 0.3 + 0.002 * f) for f in range(40)]
         for p in (KalmanPredictor(), ConstantVelocityPredictor()):
             preds = p.diagnose_trajectory(boxes)
-            ious = [iou(a, b) for a, b in zip(preds, boxes[1:])][5:]
+            ious = iou_pairs(preds, stack_boxes(boxes[1:]))[5:]
             assert min(ious) >= 0.99, type(p).__name__
 
     def test_d2mp_batch_matches_composition(self):
