@@ -461,6 +461,9 @@ def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
 
 
 def load_hminet(data: bytes) -> HMINet:
+    """The network in a model container. Its parameters are float64 for
+    training (the float32 payload widens exactly); inference runs on
+    float32 copies of them, so it computes at the file's precision."""
     from . import autodiff as ad
 
     params, config = load_model(data)

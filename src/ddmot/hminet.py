@@ -15,6 +15,13 @@ head, run on a precomputed embedding. Training calls ``predict_graph``
 frame's windows once and calls ``predict_values`` (fusion+head with no
 graph) once per sampling step; both paths share one network definition.
 
+Training runs in float64. Inference runs in float32, the precision of the
+model file: under ``autodiff.no_grad`` the network reads float32 copies of
+its parameters, made once per parameter array, and every op stays in
+float32. A copy is remade when a parameter's array is rebound (as Adam
+does); the array a copy was made from is set read-only, so an in-place
+edit cannot leave the copy stale.
+
 Only the class token of the last encoder block is ever read, so that block
 computes queries, attention output, residual, second norm and feed-forward
 for the class token alone; its keys and values still come from every
@@ -194,6 +201,7 @@ class HMINet:
                 )
         self.config = config
         self.params = params
+        self._inference: dict[str, tuple[np.ndarray, Tensor]] = {}
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "HMINet":
@@ -202,7 +210,16 @@ class HMINet:
     # -- building blocks -------------------------------------------------
 
     def _p(self, name: str) -> Tensor:
-        return self.params[name]
+        """The named parameter; under no-grad, its float32 copy."""
+        p = self.params[name]
+        if ad.is_grad_enabled():
+            return p
+        source, copy = self._inference.get(name, (None, None))
+        if source is not p.value:
+            source, copy = p.value, Tensor(p.value, name=name)  # finite-checked in float32
+            source.flags.writeable = False
+            self._inference[name] = source, copy
+        return copy
 
     def _mlp2(self, x: Tensor, prefix: str) -> Tensor:
         h = ad.silu(ad.linear(x, self._p(f"{prefix}.w1"), self._p(f"{prefix}.b1")))
@@ -266,15 +283,17 @@ class HMINet:
         x = self._block(x, f"cond.l{last}", queries=slice(0, 1))
         return ad.reshape(x, (b, d))
 
-    def _fusion_head(self, noisy_motion, t, emb: Tensor | np.ndarray) -> tuple[Tensor, Tensor | None]:
+    def _fusion_head(self, noisy_motion, t, e: Tensor) -> tuple[Tensor, Tensor | None]:
         """Fusion blocks and head on a precomputed (B, d) condition
-        embedding; returns (c_hat, z_hat) of shape (B, 4)."""
+        embedding and a (B, 4) noisy motion; returns (c_hat, z_hat) of shape
+        (B, 4)."""
         d = self.config.token_dim
-        e = emb if isinstance(emb, Tensor) else Tensor(emb)
         if e.value.ndim != 2 or e.shape[1] != d:
             raise InvalidInputError(f"condition embedding must have shape (B, {d}), got {e.shape}")
         b = e.shape[0]
-        m = np.asarray(noisy_motion, dtype=np.float64).reshape(b, 4)
+        m = np.asarray(noisy_motion)
+        if m.shape != (b, 4):
+            raise InvalidInputError(f"noisy motion must have shape ({b}, 4), got {m.shape}")
         t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (b,))
 
         feat = self._mlp2(Tensor(m), "motion")
@@ -302,10 +321,10 @@ class HMINet:
 
     def predict_values(self, noisy_motion, t, emb) -> tuple[np.ndarray, np.ndarray | None]:
         """One sampling step: fusion and head on an embedding from
-        ``embed_condition``, run without a graph; returns plain (B, 4)
-        arrays."""
+        ``embed_condition``, run without a graph in float32; returns plain
+        (B, 4) float32 arrays."""
         with ad.no_grad():
-            c, z = self._fusion_head(noisy_motion, t, emb)
+            c, z = self._fusion_head(noisy_motion, t, Tensor(getattr(emb, "value", emb)))
         return c.value, None if z is None else z.value
 
     @property

@@ -1,12 +1,13 @@
 """Next-box predictors behind one session-style contract.
 
 A session holds its tracks as rows of stacked arrays, in ascending track
-id, and has one unit mode, taken from its first box. ``start`` a track
-from its first box, ``predict_all`` a (T, 4) array of next-frame boxes
-once per frame, ``observe`` all of a frame's matched boxes in one call,
-``drop`` a removed track. This session is the only owner of per-track
-motion state; the tracker keeps only each track's frames since its last
-match.
+id, and has one unit mode, taken from its first box; in the normalized
+mode a frame is one unit wide, so ``min_box_extent`` must be below 1.
+``start`` a track from its first box, ``predict_all`` a (T, 4) array of
+next-frame boxes once per frame, ``observe`` all of a frame's matched
+boxes in one call, ``drop`` a removed track. This session is the only
+owner of per-track motion state; the tracker keeps only each track's
+frames since its last match.
 
 Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
@@ -168,6 +169,13 @@ class MotionPredictor:
         self._ids = np.empty(0, dtype=np.int64)
         self._units: str | None = None
 
+    def _set_units(self, units: str) -> None:
+        if units == "norm" and self.config.min_box_extent >= 1.0:
+            raise InvalidInputError(
+                f"min_box_extent {self.config.min_box_extent} must be below 1 for normalized boxes"
+            )
+        self._units = units
+
     def _rows(self, track_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Each id's row (its insertion point if the id is not live) and
         whether it is live."""
@@ -188,7 +196,8 @@ class MotionPredictor:
         return stack_boxes(boxes)
 
     def start(self, track_id: int, box: BoundingBox) -> None:
-        self._units = self._units or box.units
+        if self._units is None:
+            self._set_units(box.units)
         first = self._as_array([box])[0]
         (row,), (live,) = self._rows([track_id])
         if live:
@@ -286,7 +295,7 @@ class D2MPPredictor(_BoxHistoryPredictor):
     def __init__(self, model, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="d2mp"), model.history_length + 1)
         self.model = model
-        self._units = "norm"
+        self._set_units("norm")
         self._rngs = np.empty(0, dtype=object)
 
     def _track_rng(self, track_id: int) -> np.random.Generator:

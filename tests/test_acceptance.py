@@ -15,7 +15,7 @@ import pytest
 from ddmot import autodiff as ad
 from ddmot.association import CostMatrix, TrackerConfig, hungarian, run_sequence
 from ddmot.cli import main
-from ddmot.core import BoundingBox, Detection
+from ddmot.core import BoundingBox, Detection, stack_boxes
 from ddmot.data_io import (
     SyntheticSpec,
     Trajectory,
@@ -43,7 +43,11 @@ from ddmot.predictors import (
     D2MPPredictor,
     KalmanPredictor,
     PredictorConfig,
+    build_condition_window,
+    trajectory_windows,
 )
+
+from test_inference import INFERENCE_TOLERANCE, graph_sample
 
 # training budget for the desk-scale comparison (criterion 7);
 # hard ceiling: 20k steps at batch 256
@@ -350,3 +354,25 @@ def test_criterion_11_serialization(desk_model):
         worst = max(worst, float(np.abs(a - b).max()))
     report(11, "model file round trip", byte_stable and worst < 1e-4,
            f"save-load-save identical={byte_stable}, max prediction drift {worst:.2e}")
+
+
+def test_float32_inference_on_desk_model(desk_model):
+    """Inference runs in float32; on the trained desk model its samples
+    stay within INFERENCE_TOLERANCE of the float64 forward pass on every
+    held-out window of criterion 7, for one step and for K=10."""
+    model, *_ = desk_model
+    windows = np.concatenate([
+        build_condition_window(trajectory_windows(stack_boxes(list(t.boxes)), model.history_length))
+        for t in _corpus(10_000, 1)
+    ])
+    worst = {}
+    for k in (1, 10):
+        worst[k] = 0.0
+        for rows in np.array_split(windows, 4):
+            got = sample_k_steps(k, rows, model, np.random.default_rng(k))
+            want = graph_sample(k, rows, model, np.random.default_rng(k))
+            worst[k] = max(worst[k], float(np.abs(got - want).max()))
+    print(f"\nfloat32 inference on {len(windows)} held-out windows: max |float32 - float64| "
+          f"{worst[1]:.2e} (K=1), {worst[10]:.2e} (K=10)")
+    assert len(windows) == 3960
+    assert max(worst.values()) <= INFERENCE_TOLERANCE, worst

@@ -336,3 +336,59 @@ class TestNoGrad:
         x = t([1e200])
         with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="node 'mul'"):
             ad.sigmoid(ad.mul(x, x))
+
+
+class TestFloat32Inference:
+    """Under ``no_grad`` new tensors are float32 and every op keeps its
+    input dtype; graph mode and parameters stay float64."""
+
+    def test_tensor_dtype_follows_mode(self):
+        assert Tensor([1.0]).value.dtype == np.float64
+        with ad.no_grad():
+            assert Tensor([1.0]).value.dtype == np.float32
+            assert ad.parameter([1.0], "p").value.dtype == np.float64
+
+    def test_every_op_keeps_float32(self):
+        rng = np.random.default_rng(3)
+        with ad.no_grad():
+            x, w, b = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 4))), Tensor(np.zeros(4))
+            h = ad.linear(x, w, b)
+            outs = [
+                h, h + x, h * x, ad.scale(h, 0.5), ad.matmul(h, ad.swapaxes(x, -1, -2)),
+                ad.sigmoid(h), ad.silu(h), ad.softmax(h), ad.concat([h, x], axis=1),
+                ad.slice_(h, (slice(None), 0)), ad.reshape(h, (6, 4)), ad.broadcast_to(b, (3, 4)),
+                ad.mean(h, axis=1), ad.layer_norm(h), ad.smooth_l1(h),
+            ]
+        assert all(o.value.dtype == np.float32 for o in outs), [o.name for o in outs if o.value.dtype != np.float32]
+
+    def test_float32_sigmoid_and_silu_close_to_expit(self):
+        """The float32 form is within 6.5e-8 of float64 ``expit`` of the
+        same input and stays finite without a warning on both tails."""
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-40.0, 40.0, 200001), [-3e38, -1e4, 1e4, 3e38]]).astype(np.float32)
+        want = expit(x.astype(np.float64))
+        with ad.no_grad():
+            s, silu = ad.sigmoid(Tensor(x)).value, ad.silu(Tensor(x)).value
+        assert np.abs(s - want).max() <= 6.5e-8
+        assert np.all(np.abs(silu - x * want) <= 6.5e-8 * np.abs(x) + 2**-24 * np.abs(x * want))
+
+    def test_float64_sigmoid_is_expit(self):
+        from scipy.special import expit
+
+        x = np.random.default_rng(5).normal(size=1000) * 10
+        xt = t(x)
+        with ad.no_grad():
+            assert np.array_equal(ad.sigmoid(xt).value, expit(x))
+            assert np.array_equal(ad.silu(xt).value, x * expit(x))
+
+    def test_value_beyond_float32_range_is_non_finite(self):
+        with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="non-finite"):
+            Tensor([1e39])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_float32_overflow_names_op(self):
+        with ad.no_grad():
+            x = Tensor([3e38])
+            with pytest.raises(ad.NonFiniteError, match="node 'mul'"):
+                ad.sigmoid(ad.mul(x, x))

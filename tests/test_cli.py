@@ -363,6 +363,14 @@ class TestConfigTypes:
         cfg = write_json(tmp_path / "cfg.json", {section: {field: value}})
         self._assert_invalid(self._argv(command, scene, tmp_path) + ["--config", cfg], tmp_path, capsys)
 
+    @pytest.mark.parametrize("predictor", ["d2mp", "kf", "cv"])
+    def test_min_box_extent_beyond_normalized_frame_rejected(self, scene, tmp_path, capsys, predictor):
+        # track reads normalized boxes, whose frame is one unit wide
+        argv = self._argv("track", scene, tmp_path)
+        argv[argv.index("--predictor") + 1] = predictor
+        cfg = write_json(tmp_path / "cfg.json", {"predictor": {"min_box_extent": 2.5}})
+        self._assert_invalid(argv + ["--config", cfg], tmp_path, capsys)
+
     def test_train_flag_overrides_still_checked(self, scene, tmp_path, capsys):
         # the command line replaces the file's steps; the file's value must still be valid
         cfg = write_json(tmp_path / "cfg.json", {"train": {"steps": 2.5}})

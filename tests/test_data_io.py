@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddmot import autodiff as ad
 from ddmot.core import BoundingBox, FormatError, InvalidInputError, stack_boxes
 from ddmot.data_io import (
     MotRecord,
@@ -281,6 +285,58 @@ class TestModelFile:
         a, _ = net.predict_values(np.zeros((1, 4)), 1.0, net.embed_condition(w))
         b, _ = again.predict_values(np.zeros((1, 4)), 1.0, again.embed_condition(w))
         assert np.abs(a - b).max() < 1e-4  # float32 storage rounding only
+
+
+@st.composite
+def small_models(draw):
+    """(config, seed) over small architectures of every variant."""
+    n_heads = draw(st.sampled_from([1, 2]))
+    config = ModelConfig(
+        token_dim=n_heads * draw(st.sampled_from([2, 4])),
+        n_heads=n_heads,
+        n_condition_layers=draw(st.integers(1, 2)),
+        n_fusion_blocks=draw(st.integers(1, 2)),
+        history_length=draw(st.integers(1, 5)),
+        variant=draw(st.sampled_from(["OB", "TB"])),
+        condition_variant=draw(st.sampled_from(["B", "M", "I"])),
+        positional_encoding=draw(st.booleans()),
+    )
+    return config, draw(st.integers(0, 2**32 - 1))
+
+
+def payload_tensors(blob: bytes) -> dict[str, bytes]:
+    """Each tensor's raw little-endian float32 bytes, read straight from
+    the container."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    payload = blob[12 + header_len:]
+    out = {}
+    for entry in json.loads(blob[12:12 + header_len])["tensors"]:
+        nbytes = 4 * int(np.prod(entry["shape"]))
+        out[entry["name"]] = payload[entry["offset"]:entry["offset"] + nbytes]
+    return out
+
+
+class TestModelFileProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(small_models())
+    def test_save_load_hminet_save_byte_identical(self, model):
+        config, seed = model
+        blob = save_model(init_params(config, seed), config)
+        net = load_hminet(blob)
+        assert net.config == config
+        assert save_model(net.params, net.config) == blob
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_models())
+    def test_inference_weights_are_the_file_payload(self, model):
+        config, seed = model
+        blob = save_model(init_params(config, seed), config)
+        net = load_hminet(blob)
+        with ad.no_grad():
+            weights = {name: net._p(name).value for name in net.params}
+        for name, raw in payload_tensors(blob).items():
+            assert weights[name].dtype == np.float32
+            assert weights[name].astype("<f4").tobytes() == raw, name
 
 
 class TestMeta:

@@ -1,5 +1,6 @@
-"""Output pins: every predictor's tracking output, the training set and the
-linearity diagnostic on one seeded scene hash to recorded digests.
+"""Output pins: every predictor's tracking output, the training set, the
+linearity diagnostic and a short training run on one seeded scene hash to
+recorded digests.
 
 A change that alters any of these outputs on purpose updates the digest
 here and names it in CHANGES.md.
@@ -12,6 +13,7 @@ import pytest
 from ddmot.association import TrackerConfig, run_sequence
 from ddmot.core import Detection, denormalize_box
 from ddmot.data_io import MotRecord, SyntheticSpec, build_training_set, synth_sequence, write_mot
+from ddmot.diffusion import TrainConfig, train
 from ddmot.hminet import HMINet, ModelConfig
 from ddmot.predictors import PredictorConfig, make_predictor
 
@@ -35,8 +37,13 @@ TRAINING_SET_DIGEST = "eee3b69bcb1976039d9dcfee9110892b54bb071d4e0420a571a212406
 DIAG_DIGESTS = {
     "kf": "542ca8467f6f14a0fd38a764df83f9acfe15d07598e3f93a5d255e0aba62c80f",
     "cv": "0b22e52c0c7db43edbfac432cbd2ff4c2543c0b7f866a57298864baf9e883c97",
-    "d2mp": "1ce5464160dc225b16c70aaa5813e927288fb8408023556b99a498cb7fc570cc",
+    "d2mp": "d47ade62a27f667206080945fda5f3622a4a996c6fe1af7a0da06593bbe92dd9",
 }
+
+# loss history and final parameters of a few training steps on a small net;
+# training runs in float64, so these bits are fixed
+TRAIN_CONFIG = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1)
+TRAIN_DIGEST = "685bde1b7aa790c4cef8613b4ca0bee57bde69dc0d25838fa1aea836effdb594"
 
 
 def sha(*parts: bytes) -> str:
@@ -85,3 +92,11 @@ def test_diagnostic_predictions(scene, model, kind):
     predictor = make_predictor(PredictorConfig(kind=kind, seed=3), model if kind == "d2mp" else None)
     preds = [predictor.diagnose_trajectory(list(t.boxes), t.track_id) for t in scene.trajectories]
     assert sha(*(p.tobytes() for p in preds)) == DIAG_DIGESTS[kind]
+
+
+def test_training_steps(scene):
+    net = HMINet.init(TRAIN_CONFIG, 1)
+    ds = build_training_set(scene.trajectories, TRAIN_CONFIG.history_length)
+    losses = train(ds, net, TrainConfig(steps=4, batch_size=32, learning_rate=1e-3, seed=2))
+    params = [net.params[name].value.tobytes() for name in sorted(net.params)]
+    assert sha(np.array(losses).tobytes(), *params) == TRAIN_DIGEST

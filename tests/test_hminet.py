@@ -4,7 +4,7 @@ import pytest
 from ddmot import autodiff as ad
 from ddmot.autodiff import Tensor
 from ddmot.core import InvalidInputError
-from ddmot.diffusion import attenuation_constant, forward_diffuse, training_loss
+from ddmot.diffusion import TrainConfig, TrainingSet, attenuation_constant, forward_diffuse, train, training_loss
 from ddmot.hminet import (
     HMINet,
     ModelConfig,
@@ -225,6 +225,95 @@ class TestPredictTarget:
         # to be finite, so just confirm a legal boundary value works
         c_hat, _ = net.predict_values(rng.normal(size=(1, 4)), 1.0, net.embed_condition(window(rng)))
         assert np.all(np.isfinite(c_hat))
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 2)])
+    def test_noisy_motion_must_be_one_row_per_embedding(self, shape):
+        """A batch of 2 takes only a (2, 4) motion array: an (8,) or
+        (4, 2) array of the same size is not two rows."""
+        net = HMINet.init(SMALL, 0)
+        w = window(np.random.default_rng(12), b=2)
+        with pytest.raises(InvalidInputError, match="noisy motion"):
+            net.predict_values(np.zeros(shape), 1.0, net.embed_condition(w))
+        with pytest.raises(InvalidInputError, match="noisy motion"):
+            net.predict_graph(np.zeros(shape), 1.0, w)
+
+
+def fresh_copy(net: HMINet) -> HMINet:
+    return HMINet(net.config, {k: ad.parameter(p.value.copy(), k) for k, p in net.params.items()})
+
+
+def predictions(net: HMINet, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    w, m = window(rng, b=3), rng.normal(size=(3, 4))
+    return net.predict_values(m, 0.6, net.embed_condition(w))[0]
+
+
+class TestFloat32Inference:
+    """Inference reads float32 copies of the parameters, made once per
+    parameter array and never stale."""
+
+    def test_runs_in_float32_and_trains_in_float64(self):
+        net = HMINet.init(SMALL, 0)
+        assert predictions(net).dtype == np.float32
+        with ad.no_grad():
+            assert net._p("head.w2").value.dtype == np.float32
+        assert net._p("head.w2") is net.params["head.w2"]
+        assert net.params["head.w2"].value.dtype == np.float64
+
+    def test_one_copy_per_parameter_array(self):
+        net = HMINet.init(SMALL, 0)
+        with ad.no_grad():
+            first = net._p("cond.embed.w")
+            predictions(net)
+            assert net._p("cond.embed.w") is first
+
+    def test_copies_follow_training(self):
+        rng = np.random.default_rng(1)
+        net = HMINet.init(SMALL, 2)
+        predictions(net)
+        ds = TrainingSet(window(rng, b=16), rng.normal(size=(16, 4)) * 0.1)
+        train(ds, net, TrainConfig(steps=2, batch_size=8, learning_rate=1e-2))
+        assert np.array_equal(predictions(net), predictions(fresh_copy(net)))
+
+    def test_copies_follow_finite_difference_edits(self):
+        """The audit perturbs one component at a time; a no-grad forward
+        inside it sees each perturbation, and the parameter comes back."""
+        net = HMINet.init(SMALL, 3)
+        predictions(net)
+        p = net.params["head.b2"]
+        before = p.value
+        seen = []
+
+        def f():
+            seen.append(np.array_equal(predictions(net), predictions(fresh_copy(net))))
+            return ad.mean(ad.mul(p, p))
+
+        assert ad.finite_difference_check(f, {"head.b2": p}).ok
+        assert all(seen) and len(seen) == 1 + 2 * p.value.size
+        assert p.value is before
+
+    def test_in_place_edit_before_inference_is_seen(self):
+        net = HMINet.init(SMALL, 4)
+        net.params["head.b2"].value[:] = 0.25
+        assert np.array_equal(predictions(net), predictions(fresh_copy(net)))
+
+    def test_in_place_edit_after_inference_is_refused(self):
+        """The array a copy was made from is read-only: an edit must rebind
+        the value, which makes a new copy."""
+        net = HMINet.init(SMALL, 4)
+        predictions(net)
+        p = net.params["head.b2"]
+        with pytest.raises(ValueError, match="read-only"):
+            p.value[:] = 0.25
+        p.value = np.full_like(p.value, 0.25)
+        assert np.array_equal(predictions(net), predictions(fresh_copy(net)))
+
+    def test_parameter_beyond_float32_range_raises(self):
+        net = HMINet.init(SMALL, 5)
+        net.params["time.w1"].value[0, 0] = 1e39  # finite in float64 only
+        net.predict_graph(np.zeros((1, 4)), 0.5, window(np.random.default_rng(2)))
+        with pytest.raises(ad.NonFiniteError, match="time.w1"):
+            predictions(net)
 
 
 class TestGradients:

@@ -379,6 +379,21 @@ class TestSessions:
         with pytest.raises(UnitMismatchError):
             p.start(1, BoundingBox(10, 10, 5, 5, "px"))
 
+    @pytest.mark.parametrize("extent", [1.0, 2.5])
+    def test_min_box_extent_below_normalized_frame(self, extent):
+        """A normalized frame is one unit wide: d2mp, always normalized,
+        refuses a larger floor when built; kf and cv at their first
+        normalized box. A pixel floor of that size is fine."""
+        with pytest.raises(InvalidInputError, match="min_box_extent"):
+            D2MPPredictor(LookupOracle({}), PredictorConfig(kind="d2mp", min_box_extent=extent))
+        for kind in ("kf", "cv"):
+            p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
+            with pytest.raises(InvalidInputError, match="min_box_extent"):
+                p.start(1, nbox(0.4, 0.4))
+            p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
+            p.start(1, BoundingBox(100, 100, 20, 20, "px"))
+            assert p.predict_all([1]).shape == (1, 4)
+
     def test_kf_cv_track_constant_velocity_to_high_iou(self):
         """Noiseless constant-velocity track: both linear predictors reach
         IoU >= 0.99 after a burn-in of 5 frames."""
