@@ -1,30 +1,28 @@
 """Two-stage matching cascade and track lifecycle management.
 
-High-confidence detections are matched to predicted boxes first (blended
-IoU/appearance cost); the leftover predictions get a second chance against
-low-confidence detections on IoU alone. Matched tracks pass their
-detections to the predictor, unmatched tracks age out, and confident
-leftover detections spawn new tracks.
+High-confidence detections are matched to predicted boxes first on
+1 - IoU; the leftover predictions get a second chance against
+low-confidence detections. Matched tracks pass their detections to the
+predictor, tracks unmatched for more than ``max_age`` frames are removed,
+and confident leftover detections spawn new tracks.
 
-Per frame, ``Tracker.step`` makes one ``predict_all`` call, returning a
-(T, 4) array, and one ``observe`` call with every matched detection.
-
-The tracker keeps only each live track's frames since its last match
-(``Tracker.tracks``). The predictor session under the same track id is the
-only owner of per-track motion state.
+The predictor session is the only track table (``ids``, ``misses`` and
+the motion state, one row per track). Per frame, ``Tracker.step`` makes
+one ``predict_all`` call, returning a (T, 4) array whose rows the
+Hungarian matches, one ``observe`` call with the matched rows, one
+``drop`` with the rows whose ``misses`` exceed ``max_age`` and one
+``start`` with the births, which take the largest ids (each only when
+there are any).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import BoundingBox, Detection, InvalidInputError, check_field_types, iou_matrix, stack_boxes
-
-# (live track ids in row order, high-confidence detections) -> (T, N) costs
-AppearanceCost = Callable[[Sequence[int], Sequence[Detection]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class TrackerConfig:
     iou_gate_first: float = 0.3
     iou_gate_second: float = 0.4
     max_age: int = 30  # 0 deletes unmatched tracks immediately
-    iou_weight: float = 1.0  # cost = w*(1-IoU) + (1-w)*appearance
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -45,8 +42,6 @@ class TrackerConfig:
             raise InvalidInputError("new_track_conf must be >= tau_high")
         if self.max_age < 0:
             raise InvalidInputError("max_age must be >= 0")
-        if not (0.0 <= self.iou_weight <= 1.0):
-            raise InvalidInputError("iou_weight must lie in [0, 1]")
         for g in (self.iou_gate_first, self.iou_gate_second):
             if not (0.0 <= g <= 1.0):
                 raise InvalidInputError("IoU gates must lie in [0, 1]")
@@ -65,27 +60,14 @@ class Assignment:
     unmatched_cols: tuple[int, ...]
 
 
-def build_cost_matrix(
-    predicted: np.ndarray,
-    detections: np.ndarray,
-    gate: float,
-    appearance: np.ndarray | None = None,
-    iou_weight: float = 1.0,
-) -> CostMatrix:
-    """1 - IoU costs between (T, 4) predicted and (N, 4) detected boxes,
-    optionally blended with an appearance cost matrix; pairs below the IoU
-    gate are marked infeasible."""
+def build_cost_matrix(predicted: np.ndarray, detections: np.ndarray, gate: float) -> CostMatrix:
+    """1 - IoU costs between (T, 4) predicted and (N, 4) detected boxes;
+    pairs below the IoU gate are marked infeasible."""
     if len(predicted) == 0 or len(detections) == 0:
         shape = (len(predicted), len(detections))
         return CostMatrix(np.zeros(shape), np.zeros(shape, dtype=bool))
     overlap = iou_matrix(predicted, detections)
-    costs = 1.0 - overlap
-    if appearance is not None and iou_weight < 1.0:
-        appearance = np.asarray(appearance, dtype=np.float64)
-        if appearance.shape != costs.shape:
-            raise InvalidInputError(f"appearance cost shape {appearance.shape} != {costs.shape}")
-        costs = iou_weight * costs + (1.0 - iou_weight) * appearance
-    return CostMatrix(costs, overlap >= gate)
+    return CostMatrix(1.0 - overlap, overlap >= gate)
 
 
 _INFEASIBLE = 1e9
@@ -125,13 +107,12 @@ class FrameResult:
 
 
 class Tracker:
-    """Sequential two-stage tracker over one sequence."""
+    """Sequential two-stage tracker over one sequence; its tracks live in
+    the predictor session."""
 
-    def __init__(self, config: TrackerConfig, predictor, appearance_cost: AppearanceCost | None = None):
+    def __init__(self, config: TrackerConfig, predictor):
         self.config = config
         self.predictor = predictor
-        self.appearance_cost = appearance_cost
-        self.tracks: dict[int, int] = {}  # live track id -> frames since its last match
         self._next_id = 1
         self._last_frame = 0
 
@@ -148,76 +129,50 @@ class Tracker:
                 raise InvalidInputError(f"detection carries frame {d.frame}, expected {frame}")
         self._last_frame = frame
 
+        cfg, session = self.config, self.predictor
         d_first, d_second = self._split_detections(detections)
-        track_ids = sorted(self.tracks)
-        predicted = self.predictor.predict_all(track_ids)
+        predicted = session.predict_all()
 
-        # stage 1: predictions x high-confidence detections, blended cost
-        appearance = None
-        if self.appearance_cost is not None and self.config.iou_weight < 1.0 and track_ids and d_first:
-            appearance = np.asarray(self.appearance_cost(track_ids, d_first), dtype=np.float64)
-        stage1 = hungarian(
-            build_cost_matrix(
-                predicted,
-                stack_boxes(d.box for d in d_first),
-                self.config.iou_gate_first,
-                appearance,
-                self.config.iou_weight,
-            )
-        )
-        matched: list[tuple[int, Detection]] = [(track_ids[r], d_first[c]) for r, c in stage1.matches]
+        # stage 1: predictions x high-confidence detections
+        stage1 = hungarian(build_cost_matrix(predicted, stack_boxes(d.box for d in d_first), cfg.iou_gate_first))
+        matched = [(r, d_first[c].box) for r, c in stage1.matches]
 
-        # stage 2: leftover predictions x low-confidence detections, IoU only
+        # stage 2: leftover predictions x low-confidence detections
         rest_rows = list(stage1.unmatched_rows)
         stage2 = hungarian(
-            build_cost_matrix(
-                predicted[rest_rows],
-                stack_boxes(d.box for d in d_second),
-                self.config.iou_gate_second,
-            )
+            build_cost_matrix(predicted[rest_rows], stack_boxes(d.box for d in d_second), cfg.iou_gate_second)
         )
-        matched += [(track_ids[rest_rows[r]], d_second[c]) for r, c in stage2.matches]
+        matched += [(rest_rows[r], d_second[c].box) for r, c in stage2.matches]
 
+        # rows ascend with ids, so sorting by row sorts the matches by id
         matched.sort(key=lambda m: m[0])
-        result = FrameResult(frame, [(tid, det.box) for tid, det in matched], [], [])
-        self.predictor.observe([tid for tid, _ in result.matched], [box for _, box in result.matched])
-        matched_ids = {tid for tid, _ in matched}
+        rows, boxes = [r for r, _ in matched], [box for _, box in matched]
+        session.observe(rows, boxes)
+        matched_ids = session.ids[rows].tolist()
 
-        # reset matched tracks; age and possibly remove unmatched ones
-        for tid in track_ids:
-            if tid in matched_ids:
-                self.tracks[tid] = 0
-                continue
-            self.tracks[tid] += 1
-            if self.tracks[tid] > self.config.max_age:
-                del self.tracks[tid]
-                self.predictor.drop(tid)
-                result.removed_tracks.append(tid)
+        dead = np.flatnonzero(session.misses > cfg.max_age)
+        removed = session.ids[dead].tolist()
+        if removed:
+            session.drop(dead)
 
-        # spawn tracks from confident leftover first-stage detections
-        for c in stage1.unmatched_cols:
-            det = d_first[c]
-            if det.confidence > self.config.new_track_conf:
-                tid = self._next_id
-                self._next_id += 1
-                self.tracks[tid] = 0
-                self.predictor.start(tid, det.box)
-                result.matched.append((tid, det.box))
-                result.new_tracks.append(tid)
-        result.matched.sort(key=lambda m: m[0])
-        return result
+        # births take the largest ids, so they keep the table and the matches sorted
+        born = [d_first[c].box for c in stage1.unmatched_cols if d_first[c].confidence > cfg.new_track_conf]
+        new_ids = list(range(self._next_id, self._next_id + len(born)))
+        self._next_id += len(born)
+        if born:
+            session.start(new_ids, born)
+        return FrameResult(frame, list(zip(matched_ids + new_ids, boxes + born)), new_ids, removed)
 
 
 def run_sequence(
     frames: Iterable[tuple[int, Sequence[Detection]]],
     predictor,
     config: TrackerConfig,
-    appearance_cost: AppearanceCost | None = None,
 ) -> list[tuple[int, int, BoundingBox]]:
     """Track a whole sequence; returns (frame, track id, box) records for
     every track matched in that frame. Frames must arrive in increasing
     order (missing frame numbers are fine)."""
-    tracker = Tracker(config, predictor, appearance_cost)
+    tracker = Tracker(config, predictor)
     records: list[tuple[int, int, BoundingBox]] = []
     for frame, dets in frames:
         result = tracker.step(frame, dets)

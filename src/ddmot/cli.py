@@ -203,6 +203,9 @@ def cmd_track(args) -> int:
     if parsed.skipped:
         print(f"warning: skipped {parsed.skipped} detection rows with non-positive extent", file=sys.stderr)
     frames = detections_by_frame(parsed.records)
+    late = [f for f in frames if f > meta.frame_count]
+    if late:
+        raise FormatError(f"{args.detections}: detection frame {min(late)} is past frame_count {meta.frame_count}")
 
     predictor = make_predictor(pred_cfg, model)
     stream = ((f, frames.get(f, [])) for f in range(1, meta.frame_count + 1))

@@ -1,13 +1,14 @@
 """Next-box predictors behind one session-style contract.
 
-A session holds its tracks as rows of stacked arrays, in ascending track
-id, and has one unit mode, taken from its first box; in the normalized
-mode a frame is one unit wide, so ``min_box_extent`` must be below 1.
-``start`` a track from its first box, ``predict_all`` a (T, 4) array of
-next-frame boxes once per frame, ``observe`` all of a frame's matched
-boxes in one call, ``drop`` a removed track. This session is the only
-owner of per-track motion state; the tracker keeps only each track's
-frames since its last match.
+A session is the tracker's only track table: row i of ``ids`` (strictly
+ascending) and ``misses`` (``predict_all`` calls since the row was last
+observed) and of every motion-state array belongs to one track. It has
+one unit mode, taken from its first box; in the normalized mode a frame
+is one unit wide, so ``min_box_extent`` must be below 1. Per frame,
+``predict_all`` returns a fresh (T, 4) array of next-frame boxes for every
+row, ``observe`` takes the matched rows and their boxes in one call,
+``drop`` removes the frame's dead rows and ``start`` appends its new
+tracks, whose ids must exceed every live id.
 
 Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
@@ -156,17 +157,19 @@ def trajectory_windows(boxes: np.ndarray, n: int) -> np.ndarray:
 
 
 class MotionPredictor:
-    """Per-track prediction sessions over stacked arrays. Row i of every
-    array named in ``_per_track`` belongs to track ``_ids[i]``; subclasses
-    give a new track's rows (``_first_rows``), take a frame's matched boxes
-    (``_update_rows``) and predict raw (T, 4) boxes (``_predict_rows``)."""
+    """The track table. Row i of ``ids``, ``misses`` and every array named
+    in ``_per_track`` belongs to one track; ``ids`` strictly ascend.
+    Subclasses give new tracks' rows (``_first_rows``), take a frame's
+    matched boxes (``_update_rows``) and predict raw (T, 4) boxes for every
+    row (``_predict``)."""
 
     _per_track: tuple[str, ...] = ()
 
     def __init__(self, config: PredictorConfig):
         self.config = config
         self.clamp_count = 0
-        self._ids = np.empty(0, dtype=np.int64)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.misses = np.empty(0, dtype=np.int64)  # predict_all calls since each row was observed
         self._units: str | None = None
 
     def _set_units(self, units: str) -> None:
@@ -176,17 +179,10 @@ class MotionPredictor:
             )
         self._units = units
 
-    def _rows(self, track_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Each id's row (its insertion point if the id is not live) and
-        whether it is live."""
-        ids = np.asarray(track_ids, dtype=np.int64).reshape(-1)
-        rows = np.searchsorted(self._ids, ids)
-        return rows, self._ids.take(rows, mode="clip") == ids if self._ids.size else np.zeros(ids.size, bool)
-
-    def _live_rows(self, track_ids: Sequence[int]) -> np.ndarray:
-        rows, live = self._rows(track_ids)
-        if not live.all():
-            raise KeyError(f"a track of {list(track_ids)} was never started")
+    def _check_rows(self, rows: Sequence[int]) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.ids.size):
+            raise InvalidInputError(f"rows must lie in [0, {self.ids.size}), got {rows.tolist()}")
         return rows
 
     def _as_array(self, boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -195,48 +191,57 @@ class MotionPredictor:
             raise UnitMismatchError(f"this session holds {self._units} boxes, got {sorted({b.units for b in boxes})}")
         return stack_boxes(boxes)
 
-    def start(self, track_id: int, box: BoundingBox) -> None:
-        if self._units is None:
-            self._set_units(box.units)
-        first = self._as_array([box])[0]
-        (row,), (live,) = self._rows([track_id])
-        if live:
-            raise InvalidInputError(f"track {track_id} already started")
-        self._ids = np.insert(self._ids, row, track_id)
-        for name, value in zip(self._per_track, self._first_rows(track_id, first)):
-            setattr(self, name, np.insert(getattr(self, name), row, value, axis=0))
+    def start(self, ids: Sequence[int], boxes: Sequence[BoundingBox]) -> None:
+        """Append one track per (id, first box); the ids must ascend above
+        every live id."""
+        if len(ids) != len(boxes):
+            raise InvalidInputError(f"{len(ids)} track ids but {len(boxes)} boxes")
+        if self._units is None and len(boxes):
+            self._set_units(boxes[0].units)
+        first = self._as_array(boxes)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if (np.diff(np.concatenate([self.ids[-1:], ids])) <= 0).any():
+            raise InvalidInputError(f"new track ids {ids.tolist()} must ascend above the last live id {self.ids[-1:]}")
+        self.ids = np.concatenate([self.ids, ids])
+        self.misses = np.concatenate([self.misses, np.zeros_like(ids)])
+        for name, value in zip(self._per_track, self._first_rows(ids, first)):
+            setattr(self, name, np.concatenate([getattr(self, name), value]))
 
-    def observe(self, track_ids: Sequence[int], boxes: Sequence[BoundingBox]) -> None:
-        """The matched detection of each of a frame's matched tracks."""
-        if len(track_ids) != len(boxes):
-            raise InvalidInputError(f"{len(track_ids)} track ids but {len(boxes)} boxes")
-        self._update_rows(self._live_rows(track_ids), self._as_array(boxes))
+    def observe(self, rows: Sequence[int], boxes: Sequence[BoundingBox]) -> None:
+        """The matched detection of each of a frame's matched rows."""
+        rows = self._check_rows(rows)
+        if rows.size != len(boxes):
+            raise InvalidInputError(f"{rows.size} rows but {len(boxes)} boxes")
+        self._update_rows(rows, self._as_array(boxes))
+        self.misses[rows] = 0
 
-    def drop(self, track_id: int) -> None:
-        (row,), (live,) = self._rows([track_id])
-        if live:
-            for name in ("_ids", *self._per_track):
-                setattr(self, name, np.delete(getattr(self, name), row, axis=0))
+    def drop(self, rows: Sequence[int]) -> None:
+        rows = self._check_rows(rows)
+        for name in ("ids", "misses", *self._per_track):
+            setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
 
-    def predict_all(self, track_ids: Sequence[int]) -> np.ndarray:
-        """(T, 4) next-frame boxes in the order of ``track_ids``."""
-        rows = self._live_rows(track_ids)
-        if not rows.size:
+    def predict_all(self) -> np.ndarray:
+        """A fresh (T, 4) array of next-frame boxes, one per row."""
+        self.misses += 1
+        if not self.ids.size:
             return np.empty((0, 4))
-        pred = self._predict_rows(rows)
+        pred = self._predict()
         if not np.isfinite(pred).all():
             raise NumericError("a predicted box is not finite")
         return pred
 
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> np.ndarray:
         """(L - 1, 4) one-frame-ahead predictions for frames 2..L given the
-        true prefix; used by the linearity diagnostic."""
-        self.start(track_id, boxes[0])
+        true prefix; used by the linearity diagnostic. The session must
+        hold no tracks."""
+        if self.ids.size:
+            raise InvalidInputError(f"diagnose_trajectory needs an empty session, not one of {self.ids.size} tracks")
+        self.start([track_id], boxes[:1])
         preds = np.empty((len(boxes) - 1, 4))
         for i, box in enumerate(boxes[1:]):
-            preds[i] = self.predict_all([track_id])[0]
-            self.observe([track_id], [box])
-        self.drop(track_id)
+            preds[i] = self.predict_all()[0]
+            self.observe([0], [box])
+        self.drop([0])
         return preds
 
 
@@ -248,16 +253,15 @@ class KalmanPredictor(MotionPredictor):
         self._mean = np.empty((0, 8))
         self._cov = np.empty((0, 8, 8))
 
-    def _first_rows(self, track_id: int, box: np.ndarray):
-        return kf_initiate(box[None], self.config)
+    def _first_rows(self, ids: np.ndarray, boxes: np.ndarray):
+        return kf_initiate(boxes, self.config)
 
     def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
         self._mean[rows], self._cov[rows] = kf_update(self._mean[rows], self._cov[rows], boxes, self.config)
 
-    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        mean, cov = kf_predict(self._mean[rows], self._cov[rows], self.config)
-        self._mean[rows], self._cov[rows] = mean, cov
-        return mean[:, :4]
+    def _predict(self) -> np.ndarray:
+        self._mean, self._cov = kf_predict(self._mean, self._cov, self.config)
+        return self._mean[:, :4].copy()
 
 
 class _BoxHistoryPredictor(MotionPredictor):
@@ -270,8 +274,8 @@ class _BoxHistoryPredictor(MotionPredictor):
         super().__init__(config)
         self._boxes = np.empty((0, keep, 4))
 
-    def _first_rows(self, track_id: int, box: np.ndarray):
-        return (box,)
+    def _first_rows(self, ids: np.ndarray, boxes: np.ndarray):
+        return (np.repeat(boxes[:, None], self._boxes.shape[1], axis=1),)
 
     def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
         self._boxes[rows, :-1] = self._boxes[rows, 1:]
@@ -282,8 +286,8 @@ class ConstantVelocityPredictor(_BoxHistoryPredictor):
     def __init__(self, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="cv"), keep=2)
 
-    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        return cv_predict(self._boxes[rows], self.config.min_box_extent)
+    def _predict(self) -> np.ndarray:
+        return cv_predict(self._boxes, self.config.min_box_extent)
 
 
 class D2MPPredictor(_BoxHistoryPredictor):
@@ -302,8 +306,9 @@ class D2MPPredictor(_BoxHistoryPredictor):
         # SeedSequence entropy must be non-negative; map ids through 2^32
         return np.random.default_rng((self.config.seed, track_id % (2**32)))
 
-    def _first_rows(self, track_id: int, box: np.ndarray):
-        return box, self._track_rng(track_id)
+    def _first_rows(self, ids: np.ndarray, boxes: np.ndarray):
+        rngs = np.array([self._track_rng(int(i)) for i in ids], dtype=object)
+        return (*super()._first_rows(ids, boxes), rngs)
 
     def _sample(self, windows: np.ndarray, rng) -> np.ndarray:
         """Sampled next boxes after the last box of each (B, n + 1, 4) window."""
@@ -313,8 +318,8 @@ class D2MPPredictor(_BoxHistoryPredictor):
         self.clamp_count += clamped
         return pred
 
-    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self._sample(self._boxes[rows], list(self._rngs[rows]))
+    def _predict(self) -> np.ndarray:
+        return self._sample(self._boxes, list(self._rngs))
 
     def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> np.ndarray:
         # one batched network call per trajectory instead of one per frame

@@ -320,14 +320,14 @@ def test_criterion_10_latency_64_tracks(desk_model):
     ids = list(range(1, 65))
     for tid in ids:
         box = BoundingBox(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)), 0.1, 0.1, "norm")
-        predictor.start(tid, box)
+        predictor.start([tid], [box])
         for _ in range(5):
-            predictor.observe([tid], [BoundingBox(box.cx + rng.uniform(-0.004, 0.004),
-                                                  box.cy, 0.1, 0.1, "norm")])
+            predictor.observe([tid - 1], [BoundingBox(box.cx + rng.uniform(-0.004, 0.004),
+                                                      box.cy, 0.1, 0.1, "norm")])
     timings = []
     for _ in range(5):
         t0 = time.perf_counter()
-        out = predictor.predict_all(ids)
+        out = predictor.predict_all()
         timings.append(time.perf_counter() - t0)
         assert len(out) == 64
     best = min(timings)

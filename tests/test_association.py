@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddmot.association import (
     CostMatrix,
@@ -12,7 +15,7 @@ from ddmot.association import (
     run_sequence,
 )
 from ddmot.core import BoundingBox, Detection, InvalidInputError, stack_boxes
-from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor
+from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor, PredictorConfig, make_predictor
 
 
 def nbox(cx, cy, w=0.1, h=0.1):
@@ -55,17 +58,6 @@ class TestBuildCostMatrix:
         cm = build_cost_matrix(stack_boxes([a]), stack_boxes([b]), gate=0.0)
         assert cm.costs[0, 0] == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_appearance_blend(self):
-        a, b = nbox(0.5, 0.5), nbox(0.5, 0.5)
-        appearance = np.array([[0.8]])
-        cm = build_cost_matrix(stack_boxes([a]), stack_boxes([b]), gate=0.0, appearance=appearance, iou_weight=0.5)
-        assert cm.costs[0, 0] == pytest.approx(0.5 * 0.0 + 0.5 * 0.8)
-
-    def test_iou_weight_one_ignores_appearance(self):
-        cm = build_cost_matrix(stack_boxes([nbox(0.5, 0.5)]), stack_boxes([nbox(0.5, 0.5)]), gate=0.0,
-                               appearance=np.array([[0.8]]), iou_weight=1.0)
-        assert cm.costs[0, 0] == 0.0
-
     def test_empty(self):
         cm = build_cost_matrix(stack_boxes([]), stack_boxes([nbox(0.5, 0.5)]), gate=0.3)
         assert cm.costs.shape == (0, 1)
@@ -103,6 +95,21 @@ class TestHungarian:
             want_cost, want_k = brute_force_min_cost(costs, feasible)
             assert len(got.matches) == want_k
             assert got_cost == pytest.approx(want_cost, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 5), m=st.integers(0, 5))
+    def test_matches_brute_force_on_gated_matrices(self, data, n, m):
+        """Only feasible pairs match, and the assignment has the brute-force
+        optimum's number of matches and total cost. Gated pairs enter the
+        solver at 1e9, whose float64 spacing is 1.2e-7, so costs closer
+        than a few spacings may resolve either way."""
+        costs = data.draw(arrays(np.float64, (n, m), elements=st.floats(0.0, 1.0)))
+        feasible = data.draw(arrays(bool, (n, m)))
+        got = hungarian(CostMatrix(costs, feasible))
+        assert all(feasible[r, c] for r, c in got.matches)
+        want_cost, want_k = brute_force_min_cost(costs, feasible)
+        assert len(got.matches) == want_k
+        assert sum(costs[r, c] for r, c in got.matches) == pytest.approx(want_cost, abs=1e-6)
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)
@@ -180,14 +187,15 @@ class TestTwoStage:
         tracker.step(1, [det(1, 0.5, 0.5, conf=0.9)])
         r = tracker.step(2, [det(2, 0.5, 0.5, conf=0.3)])
         assert r.matched == []
-        assert tracker.tracks[1] == 1  # frames since its last match
+        assert tracker.predictor.ids.tolist() == [1]
+        assert tracker.predictor.misses.tolist() == [1]  # frames since its last match
 
     def test_max_age_zero_is_immediate_deletion(self):
         tracker = make_tracker(max_age=0)
         tracker.step(1, [det(1, 0.5, 0.5, conf=0.9)])
         r = tracker.step(2, [])
         assert r.removed_tracks == [1]
-        assert tracker.tracks == {}
+        assert tracker.predictor.ids.size == 0
 
     def test_max_age_keeps_lost_track_alive(self):
         tracker = make_tracker(max_age=3)
@@ -204,7 +212,7 @@ class TestTwoStage:
         tracker.step(2, [])
         r = tracker.step(3, [det(3, 0.5, 0.5, conf=0.9)])
         assert [tid for tid, _ in r.matched] == [1]
-        assert tracker.tracks[1] == 0
+        assert tracker.predictor.misses.tolist() == [0]
 
     def test_duplicate_frame_rejected(self):
         tracker = make_tracker()
@@ -230,17 +238,62 @@ class TestTwoStage:
                 assert tid not in seen
                 seen.add(tid)
 
-    def test_appearance_hook_blends(self):
-        calls = []
 
-        def appearance(tracks, dets):
-            calls.append((len(tracks), len(dets)))
-            return np.zeros((len(tracks), len(dets)))
+class StillOracle:
+    """A d2mp network whose one-step sample is zero motion."""
 
-        tracker = Tracker(TrackerConfig(iou_weight=0.5), ConstantVelocityPredictor(), appearance)
-        tracker.step(1, [det(1, 0.5, 0.5, conf=0.9)])
-        tracker.step(2, [det(2, 0.5, 0.5, conf=0.9)])
-        assert calls == [(1, 1)]
+    history_length = 3
+
+    def embed_condition(self, windows):
+        return windows
+
+    def predict_values(self, noisy, t, windows):
+        return np.zeros((len(windows), 4)), None
+
+
+# (frames since the previous step, [(cx, cy, confidence)]) per step; few
+# centres and confidences, so tracks match, miss, die and spawn
+detection_streams = st.lists(
+    st.tuples(
+        st.integers(1, 3),
+        st.lists(st.tuples(st.sampled_from([0.2, 0.24, 0.5, 0.8]), st.sampled_from([0.3, 0.6]),
+                           st.sampled_from([0.3, 0.5, 0.65, 0.9])), max_size=5),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+class TestTrackTable:
+    """The predictor session is the only track table; its ids and miss
+    counts follow the tracker's lifecycle events."""
+
+    @pytest.mark.parametrize("kind", ["kf", "cv", "d2mp"])
+    @settings(max_examples=40, deadline=None)
+    @given(stream=detection_streams, max_age=st.integers(0, 3))
+    def test_lifecycle_matches_oracle(self, kind, stream, max_age):
+        session = make_predictor(PredictorConfig(kind=kind), StillOracle())
+        tracker = Tracker(TrackerConfig(max_age=max_age), session)
+        live: dict[int, int] = {}  # started, not removed: id -> consecutive unmatched steps
+        seen: set[int] = set()
+        frame = 0
+        for gap, dets in stream:
+            frame += gap
+            r = tracker.step(frame, [det(frame, cx, cy, conf) for cx, cy, conf in dets])
+            ids = [tid for tid, _ in r.matched]
+            assert ids == sorted(set(ids))
+            kept = set(ids) - set(r.new_tracks)
+            assert kept <= set(live)
+            for tid in live:
+                live[tid] = 0 if tid in kept else live[tid] + 1
+            assert r.removed_tracks == sorted(tid for tid, misses in live.items() if misses > max_age)
+            for tid in r.removed_tracks:
+                assert live.pop(tid) == max_age + 1
+            assert not seen & set(r.new_tracks) and set(r.new_tracks) <= set(ids)
+            seen |= set(r.new_tracks)
+            live.update((tid, 0) for tid in r.new_tracks)
+            assert (np.diff(session.ids) > 0).all()
+            assert session.ids.tolist() == sorted(live)
+            assert session.misses.tolist() == [live[tid] for tid in sorted(live)]
 
 
 class TestRunSequence:

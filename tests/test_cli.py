@@ -278,6 +278,14 @@ class TestMalformedInputs:
         err = self._track(scene, tmp_path, capsys, det_text="\n".join(lines) + "\n")
         assert "line 3" in err
 
+    def test_detections_past_frame_count(self, scene, tmp_path, capsys):
+        # the scene has 60 frames of detections; none may be silently dropped
+        meta = json.loads((scene / "meta.json").read_text())
+        meta["frame_count"] = 50
+        err = self._track(scene, tmp_path, capsys, meta_text=json.dumps(meta))
+        assert "frame 51" in err
+        assert not (tmp_path / "res.txt").exists()
+
     def test_overflowing_meta_field(self, scene, tmp_path, capsys):
         # JSON reads 1e400 as inf, which no int holds
         err = self._track(scene, tmp_path, capsys, meta_text='{"frame_count": 1e400, "width": 640, "height": 480}')
@@ -339,6 +347,7 @@ class TestConfigTypes:
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1 and err[0].startswith("error: invalid-config:"), err
         assert not (tmp_path / "out").exists()
+        return err[0]
 
     @pytest.mark.parametrize("command, section, field, value", [
         ("track", "predictor", "sampling_steps", 2.5),
@@ -370,6 +379,12 @@ class TestConfigTypes:
         argv[argv.index("--predictor") + 1] = predictor
         cfg = write_json(tmp_path / "cfg.json", {"predictor": {"min_box_extent": 2.5}})
         self._assert_invalid(argv + ["--config", cfg], tmp_path, capsys)
+
+    def test_iou_weight_rejected(self, scene, tmp_path, capsys):
+        # association has no appearance term, so there is nothing to weigh IoU against
+        cfg = write_json(tmp_path / "cfg.json", {"tracker": {"iou_weight": 1.0}})
+        err = self._assert_invalid(self._argv("track", scene, tmp_path) + ["--config", cfg], tmp_path, capsys)
+        assert "iou_weight" in err
 
     def test_train_flag_overrides_still_checked(self, scene, tmp_path, capsys):
         # the command line replaces the file's steps; the file's value must still be valid

@@ -1,6 +1,6 @@
-"""Output pins: every predictor's tracking output, the training set, the
-linearity diagnostic and a short training run on one seeded scene hash to
-recorded digests.
+"""Output pins: every predictor's tracking output and track births and
+deaths, the training set, the linearity diagnostic and a short training
+run on one seeded scene hash to recorded digests.
 
 A change that alters any of these outputs on purpose updates the digest
 here and names it in CHANGES.md.
@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ddmot.association import TrackerConfig, run_sequence
+from ddmot.association import Tracker, TrackerConfig, run_sequence
 from ddmot.core import Detection, denormalize_box
 from ddmot.data_io import MotRecord, SyntheticSpec, build_training_set, synth_sequence, write_mot
 from ddmot.diffusion import TrainConfig, train
@@ -32,6 +32,15 @@ TRACK_DIGESTS = {
     ("d2mp", 10, "norm"): "f680fdc836a1edd36c02006e9e8ec367fa62c0b03ff756e20e018b197f4c3f6d",
     ("kf", 1, "px"): "b5282b7738c6ab087801abcb99099d69b09bbc54f3e3e2fb93ecd1f9f91d85dc",
     ("cv", 1, "px"): "73d78bf6ad5087a49788afd8986efac4d5d656b6d54fba4e54b5c04d760a2500",
+}
+# (kind, max_age) -> sha256 of each frame's new and removed track ids
+LIFECYCLE_DIGESTS = {
+    ("kf", 30): "e9d5bf9bc489dbae03c79365fb615fb49596ff35b68e76de1757be4e7aded10b",
+    ("kf", 2): "668a42ac9108cd2273f29e88b4d5ef49ef7c20d0f35d73c4a408adbfd0c6bfc4",
+    ("cv", 30): "0993058699e60bd24807a6cf0ef87bb5a45707dbdf892145dbe49ea105c7d3d9",
+    ("cv", 2): "c2e225655149a2c1e345f0f368df57a0f9e557b2b6f4c512a1c97f37568f0d85",
+    ("d2mp", 30): "00e7322a4f80b77af1a5f853bdc8d3d3aa2b0efbf5135a1213692e396e2e732c",
+    ("d2mp", 2): "2078bc5a391a197070b6a29dfcf5b86e21d3129da077479497895f645c6b037d",
 }
 TRAINING_SET_DIGEST = "eee3b69bcb1976039d9dcfee9110892b54bb071d4e0420a571a21240618036d5"
 DIAG_DIGESTS = {
@@ -80,6 +89,18 @@ def test_tracking_output(scene, model, key):
     text = write_mot([MotRecord(f, tid, box, 1.0) for f, tid, box in rows], scene.meta)
     raw = np.array([(f, tid, b.cx, b.cy, b.w, b.h) for f, tid, b in rows])
     assert sha(text.encode(), raw.tobytes()) == TRACK_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(LIFECYCLE_DIGESTS), ids=lambda k: f"{k[0]}-age{k[1]}")
+def test_lifecycle_events(scene, model, key):
+    kind, max_age = key
+    predictor = make_predictor(PredictorConfig(kind=kind, seed=3), model if kind == "d2mp" else None)
+    tracker = Tracker(TrackerConfig(max_age=max_age), predictor)
+    events = []
+    for f, dets in _frames(scene, "norm"):
+        result = tracker.step(f, dets)
+        events.append(f"{f} {result.new_tracks} {result.removed_tracks}")
+    assert sha("\n".join(events).encode()) == LIFECYCLE_DIGESTS[key]
 
 
 def test_training_set(scene):

@@ -130,11 +130,10 @@ class TestEncodeOnce:
     def test_recorder_sees_one_window_batch_per_frame(self):
         model = WindowRecorder(history_length=3)
         p = D2MPPredictor(model, PredictorConfig(kind="d2mp"))
-        for tid in (1, 2):
-            p.start(tid, BoundingBox(0.2 * tid, 0.5, 0.1, 0.1, "norm"))
+        p.start([1, 2], [BoundingBox(0.2 * tid, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)])
         for frame in range(4):
-            p.predict_all([1, 2])
-            p.observe([1, 2], [BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)])
+            p.predict_all()
+            p.observe([0, 1], [BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)])
         assert len(model.windows) == 4
         assert all(w.shape == (2, 3, 8) for w in model.windows)
 

@@ -68,10 +68,11 @@ class WindowRecorder:
 
 
 def observed(predictor, boxes, track_id=1):
-    """Start a session on boxes[0] and observe the rest."""
-    predictor.start(track_id, boxes[0])
+    """Start a track on boxes[0] and observe the rest on its row."""
+    predictor.start([track_id], boxes[:1])
+    row = predictor.ids.size - 1
     for b in boxes[1:]:
-        predictor.observe([track_id], [b])
+        predictor.observe([row], [b])
     return predictor
 
 
@@ -87,7 +88,7 @@ def session_windows(histories, n):
     p = D2MPPredictor(model)
     for tid, history in enumerate(histories, start=1):
         observed(p, history, tid)
-    p.predict_all(list(range(1, len(histories) + 1)))
+    p.predict_all()
     return model.windows[-1]
 
 
@@ -180,7 +181,7 @@ class TestConstantVelocity:
         # each box is finite, but the repeated motion overflows
         p = observed(ConstantVelocityPredictor(), [BoundingBox(-1.5e308, 0, 4, 8), BoundingBox(1.5e308, 0, 4, 8)])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            p.predict_all([1])
+            p.predict_all()
 
 
 box_strategy = st.tuples(
@@ -215,23 +216,24 @@ class TestConditionWindow:
         assert np.allclose(w[:, :4], [0.4, 0.4, 0.1, 0.1])
 
     def test_empty_history_rejected(self):
-        # a track with no history is one the session never started
+        # a track with no history is a row the session never started
         p = observed(D2MPPredictor(WindowRecorder(history_length=5)), [nbox(0.4, 0.4)])
-        with pytest.raises(KeyError):
-            p.predict_all([1, 2])
+        for row in (1, -1):
+            with pytest.raises(InvalidInputError):
+                p.observe([row], [nbox(0.4, 0.4)])
 
     def test_mixed_units_rejected(self):
         """A session takes its unit mode from its first box and rejects a box
         in the other mode, whether it starts a track or is observed."""
         for p in (KalmanPredictor(), ConstantVelocityPredictor()):
-            p.start(1, BoundingBox(10, 10, 5, 5, "px"))
+            p.start([1], [BoundingBox(10, 10, 5, 5, "px")])
             with pytest.raises(UnitMismatchError):
-                p.start(2, nbox(0.4, 0.4))
+                p.start([2], [nbox(0.4, 0.4)])
             with pytest.raises(UnitMismatchError):
-                p.observe([1], [nbox(0.4, 0.4)])
-            p.observe([1], [BoundingBox(11, 10, 5, 5, "px")])
+                p.observe([0], [nbox(0.4, 0.4)])
+            p.observe([0], [BoundingBox(11, 10, 5, 5, "px")])
             # the prediction stays on the pixel scale of the px boxes
-            assert np.allclose(p.predict_all([1])[0, 1:], [10, 5, 5])
+            assert np.allclose(p.predict_all()[0, 1:], [10, 5, 5])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6), batch=st.integers(1, 4))
@@ -287,16 +289,16 @@ class TestD2MPPredict:
             for i in range(len(boxes) - 1)
         }
         p = D2MPPredictor(LookupOracle(table), PredictorConfig(kind="d2mp"))
-        p.start(1, boxes[0])
+        p.start([1], boxes[:1])
         for i in range(1, len(boxes) - 1):
-            p.observe([1], [boxes[i]])
-            pred = p.predict_all([1])[0]
+            p.observe([0], [boxes[i]])
+            pred = p.predict_all()[0]
             assert np.abs(pred - boxes[i + 1].as_array()).max() < 1e-12
 
     def test_zero_motion_model_keeps_box(self):
         p = D2MPPredictor(LookupOracle({tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}))
-        p.start(1, nbox(0.4, 0.4))
-        assert np.array_equal(p.predict_all([1]), stack(nbox(0.4, 0.4))[0])
+        p.start([1], [nbox(0.4, 0.4)])
+        assert np.array_equal(p.predict_all(), stack(nbox(0.4, 0.4))[0])
 
     def test_fixed_seed_deterministic(self):
         boxes = self._trajectory(6)
@@ -304,15 +306,15 @@ class TestD2MPPredict:
             tuple(np.round(b.as_array(), 9)): np.array([0.004, 0.0, 0.0, 0.0]) for b in boxes
         }
         cfg = PredictorConfig(kind="d2mp", sampling_steps=10, seed=5)
-        a = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict_all([1])
-        b = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict_all([1])
+        a = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict_all()
+        b = observed(D2MPPredictor(LookupOracle(table), cfg), boxes).predict_all()
         assert np.array_equal(a, b)
 
     def test_window_length_comes_from_model(self):
         boxes = [nbox(0.3 + 0.01 * i, 0.3) for i in range(6)]
         model = WindowRecorder(history_length=3)
         p = observed(observed(D2MPPredictor(model), boxes, 1), boxes, 2)
-        p.predict_all([1, 2])
+        p.predict_all()
         assert model.windows[-1].shape == (2, 3, 8)
 
 
@@ -323,14 +325,14 @@ class TestBoundedSessionHistory:
     @settings(max_examples=60, deadline=None)
     @given(seq=box_sequences)
     def test_cv_matches_full_history(self, seq):
-        pred = observed(ConstantVelocityPredictor(), seq).predict_all([1])
+        pred = observed(ConstantVelocityPredictor(), seq).predict_all()
         assert np.array_equal(pred, cv_predict(stack(*seq)))
 
     @settings(max_examples=60, deadline=None)
     @given(seq=box_sequences, n=st.integers(1, 6))
     def test_d2mp_window_matches_full_history(self, seq, n):
         model = WindowRecorder(history_length=n)
-        observed(D2MPPredictor(model), seq).predict_all([1])
+        observed(D2MPPredictor(model), seq).predict_all()
         assert np.array_equal(model.windows[-1][0], reference_window(seq, n))
 
 
@@ -343,22 +345,71 @@ class TestSessions:
             D2MPPredictor(LookupOracle(table)),
         ]
         for p in predictors:
-            p.start(1, nbox(0.4, 0.4))
-            pred = p.predict_all([1])
+            p.start([1], [nbox(0.4, 0.4)])
+            pred = p.predict_all()
             assert pred.shape == (1, 4) and (pred[:, 2:] > 0).all()
-            p.drop(1)
-            with pytest.raises(KeyError):
-                p.predict_all([1])
+            p.drop([0])
+            assert p.ids.size == 0 and p.predict_all().shape == (0, 4)
+            with pytest.raises(InvalidInputError):
+                p.drop([0])
 
     def test_start_live_id_rejected(self):
         table = {tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}
         for p in (KalmanPredictor(), ConstantVelocityPredictor(), D2MPPredictor(LookupOracle(table))):
-            p.start(1, nbox(0.4, 0.4))
+            p.start([1], [nbox(0.4, 0.4)])
             with pytest.raises(InvalidInputError):
-                p.start(1, nbox(0.4, 0.4))
-            p.drop(1)
-            p.start(1, nbox(0.4, 0.4))  # a dropped id may start again
-            assert np.array_equal(p.predict_all([1]), stack(nbox(0.4, 0.4))[0])
+                p.start([1], [nbox(0.4, 0.4)])
+            p.drop([0])
+            p.start([1], [nbox(0.4, 0.4)])  # the session may take a dropped id again; the tracker never does
+            assert np.array_equal(p.predict_all(), stack(nbox(0.4, 0.4))[0])
+
+    @pytest.mark.parametrize("ids", [[3, 2], [2, 2], [1]])
+    def test_new_ids_must_ascend_above_live_ids(self, ids):
+        p = KalmanPredictor()
+        p.start([1], [nbox(0.4, 0.4)])
+        with pytest.raises(InvalidInputError):
+            p.start(ids, [nbox(0.4, 0.4)] * len(ids))
+        assert p.ids.tolist() == [1]
+
+    @pytest.mark.parametrize("rows", [[-1], [2], [0, 2]])
+    def test_rows_outside_the_table_rejected(self, rows):
+        """A negative row would silently index from the end."""
+        for p in (KalmanPredictor(), ConstantVelocityPredictor()):
+            p.start([1, 2], [nbox(0.3, 0.3), nbox(0.6, 0.6)])
+            with pytest.raises(InvalidInputError):
+                p.observe(rows, [nbox(0.3, 0.3)] * len(rows))
+            with pytest.raises(InvalidInputError):
+                p.drop(rows)
+            assert p.ids.tolist() == [1, 2]
+
+    def test_misses_count_predicts_since_observed(self):
+        p = ConstantVelocityPredictor()
+        p.start([1, 2], [nbox(0.3, 0.3), nbox(0.6, 0.6)])
+        assert p.misses.tolist() == [0, 0]
+        p.predict_all()
+        p.predict_all()
+        p.observe([1], [nbox(0.6, 0.6)])
+        p.start([5], [nbox(0.8, 0.8)])
+        assert p.misses.tolist() == [2, 0, 0]
+        p.drop([0])
+        p.predict_all()
+        assert p.ids.tolist() == [2, 5] and p.misses.tolist() == [1, 1]
+
+    def test_predictions_are_fresh_arrays(self):
+        """Writing into a returned prediction leaves the session's state as
+        it was."""
+        for p in (KalmanPredictor(), ConstantVelocityPredictor()):
+            p.start([1], [nbox(0.4, 0.4)])
+            p.predict_all()[:] = 0.0
+            assert np.array_equal(p.predict_all(), stack(nbox(0.4, 0.4))[0])
+
+    def test_diagnose_needs_empty_session(self):
+        boxes = [nbox(0.4 + 0.01 * i, 0.4) for i in range(4)]
+        p = KalmanPredictor()
+        assert p.diagnose_trajectory(boxes).shape == (3, 4) and p.ids.size == 0
+        p.start([1], boxes[:1])
+        with pytest.raises(InvalidInputError):
+            p.diagnose_trajectory(boxes)
 
     def test_d2mp_clamps_floored_and_counted(self):
         shrink, keep = nbox(0.4, 0.4), nbox(0.7, 0.7)
@@ -367,9 +418,8 @@ class TestSessions:
             tuple(np.round(keep.as_array(), 9)): np.zeros(4),
         }
         p = D2MPPredictor(LookupOracle(table))
-        for tid, b in ((1, shrink), (2, shrink), (3, keep)):
-            p.start(tid, b)
-        pred = p.predict_all([1, 2, 3])
+        p.start([1, 2, 3], [shrink, shrink, keep])
+        pred = p.predict_all()
         assert np.array_equal(pred[:2, 2], [p.config.min_box_extent] * 2)
         assert np.array_equal(pred[2], keep.as_array())
         assert p.clamp_count == 2
@@ -377,7 +427,7 @@ class TestSessions:
     def test_d2mp_requires_normalized_boxes(self):
         p = D2MPPredictor(LookupOracle({}))
         with pytest.raises(UnitMismatchError):
-            p.start(1, BoundingBox(10, 10, 5, 5, "px"))
+            p.start([1], [BoundingBox(10, 10, 5, 5, "px")])
 
     @pytest.mark.parametrize("extent", [1.0, 2.5])
     def test_min_box_extent_below_normalized_frame(self, extent):
@@ -389,10 +439,10 @@ class TestSessions:
         for kind in ("kf", "cv"):
             p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
             with pytest.raises(InvalidInputError, match="min_box_extent"):
-                p.start(1, nbox(0.4, 0.4))
+                p.start([1], [nbox(0.4, 0.4)])
             p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
-            p.start(1, BoundingBox(100, 100, 20, 20, "px"))
-            assert p.predict_all([1]).shape == (1, 4)
+            p.start([1], [BoundingBox(100, 100, 20, 20, "px")])
+            assert p.predict_all().shape == (1, 4)
 
     def test_kf_cv_track_constant_velocity_to_high_iou(self):
         """Noiseless constant-velocity track: both linear predictors reach
@@ -410,9 +460,8 @@ class TestSessions:
         for b in starts:
             table[tuple(np.round(b.as_array(), 9))] = np.array([0.01, 0.0, 0.0, 0.0])
         p = D2MPPredictor(LookupOracle(table), PredictorConfig(kind="d2mp", seed=3))
-        for tid, b in enumerate(starts, start=1):
-            p.start(tid, b)
-        batch = p.predict_all([1, 2, 3])
+        p.start([1, 2, 3], starts)
+        batch = p.predict_all()
         for tid, b in zip([1, 2, 3], starts):
             assert np.allclose(batch[tid - 1], b.as_array() + [0.01, 0, 0, 0])
 
