@@ -70,19 +70,21 @@ def build_cost_matrix(predicted: np.ndarray, detections: np.ndarray, gate: float
     return CostMatrix(1.0 - overlap, overlap >= gate)
 
 
-_INFEASIBLE = 1e9
-
-
 def hungarian(cost: CostMatrix) -> Assignment:
     """Minimum-cost assignment over feasible pairs; gated pairs never match.
 
+    The most feasible pairs match, at least total cost among those.
     Deterministic for a given input. An empty matrix yields everything
     unmatched.
     """
     n, m = cost.costs.shape
     if n == 0 or m == 0 or not cost.feasible.any():
         return Assignment((), tuple(range(n)), tuple(range(m)))
-    padded = np.where(cost.feasible, cost.costs, _INFEASIBLE)
+    # a gated pair costs more than any feasible assignment can differ by, so
+    # each extra feasible match lowers the total, yet the pad stays small
+    # enough to keep the float64 resolution of the feasible costs
+    pad = 2.0 * min(n, m) * np.abs(cost.costs[cost.feasible]).max() + 1.0
+    padded = np.where(cost.feasible, cost.costs, pad)
     rows, cols = linear_sum_assignment(padded)
     matches = [(int(r), int(c)) for r, c in zip(rows, cols) if cost.feasible[r, c]]
     matched_rows = {r for r, _ in matches}

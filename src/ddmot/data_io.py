@@ -4,12 +4,12 @@ Covers the MOT-Challenge CSV convention
 (``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z``, id -1 for
 detections), a JSON metadata sidecar, a deterministic synthetic-scene
 generator with five motion programs, training-set assembly, and the
-binary model container ("D2MP" magic, JSON header with a tensor index,
-little-endian float32 payload).
+binary model container ("D2MP" magic, version, JSON header holding the
+architecture config, then every parameter as little-endian float32 in
+``hminet.parameter_shapes`` order: the config alone fixes the layout).
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -31,7 +31,7 @@ from .core import (
     tlwh_to_center,
 )
 from .diffusion import TrainingSet
-from .hminet import HMINet, ModelConfig, apply_condition_variant, parameter_shapes
+from .hminet import HMINet, ModelConfig, apply_condition_variant, check_parameters, parameter_shapes
 from .predictors import build_condition_window, trajectory_windows
 
 MOTION_PROGRAMS = ("linear", "sinusoidal", "circular", "accelerate", "direction_flip")
@@ -45,6 +45,7 @@ class SequenceMeta:
     frame_rate: int = 30
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if min(self.frame_count, self.width, self.height, self.frame_rate) <= 0:
             raise InvalidInputError("sequence metadata fields must be positive")
 
@@ -53,10 +54,12 @@ class SequenceMeta:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceMeta":
+        """The metadata in a JSON sidecar; its values are taken as given, so
+        a field that is not a positive integer is a FormatError."""
         try:
             d = json.loads(text)
-            return cls(int(d["frame_count"]), int(d["width"]), int(d["height"]), int(d.get("frame_rate", 30)))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            return cls(d["frame_count"], d["width"], d["height"], d.get("frame_rate", 30))
+        except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bad sequence metadata: {e}") from e
 
 
@@ -384,33 +387,19 @@ def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_var
 # model container
 
 MODEL_MAGIC = b"D2MP"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model(params: dict, config: ModelConfig) -> bytes:
-    """Serialize parameters (float32 payload) plus config into the binary
-    container. Accepts Tensors or plain arrays; names are sorted so the
-    output is canonical."""
-    index = []
-    payload = io.BytesIO()
-    offset = 0
-    for name in sorted(params):
-        value = getattr(params[name], "value", params[name])
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64), dtype="<f4")
-        index.append({"name": name, "dtype": "<f4", "shape": list(arr.shape), "offset": offset})
-        payload.write(arr.tobytes())
-        offset += arr.nbytes
-    header = json.dumps({"config": config.to_dict(), "tensors": index}, sort_keys=True, separators=(",", ":")).encode()
-    return MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(header)) + header + payload.getvalue()
-
-
-def _is_index_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(type(v) is int for v in [entry.get("offset"), *entry["shape"]])
-    )
+    """Serialize parameters plus config into the binary container: the
+    float32 tensors concatenated in ``parameter_shapes(config)`` order.
+    Accepts Tensors or plain arrays; their names and shapes must be those
+    of the config."""
+    check_parameters(config, params)
+    header = json.dumps({"config": config.to_dict()}, sort_keys=True, separators=(",", ":")).encode()
+    payload = b"".join(np.asarray(getattr(params[name], "value", params[name]), dtype="<f4").tobytes()
+                       for name in parameter_shapes(config))
+    return MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(header)) + header + payload
 
 
 def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
@@ -419,44 +408,24 @@ def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
         raise FormatError("not a model file (bad magic)")
     version, header_len = struct.unpack("<II", data[4:12])
     if version != MODEL_VERSION:
-        raise FormatError(f"unsupported model file version {version}")
+        raise FormatError(f"unsupported model file version {version}; this build reads version {MODEL_VERSION}")
     if len(data) < 12 + header_len:
         raise FormatError("truncated model file header")
     try:
-        header = json.loads(data[12 : 12 + header_len].decode())
-        config = ModelConfig.from_dict(header["config"])
-        index = header["tensors"]
+        config = ModelConfig.from_dict(json.loads(data[12 : 12 + header_len].decode())["config"])
     except (KeyError, TypeError, ValueError, InvalidInputError) as e:
         raise FormatError(f"bad model header: {e}") from e
-    if not isinstance(index, list):
-        raise FormatError("bad model header: the tensor index must be a list")
+    shapes = parameter_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
     payload = data[12 + header_len :]
-    expected = parameter_shapes(config)
-    seen = set()
+    if len(payload) != 4 * sum(sizes):
+        raise FormatError(f"model payload holds {len(payload)} bytes; its config needs {4 * sum(sizes)}")
+    values = np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes)[:-1])
     params: dict[str, np.ndarray] = {}
-    for entry in index:
-        if not _is_index_entry(entry):
-            raise FormatError(
-                f"bad tensor index entry {entry!r:.80}: want a string name, an int list shape and an int offset"
-            )
-        name, shape, off = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if entry.get("dtype") != "<f4":
-            raise FormatError(f"tensor '{name}': unsupported dtype {entry.get('dtype')!r}")
-        if name not in expected:
-            raise FormatError(f"unknown tensor name '{name}' for this configuration")
-        if shape != tuple(expected[name]):
-            raise FormatError(f"tensor '{name}': shape {shape} does not match config (wants {expected[name]})")
-        nbytes = int(np.prod(shape)) * 4 if shape else 4
-        if off < 0 or off + nbytes > len(payload):
-            raise FormatError(f"tensor '{name}': extent [{off}, {off + nbytes}) outside payload of {len(payload)} bytes")
-        value = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=off).reshape(shape)
+    for (name, shape), value in zip(shapes.items(), values):
         if not np.all(np.isfinite(value)):
             raise FormatError(f"tensor '{name}': non-finite values in payload")
-        params[name] = value.astype(np.float64)
-        seen.add(name)
-    missing = sorted(set(expected) - seen)
-    if missing:
-        raise FormatError(f"model file is missing tensors: {missing}")
+        params[name] = value.astype(np.float64).reshape(shape)
     return params, config
 
 

@@ -140,7 +140,9 @@ def _block_shapes(prefix: str, d: int) -> dict[str, tuple]:
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Every parameter name and shape implied by a config, in a stable order."""
+    """Every parameter name and shape implied by a config, in a stable order:
+    the network's only parameter declaration, and in this order the model
+    file's payload layout."""
     d, n = config.token_dim, config.history_length
     shapes: dict[str, tuple] = {
         "cond.embed.w": (8, d),
@@ -159,10 +161,22 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
         shapes.update(_block_shapes(f"fuse.l{k}", d))
         shapes.update(_mlp2_shapes(f"fuse.l{k}.mfl.scale", d, d, d))
         shapes.update(_mlp2_shapes(f"fuse.l{k}.mfl.shift", d, d, d))
-        shapes.update(_mlp2_shapes(f"fuse.l{k}.mfl.motion", d, d, d))
     out_dim = 8 if config.variant == "TB" else 4
     shapes.update(_mlp2_shapes("head", d, d, out_dim))
     return shapes
+
+
+def check_parameters(config: ModelConfig, params: dict) -> None:
+    """Raise InvalidInputError unless ``params`` (Tensors or arrays) has
+    exactly the names and shapes of ``parameter_shapes(config)``."""
+    expected = parameter_shapes(config)
+    if set(params) != set(expected):
+        missing = sorted(set(expected) - set(params))
+        extra = sorted(set(params) - set(expected))
+        raise InvalidInputError(f"parameter set mismatch: missing={missing}, extra={extra}")
+    for name, shape in expected.items():
+        if (got := np.shape(getattr(params[name], "value", params[name]))) != shape:
+            raise InvalidInputError(f"parameter '{name}' has shape {got}, expected {shape}")
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
@@ -189,16 +203,7 @@ class HMINet:
     """Bundles a config with its parameter tensors and the forward pass."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
-        expected = parameter_shapes(config)
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params))
-            extra = sorted(set(params) - set(expected))
-            raise InvalidInputError(f"parameter set mismatch: missing={missing}, extra={extra}")
-        for name, shape in expected.items():
-            if tuple(params[name].shape) != tuple(shape):
-                raise InvalidInputError(
-                    f"parameter '{name}' has shape {params[name].shape}, expected {shape}"
-                )
+        check_parameters(config, params)
         self.config = config
         self.params = params
         self._inference: dict[str, tuple[np.ndarray, Tensor]] = {}

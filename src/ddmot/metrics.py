@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .association import CostMatrix, hungarian
 from .core import BoundingBox, UnitMismatchError, iou_matrix, iou_pairs, stack_boxes
 from .data_io import MotRecord, Trajectory
 
@@ -107,12 +108,9 @@ def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
         rem_res = [j for j in range(len(res_ids)) if j not in used_res]
         if rem_gt and rem_res:
             overlap = iou_matrix(gt_boxes[rem_gt], res_boxes[rem_res])
-            cost = np.where(overlap >= iou_threshold, 1.0 - overlap, 1e9)
-            rows, cols = linear_sum_assignment(cost)
-            for r_i, c_i in zip(rows, cols):
-                if overlap[r_i, c_i] >= iou_threshold:
-                    matched_gt[gt_ids[rem_gt[r_i]]] = rem_res[c_i]
-                    used_res.add(rem_res[c_i])
+            for r_i, c_i in hungarian(CostMatrix(1.0 - overlap, overlap >= iou_threshold)).matches:
+                matched_gt[gt_ids[rem_gt[r_i]]] = rem_res[c_i]
+                used_res.add(rem_res[c_i])
 
         for gid, j in matched_gt.items():
             rid = res_ids[j]

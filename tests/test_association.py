@@ -100,16 +100,27 @@ class TestHungarian:
     @given(data=st.data(), n=st.integers(0, 5), m=st.integers(0, 5))
     def test_matches_brute_force_on_gated_matrices(self, data, n, m):
         """Only feasible pairs match, and the assignment has the brute-force
-        optimum's number of matches and total cost. Gated pairs enter the
-        solver at 1e9, whose float64 spacing is 1.2e-7, so costs closer
-        than a few spacings may resolve either way."""
+        optimum's number of matches and total cost."""
         costs = data.draw(arrays(np.float64, (n, m), elements=st.floats(0.0, 1.0)))
         feasible = data.draw(arrays(bool, (n, m)))
         got = hungarian(CostMatrix(costs, feasible))
         assert all(feasible[r, c] for r, c in got.matches)
         want_cost, want_k = brute_force_min_cost(costs, feasible)
         assert len(got.matches) == want_k
-        assert sum(costs[r, c] for r, c in got.matches) == pytest.approx(want_cost, abs=1e-6)
+        assert sum(costs[r, c] for r, c in got.matches) == pytest.approx(want_cost, abs=1e-9)
+
+    def test_gated_pad_keeps_close_costs_apart(self):
+        """When the optimum must leave a row on a gated pair, feasible costs
+        1e-9 to 1e-7 apart still resolve: the pad on gated pairs stays small
+        enough for float64 to tell them apart."""
+        rng = np.random.default_rng(0)
+        feasible = np.array([[True, False], [True, False]])
+        for c, d in zip(rng.uniform(0.0, 1.0, 2000), rng.uniform(1e-9, 1e-7, 2000)):
+            costs = np.array([[c + d, 0.5], [c, 0.5]])
+            got = hungarian(CostMatrix(costs, feasible))
+            want_cost, want_k = brute_force_min_cost(costs, feasible)
+            assert len(got.matches) == want_k
+            assert sum(costs[r, col] for r, col in got.matches) == pytest.approx(want_cost, abs=1e-12)
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from ddmot.cli import main
 from ddmot.data_io import parse_mot, save_model, trajectories_from_records
-from ddmot.hminet import ModelConfig, init_params
+from ddmot.hminet import ModelConfig, init_params, parameter_shapes
 from ddmot.metrics import idf1, mota
 
 SMALL_MODEL = {"token_dim": 16, "n_heads": 2, "n_condition_layers": 1, "n_fusion_blocks": 1}
@@ -214,20 +215,14 @@ def repack(blob: bytes, edit) -> bytes:
 
 
 def poison(blob: bytes, tensor: str, value: float) -> bytes:
-    """Overwrite the first element of ``tensor`` in the payload."""
-    header, payload_at = _header(blob)
-    (entry,) = [e for e in header["tensors"] if e["name"] == tensor]
-    at = payload_at + entry["offset"]
-    return blob[:at] + struct.pack("<f", value) + blob[at + 4 :]
-
-
-BAD_INDEX_EDITS = {
-    "index-not-a-list": lambda h: h.update(tensors={"head.b2": 0}),
-    "entry-not-an-object": lambda h: h.update(tensors=[1, 2]),
-    "name-not-a-string": lambda h: h["tensors"][0].update(name=["head.b2"]),
-    "shape-not-a-list": lambda h: h["tensors"][0].update(shape=4),
-    "offset-not-an-int": lambda h: h["tensors"][0].update(offset=None),
-}
+    """Overwrite the first element of ``tensor`` in the payload, which holds
+    the tensors back to back in ``parameter_shapes`` order."""
+    header, at = _header(blob)
+    for name, shape in parameter_shapes(ModelConfig.from_dict(header["config"])).items():
+        if name == tensor:
+            return blob[:at] + struct.pack("<f", value) + blob[at + 4 :]
+        at += 4 * math.prod(shape)
+    raise KeyError(tensor)
 
 
 class TestMalformedInputs:
@@ -255,9 +250,10 @@ class TestMalformedInputs:
         cfg = ModelConfig(**SMALL_MODEL)
         return save_model(init_params(cfg, 0), cfg)
 
-    @pytest.mark.parametrize("case", sorted(BAD_INDEX_EDITS))
-    def test_bad_tensor_index(self, scene, tmp_path, capsys, case):
-        self._track(scene, tmp_path, capsys, model_bytes=repack(self._model(), BAD_INDEX_EDITS[case]))
+    def test_version_1_model_file(self, scene, tmp_path, capsys):
+        blob = self._model()
+        err = self._track(scene, tmp_path, capsys, model_bytes=blob[:4] + struct.pack("<I", 1) + blob[8:])
+        assert "version 1" in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_payload(self, scene, tmp_path, capsys, value):
@@ -290,6 +286,16 @@ class TestMalformedInputs:
         # JSON reads 1e400 as inf, which no int holds
         err = self._track(scene, tmp_path, capsys, meta_text='{"frame_count": 1e400, "width": 640, "height": 480}')
         assert "metadata" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("frame_count", 2.7), ("frame_count", True), ("width", "640"), ("frame_rate", 29.97),
+    ])
+    def test_meta_field_of_the_wrong_kind(self, scene, tmp_path, capsys, field, value):
+        # a value is taken as given: neither truncated nor parsed from a string
+        meta = json.loads((scene / "meta.json").read_text())
+        meta[field] = value
+        err = self._track(scene, tmp_path, capsys, meta_text=json.dumps(meta))
+        assert "metadata" in err and field in err
 
 
 class TestConfigSections:

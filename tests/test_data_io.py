@@ -262,14 +262,27 @@ class TestModelFile:
     def test_unknown_tensor_name_rejected(self):
         params = init_params(SMALL, 0)
         params["mystery.w"] = params["cond.cls"]
-        with pytest.raises(FormatError, match="mystery.w"):
-            load_model(save_model(params, SMALL))
+        with pytest.raises(InvalidInputError, match="mystery.w"):
+            save_model(params, SMALL)
 
     def test_missing_tensor_rejected(self):
         params = init_params(SMALL, 0)
         del params["head.b2"]
-        with pytest.raises(FormatError, match="head.b2"):
-            load_model(save_model(params, SMALL))
+        with pytest.raises(InvalidInputError, match="head.b2"):
+            save_model(params, SMALL)
+
+    def test_wrong_tensor_shape_rejected(self):
+        params = init_params(SMALL, 0)
+        params["head.b2"] = np.zeros(5)
+        with pytest.raises(InvalidInputError, match="head.b2"):
+            save_model(params, SMALL)
+
+    def test_header_holds_only_the_config(self):
+        blob = save_model(init_params(SMALL, 0), SMALL)
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        assert json.loads(blob[12:12 + header_len]) == {"config": SMALL.to_dict()}
+        sizes = [int(np.prod(shape)) for shape in parameter_shapes(SMALL).values()]
+        assert len(blob) == 12 + header_len + 4 * sum(sizes)
 
     def test_shapes_match_config_arithmetic(self):
         loaded, cfg = load_model(save_model(init_params(SMALL, 3), SMALL))
@@ -306,13 +319,17 @@ def small_models(draw):
 
 def payload_tensors(blob: bytes) -> dict[str, bytes]:
     """Each tensor's raw little-endian float32 bytes, read straight from
-    the container."""
+    the container: the payload holds them back to back in
+    ``parameter_shapes`` order."""
     (header_len,) = struct.unpack("<I", blob[8:12])
-    payload = blob[12 + header_len:]
+    config = ModelConfig.from_dict(json.loads(blob[12:12 + header_len])["config"])
+    at = 12 + header_len
     out = {}
-    for entry in json.loads(blob[12:12 + header_len])["tensors"]:
-        nbytes = 4 * int(np.prod(entry["shape"]))
-        out[entry["name"]] = payload[entry["offset"]:entry["offset"] + nbytes]
+    for name, shape in parameter_shapes(config).items():
+        nbytes = 4 * int(np.prod(shape))
+        out[name] = blob[at:at + nbytes]
+        at += nbytes
+    assert at == len(blob)
     return out
 
 
@@ -338,6 +355,22 @@ class TestModelFileProperties:
             assert weights[name].dtype == np.float32
             assert weights[name].astype("<f4").tobytes() == raw, name
 
+    @settings(max_examples=30, deadline=None)
+    @given(small_models(), st.integers(1, 64), st.booleans())
+    def test_payload_of_the_wrong_length_rejected(self, model, nbytes, extend):
+        config, seed = model
+        blob = save_model(init_params(config, seed), config)
+        bad = blob + bytes(nbytes) if extend else blob[:-nbytes]
+        with pytest.raises(FormatError, match="payload"):
+            load_model(bad)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1).filter(lambda v: v != 2))
+    def test_only_version_2_is_read(self, version):
+        blob = save_model(init_params(SMALL, 0), SMALL)
+        with pytest.raises(FormatError, match=f"version {version}"):
+            load_model(blob[:4] + struct.pack("<I", version) + blob[8:])
+
 
 class TestMeta:
     def test_json_round_trip(self):
@@ -347,6 +380,10 @@ class TestMeta:
     def test_bad_meta(self):
         with pytest.raises(FormatError):
             SequenceMeta.from_json("{}")
+
+    def test_direct_construction_checks_types(self):
+        with pytest.raises(InvalidInputError, match="frame_rate"):
+            SequenceMeta(10, 640, 480, 29.97)
 
     def test_grouping_helpers(self):
         records = [

@@ -1,6 +1,7 @@
 """Output pins: every predictor's tracking output and track births and
 deaths, the training set, the linearity diagnostic and a short training
-run on one seeded scene hash to recorded digests.
+run on one seeded scene hash to recorded digests, and so does the
+desk-scale model file.
 
 A change that alters any of these outputs on purpose updates the digest
 here and names it in CHANGES.md.
@@ -12,7 +13,7 @@ import pytest
 
 from ddmot.association import Tracker, TrackerConfig, run_sequence
 from ddmot.core import Detection, denormalize_box
-from ddmot.data_io import MotRecord, SyntheticSpec, build_training_set, synth_sequence, write_mot
+from ddmot.data_io import MotRecord, SyntheticSpec, build_training_set, save_model, synth_sequence, write_mot
 from ddmot.diffusion import TrainConfig, train
 from ddmot.hminet import HMINet, ModelConfig
 from ddmot.predictors import PredictorConfig, make_predictor
@@ -28,7 +29,7 @@ SEED = 7
 TRACK_DIGESTS = {
     ("kf", 1, "norm"): "8cfce5d282b11183eb4efee742256ff4081be05d01118f73529023c3e6817903",
     ("cv", 1, "norm"): "5e1ebbc8cb7d3393f1daad04ec650f9ca56df5c0f98ed222b137a1bb7b8ceaaa",
-    ("d2mp", 1, "norm"): "8e58de213f2f3e04303710329de5a47411d691945523c9b31c7d26d3fe15c136",
+    ("d2mp", 1, "norm"): "f680fdc836a1edd36c02006e9e8ec367fa62c0b03ff756e20e018b197f4c3f6d",
     ("d2mp", 10, "norm"): "f680fdc836a1edd36c02006e9e8ec367fa62c0b03ff756e20e018b197f4c3f6d",
     ("kf", 1, "px"): "b5282b7738c6ab087801abcb99099d69b09bbc54f3e3e2fb93ecd1f9f91d85dc",
     ("cv", 1, "px"): "73d78bf6ad5087a49788afd8986efac4d5d656b6d54fba4e54b5c04d760a2500",
@@ -46,13 +47,17 @@ TRAINING_SET_DIGEST = "eee3b69bcb1976039d9dcfee9110892b54bb071d4e0420a571a212406
 DIAG_DIGESTS = {
     "kf": "542ca8467f6f14a0fd38a764df83f9acfe15d07598e3f93a5d255e0aba62c80f",
     "cv": "0b22e52c0c7db43edbfac432cbd2ff4c2543c0b7f866a57298864baf9e883c97",
-    "d2mp": "d47ade62a27f667206080945fda5f3622a4a996c6fe1af7a0da06593bbe92dd9",
+    "d2mp": "7f0c81524ea695d7d45469dc669cd1f416f580d56096ef7ab03b4a7059b2adb8",
 }
 
 # loss history and final parameters of a few training steps on a small net;
 # training runs in float64, so these bits are fixed
 TRAIN_CONFIG = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1)
-TRAIN_DIGEST = "685bde1b7aa790c4cef8613b4ca0bee57bde69dc0d25838fa1aea836effdb594"
+TRAIN_DIGEST = "d0d745a090861a8ea0be4de84fabbef35dd76ee45107ebf9da3ecf9312743ef4"
+
+# the model file of the desk-scale net at init seed 0: its container layout
+# and its init draws
+MODEL_FILE_DIGEST = "22a6c4efae98bce97840a97d74d88b46e52ed10deb3b9e37a14b2295990faefd"
 
 
 def sha(*parts: bytes) -> str:
@@ -121,3 +126,7 @@ def test_training_steps(scene):
     losses = train(ds, net, TrainConfig(steps=4, batch_size=32, learning_rate=1e-3, seed=2))
     params = [net.params[name].value.tobytes() for name in sorted(net.params)]
     assert sha(np.array(losses).tobytes(), *params) == TRAIN_DIGEST
+
+
+def test_model_file(model):
+    assert sha(save_model(model.params, model.config)) == MODEL_FILE_DIGEST

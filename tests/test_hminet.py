@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ddmot import autodiff as ad
 from ddmot.autodiff import Tensor
@@ -13,6 +14,8 @@ from ddmot.hminet import (
     parameter_shapes,
     sinusoidal_features,
 )
+
+from test_data_io import small_models
 
 SMALL = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1)
 
@@ -335,6 +338,30 @@ class TestGradients:
         names = ["cond.pos", "cond.l0.attn.wv", "fuse.l0.mfl.scale.w1", "head.b2", "time.w2", "cond.l0.ln2.b"]
         report = ad.finite_difference_check(f, {n: net.params[n] for n in names}, h=1e-5, tolerance=1e-4)
         assert report.ok, report.flagged[:3]
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_models())
+    def test_every_declared_parameter_is_trained(self, model):
+        """One training-loss backward pass reaches every tensor that
+        ``parameter_shapes`` declares with a nonzero gradient, except the
+        attention key biases: a key bias adds the same amount to every
+        score of a query, which softmax cancels, so their gradients are
+        zero up to rounding."""
+        config, seed = model
+        rng = np.random.default_rng(seed)
+        net = HMINet.init(config, seed)
+        m0 = rng.normal(size=(3, 4)) * 0.5
+        t = rng.uniform(0.2, 1.0, 3)
+        z = rng.normal(size=(3, 4))
+        noisy, _ = forward_diffuse(m0, t, z)
+        c_hat, z_hat = net.predict_graph(noisy.values, t, window(rng, b=3, n=config.history_length))
+        loss = training_loss(c_hat, attenuation_constant(m0), z_hat, None if z_hat is None else z)
+        names = list(parameter_shapes(config))
+        grads = dict(zip(names, ad.backward(loss, [net.params[n] for n in names])))
+        key_biases = [n for n in names if n.endswith(".attn.bk")]
+        assert all(np.abs(grads[n]).max() <= 1e-12 for n in key_biases)
+        assert [n for n in names if n not in key_biases and not np.any(grads[n])] == []
 
 
 class TestSinusoidalFeatures:
