@@ -1,22 +1,28 @@
 """Dense-tensor computation graph with reverse-mode differentiation.
 
 Just enough machinery to express and train the motion network: values are
-float64 numpy arrays, the graph is built implicitly as ops run, and
+float64 or float32 numpy arrays, the graph is built implicitly as ops run, and
 ``backward`` accumulates vector-Jacobian products in reverse topological
 order. Every op validates shapes up front and checks its output for
 non-finite values; both failure modes raise structured errors naming the
 offending node.
 
-Inside ``with no_grad():`` the same ops run without building a graph: an
-op's output records no parents, gets its op name instead of a unique node
-name, and never requires a gradient. Inference uses this mode, so sampling
-runs the training network's ops without paying for the graph. Inference
-also runs in float32, the precision of the model file: in this mode
-``Tensor(...)`` makes float32 values (a parameter, which requires a
-gradient, stays float64), and every op keeps its input dtype. Training
-stays float64. The per-op finite check stays on in both modes: checking
-only the final output would miss an overflow that a sigmoid gate or a
-softmax squashes back into a finite value.
+New tensors take their dtype from one module-level compute-precision
+switch: float64 by default, float32 inside ``with precision(np.float32):``.
+Every op keeps its input dtype, and a ``parameter`` is always float64, so
+it can serve as a master weight under either precision. The per-op finite
+check stays on at both precisions: checking only the final output would
+miss an overflow that a sigmoid gate or a softmax squashes back into a
+finite value.
+
+Inside ``with no_grad():`` the same ops run without building a graph, in
+float32: an op's output records no parents, gets its op name instead of a
+unique node name, and never requires a gradient. Inference uses this mode
+at the precision of the model file, so sampling runs the training
+network's ops without paying for the graph. Training records the graph in
+float32 too (``diffusion.train``) and casts the gradients up to float64
+for Adam; the default float64 graph is what ``finite_difference_check``
+audits.
 
 Two fused ops carry the network's hot paths with hand-written
 vector-Jacobian products: ``linear(x, w, b)`` is one GEMM over the
@@ -46,6 +52,7 @@ Array = np.ndarray
 
 _node_ids = itertools.count()
 _grad_enabled = True
+_dtype = np.float64
 
 
 class ShapeError(TrackingError, ValueError):
@@ -59,9 +66,8 @@ class NonFiniteError(NumericError):
 class Tensor:
     """A node in the computation graph.
 
-    ``value`` is a float64 ndarray, or a float32 one for a tensor made
-    under ``no_grad`` that does not require a gradient; ``Tensor(...)``
-    converts its input to that dtype. ``requires_grad`` marks nodes
+    ``value`` is an ndarray of the compute precision the tensor was made
+    at; ``Tensor(...)`` converts its input to it. ``requires_grad`` marks nodes
     that gradients should flow into (parameters and everything downstream
     of them). ``_parents`` pairs each parent tensor with the local
     vector-Jacobian product applied during backward.
@@ -77,11 +83,8 @@ class Tensor:
         _parents: tuple = (),
     ):
         self.name = name if name is not None else f"tensor{next(_node_ids)}"
-        if requires_grad or _grad_enabled:
-            v = np.asarray(value, dtype=np.float64)
-        else:
-            with np.errstate(over="ignore"):  # beyond float32 range is inf, rejected below
-                v = np.asarray(value, dtype=np.float32)
+        with np.errstate(over="ignore"):  # beyond float32 range is inf, rejected below
+            v = np.asarray(value, dtype=_dtype)
         if not np.isfinite(v).all():
             raise NonFiniteError(f"node '{self.name}': non-finite value")
         self.value = v
@@ -130,23 +133,38 @@ def _as_tensor(x) -> Tensor:
 
 
 def parameter(value, name: str) -> Tensor:
-    return Tensor(value, requires_grad=True, name=name)
+    """A float64 leaf that requires a gradient, at either precision."""
+    with precision(np.float64):
+        return Tensor(value, requires_grad=True, name=name)
 
 
-def is_grad_enabled() -> bool:
-    """False inside ``no_grad``: ops record no graph and new tensors are
-    float32."""
-    return _grad_enabled
+def compute_dtype() -> type:
+    """The scalar type of new tensors: ``np.float64`` unless ``precision``
+    or ``no_grad`` set ``np.float32``."""
+    return _dtype
+
+
+@contextlib.contextmanager
+def precision(dtype):
+    """Make new tensors of ``dtype`` (float32 or float64); the previous
+    precision comes back on exit, also when the body raises."""
+    global _dtype
+    previous, _dtype = _dtype, np.dtype(dtype).type
+    try:
+        yield
+    finally:
+        _dtype = previous
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Run ops without recording a graph; the previous mode comes back on
-    exit, also when the body raises."""
+    """Run ops without recording a graph, in float32; the previous mode and
+    precision come back on exit, also when the body raises."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:
-        yield
+        with precision(np.float32):
+            yield
     finally:
         _grad_enabled = previous
 
@@ -325,7 +343,7 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     v = a.value.mean(axis=axis, keepdims=keepdims)
-    n = a.value.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
+    n = a.value.size if axis is None else int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
 
     def grad(g: Array) -> Array:
         g = np.asarray(g)
@@ -396,7 +414,9 @@ def backward(output: Tensor, wrt: Iterable[Tensor]) -> list[Array]:
     """Reverse-accumulate d(output)/d(w) for each w in ``wrt``.
 
     ``output`` must be scalar. Tensors in ``wrt`` that the output does not
-    depend on get zero gradients. Also stores each gradient on ``w.grad``.
+    depend on get zero gradients. Gradients are float64 whatever the
+    graph's precision, ready for Adam's float64 moments. Also stores each
+    gradient on ``w.grad``.
     """
     wrt = list(wrt)
     wanted = {id(w) for w in wrt}
@@ -520,7 +540,7 @@ def finite_difference_check(
 
     Each perturbation rebinds ``p.value`` to a perturbed copy, and the
     original array is rebound afterwards, so nothing that caches a
-    parameter by its array (HMINet's float32 inference copies) goes stale.
+    parameter by its array (HMINet's float32 copies) goes stale.
     """
     if h <= 0:
         raise InvalidInputError(f"h must be positive, got {h}")

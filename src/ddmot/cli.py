@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
             "samples": len(dataset),
         })
     )
-    print(f"trained {train_cfg.steps} steps on {len(dataset)} samples; final loss {losses[-1]:.6f}")
+    print(f"trained {len(losses)} steps on {len(dataset)} samples; final loss {losses[-1]:.3e}")
     return 0
 
 

@@ -260,6 +260,12 @@ def train(dataset: TrainingSet, model, config: TrainConfig) -> list[float]:
     sample, diffuse forward, predict, take the smooth-L1 loss, and apply
     one Adam step. Mutates ``model.params``; returns the loss history.
     Deterministic for a fixed config seed.
+
+    Mixed precision: the forward pass, the loss and the backward pass run
+    in float32, on the model's float32 copies of its parameters (the
+    gradient leaves). ``backward`` casts the gradients up to float64, and
+    Adam updates the float64 parameters with float64 moments, so updates
+    smaller than a float32 ulp of a weight still accumulate.
     """
     if len(dataset) == 0:
         raise InvalidInputError("empty training set")
@@ -276,12 +282,13 @@ def train(dataset: TrainingSet, model, config: TrainConfig) -> list[float]:
             z = rng.standard_normal((config.batch_size, 4))
             noisy, _ = forward_diffuse(m0, t, z)
             c = attenuation_constant(m0)
-            c_hat, z_hat = model.predict_graph(noisy.values, t, cond)
-            loss = training_loss(c_hat, c, z_hat, z if z_hat is not None else None, config.z_loss)
-            value = float(loss.value)
-            if not np.isfinite(value):
-                raise NumericError("loss is not finite")
-            grads = ad.backward(loss, [model.params[n] for n in names])
+            with ad.precision(np.float32):
+                c_hat, z_hat = model.predict_graph(noisy.values, t, cond)
+                loss = training_loss(c_hat, c, z_hat, z if z_hat is not None else None, config.z_loss)
+                value = float(loss.value)
+                if not np.isfinite(value):
+                    raise NumericError("loss is not finite")
+                grads = ad.backward(loss, [model._p(n) for n in names])
             ad.adam_step(model.params, dict(zip(names, grads)), state, config.learning_rate)
         except NumericError as e:
             raise NumericError(f"training aborted at step {step}: {e}") from e

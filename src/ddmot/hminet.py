@@ -15,12 +15,14 @@ head, run on a precomputed embedding. Training calls ``predict_graph``
 frame's windows once and calls ``predict_values`` (fusion+head with no
 graph) once per sampling step; both paths share one network definition.
 
-Training runs in float64. Inference runs in float32, the precision of the
-model file: under ``autodiff.no_grad`` the network reads float32 copies of
-its parameters, made once per parameter array, and every op stays in
-float32. A copy is remade when a parameter's array is rebound (as Adam
-does); the array a copy was made from is set read-only, so an in-place
-edit cannot leave the copy stale.
+The parameters are float64 master weights. The network computes at the
+autodiff compute precision: under the default float64 it reads the
+parameters themselves, and under float32 (``autodiff.no_grad`` for
+inference, ``autodiff.precision`` for training) it reads float32 copies of
+them, made once per parameter array. In a float32 training step those
+copies are the gradient leaves. A copy is remade when a parameter's array
+is rebound (as Adam does); the array a copy was made from is set
+read-only, so an in-place edit cannot leave the copy stale.
 
 Only the class token of the last encoder block is ever read, so that block
 computes queries, attention output, residual, second norm and feed-forward
@@ -206,7 +208,7 @@ class HMINet:
         check_parameters(config, params)
         self.config = config
         self.params = params
-        self._inference: dict[str, tuple[np.ndarray, Tensor]] = {}
+        self._float32: dict[str, tuple[np.ndarray, Tensor]] = {}
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "HMINet":
@@ -215,15 +217,17 @@ class HMINet:
     # -- building blocks -------------------------------------------------
 
     def _p(self, name: str) -> Tensor:
-        """The named parameter; under no-grad, its float32 copy."""
+        """The named parameter; at float32 compute precision, its float32
+        copy, which is a gradient leaf when a graph is recorded."""
         p = self.params[name]
-        if ad.is_grad_enabled():
+        if ad.compute_dtype() is np.float64:
             return p
-        source, copy = self._inference.get(name, (None, None))
+        source, copy = self._float32.get(name, (None, None))
         if source is not p.value:
-            source, copy = p.value, Tensor(p.value, name=name)  # finite-checked in float32
+            # finite-checked in float32
+            source, copy = p.value, Tensor(p.value, requires_grad=True, name=name)
             source.flags.writeable = False
-            self._inference[name] = source, copy
+            self._float32[name] = source, copy
         return copy
 
     def _mlp2(self, x: Tensor, prefix: str) -> Tensor:
@@ -320,8 +324,8 @@ class HMINet:
 
     def predict_graph(self, noisy_motion, t, windows) -> tuple[Tensor, Tensor | None]:
         """Differentiable forward pass (training): the encoder, then fusion
-        and head on a (B, n, 8) window batch; returns (c_hat, z_hat) tensors
-        of shape (B, 4)."""
+        and head on a (B, n, 8) window batch, at the autodiff compute
+        precision; returns (c_hat, z_hat) tensors of shape (B, 4)."""
         return self._fusion_head(noisy_motion, t, self.embed_condition(windows))
 
     def predict_values(self, noisy_motion, t, emb) -> tuple[np.ndarray, np.ndarray | None]:

@@ -253,7 +253,7 @@ def test_criterion_7_desk_scale_advantage(desk_model):
         7,
         "desk-scale non-linear prediction advantage",
         ok,
-        f"{n_traj} trajs / {n_samples} samples, {TRAIN_STEPS} steps (final loss {losses[-1]:.5f}); "
+        f"{n_traj} trajs / {n_samples} samples, {TRAIN_STEPS} steps (final loss {losses[-1]:.3e}); "
         f"d2mp {d2mp:.4f} vs KF {kf_nonlinear:.4f} (margin {margin:+.4f}, need >= +0.05); "
         f"KF linear {kf_linear:.4f} (contrast {contrast:+.4f}, need >= +0.10); "
         f"runtime {total:.0f} s (< 900)",

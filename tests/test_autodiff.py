@@ -392,3 +392,28 @@ class TestFloat32Inference:
             x = Tensor([3e38])
             with pytest.raises(ad.NonFiniteError, match="node 'mul'"):
                 ad.sigmoid(ad.mul(x, x))
+
+
+class TestPrecision:
+    """The compute-precision switch sets the dtype of new tensors in graph
+    mode too; parameters stay float64 master weights."""
+
+    def test_float32_graph_records_and_backpropagates(self):
+        with ad.precision(np.float32):
+            x = Tensor([1.5, -2.0], requires_grad=True)
+            out = ad.mean(ad.mul(ad.sigmoid(x), x))
+            assert ad.parameter([1.0], "p").value.dtype == np.float64
+            (g,) = ad.backward(out, [x])
+        assert x.value.dtype == out.value.dtype == np.float32 and out.requires_grad
+        assert g.dtype == np.float64
+        assert Tensor([1.0]).value.dtype == np.float64
+
+    def test_previous_precision_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.precision(np.float32):
+                raise RuntimeError("boom")
+        assert ad.compute_dtype() == np.float64
+        with ad.no_grad():
+            with ad.precision(np.float64):
+                assert Tensor([1.0]).value.dtype == np.float64
+            assert Tensor([1.0]).value.dtype == np.float32

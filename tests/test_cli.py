@@ -81,6 +81,21 @@ class TestTrain:
         final = float((out / "loss_history.csv").read_text().splitlines()[-1].split(",")[1])
         assert final < 0.01
 
+    def test_summary_reports_steps_run_and_loss(self, scene, tmp_path, capsys):
+        """An early stop ends training before --steps; the summary line
+        counts the steps that ran and prints the final loss of
+        loss_history.csv in scientific notation."""
+        cfg = write_json(tmp_path / "cfg.json", {"model": SMALL_MODEL, "train": {"stop_below": 100.0}})
+        out = tmp_path / "t"
+        assert main(["train", "--data", str(scene), "--config", cfg, "--out", str(out), "--seed", "1",
+                     "--steps", "50", "--batch-size", "16"]) == 0
+        rows = (out / "loss_history.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        final = float(rows[-1].split(",")[1])
+        stdout = capsys.readouterr().out
+        assert "trained 1 steps on " in stdout
+        assert stdout.rstrip().endswith(f"final loss {final:.3e}")
+
     def test_missing_data_dir(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "t")]) == 2
         assert "error:" in capsys.readouterr().err

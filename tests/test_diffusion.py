@@ -1,6 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ddmot import autodiff as ad
+from ddmot import diffusion
 from ddmot.autodiff import Tensor
 from ddmot.core import InvalidInputError, NumericError
 from ddmot.diffusion import (
@@ -153,6 +160,45 @@ class TestReverseStep:
             reverse_step(NoisyMotion(np.ones(4), 0.3), 0.4, np.zeros(4))
 
 
+@st.composite
+def diffusion_draws(draw):
+    """A batch of clean motions m0, unit-scale noises z and times t in
+    [T_MIN, 1], one time per row."""
+    n = draw(st.integers(1, 6))
+    m0 = draw(arrays(np.float64, (n, 4), elements=st.floats(-10.0, 10.0)))
+    z = draw(arrays(np.float64, (n, 4), elements=st.floats(-6.0, 6.0)))
+    t = draw(arrays(np.float64, (n,), elements=st.floats(T_MIN, 1.0)))
+    return m0, z, t
+
+
+class TestForwardReverseIdentity:
+    """Properties of the decoupled process at random times: the forward
+    sample inverts for its noise given c = -m0, and one reverse step of
+    the full remaining time returns the clean motion."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(diffusion_draws())
+    def test_derive_noise_inverts_forward_diffuse(self, draw):
+        m0, z, t = draw
+        noisy, _ = forward_diffuse(m0, t, z)
+        # a few ulps of the summed terms, magnified by the 1/sqrt(t) division;
+        # below the smallest normal float the spacing is absolute
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+        bound = 4 * eps * (np.abs(m0) + np.abs(z)) / np.sqrt(t)[:, None] + tiny
+        assert np.all(np.abs(derive_noise(noisy, -m0) - z) <= bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(diffusion_draws(), st.floats(-1e6, 1e6))
+    def test_full_reverse_step_returns_m0(self, draw, noise_scale):
+        """With dt = t the reduced mean is 0*M_t + m0 and the variance
+        coefficient is 0, so the step is exact whatever the noise."""
+        m0, z, t = draw
+        noisy, _ = forward_diffuse(m0, t, z)
+        out = reverse_step(noisy, t, -m0, noise=np.full_like(m0, noise_scale))
+        assert np.array_equal(out.values, m0)
+        assert np.all(out.t == 0.0)
+
+
 class TestSampling:
     def test_oracle_one_step_returns_target_exactly(self):
         target = np.array([0.02, -0.01, 0.0, 0.005])
@@ -298,3 +344,91 @@ class TestNoisyMotionType:
     def test_finite_values_required(self):
         with pytest.raises(InvalidInputError):
             NoisyMotion(np.array([np.nan, 0, 0, 0]), 0.5)
+
+
+def spied_train_step(monkeypatch, net: HMINet) -> dict:
+    """Run one ``train`` step on ``net`` and return what it passed around:
+    the network's inputs, the loss's targets, the dtype of every op output
+    and of every vector-Jacobian product, and the gradients and state that
+    Adam received."""
+    seen = {"ops": []}
+    real_graph, real_loss, real_make, real_adam = net.predict_graph, diffusion.training_loss, ad._make, ad.adam_step
+
+    def graph(*args):
+        seen["inputs"] = args
+        return real_graph(*args)
+
+    def loss(c_hat, c, z_hat, z, z_loss):
+        seen["targets"] = c, z, z_loss
+        return real_loss(c_hat, c, z_hat, z, z_loss)
+
+    def make(value, op, parents):
+        seen["ops"].append((op, value.dtype))
+        return real_make(value, op, [(p, spy_vjp(op, vjp)) for p, vjp in parents])
+
+    def spy_vjp(op, vjp):
+        def run(g):
+            out = vjp(g)
+            seen["ops"].append((f"{op} vjp", out.dtype))
+            return out
+        return run
+
+    def adam(params, grads, state, learning_rate):
+        seen["grads"], seen["state"] = grads, state
+        return real_adam(params, grads, state, learning_rate)
+
+    monkeypatch.setattr(net, "predict_graph", graph)
+    monkeypatch.setattr(diffusion, "training_loss", loss)
+    monkeypatch.setattr(ad, "_make", make)
+    monkeypatch.setattr(ad, "adam_step", adam)
+    rng = np.random.default_rng(21)
+    ds = TrainingSet(rng.normal(size=(32, 5, 8)) * 0.2, rng.normal(size=(32, 4)) * 0.1)
+    train(ds, net, TrainConfig(steps=1, batch_size=16, learning_rate=1e-3, seed=9))
+    monkeypatch.undo()
+    return seen
+
+
+class TestMixedPrecisionTraining:
+    """``train`` runs forward, loss and backward in float32 on float32
+    copies of the parameters, and keeps float64 master weights and Adam
+    moments. Finite differences cannot audit a float32 graph, so its
+    gradients are held against the float64 graph's backward instead."""
+
+    # per parameter: max |float32 - float64| gradient component, relative to
+    # the parameter's largest float64 component, or to 1e-3 of the largest
+    # component over all parameters where a parameter's own gradient is
+    # smaller. Measured: at most 5e-7 on these nets.
+    GRADIENT_TOLERANCE = 1e-5
+
+    @pytest.mark.parametrize("variant", ["OB", "TB"])
+    def test_gradients_match_float64_backward(self, monkeypatch, variant):
+        net = HMINet.init(replace(SMALL, variant=variant), 3)
+        ref = HMINet(net.config, {k: ad.parameter(p.value.copy(), k) for k, p in net.params.items()})
+        seen = spied_train_step(monkeypatch, net)
+        c, z, z_loss = seen["targets"]
+        c_hat, z_hat = ref.predict_graph(*seen["inputs"])
+        assert c_hat.value.dtype == np.float64
+        want = dict(zip(ref.params, ad.backward(training_loss(c_hat, c, z_hat, z, z_loss), list(ref.params.values()))))
+        got = seen["grads"]
+        assert list(got) == list(want)
+        largest = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            scale = max(np.abs(g).max(), 1e-3 * largest)
+            assert np.abs(got[name] - g).max() <= self.GRADIENT_TOLERANCE * scale, name
+
+    @pytest.mark.parametrize("variant", ["OB", "TB"])
+    def test_forward_and_backward_run_in_float32(self, monkeypatch, variant):
+        net = HMINet.init(replace(SMALL, variant=variant), 5)
+        ops = spied_train_step(monkeypatch, net)["ops"]
+        assert sum(op.endswith(" vjp") for op, _ in ops) > 100 and sum(not op.endswith(" vjp") for op, _ in ops) > 100
+        assert [op for op, dtype in ops if dtype != np.float32] == []
+
+    def test_master_weights_and_moments_stay_float64(self, monkeypatch):
+        net = HMINet.init(SMALL, 4)
+        before = {k: p.value for k, p in net.params.items()}
+        seen = spied_train_step(monkeypatch, net)
+        assert all(g.dtype == np.float64 for g in seen["grads"].values())
+        assert all(p.value.dtype == np.float64 and p.value is not before[k] for k, p in net.params.items())
+        state = seen["state"]
+        assert state.step == 1
+        assert all(a.dtype == np.float64 for a in [*state.m.values(), *state.v.values()])

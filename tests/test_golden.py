@@ -51,9 +51,10 @@ DIAG_DIGESTS = {
 }
 
 # loss history and final parameters of a few training steps on a small net;
-# training runs in float64, so these bits are fixed
+# each step computes in float32 and updates float64 master weights, and for a
+# fixed seed these bits are fixed
 TRAIN_CONFIG = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_blocks=1)
-TRAIN_DIGEST = "d0d745a090861a8ea0be4de84fabbef35dd76ee45107ebf9da3ecf9312743ef4"
+TRAIN_DIGEST = "7ef7336de5bf5bfc1587173e19bb79a80febf792bb94b1904e039822c1dd84f0"
 
 # the model file of the desk-scale net at init seed 0: its container layout
 # and its init draws
