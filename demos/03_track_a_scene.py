@@ -5,7 +5,7 @@ from pathlib import Path
 
 from ddmot.association import TrackerConfig, run_sequence
 from ddmot.cli import render_trajectories_svg
-from ddmot.data_io import MotRecord, SyntheticSpec, synth_sequence
+from ddmot.data_io import SyntheticSpec, synth_sequence
 from ddmot.metrics import idf1, mota, render_table
 from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor
 
@@ -27,8 +27,7 @@ print(f"scene: {spec.object_count} orbiting objects, {spec.length} frames, "
 rows = []
 for name, predictor in (("kf", KalmanPredictor()), ("cv", ConstantVelocityPredictor())):
     stream = ((f, scene.detections.get(f, [])) for f in range(1, spec.length + 1))
-    out = run_sequence(stream, predictor, TrackerConfig())
-    records = [MotRecord(f, tid, box) for f, tid, box in out]
+    records = run_sequence(stream, predictor, TrackerConfig())
     m = mota(scene.trajectories, records)
     i = idf1(scene.trajectories, records)
     rows.append([name, m.mota, i.idf1, m.idsw, m.fp, m.fn])

@@ -8,7 +8,7 @@ cascade (`association`), file formats and synthetic data (`data_io`),
 evaluation (`metrics`), and a CLI (`cli`).
 """
 
-from .core import BoundingBox, Detection, iou
+from .core import BoundingBox, Detection, MotRecord, MotTable
 from .hminet import HMINet, ModelConfig
 from .diffusion import TrainConfig, TrainingSet, sample_k_steps, sample_one_step, train
 from .predictors import (
@@ -27,7 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundingBox",
     "Detection",
-    "iou",
+    "MotRecord",
+    "MotTable",
     "HMINet",
     "ModelConfig",
     "TrainConfig",

@@ -7,12 +7,16 @@ predictor, tracks unmatched for more than ``max_age`` frames are removed,
 and confident leftover detections spawn new tracks.
 
 The predictor session is the only track table (``ids``, ``misses`` and
-the motion state, one row per track). Per frame, ``Tracker.step`` makes
-one ``predict_all`` call, returning a (T, 4) array whose rows the
-Hungarian matches, one ``observe`` call with the matched rows, one
-``drop`` with the rows whose ``misses`` exceed ``max_age`` and one
-``start`` with the births, which take the largest ids (each only when
-there are any).
+the motion state, one row per track). Per frame, ``Tracker.step`` takes
+the frame's detections as one ``MotTable`` (a list of ``Detection`` is
+converted once on entry), fixes the session's unit mode from it, splits
+the confidences with masks and makes one ``predict_all`` call, returning a
+(T, 4) array whose rows both Hungarian stages match against index arrays
+of the detections. Then it makes one ``observe`` call with the matched
+rows and their (k, 4) boxes, one ``drop`` with the rows whose ``misses``
+exceed ``max_age`` and one ``start`` with the births, which take the
+largest ids (each only when there are any). ``FrameResult`` carries the
+frame's ids and boxes as arrays.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BoundingBox, Detection, InvalidInputError, check_field_types, iou_matrix, stack_boxes
+from .core import BoundingBox, Detection, InvalidInputError, MotTable, check_field_types, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,16 @@ def hungarian(cost: CostMatrix) -> Assignment:
     # enough to keep the float64 resolution of the feasible costs
     pad = 2.0 * min(n, m) * np.abs(cost.costs[cost.feasible]).max() + 1.0
     padded = np.where(cost.feasible, cost.costs, pad)
-    rows, cols = linear_sum_assignment(padded)
-    matches = [(int(r), int(c)) for r, c in zip(rows, cols) if cost.feasible[r, c]]
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
+    rows, cols = linear_sum_assignment(padded)  # rows ascend
+    keep = cost.feasible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    free_rows[rows] = False
+    free_cols[cols] = False
     return Assignment(
-        tuple(sorted(matches)),
-        tuple(r for r in range(n) if r not in matched_rows),
-        tuple(c for c in range(m) if c not in matched_cols),
+        tuple(zip(rows.tolist(), cols.tolist())),
+        tuple(np.flatnonzero(free_rows).tolist()),
+        tuple(np.flatnonzero(free_cols).tolist()),
     )
 
 
@@ -103,9 +109,37 @@ def hungarian(cost: CostMatrix) -> Assignment:
 @dataclass
 class FrameResult:
     frame: int
-    matched: list[tuple[int, BoundingBox]]  # (track id, updated box)
+    ids: np.ndarray  # (k,) ids of the frame's matched and new tracks, ascending
+    boxes: np.ndarray  # (k, 4) their boxes: the detections they took
     new_tracks: list[int]
     removed_tracks: list[int]
+    units: str = "px"
+
+    @property
+    def matched(self) -> list[tuple[int, BoundingBox]]:
+        """(track id, box) pairs, for callers that read boxes as objects."""
+        units = self.units
+        return [(tid, BoundingBox(*box, units)) for tid, box in zip(self.ids.tolist(), self.boxes.tolist())]
+
+
+def split_confidences(conf: np.ndarray, config: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first-stage (confidence above tau_high) and the
+    second-stage (above tau_low, at most tau_high) detections."""
+    high = conf > config.tau_high
+    return np.flatnonzero(high), np.flatnonzero(~high & (conf > config.tau_low))
+
+
+def _frame_table(frame: int, detections: MotTable | Sequence[Detection]) -> MotTable:
+    """A frame's detections as one table: a table of the frame's rows, or
+    a list of ``Detection`` converted once."""
+    if not isinstance(detections, MotTable):
+        detections = list(detections)
+        detections = MotTable.from_boxes([d.frame for d in detections], np.full(len(detections), -1),
+                                         [d.box for d in detections], [d.confidence for d in detections])
+    stray = detections.frame[detections.frame != frame]
+    if stray.size:
+        raise InvalidInputError(f"detection carries frame {stray[0]}, expected {frame}")
+    return detections
 
 
 class Tracker:
@@ -118,39 +152,36 @@ class Tracker:
         self._next_id = 1
         self._last_frame = 0
 
-    def _split_detections(self, detections: Sequence[Detection]) -> tuple[list[Detection], list[Detection]]:
-        first = [d for d in detections if d.confidence > self.config.tau_high]
-        second = [d for d in detections if self.config.tau_low < d.confidence <= self.config.tau_high]
-        return first, second
-
-    def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
+    def step(self, frame: int, detections: MotTable | Sequence[Detection]) -> FrameResult:
+        """Track one frame. ``detections`` is the frame's table (a value of
+        ``detections_by_frame``) or a list of ``Detection``."""
         if frame <= self._last_frame:
             raise InvalidInputError(f"frames must strictly increase (got {frame} after {self._last_frame})")
-        for d in detections:
-            if d.frame != frame:
-                raise InvalidInputError(f"detection carries frame {d.frame}, expected {frame}")
+        table = _frame_table(frame, detections)
+        cfg, session = self.config, self.predictor
+        if len(table):
+            session.use_units(table.units)
         self._last_frame = frame
 
-        cfg, session = self.config, self.predictor
-        d_first, d_second = self._split_detections(detections)
+        boxes = table.boxes
+        first, second = split_confidences(table.conf, cfg)
         predicted = session.predict_all()
 
         # stage 1: predictions x high-confidence detections
-        stage1 = hungarian(build_cost_matrix(predicted, stack_boxes(d.box for d in d_first), cfg.iou_gate_first))
-        matched = [(r, d_first[c].box) for r, c in stage1.matches]
-
+        stage1 = hungarian(build_cost_matrix(predicted, boxes[first], cfg.iou_gate_first))
         # stage 2: leftover predictions x low-confidence detections
-        rest_rows = list(stage1.unmatched_rows)
-        stage2 = hungarian(
-            build_cost_matrix(predicted[rest_rows], stack_boxes(d.box for d in d_second), cfg.iou_gate_second)
-        )
-        matched += [(rest_rows[r], d_second[c].box) for r, c in stage2.matches]
+        rest = np.array(stage1.unmatched_rows, dtype=np.intp)
+        stage2 = hungarian(build_cost_matrix(predicted[rest], boxes[second], cfg.iou_gate_second))
 
+        m1 = np.array(stage1.matches, dtype=np.intp).reshape(-1, 2)
+        m2 = np.array(stage2.matches, dtype=np.intp).reshape(-1, 2)
+        rows = np.concatenate([m1[:, 0], rest[m2[:, 0]]])
+        taken = np.concatenate([first[m1[:, 1]], second[m2[:, 1]]])
         # rows ascend with ids, so sorting by row sorts the matches by id
-        matched.sort(key=lambda m: m[0])
-        rows, boxes = [r for r, _ in matched], [box for _, box in matched]
-        session.observe(rows, boxes)
-        matched_ids = session.ids[rows].tolist()
+        order = np.argsort(rows)
+        rows, taken = rows[order], taken[order]
+        session.observe(rows, boxes[taken])
+        matched_ids = session.ids[rows]
 
         dead = np.flatnonzero(session.misses > cfg.max_age)
         removed = session.ids[dead].tolist()
@@ -158,25 +189,36 @@ class Tracker:
             session.drop(dead)
 
         # births take the largest ids, so they keep the table and the matches sorted
-        born = [d_first[c].box for c in stage1.unmatched_cols if d_first[c].confidence > cfg.new_track_conf]
-        new_ids = list(range(self._next_id, self._next_id + len(born)))
-        self._next_id += len(born)
-        if born:
-            session.start(new_ids, born)
-        return FrameResult(frame, list(zip(matched_ids + new_ids, boxes + born)), new_ids, removed)
+        unmatched = first[list(stage1.unmatched_cols)]
+        born = unmatched[table.conf[unmatched] > cfg.new_track_conf]
+        new_ids = np.arange(self._next_id, self._next_id + born.size, dtype=np.int64)
+        self._next_id += born.size
+        if born.size:
+            session.start(new_ids, boxes[born])
+        taken = np.concatenate([taken, born])
+        return FrameResult(frame, np.concatenate([matched_ids, new_ids]), boxes[taken], new_ids.tolist(), removed,
+                           session.units or table.units)
 
 
 def run_sequence(
-    frames: Iterable[tuple[int, Sequence[Detection]]],
+    frames: Iterable[tuple[int, MotTable | Sequence[Detection]]],
     predictor,
     config: TrackerConfig,
-) -> list[tuple[int, int, BoundingBox]]:
-    """Track a whole sequence; returns (frame, track id, box) records for
-    every track matched in that frame. Frames must arrive in increasing
-    order (missing frame numbers are fine)."""
+) -> MotTable:
+    """Track a whole sequence; returns the (frame, track id, box) rows of
+    every track matched in each frame, confidence 1, as one table.
+
+    Frames must arrive in increasing order. A frame number may be skipped,
+    but the predictors do not see the gap: each step predicts one frame
+    ahead and counts one miss, so a jump of k frames is tracked as a jump of
+    one.
+    """
     tracker = Tracker(config, predictor)
-    records: list[tuple[int, int, BoundingBox]] = []
-    for frame, dets in frames:
-        result = tracker.step(frame, dets)
-        records.extend((frame, tid, box) for tid, box in result.matched)
-    return records
+    results = [tracker.step(frame, dets) for frame, dets in frames]
+    return MotTable(
+        np.repeat([r.frame for r in results], [r.ids.size for r in results]).astype(np.int64),
+        np.concatenate([r.ids for r in results]) if results else np.empty(0, dtype=np.int64),
+        np.concatenate([r.boxes for r in results]) if results else np.empty((0, 4)),
+        1.0,
+        predictor.units or "px",
+    )

@@ -14,10 +14,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .association import TrackerConfig, run_sequence
-from .core import FormatError, InvalidInputError, NumericError, TrackingError, denormalize_box
+from .core import FormatError, InvalidInputError, MotTable, NumericError, TrackingError, runs
 from .data_io import (
-    MotRecord,
     SequenceMeta,
     SyntheticSpec,
     build_training_set,
@@ -34,7 +35,7 @@ from .data_io import (
 )
 from .diffusion import TrainConfig, train
 from .hminet import HMINet, ModelConfig
-from .metrics import idf1, mota, predictor_iou_diagnostic, render_table, reports_to_json
+from .metrics import check_iou_threshold, idf1, mota, predictor_iou_diagnostic, render_table, reports_to_json
 from .predictors import PredictorConfig, make_predictor
 
 METRIC_NAMES = ("mota", "idf1")
@@ -54,7 +55,19 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise _fail("missing-input", f"no such file: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
+def _output_file(path: str) -> Path:
+    """The path of a file a command writes; refused before any work when it
+    names a directory."""
+    p = Path(path)
+    if p.is_dir():
+        raise _fail("invalid-config", f"--out {path} is a directory; it must name a file")
+    return p
 
 
 def _read_config_file(path: str | None, what: str = "config file") -> dict:
@@ -195,6 +208,7 @@ def _predictor_from_args(args, file_cfg: dict):
 
 
 def cmd_track(args) -> int:
+    out = _output_file(args.out)
     file_cfg = _read_config_file(args.config)
     tracker_cfg = _build(TrackerConfig, _config_section(file_cfg, "tracker", args.config), "tracker config")
     pred_cfg, model = _predictor_from_args(args, file_cfg)
@@ -202,19 +216,17 @@ def cmd_track(args) -> int:
     parsed = parse_mot(_read_text(args.detections), meta, normalized=True)
     if parsed.skipped:
         print(f"warning: skipped {parsed.skipped} detection rows with non-positive extent", file=sys.stderr)
+    late = parsed.records.frame[parsed.records.frame > meta.frame_count]  # ascending
+    if late.size:
+        raise FormatError(f"{args.detections}: detection frame {late[0]} is past frame_count {meta.frame_count}")
     frames = detections_by_frame(parsed.records)
-    late = [f for f in frames if f > meta.frame_count]
-    if late:
-        raise FormatError(f"{args.detections}: detection frame {min(late)} is past frame_count {meta.frame_count}")
 
     predictor = make_predictor(pred_cfg, model)
     stream = ((f, frames.get(f, [])) for f in range(1, meta.frame_count + 1))
-    rows = run_sequence(stream, predictor, tracker_cfg)
-    records = [MotRecord(f, tid, box, 1.0) for f, tid, box in rows]
+    table = run_sequence(stream, predictor, tracker_cfg)
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(write_mot(records, meta))
+    out.write_text(write_mot(table, meta))
     Path(str(out) + ".config.json").write_text(
         _effective_json("track", args.seed, {
             "tracker": tracker_cfg.__dict__,
@@ -223,15 +235,17 @@ def cmd_track(args) -> int:
             "model": args.model,
         })
     )
-    print(f"tracked {meta.frame_count} frames -> {len(records)} rows, {len({r.track_id for r in records})} ids")
+    print(f"tracked {meta.frame_count} frames -> {len(table)} rows, {np.unique(table.track_id).size} ids")
     return 0
 
 
 def cmd_eval(args) -> int:
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in names if m not in METRIC_NAMES]
-    if unknown:
-        raise _fail("invalid-config", f"unknown metric(s) {unknown}; valid names: {', '.join(METRIC_NAMES)}")
+    if unknown or not names:
+        what = f"unknown metric(s) {unknown}" if unknown else "no metric named"
+        raise _fail("invalid-config", f"{what}; valid names: {', '.join(METRIC_NAMES)}")
+    check_iou_threshold(args.iou_threshold)
     gt = trajectories_from_records(parse_mot(_read_text(args.gt)).records)
     res = parse_mot(_read_text(args.res)).records
     reports = {}
@@ -281,20 +295,20 @@ def _polyline_color(i: int) -> str:
     return f"hsl({(i * 137) % 360},70%,45%)"
 
 
-def render_trajectories_svg(records: list[MotRecord], meta: SequenceMeta) -> str:
+def render_trajectories_svg(records: MotTable, meta: SequenceMeta) -> str:
     """Per-id colored polylines of box centers on the image canvas."""
-    by_id: dict[int, list[MotRecord]] = {}
-    for r in records:
-        by_id.setdefault(r.track_id, []).append(r)
+    boxes = records.boxes
+    if records.units == "norm":
+        boxes = boxes * meta.box_scale()
+    order = np.lexsort((records.frame, records.track_id))  # by id, then frame
+    centers = boxes[order, :2].tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{meta.width}" height="{meta.height}" '
         f'viewBox="0 0 {meta.width} {meta.height}">',
         f'<rect width="{meta.width}" height="{meta.height}" fill="white"/>',
     ]
-    for i, tid in enumerate(sorted(by_id)):
-        rs = sorted(by_id[tid], key=lambda r: r.frame)
-        boxes = [r.box if r.box.units == "px" else denormalize_box(r.box, meta.width, meta.height) for r in rs]
-        points = " ".join(f"{b.cx:.2f},{b.cy:.2f}" for b in boxes)
+    for i, (s, e) in enumerate(runs(records.track_id[order])):
+        points = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in centers[s:e])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{_polyline_color(i)}" stroke-width="2"/>'
         )
@@ -303,12 +317,12 @@ def render_trajectories_svg(records: list[MotRecord], meta: SequenceMeta) -> str
 
 
 def cmd_viz(args) -> int:
+    out = _output_file(args.out)
     meta = SequenceMeta.from_json(_read_text(args.meta))
     records = parse_mot(_read_text(args.res)).records
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_trajectories_svg(records, meta))
-    print(f"wrote {out} with {len({r.track_id for r in records})} trajectories")
+    print(f"wrote {out} with {np.unique(records.track_id).size} trajectories")
     return 0
 
 

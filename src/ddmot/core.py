@@ -1,5 +1,5 @@
-"""Center-format box geometry: the box and detection types, IoU and unit
-conversions.
+"""Center-format box geometry: the box and detection types, the columnar
+table of MOT rows, IoU and unit conversions.
 
 Everything downstream (prediction, association, metrics) is built on these
 types. Boxes exist in two unit modes: raw pixels ("px") or image-relative
@@ -56,10 +56,7 @@ def check_field_types(obj) -> None:
             raise InvalidInputError(f"{type(obj).__name__}.{f.name} must be true or false, got {v!r}")
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{name}: non-finite component {v!r}")
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,11 +70,17 @@ class BoundingBox:
     units: str = "px"
 
     def __post_init__(self) -> None:
-        _require_finite("BoundingBox", self.cx, self.cy, self.w, self.h)
+        # one chained test passes every valid box (NaN fails each comparison);
+        # the checks below only run to name what is wrong
+        if -_INF < self.cx < _INF and -_INF < self.cy < _INF and 0 < self.w < _INF and 0 < self.h < _INF \
+                and self.units in UNIT_MODES:
+            return
+        for v in (self.cx, self.cy, self.w, self.h):
+            if not math.isfinite(v):
+                raise InvalidInputError(f"BoundingBox: non-finite component {v!r}")
         if self.w <= 0 or self.h <= 0:
             raise DegenerateBoxError(f"box extent must be positive, got w={self.w}, h={self.h}")
-        if self.units not in UNIT_MODES:
-            raise InvalidInputError(f"unknown unit mode {self.units!r}")
+        raise InvalidInputError(f"unknown unit mode {self.units!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
@@ -96,23 +99,100 @@ class Detection:
             raise InvalidInputError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
-def _check_units(a: BoundingBox, b: BoundingBox, op: str) -> None:
-    if a.units != b.units:
-        raise UnitMismatchError(f"{op}: unit modes differ ({a.units} vs {b.units})")
+@dataclass(frozen=True, slots=True)
+class MotRecord:
+    """One MOT row as an object, for callers that read rows one by one."""
+
+    frame: int
+    track_id: int
+    box: BoundingBox
+    conf: float = 1.0
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union in [0, 1]; 0 for disjoint or edge-touching boxes."""
-    _check_units(a, b, "iou")
-    if a == b:
-        return 1.0
-    ix = min(a.cx + a.w / 2, b.cx + b.w / 2) - max(a.cx - a.w / 2, b.cx - b.w / 2)
-    iy = min(a.cy + a.h / 2, b.cy + b.h / 2) - max(a.cy - a.h / 2, b.cy - b.h / 2)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = a.w * a.h + b.w * b.h - inter
-    return min(max(inter / union, 0.0), 1.0)  # rounding can overshoot by an ulp
+def _int_column(values, name: str) -> np.ndarray:
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise InvalidInputError(f"MotTable: {name} must be integers, got {column.dtype}")
+    return column.astype(np.int64, copy=False).reshape(-1)
+
+
+class MotTable:
+    """MOT rows as columns: ``frame`` and ``track_id`` (N,) int64, ``boxes``
+    (N, 4) center-format float64, ``conf`` (N,) float64, all boxes in one
+    unit mode. Rows are sorted stably by frame. The constructor validates
+    every row as ``MotRecord``/``BoundingBox``/``Detection`` would: frames
+    >= 1, finite boxes with positive extent, confidences in [0, 1].
+
+    ``len`` counts rows, slicing and index arrays select rows, and iteration
+    yields ``MotRecord`` objects for callers that read rows one by one.
+    """
+
+    __slots__ = ("frame", "track_id", "boxes", "conf", "units")
+
+    def __init__(self, frame, track_id, boxes, conf, units: str = "px"):
+        frame, track_id = _int_column(frame, "frame"), _int_column(track_id, "track_id")
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        conf = np.asarray(conf, dtype=np.float64)
+        conf = np.full(frame.shape, conf) if conf.ndim == 0 else conf.reshape(-1)
+        if not (len(track_id) == len(boxes) == len(conf) == len(frame)):
+            raise InvalidInputError(
+                f"MotTable: columns differ in length ({len(frame)} frames, {len(track_id)} ids, "
+                f"{len(boxes)} boxes, {len(conf)} confidences)"
+            )
+        if units not in UNIT_MODES:
+            raise InvalidInputError(f"unknown unit mode {units!r}")
+        if frame.size and frame.min() < 1:
+            raise InvalidInputError(f"frame index must be >= 1, got {frame.min()}")
+        if not np.isfinite(boxes).all():
+            raise InvalidInputError("MotTable: non-finite box component")
+        if (boxes[:, 2:] <= 0).any():
+            raise DegenerateBoxError("MotTable: box extent must be positive")
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+            raise InvalidInputError("MotTable: confidence must lie in [0, 1]")
+        if (frame[1:] < frame[:-1]).any():
+            order = np.argsort(frame, kind="stable")
+            frame, track_id, boxes, conf = frame[order], track_id[order], boxes[order], conf[order]
+        self.frame, self.track_id, self.boxes, self.conf, self.units = frame, track_id, boxes, conf, units
+
+    @classmethod
+    def from_boxes(cls, frame, track_id, boxes, conf) -> "MotTable":
+        """A table from columns whose boxes are ``BoundingBox`` objects of
+        one unit mode (no boxes give an empty pixel table)."""
+        boxes = list(boxes)
+        units = {b.units for b in boxes}
+        if len(units) > 1:
+            raise UnitMismatchError(f"boxes mix unit modes {sorted(units)}")
+        return cls(frame, track_id, stack_boxes(boxes).reshape(-1, 4), conf, units.pop() if units else "px")
+
+    @classmethod
+    def of(cls, records) -> "MotTable":
+        """``records`` as a table: a table is returned as it is, a sequence
+        of ``MotRecord`` is converted once."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        return cls.from_boxes([r.frame for r in records], [r.track_id for r in records],
+                              [r.box for r in records], [r.conf for r in records])
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, rows) -> "MotTable":
+        return MotTable(self.frame[rows], self.track_id[rows], self.boxes[rows], self.conf[rows], self.units)
+
+    def __iter__(self):
+        units = self.units
+        columns = (self.frame.tolist(), self.track_id.tolist(), self.boxes.tolist(), self.conf.tolist())
+        for frame, track_id, box, conf in zip(*columns):
+            yield MotRecord(frame, track_id, BoundingBox(*box, units), conf)
+
+
+def runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """(start, end) of each run of equal values in the 1-d ``keys``."""
+    if not len(keys):
+        return []
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def stack_boxes(boxes) -> np.ndarray:
@@ -149,8 +229,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row IoU of two (N, 4) arrays of center-format boxes, equal
-    to ``iou`` on each pair (identical boxes give exactly 1)."""
+    """Row-by-row IoU of two (N, 4) arrays of center-format boxes;
+    identical boxes give exactly 1."""
     return np.where((a == b).all(axis=1), 1.0, _iou_broadcast(a.T, b.T))
 
 

@@ -7,6 +7,14 @@ generator with five motion programs, training-set assembly, and the
 binary model container ("D2MP" magic, version, JSON header holding the
 architecture config, then every parameter as little-endian float32 in
 ``hminet.parameter_shapes`` order: the config alone fixes the layout).
+
+MOT text is read and written as columns: ``parse_mot`` converts and checks
+whole columns into one ``MotTable`` (and maps a refused row back to its
+line number), ``detections_by_frame`` slices the frame-sorted table at its
+frame boundaries, and ``write_mot`` formats sorted columns. Lists of
+``MotRecord`` are accepted and converted once. Synthetic scenes keep their
+detections as ``Detection`` lists and their trajectories as ``BoundingBox``
+tuples.
 """
 from __future__ import annotations
 
@@ -23,10 +31,11 @@ from .core import (
     Detection,
     FormatError,
     InvalidInputError,
-    center_to_tlwh,
-    denormalize_box,
+    MotRecord,
+    MotTable,
     check_field_types,
     normalize_box,
+    runs,
     stack_boxes,
     tlwh_to_center,
 )
@@ -52,6 +61,10 @@ class SequenceMeta:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
+    def box_scale(self) -> np.ndarray:
+        """(4,) factors that take normalized center-format boxes to pixels."""
+        return np.array([self.width, self.height, self.width, self.height], dtype=np.float64)
+
     @classmethod
     def from_json(cls, text: str) -> "SequenceMeta":
         """The metadata in a JSON sidecar; its values are taken as given, so
@@ -63,17 +76,9 @@ class SequenceMeta:
             raise FormatError(f"bad sequence metadata: {e}") from e
 
 
-@dataclass(frozen=True)
-class MotRecord:
-    frame: int
-    track_id: int
-    box: BoundingBox
-    conf: float = 1.0
-
-
 @dataclass
 class ParseResult:
-    records: list[MotRecord]
+    records: MotTable
     skipped: int = 0  # lines dropped for non-positive extent
 
 
@@ -91,90 +96,139 @@ class Trajectory:
 # MOT text format
 
 
+def _convert(column: Sequence[str], convert, dtype) -> tuple[np.ndarray, int]:
+    """``convert`` (``int`` or ``float``) over a column of strings, as
+    ``dtype``: the values up to the first string it rejects, and that
+    string's index (the column length if there is none)."""
+    try:
+        return np.fromiter(map(convert, column), dtype, len(column)), len(column)
+    except (ValueError, OverflowError):
+        for bad, text in enumerate(column):
+            try:
+                dtype(convert(text))
+            except (ValueError, OverflowError):
+                return np.fromiter(map(convert, column[:bad]), dtype, bad), bad
+        raise
+
+
+def _row_error(lineno: int, fields: list[str], meta: SequenceMeta | None, normalized: bool) -> FormatError:
+    """The FormatError of a row the vectorised checks refused: the message of
+    the first check it fails, in the order its fields are read."""
+    if len(fields) < 7:
+        return FormatError(f"line {lineno}: expected at least 7 comma-separated fields, got {len(fields)}")
+    try:
+        frame = int(np.int64(int(fields[0])))
+        np.int64(int(fields[1]))
+        left, top, w, h, conf = (float(p) for p in fields[2:7])
+        if frame < 1:
+            raise ValueError(f"frame index must be >= 1, got {frame}")
+        if math.isnan(conf):
+            raise ValueError("confidence is NaN")
+        box = tlwh_to_center(left, top, w, h, "px")
+        if normalized:
+            normalize_box(box, meta.width, meta.height)
+    except OverflowError:
+        return FormatError(f"line {lineno}: an integer field is outside the int64 range")
+    except ValueError as e:  # InvalidInputError is a ValueError
+        return FormatError(f"line {lineno}: {e}")
+    return FormatError(f"line {lineno}: malformed row")
+
+
 def parse_mot(text: str | Iterable[str], meta: SequenceMeta | None = None, normalized: bool = False) -> ParseResult:
-    """Parse MOT CSV lines into records sorted by frame.
+    """Parse MOT CSV lines into one table sorted by frame.
 
     ``normalized`` converts boxes to image-relative units (requires meta);
-    centers are clamped into [0, 1] on the way in. Lines with w or h <= 0
-    are skipped and counted; anything else malformed raises FormatError
-    with its line number.
+    centers are clamped into [0, 1] on the way in. Confidences are clamped
+    into [0, 1]. Lines with w or h <= 0 are skipped and counted; anything
+    else malformed (fewer than 7 fields, a field ``int``/``float`` rejects or
+    an id beyond int64, frame < 1, a NaN confidence, a non-finite box)
+    raises FormatError naming its line number. Every check runs on whole
+    columns; only the first refused row is looked at on its own, to name it.
     """
     if normalized and meta is None:
         raise InvalidInputError("normalized parsing needs sequence metadata")
-    lines = text.splitlines() if isinstance(text, str) else text
-    records: list[MotRecord] = []
-    skipped = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 7:
-            raise FormatError(f"line {lineno}: expected at least 7 comma-separated fields, got {len(parts)}")
-        try:
-            frame = int(parts[0])
-            track_id = int(parts[1])
-            left, top, w, h = (float(p) for p in parts[2:6])
-            conf = float(parts[6])
-        except ValueError as e:
-            raise FormatError(f"line {lineno}: {e}") from e
-        if frame < 1:
-            raise FormatError(f"line {lineno}: frame index must be >= 1, got {frame}")
-        if math.isnan(conf):
-            raise FormatError(f"line {lineno}: confidence is NaN")
-        if w <= 0 or h <= 0:
-            skipped += 1
-            continue
-        try:
-            box = tlwh_to_center(left, top, w, h, "px")
-            if normalized:
-                box = normalize_box(box, meta.width, meta.height)
-        except InvalidInputError as e:
-            raise FormatError(f"line {lineno}: {e}") from e
-        records.append(MotRecord(frame, track_id, box, min(max(conf, 0.0), 1.0)))
-    records.sort(key=lambda r: r.frame)
-    return ParseResult(records, skipped)
+    lines = [line.strip() for line in (text.splitlines() if isinstance(text, str) else text)]
+    rows = [line.split(",", 7) for line in lines if line]
+    # rows before the first short or unconvertible one; checked as columns
+    end = len(rows)
+    if rows and min(map(len, rows)) < 7:
+        end = [len(fields) < 7 for fields in rows].index(True)
+    columns = list(zip(*rows[:end]))[:7] or [()] * 7
+    values = []
+    for i, column in enumerate(columns):
+        value, end = _convert(column[:end], int if i < 2 else float, np.int64 if i < 2 else np.float64)
+        values.append(value)
+    frame, track_id, left, top, w, h, conf = (v[:end] for v in values)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
+        boxes = np.stack([left + w / 2, top + h / 2, w, h], axis=1)
+        valid = np.isfinite(boxes).all(axis=1)
+        if normalized:
+            boxes = boxes / meta.box_scale()
+            boxes[:, :2] = np.minimum(np.maximum(boxes[:, :2], 0.0), 1.0)
+            valid &= (boxes[:, 2:] > 0).all(axis=1)  # an extent can underflow to 0
+    refused = (frame < 1) | np.isnan(conf)
+    skip = ~refused & ((w <= 0) | (h <= 0))
+    refused |= ~skip & ~valid
+    if refused.any() or end < len(rows):
+        bad = int(np.argmax(refused)) if refused.any() else end
+        lineno = [n for n, line in enumerate(lines, start=1) if line][bad]
+        raise _row_error(lineno, rows[bad], meta, normalized)
+    keep = ~skip
+    table = MotTable(frame[keep], track_id[keep], boxes[keep], np.minimum(np.maximum(conf[keep], 0.0), 1.0),
+                     "norm" if normalized else "px")
+    return ParseResult(table, int(skip.sum()))
 
 
-def write_mot(records: Sequence[MotRecord], meta: SequenceMeta | None = None) -> str:
-    """Canonical MOT text: sorted by (frame, id), reals with two decimals,
+_MOT_LINE = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1\n"
+
+
+def write_mot(records: MotTable | Sequence[MotRecord], meta: SequenceMeta | None = None) -> str:
+    """Canonical MOT text: sorted by (frame, id), reals with two decimals
+    (a value that rounds to zero is written ``0.00``, never ``-0.00``),
     world coordinates -1. Normalized boxes are written back in pixels."""
-    lines = []
-    for r in sorted(records, key=lambda r: (r.frame, r.track_id)):
-        box = r.box
-        if box.units == "norm":
-            if meta is None:
-                raise InvalidInputError("normalized records need metadata to be written in pixels")
-            box = denormalize_box(box, meta.width, meta.height)
-        left, top, w, h = center_to_tlwh(box)
-        lines.append(f"{r.frame},{r.track_id},{left:.2f},{top:.2f},{w:.2f},{h:.2f},{r.conf:.2f},-1,-1,-1")
-    return "".join(line + "\n" for line in lines)
+    table = MotTable.of(records)
+    boxes = table.boxes
+    if table.units == "norm":
+        if meta is None:
+            raise InvalidInputError("normalized records need metadata to be written in pixels")
+        boxes = boxes * meta.box_scale()
+    order = np.lexsort((table.track_id, table.frame))
+    boxes = boxes[order]
+    left_top = boxes[:, :2] - boxes[:, 2:] / 2
+    columns = (table.frame[order], table.track_id[order], left_top[:, 0], left_top[:, 1], boxes[:, 2], boxes[:, 3],
+               table.conf[order])
+    text = "".join(_MOT_LINE % row for row in zip(*(c.tolist() for c in columns)))
+    return text.replace(",-0.00", ",0.00")
 
 
-def detections_by_frame(records: Sequence[MotRecord]) -> dict[int, list[Detection]]:
-    out: dict[int, list[Detection]] = {}
-    for r in records:
-        out.setdefault(r.frame, []).append(Detection(r.frame, r.box, r.conf))
-    return out
+def detections_by_frame(records: MotTable | Sequence[MotRecord]) -> dict[int, MotTable]:
+    """Each frame's rows as one table (a slice of the frame-sorted table),
+    keyed by frame in ascending order."""
+    table = MotTable.of(records)
+    return {int(table.frame[s]): table[s:e] for s, e in runs(table.frame)}
 
 
-def trajectories_from_records(records: Sequence[MotRecord]) -> list[Trajectory]:
-    by_id: dict[int, list[MotRecord]] = {}
-    for r in records:
-        by_id.setdefault(r.track_id, []).append(r)
-    out = []
-    for tid in sorted(by_id):
-        rs = sorted(by_id[tid], key=lambda r: r.frame)
-        out.append(Trajectory(tid, tuple(r.frame for r in rs), tuple(r.box for r in rs)))
-    return out
-
-
-def records_from_trajectories(trajectories: Sequence[Trajectory], conf: float = 1.0) -> list[MotRecord]:
+def trajectories_from_records(records: MotTable | Sequence[MotRecord]) -> list[Trajectory]:
+    """One trajectory per track id, in ascending id order, each sorted by
+    frame (rows of one frame keep their order)."""
+    table = MotTable.of(records)
+    order = np.lexsort((table.frame, table.track_id))
+    ids, frames, boxes = table.track_id[order], table.frame[order].tolist(), table.boxes[order].tolist()
     return [
-        MotRecord(f, t.track_id, b, conf)
-        for t in trajectories
-        for f, b in zip(t.frames, t.boxes)
+        Trajectory(int(ids[s]), tuple(frames[s:e]), tuple(BoundingBox(*b, table.units) for b in boxes[s:e]))
+        for s, e in runs(ids)
     ]
+
+
+def records_from_trajectories(trajectories: Sequence[Trajectory], conf: float = 1.0) -> MotTable:
+    """Every trajectory's rows as one table."""
+    return MotTable.from_boxes(
+        [f for t in trajectories for f in t.frames],
+        [t.track_id for t in trajectories for _ in t.frames],
+        [b for t in trajectories for b in t.boxes],
+        conf,
+    )
 
 
 def normalize_trajectories(trajectories: Sequence[Trajectory], meta: SequenceMeta) -> list[Trajectory]:

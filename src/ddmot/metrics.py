@@ -11,8 +11,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .association import CostMatrix, hungarian
-from .core import BoundingBox, UnitMismatchError, iou_matrix, iou_pairs, stack_boxes
-from .data_io import MotRecord, Trajectory
+from .core import InvalidInputError, MotRecord, MotTable, UnitMismatchError, iou_matrix, iou_pairs, runs, stack_boxes
+from .data_io import Trajectory
 
 
 @dataclass(frozen=True)
@@ -53,35 +53,41 @@ FrameRows = tuple[list[int], np.ndarray]  # one frame's ids and (k, 4) boxes
 _NO_ROWS: FrameRows = ([], np.empty((0, 4)))
 
 
-def _by_frame(frames: list[int], ids: list[int], boxes: list[BoundingBox]) -> dict[int, FrameRows]:
+def _by_frame(frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray) -> dict[int, FrameRows]:
     """Rows grouped by frame, each frame's rows in their given order."""
     order = np.argsort(frames, kind="stable")
-    starts, first = np.unique(np.asarray(frames)[order], return_index=True)
-    ids, boxes = np.asarray(ids)[order].tolist(), stack_boxes(boxes)[order]
-    ends = [*first[1:].tolist(), len(ids)]
-    return {f: (ids[s:e], boxes[s:e]) for f, s, e in zip(starts.tolist(), first.tolist(), ends)}
+    frames, ids, boxes = frames[order], ids[order].tolist(), boxes[order]
+    return {int(frames[s]): (ids[s:e], boxes[s:e]) for s, e in runs(frames)}
 
 
-def _frame_index(gt: Sequence[Trajectory], records: Sequence[MotRecord]) -> tuple[dict[int, FrameRows], dict[int, FrameRows]]:
+def check_iou_threshold(iou_threshold: float) -> None:
+    """A match threshold must lie in (0, 1]: at 0 disjoint boxes would
+    match, and NaN would match nothing."""
+    if not (0.0 < iou_threshold <= 1.0):
+        raise InvalidInputError(f"IoU threshold must lie in (0, 1], got {iou_threshold}")
+
+
+def _frame_index(gt: Sequence[Trajectory], res: MotTable) -> tuple[dict[int, FrameRows], dict[int, FrameRows]]:
     """Ground truth and results grouped by frame. All boxes must share one
     unit mode."""
     gt_boxes = [b for t in gt for b in t.boxes]
-    res_boxes = [r.box for r in records]
-    units = {b.units for b in gt_boxes} | {b.units for b in res_boxes}
+    units = {b.units for b in gt_boxes} | ({res.units} if len(res) else set())
     if len(units) > 1:
         raise UnitMismatchError(f"ground truth and results mix unit modes {sorted(units)}")
-    gt_frames = _by_frame([f for t in gt for f in t.frames], [t.track_id for t in gt for _ in t.frames], gt_boxes)
-    res_frames = _by_frame([r.frame for r in records], [r.track_id for r in records], res_boxes)
-    return gt_frames, res_frames
+    gt_frames = _by_frame(np.array([f for t in gt for f in t.frames], dtype=np.int64),
+                          np.array([t.track_id for t in gt for _ in t.frames], dtype=np.int64),
+                          stack_boxes(gt_boxes).reshape(-1, 4))
+    return gt_frames, _by_frame(res.frame, res.track_id, res.boxes)
 
 
-def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: float = 0.5) -> MotaReport:
+def mota(gt: Sequence[Trajectory], records: MotTable | Sequence[MotRecord], iou_threshold: float = 0.5) -> MotaReport:
     """CLEAR accounting with the continuity rule: a ground-truth object
     keeps its previous hypothesis while that hypothesis still overlaps
     above the threshold; remaining pairs are matched by Hungarian on IoU.
     Identity switches are counted on matched frames only.
     """
-    gt_frames, res_frames = _frame_index(gt, records)
+    check_iou_threshold(iou_threshold)
+    gt_frames, res_frames = _frame_index(gt, MotTable.of(records))
     last_match: dict[int, int] = {}
     fp = fn = idsw = gt_total = 0
     for frame in sorted(set(gt_frames) | set(res_frames)):
@@ -123,12 +129,14 @@ def mota(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
     return MotaReport(fp, fn, idsw, gt_total, score)
 
 
-def idf1(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: float = 0.5) -> Idf1Report:
+def idf1(gt: Sequence[Trajectory], records: MotTable | Sequence[MotRecord], iou_threshold: float = 0.5) -> Idf1Report:
     """Identity F1: optimal global bipartite matching of ground-truth ids
     to predicted ids by per-frame overlap counts."""
-    gt_frames, res_frames = _frame_index(gt, records)
+    check_iou_threshold(iou_threshold)
+    res = MotTable.of(records)
+    gt_frames, res_frames = _frame_index(gt, res)
     gt_ids = sorted({t.track_id for t in gt})
-    pred_ids = sorted({r.track_id for r in records})
+    pred_ids = np.unique(res.track_id).tolist()
     hit_gt: list[int] = []  # ids of each overlapping (gt, result) pair
     hit_res: list[int] = []
     for frame, (frame_gt_ids, gt_boxes) in gt_frames.items():
@@ -141,7 +149,7 @@ def idf1(gt: Sequence[Trajectory], records: Sequence[MotRecord], iou_threshold: 
     overlap = np.zeros((len(gt_ids), len(pred_ids)))
     np.add.at(overlap, (np.searchsorted(gt_ids, hit_gt), np.searchsorted(pred_ids, hit_res)), 1)
     total_gt = sum(len(t.frames) for t in gt)
-    total_pred = len(records)
+    total_pred = len(res)
     idtp = 0
     if overlap.size:
         rows, cols = linear_sum_assignment(-overlap)
@@ -161,8 +169,10 @@ def predictor_iou_diagnostic(trajectories: Sequence[Trajectory], predictor, burn
     for traj in trajectories:
         if len(traj) < 2:
             continue
-        preds = predictor.diagnose_trajectory(list(traj.boxes), traj.track_id)
-        ious = iou_pairs(preds, stack_boxes(traj.boxes[1:])).tolist()[burn_in:]
+        boxes = stack_boxes(traj.boxes)
+        predictor.use_units(traj.boxes[0].units)
+        preds = predictor.diagnose_trajectory(boxes, traj.track_id)
+        ious = iou_pairs(preds, boxes[1:]).tolist()[burn_in:]
         if not ious:
             continue
         per_traj[traj.track_id] = float(np.mean(ious))

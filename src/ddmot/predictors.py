@@ -2,12 +2,14 @@
 
 A session is the tracker's only track table: row i of ``ids`` (strictly
 ascending) and ``misses`` (``predict_all`` calls since the row was last
-observed) and of every motion-state array belongs to one track. It has
-one unit mode, taken from its first box; in the normalized mode a frame
-is one unit wide, so ``min_box_extent`` must be below 1. Per frame,
-``predict_all`` returns a fresh (T, 4) array of next-frame boxes for every
-row, ``observe`` takes the matched rows and their boxes in one call,
-``drop`` removes the frame's dead rows and ``start`` appends its new
+observed) and of every motion-state array belongs to one track. Boxes
+enter as (N, 4) center-format arrays, checked to be finite with positive
+extents. A session has one unit mode, fixed by its first ``use_units``
+call (the diffusion predictor's is always normalized); in the normalized
+mode a frame is one unit wide, so ``min_box_extent`` must be below 1. Per
+frame, ``predict_all`` returns a fresh (T, 4) array of next-frame boxes
+for every row, ``observe`` takes the matched rows and their boxes in one
+call, ``drop`` removes the frame's dead rows and ``start`` appends its new
 tracks, whose ids must exceed every live id.
 
 Constant velocity and the diffusion predictor read a front-padded
@@ -25,12 +27,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    BoundingBox,
+    UNIT_MODES,
+    DegenerateBoxError,
     InvalidInputError,
     NumericError,
     UnitMismatchError,
     check_field_types,
-    stack_boxes,
 )
 from .diffusion import sample_k_steps
 
@@ -170,14 +172,22 @@ class MotionPredictor:
         self.clamp_count = 0
         self.ids = np.empty(0, dtype=np.int64)
         self.misses = np.empty(0, dtype=np.int64)  # predict_all calls since each row was observed
-        self._units: str | None = None
+        self.units: str | None = None  # fixed by the first use_units call
 
-    def _set_units(self, units: str) -> None:
+    def use_units(self, units: str) -> None:
+        """Fix the unit mode of every box this session takes; a later call
+        with the other mode raises UnitMismatchError."""
+        if units == self.units:
+            return
+        if self.units is not None:
+            raise UnitMismatchError(f"this session holds {self.units} boxes, got {units} boxes")
+        if units not in UNIT_MODES:
+            raise InvalidInputError(f"unknown unit mode {units!r}")
         if units == "norm" and self.config.min_box_extent >= 1.0:
             raise InvalidInputError(
                 f"min_box_extent {self.config.min_box_extent} must be below 1 for normalized boxes"
             )
-        self._units = units
+        self.units = units
 
     def _check_rows(self, rows: Sequence[int]) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
@@ -185,21 +195,23 @@ class MotionPredictor:
             raise InvalidInputError(f"rows must lie in [0, {self.ids.size}), got {rows.tolist()}")
         return rows
 
-    def _as_array(self, boxes: Sequence[BoundingBox]) -> np.ndarray:
-        """(N, 4) array of boxes in this session's unit mode."""
-        if any(b.units != self._units for b in boxes):
-            raise UnitMismatchError(f"this session holds {self._units} boxes, got {sorted({b.units for b in boxes})}")
-        return stack_boxes(boxes)
+    @staticmethod
+    def _check_boxes(boxes, count: int) -> np.ndarray:
+        """(count, 4) finite center-format boxes with positive extents."""
+        boxes = np.asarray(boxes, dtype=np.float64)
+        if boxes.shape != (count, 4):
+            raise InvalidInputError(f"expected ({count}, 4) boxes, got shape {boxes.shape}")
+        if not np.isfinite(boxes).all():
+            raise InvalidInputError("boxes must be finite")
+        if (boxes[:, 2:] <= 0).any():
+            raise DegenerateBoxError("box extents must be positive")
+        return boxes
 
-    def start(self, ids: Sequence[int], boxes: Sequence[BoundingBox]) -> None:
-        """Append one track per (id, first box); the ids must ascend above
-        every live id."""
-        if len(ids) != len(boxes):
-            raise InvalidInputError(f"{len(ids)} track ids but {len(boxes)} boxes")
-        if self._units is None and len(boxes):
-            self._set_units(boxes[0].units)
-        first = self._as_array(boxes)
+    def start(self, ids: Sequence[int], boxes: np.ndarray) -> None:
+        """Append one track per (id, first box) of ``ids`` and the (N, 4)
+        ``boxes``; the ids must ascend above every live id."""
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        first = self._check_boxes(boxes, ids.size)
         if (np.diff(np.concatenate([self.ids[-1:], ids])) <= 0).any():
             raise InvalidInputError(f"new track ids {ids.tolist()} must ascend above the last live id {self.ids[-1:]}")
         self.ids = np.concatenate([self.ids, ids])
@@ -207,12 +219,10 @@ class MotionPredictor:
         for name, value in zip(self._per_track, self._first_rows(ids, first)):
             setattr(self, name, np.concatenate([getattr(self, name), value]))
 
-    def observe(self, rows: Sequence[int], boxes: Sequence[BoundingBox]) -> None:
-        """The matched detection of each of a frame's matched rows."""
+    def observe(self, rows: Sequence[int], boxes: np.ndarray) -> None:
+        """The (N, 4) matched detection boxes of a frame's N matched rows."""
         rows = self._check_rows(rows)
-        if rows.size != len(boxes):
-            raise InvalidInputError(f"{rows.size} rows but {len(boxes)} boxes")
-        self._update_rows(rows, self._as_array(boxes))
+        self._update_rows(rows, self._check_boxes(boxes, rows.size))
         self.misses[rows] = 0
 
     def drop(self, rows: Sequence[int]) -> None:
@@ -230,17 +240,18 @@ class MotionPredictor:
             raise NumericError("a predicted box is not finite")
         return pred
 
-    def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> np.ndarray:
+    def diagnose_trajectory(self, boxes: np.ndarray, track_id: int = -1) -> np.ndarray:
         """(L - 1, 4) one-frame-ahead predictions for frames 2..L given the
-        true prefix; used by the linearity diagnostic. The session must
-        hold no tracks."""
+        true prefix of the (L, 4) ``boxes``; used by the linearity
+        diagnostic. The session must hold no tracks."""
         if self.ids.size:
             raise InvalidInputError(f"diagnose_trajectory needs an empty session, not one of {self.ids.size} tracks")
+        boxes = self._check_boxes(boxes, len(boxes))
         self.start([track_id], boxes[:1])
         preds = np.empty((len(boxes) - 1, 4))
-        for i, box in enumerate(boxes[1:]):
-            preds[i] = self.predict_all()[0]
-            self.observe([0], [box])
+        for i in range(1, len(boxes)):
+            preds[i - 1] = self.predict_all()[0]
+            self.observe([0], boxes[i : i + 1])
         self.drop([0])
         return preds
 
@@ -299,7 +310,7 @@ class D2MPPredictor(_BoxHistoryPredictor):
     def __init__(self, model, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="d2mp"), model.history_length + 1)
         self.model = model
-        self._set_units("norm")
+        self.use_units("norm")
         self._rngs = np.empty(0, dtype=object)
 
     def _track_rng(self, track_id: int) -> np.random.Generator:
@@ -321,9 +332,9 @@ class D2MPPredictor(_BoxHistoryPredictor):
     def _predict(self) -> np.ndarray:
         return self._sample(self._boxes, list(self._rngs))
 
-    def diagnose_trajectory(self, boxes: Sequence[BoundingBox], track_id: int = -1) -> np.ndarray:
+    def diagnose_trajectory(self, boxes: np.ndarray, track_id: int = -1) -> np.ndarray:
         # one batched network call per trajectory instead of one per frame
-        windows = trajectory_windows(self._as_array(boxes), self.model.history_length)
+        windows = trajectory_windows(self._check_boxes(boxes, len(boxes)), self.model.history_length)
         return self._sample(windows, self._track_rng(track_id))
 
 

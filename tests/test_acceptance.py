@@ -187,10 +187,7 @@ def test_criterion_6_end_to_end_sanity():
     ok = True
     details = []
     for name, predictor in predictors.items():
-        rows = run_sequence(sorted(frames.items()), predictor, TrackerConfig())
-        from ddmot.data_io import MotRecord
-
-        records = [MotRecord(f, tid, box) for f, tid, box in rows]
+        records = run_sequence(sorted(frames.items()), predictor, TrackerConfig())
         m = mota(trajs, records)
         i = idf1(trajs, records)
         results[name] = (m, i)
@@ -320,10 +317,10 @@ def test_criterion_10_latency_64_tracks(desk_model):
     ids = list(range(1, 65))
     for tid in ids:
         box = BoundingBox(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)), 0.1, 0.1, "norm")
-        predictor.start([tid], [box])
+        predictor.start([tid], stack_boxes([box]))
         for _ in range(5):
-            predictor.observe([tid - 1], [BoundingBox(box.cx + rng.uniform(-0.004, 0.004),
-                                                      box.cy, 0.1, 0.1, "norm")])
+            predictor.observe([tid - 1], stack_boxes([BoundingBox(box.cx + rng.uniform(-0.004, 0.004),
+                                                                  box.cy, 0.1, 0.1, "norm")]))
     timings = []
     for _ in range(5):
         t0 = time.perf_counter()

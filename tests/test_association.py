@@ -13,8 +13,10 @@ from ddmot.association import (
     build_cost_matrix,
     hungarian,
     run_sequence,
+    split_confidences,
 )
-from ddmot.core import BoundingBox, Detection, InvalidInputError, stack_boxes
+from ddmot.core import BoundingBox, Detection, InvalidInputError, MotTable, UnitMismatchError, stack_boxes
+from ddmot.data_io import detections_by_frame
 from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor, PredictorConfig, make_predictor
 
 
@@ -156,23 +158,41 @@ def make_tracker(max_age=30, **kw):
 
 class TestTwoStage:
     def test_confidence_partition(self):
-        tracker = make_tracker()
-        first, second = tracker._split_detections(
-            [det(1, 0.5, 0.5, conf=0.7), det(1, 0.3, 0.3, conf=0.5), det(1, 0.7, 0.7, conf=0.3)]
-        )
-        assert [d.confidence for d in first] == [0.7]
-        assert [d.confidence for d in second] == [0.5]
+        first, second = split_confidences(np.array([0.7, 0.5, 0.3]), TrackerConfig())
+        assert first.tolist() == [0] and second.tolist() == [1]
 
     def test_partition_is_exhaustive_and_exclusive(self):
-        tracker = make_tracker()
         rng = np.random.default_rng(3)
-        dets = [det(1, 0.5, 0.5, conf=float(c)) for c in rng.uniform(0, 1, 200)]
-        first, second = tracker._split_detections(dets)
-        discarded = [d for d in dets if d not in first and d not in second]
-        assert len(first) + len(second) + len(discarded) == len(dets)
-        assert all(d.confidence > 0.6 for d in first)
-        assert all(0.4 < d.confidence <= 0.6 for d in second)
-        assert all(d.confidence <= 0.4 for d in discarded)
+        conf = rng.uniform(0, 1, 200)
+        first, second = split_confidences(conf, TrackerConfig())
+        discarded = np.setdiff1d(np.arange(conf.size), np.concatenate([first, second]))
+        assert first.size + second.size + discarded.size == conf.size
+        assert not set(first.tolist()) & set(second.tolist())
+        assert (conf[first] > 0.6).all()
+        assert ((conf[second] > 0.4) & (conf[second] <= 0.6)).all()
+        assert (conf[discarded] <= 0.4).all()
+
+    def test_table_and_detection_list_track_alike(self):
+        """A frame given as its table slice and as a list of Detection gives
+        the same ids and boxes."""
+        rows = [(f, 0.3 + 0.004 * f, 0.5, 0.9) for f in range(1, 8)] + [(f, 0.7, 0.2, 0.5) for f in range(3, 8)]
+        table = MotTable([r[0] for r in rows], np.full(len(rows), -1),
+                         [[r[1], r[2], 0.1, 0.1] for r in rows], [r[3] for r in rows], "norm")
+        by_table, by_list = make_tracker(), make_tracker()
+        for f, frame_rows in detections_by_frame(table).items():
+            a = by_table.step(f, frame_rows)
+            b = by_list.step(f, [Detection(r.frame, r.box, r.conf) for r in frame_rows])
+            assert a.ids.tolist() == b.ids.tolist() and np.array_equal(a.boxes, b.boxes)
+            assert a.matched == b.matched and a.units == "norm"
+
+    def test_frame_in_the_other_unit_mode_rejected(self):
+        tracker = make_tracker()
+        tracker.step(1, [det(1, 0.5, 0.5)])
+        with pytest.raises(UnitMismatchError):
+            tracker.step(2, [Detection(2, BoundingBox(50, 50, 10, 10, "px"), 0.9)])
+        d2mp = Tracker(TrackerConfig(), make_predictor(PredictorConfig(kind="d2mp"), StillOracle()))
+        with pytest.raises(UnitMismatchError):
+            d2mp.step(1, [Detection(1, BoundingBox(50, 50, 10, 10, "px"), 0.9)])
 
     def test_single_overlapping_detection_keeps_id(self):
         tracker = make_tracker()
@@ -307,15 +327,20 @@ class TestTrackTable:
             assert session.misses.tolist() == [live[tid] for tid in sorted(live)]
 
 
+def rows_of(table):
+    """A result table as (frame, id, box) tuples."""
+    return list(zip(table.frame.tolist(), table.track_id.tolist(), table.boxes.tolist()))
+
+
 class TestRunSequence:
     def test_empty_stream(self):
-        assert run_sequence([], ConstantVelocityPredictor(), TrackerConfig()) == []
+        assert rows_of(run_sequence([], ConstantVelocityPredictor(), TrackerConfig())) == []
 
     def test_single_object_single_id(self):
         frames = [(f, [det(f, 0.3 + 0.004 * f, 0.5, conf=1.0)]) for f in range(1, 51)]
         records = run_sequence(frames, KalmanPredictor(), TrackerConfig())
         assert len(records) == 50
-        assert {tid for _, tid, _ in records} == {1}
+        assert set(records.track_id.tolist()) == {1}
 
     def test_two_well_separated_objects_no_switches(self):
         frames = []
@@ -326,12 +351,12 @@ class TestRunSequence:
             ]))
         records = run_sequence(frames, KalmanPredictor(), TrackerConfig())
         ids_by_y = {}
-        for _, tid, box in records:
-            ids_by_y.setdefault(round(box.cy, 1), set()).add(tid)
+        for _, tid, box in rows_of(records):
+            ids_by_y.setdefault(round(box[1], 1), set()).add(tid)
         assert all(len(v) == 1 for v in ids_by_y.values())  # one stable id per lane
 
     def test_deterministic_records(self):
         frames = [(f, [det(f, 0.3 + 0.004 * f, 0.5, conf=1.0)]) for f in range(1, 21)]
         a = run_sequence(frames, ConstantVelocityPredictor(), TrackerConfig())
         b = run_sequence(frames, ConstantVelocityPredictor(), TrackerConfig())
-        assert a == b
+        assert rows_of(a) == rows_of(b) and a.units == b.units == "norm"

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from ddmot.cli import main
-from ddmot.data_io import parse_mot, save_model, trajectories_from_records
+from ddmot.core import BoundingBox, Detection
+from ddmot.data_io import MotRecord, parse_mot, save_model, trajectories_from_records
 from ddmot.hminet import ModelConfig, init_params, parameter_shapes
 from ddmot.metrics import idf1, mota
 
@@ -213,6 +214,56 @@ class TestErrorSurface:
         assert main(["eval", "--gt", str(tmp_path / "a.txt"), "--res", str(tmp_path / "b.txt")]) == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert err.startswith("error: missing-input:")
+
+    def _one_error_line(self, capsys, category: str) -> str:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {category}:"), err
+        return err[0]
+
+    def test_non_utf8_input_is_a_format_error(self, scene, tmp_path, capsys):
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"1,1,10,10,5,5,1,-1,-1,-1\n\xff\xfe\x81,2\n")
+        assert main(["eval", "--gt", str(binary), "--res", str(scene / "gt.txt")]) == 2
+        assert "bin.txt" in self._one_error_line(capsys, "format-error")
+
+    def test_out_naming_a_directory_is_invalid_config(self, scene, capsys):
+        assert main(["track", "--detections", str(scene / "det.txt"), "--meta", str(scene / "meta.json"),
+                     "--predictor", "kf", "--out", str(scene)]) == 2
+        assert str(scene) in self._one_error_line(capsys, "invalid-config")
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-0.5", "1.5", "inf"])
+    def test_iou_threshold_outside_unit_interval(self, scene, capsys, value):
+        gt = str(scene / "gt.txt")
+        assert main(["eval", "--gt", gt, "--res", gt, "--iou-threshold", value]) == 2
+        assert "threshold" in self._one_error_line(capsys, "invalid-config")
+
+    def test_empty_metric_list(self, scene, capsys):
+        gt = str(scene / "gt.txt")
+        assert main(["eval", "--gt", gt, "--res", gt, "--metrics", ""]) == 2
+        self._one_error_line(capsys, "invalid-config")
+
+
+def test_track_builds_no_row_objects(tmp_path, monkeypatch):
+    """``ddmot track --predictor cv`` keeps MOT rows as columns from the
+    detection text to the result text: it constructs no BoundingBox,
+    MotRecord or Detection."""
+    spec = write_json(tmp_path / "spec.json", {"program": "sinusoidal", "object_count": 8, "length": 40,
+                                               "jitter_sigma": 0.003, "drop_prob": 0.1, "fp_rate": 1.0,
+                                               "conf_range": [0.45, 1.0]})
+    seq = tmp_path / "seq"
+    assert main(["synth", "--spec", spec, "--out", str(seq), "--seed", "2"]) == 0
+    built = []
+    for cls in (BoundingBox, MotRecord, Detection):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
+    res = tmp_path / "res.txt"
+    assert main(["track", "--detections", str(seq / "det.txt"), "--meta", str(seq / "meta.json"),
+                 "--predictor", "cv", "--out", str(res)]) == 0
+    assert built == []
+    assert len(res.read_text().splitlines()) > 200
+    list(parse_mot(res.read_text()).records)  # the spy does see objects built from a table
+    assert built
 
 
 def _header(blob: bytes) -> tuple[dict, int]:

@@ -8,10 +8,11 @@ from ddmot.core import (
     DegenerateBoxError,
     Detection,
     InvalidInputError,
+    MotRecord,
+    MotTable,
     UnitMismatchError,
     center_to_tlwh,
     denormalize_box,
-    iou,
     iou_matrix,
     iou_pairs,
     normalize_box,
@@ -19,6 +20,23 @@ from ddmot.core import (
     tlwh_to_center,
 )
 from ddmot.predictors import _apply_motion, build_condition_window
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Reference scalar IoU of two boxes of one unit mode, in [0, 1]; 0 for
+    disjoint or edge-touching boxes. ``iou_pairs`` and ``iou_matrix`` must
+    agree with it."""
+    if a.units != b.units:
+        raise UnitMismatchError(f"iou: unit modes differ ({a.units} vs {b.units})")
+    if a == b:
+        return 1.0
+    ix = min(a.cx + a.w / 2, b.cx + b.w / 2) - max(a.cx - a.w / 2, b.cx - b.w / 2)
+    iy = min(a.cy + a.h / 2, b.cy + b.h / 2) - max(a.cy - a.h / 2, b.cy - b.h / 2)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    union = a.w * a.h + b.w * b.h - inter
+    return min(max(inter / union, 0.0), 1.0)  # rounding can overshoot by an ulp
 
 
 def box(cx, cy, w, h, units="px"):
@@ -198,3 +216,35 @@ class TestNormalization:
             normalize_box(box(1, 1, 1, 1, "norm"), 10, 10)
         with pytest.raises(UnitMismatchError):
             denormalize_box(box(1, 1, 1, 1, "px"), 10, 10)
+
+
+class TestMotTable:
+    def test_rows_sorted_stably_by_frame(self):
+        t = MotTable([3, 1, 3, 1], [1, 2, 3, 4], [[5, 5, 2, 2]] * 4, 1.0)
+        assert t.frame.tolist() == [1, 1, 3, 3] and t.track_id.tolist() == [2, 4, 1, 3]
+
+    def test_iteration_yields_validated_records(self):
+        t = MotTable([1, 2], [7, 8], [[5, 5, 2, 2], [6, 5, 2, 3]], [0.5, 1.0], "norm")
+        assert list(t) == [MotRecord(1, 7, box(5, 5, 2, 2, "norm"), 0.5), MotRecord(2, 8, box(6, 5, 2, 3, "norm"), 1.0)]
+        assert len(t) == 2 and len(t[1:]) == 1 and t[1:].units == "norm"
+
+    def test_of_converts_records_once_and_keeps_tables(self):
+        t = MotTable.of([MotRecord(2, 1, box(5, 5, 2, 2)), MotRecord(1, 2, box(6, 6, 2, 2), 0.3)])
+        assert t.frame.tolist() == [1, 2] and t.conf.tolist() == [0.3, 1.0] and t.units == "px"
+        assert MotTable.of(t) is t
+        with pytest.raises(UnitMismatchError):
+            MotTable.of([MotRecord(1, 1, box(5, 5, 2, 2)), MotRecord(1, 2, box(0.5, 0.5, 0.1, 0.1, "norm"))])
+
+    @pytest.mark.parametrize("frame, boxes, conf, units, error", [
+        ([0], [[5, 5, 2, 2]], 1.0, "px", InvalidInputError),
+        ([1.5], [[5, 5, 2, 2]], 1.0, "px", InvalidInputError),
+        ([1], [[5, np.inf, 2, 2]], 1.0, "px", InvalidInputError),
+        ([1], [[5, 5, 0, 2]], 1.0, "px", DegenerateBoxError),
+        ([1], [[5, 5, 2, 2]], 1.5, "px", InvalidInputError),
+        ([1], [[5, 5, 2, 2]], np.nan, "px", InvalidInputError),
+        ([1], [[5, 5, 2, 2]], 1.0, "mm", InvalidInputError),
+        ([1, 2], [[5, 5, 2, 2]], 1.0, "px", InvalidInputError),
+    ])
+    def test_every_row_is_checked(self, frame, boxes, conf, units, error):
+        with pytest.raises(error):
+            MotTable(frame, [1] * len(frame), boxes, conf, units)

@@ -10,6 +10,7 @@ from ddmot import autodiff as ad
 from ddmot.core import BoundingBox, FormatError, InvalidInputError, stack_boxes
 from ddmot.data_io import (
     MotRecord,
+    MotTable,
     SequenceMeta,
     SyntheticSpec,
     Trajectory,
@@ -56,7 +57,8 @@ class TestParseMot:
         assert np.allclose(r.box.as_array(), [5, 5, 10, 10])
 
     def test_empty_file(self):
-        assert parse_mot("") == type(parse_mot(""))([], 0)
+        result = parse_mot("")
+        assert len(result.records) == 0 and result.skipped == 0
 
     def test_malformed_line_number(self):
         with pytest.raises(FormatError, match="line 2"):
@@ -132,6 +134,65 @@ class TestWriteMot:
         ]
         lines = write_mot(recs).splitlines()
         assert [l.split(",")[:2] for l in lines] == [["1", "1"], ["1", "2"], ["2", "1"]]
+
+
+@st.composite
+def mot_tables(draw, max_rows=30):
+    """Random MOT columns in pixels: coordinates within +-1e4 and extents
+    from 0.01, the text format's resolution, so each value survives two
+    decimals."""
+    n = draw(st.integers(0, max_rows))
+    column = lambda elements: st.lists(elements, min_size=n, max_size=n)
+    coord, extent = st.floats(-1e4, 1e4), st.floats(0.01, 1e4)
+    return MotTable(
+        draw(column(st.integers(1, 10**6))),
+        draw(column(st.integers(-1, 10**6))),
+        np.array(draw(column(st.tuples(coord, coord, extent, extent))), dtype=np.float64).reshape(-1, 4),
+        draw(column(st.floats(0.0, 1.0))),
+    )
+
+
+# one malformed line per check the parser makes
+MALFORMED_LINES = st.sampled_from([
+    "1,-1,0,0,5",
+    "1,-1,zero,0,5,5,1,-1,-1,-1",
+    "1.5,-1,0,0,5,5,1,-1,-1,-1",
+    "1,99999999999999999999,0,0,5,5,1,-1,-1,-1",
+    "0,-1,0,0,5,5,1,-1,-1,-1",
+    "1,-1,0,0,5,5,nan,-1,-1,-1",
+    "1,-1,inf,0,5,5,1,-1,-1,-1",
+    "1,-1,0,0,5,nan,1,-1,-1,-1",
+])
+
+
+class TestColumnProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(table=mot_tables())
+    def test_write_parse_write_is_byte_identical(self, table):
+        text = write_mot(table)
+        parsed = parse_mot(text)
+        assert len(parsed.records) == len(table) and parsed.skipped == 0
+        assert write_mot(parsed.records) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=mot_tables(), bad=MALFORMED_LINES, data=st.data(), normalized=st.booleans())
+    def test_malformed_line_is_named_by_its_number(self, table, bad, data, normalized):
+        lines = write_mot(table).splitlines()
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, bad)
+        for blank in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+            lines.insert(blank, "")
+            at += blank <= at
+        with pytest.raises(FormatError) as e:
+            parse_mot("\n".join(lines), SequenceMeta(10, 640, 480), normalized)
+        assert str(e.value).startswith(f"line {at + 1}:")
+
+    def test_negative_zero_is_written_as_zero(self):
+        """A coordinate that rounds to zero from below is written 0.00, so a
+        re-parsed file writes back the same text."""
+        text = write_mot([MotRecord(1, 1, BoundingBox(1.998, 5, 4, 2))])
+        assert text == "1,1,0.00,4.00,4.00,2.00,1.00,-1,-1,-1\n"
+        assert write_mot(parse_mot(text).records) == text
 
 
 class TestSynth:
@@ -394,7 +455,7 @@ class TestMeta:
         trajs = trajectories_from_records([r for r in records if r.track_id > 0])
         assert len(trajs) == 1 and trajs[0].frames == (1, 2)
         dets = detections_by_frame([r for r in records if r.track_id == -1])
-        assert list(dets) == [1] and dets[1][0].confidence == 0.8
+        assert list(dets) == [1] and dets[1].conf.tolist() == [0.8]
 
     def test_normalize_trajectories(self):
         meta = SequenceMeta(5, 100, 100)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from ddmot.association import Tracker, TrackerConfig, run_sequence
-from ddmot.core import Detection, denormalize_box
-from ddmot.data_io import MotRecord, SyntheticSpec, build_training_set, save_model, synth_sequence, write_mot
+from ddmot.core import Detection, denormalize_box, stack_boxes
+from ddmot.data_io import SyntheticSpec, build_training_set, save_model, synth_sequence, write_mot
 from ddmot.diffusion import TrainConfig, train
 from ddmot.hminet import HMINet, ModelConfig
 from ddmot.predictors import PredictorConfig, make_predictor
@@ -91,9 +91,9 @@ def _frames(scene, units):
 def test_tracking_output(scene, model, key):
     kind, steps, units = key
     predictor = make_predictor(PredictorConfig(kind=kind, sampling_steps=steps, seed=3), model if kind == "d2mp" else None)
-    rows = run_sequence(_frames(scene, units), predictor, TrackerConfig())
-    text = write_mot([MotRecord(f, tid, box, 1.0) for f, tid, box in rows], scene.meta)
-    raw = np.array([(f, tid, b.cx, b.cy, b.w, b.h) for f, tid, b in rows])
+    table = run_sequence(_frames(scene, units), predictor, TrackerConfig())
+    text = write_mot(table, scene.meta)
+    raw = np.column_stack([table.frame, table.track_id, table.boxes]).astype(np.float64)
     assert sha(text.encode(), raw.tobytes()) == TRACK_DIGESTS[key]
 
 
@@ -117,7 +117,7 @@ def test_training_set(scene):
 @pytest.mark.parametrize("kind", list(DIAG_DIGESTS))
 def test_diagnostic_predictions(scene, model, kind):
     predictor = make_predictor(PredictorConfig(kind=kind, seed=3), model if kind == "d2mp" else None)
-    preds = [predictor.diagnose_trajectory(list(t.boxes), t.track_id) for t in scene.trajectories]
+    preds = [predictor.diagnose_trajectory(stack_boxes(t.boxes), t.track_id) for t in scene.trajectories]
     assert sha(*(p.tobytes() for p in preds)) == DIAG_DIGESTS[kind]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ddmot import autodiff as ad
 from ddmot.autodiff import NonFiniteError, Tensor
-from ddmot.core import BoundingBox, InvalidInputError
+from ddmot.core import BoundingBox, InvalidInputError, stack_boxes
 from ddmot.diffusion import (
     T_MIN,
     NoisyMotion,
@@ -130,10 +130,11 @@ class TestEncodeOnce:
     def test_recorder_sees_one_window_batch_per_frame(self):
         model = WindowRecorder(history_length=3)
         p = D2MPPredictor(model, PredictorConfig(kind="d2mp"))
-        p.start([1, 2], [BoundingBox(0.2 * tid, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)])
+        p.start([1, 2], stack_boxes([BoundingBox(0.2 * tid, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)]))
         for frame in range(4):
             p.predict_all()
-            p.observe([0, 1], [BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm") for tid in (1, 2)])
+            p.observe([0, 1], stack_boxes([BoundingBox(0.2 * tid + 0.01 * frame, 0.5, 0.1, 0.1, "norm")
+                                           for tid in (1, 2)]))
         assert len(model.windows) == 4
         assert all(w.shape == (2, 3, 8) for w in model.windows)
 

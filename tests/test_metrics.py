@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ddmot import metrics
-from ddmot.core import BoundingBox, UnitMismatchError, iou, iou_matrix, iou_pairs, stack_boxes
+from ddmot.core import BoundingBox, InvalidInputError, UnitMismatchError, iou_matrix, iou_pairs
 from ddmot.data_io import MotRecord, SyntheticSpec, Trajectory, synth_sequence
-from ddmot.association import TrackerConfig, run_sequence
+from ddmot.association import CostMatrix, TrackerConfig, hungarian, run_sequence
 from ddmot.metrics import (
     DiagReport,
     Idf1Report,
@@ -19,6 +19,7 @@ from ddmot.metrics import (
     reports_to_json,
 )
 from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor
+from test_core import iou
 
 
 def nbox(cx, cy, w=0.1, h=0.1):
@@ -201,11 +202,12 @@ def reference_mota(gt, records, threshold=0.5):
         if rem_gt and rem_res:
             overlap = iou_matrix(np.stack([g[1].as_array() for g in rem_gt]),
                                  np.stack([res[j][1].as_array() for j in rem_res]))
-            rows, cols = linear_sum_assignment(np.where(overlap >= threshold, 1.0 - overlap, 1e9))
-            for r_i, c_i in zip(rows, cols):
-                if overlap[r_i, c_i] >= threshold:
-                    matched_gt[rem_gt[r_i][0]] = rem_res[c_i]
-                    used_res.add(rem_res[c_i])
+            # the assignment is hungarian's (checked against brute force in
+            # test_association): an lsa of its own picked another optimum on
+            # tied costs, and a pad of 1e9 rounded away cost differences
+            for r_i, c_i in hungarian(CostMatrix(1.0 - overlap, overlap >= threshold)).matches:
+                matched_gt[rem_gt[r_i][0]] = rem_res[c_i]
+                used_res.add(rem_res[c_i])
         for gid, j in matched_gt.items():
             if gid in last_match and last_match[gid] != res[j][0]:
                 idsw += 1
@@ -218,6 +220,13 @@ def reference_mota(gt, records, threshold=0.5):
 class TestMotaContinuity:
     @settings(max_examples=150, deadline=None)
     @given(case=scored_outputs())
+    @example(case=(
+        [Trajectory(1, (1, 2, 3), (nbox(0.1, 0.1),) * 3),
+         Trajectory(2, (1, 3, 4), (nbox(0.1, 0.15), nbox(0.15, 0.15, 0.1, 0.15), nbox(0.15, 0.1)))],
+        [MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 1, nbox(0.1, 0.1)),
+         MotRecord(3, 2, nbox(0.15, 0.15)), MotRecord(4, 1, nbox(0.15, 0.1)),
+         MotRecord(3, 1, nbox(0.15, 0.15, 0.15, 0.15))],
+    ))
     def test_matches_scalar_iou_reference(self, case):
         gt, records = case
         assert mota(gt, records) == reference_mota(gt, records)
@@ -228,11 +237,23 @@ class TestMotaContinuity:
         scene = synth_sequence(SyntheticSpec(object_count=40, length=30, box_min=0.03, box_max=0.06,
                                              jitter_sigma=0.002, drop_prob=0.1, fp_rate=2.0), 3)
         frames = [(f, scene.detections[f]) for f in sorted(scene.detections)]
-        res = [MotRecord(f, tid, b) for f, tid, b in run_sequence(frames, KalmanPredictor(), TrackerConfig())]
+        res = run_sequence(frames, KalmanPredictor(), TrackerConfig())
         calls = []
         monkeypatch.setattr(metrics, "iou_pairs", lambda a, b: calls.append(len(a)) or iou_pairs(a, b))
         assert mota(scene.trajectories, res) == reference_mota(scene.trajectories, res)
         assert calls and max(calls) > 1
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        """At 0 or below disjoint boxes would pair up, and NaN pairs nothing."""
+        gt = [straight_trajectory(1, 3)]
+        for score in (mota, idf1):
+            with pytest.raises(InvalidInputError, match="threshold"):
+                score(gt, records_of(gt[0]), threshold)
+
+    def test_threshold_of_one_accepted(self):
+        gt = [straight_trajectory(1, 3)]
+        assert mota(gt, records_of(gt[0]), 1.0).mota == 1.0 and idf1(gt, records_of(gt[0]), 1.0).idf1 == 1.0
 
     def test_mixed_units_rejected(self):
         gt = [straight_trajectory(1, 3)]
@@ -246,8 +267,11 @@ class TestMotaContinuity:
 class OraclePredictor:
     """Returns the true next box (upper bound for the diagnostic)."""
 
+    def use_units(self, units):
+        pass
+
     def diagnose_trajectory(self, boxes, track_id=-1):
-        return stack_boxes(boxes[1:])
+        return boxes[1:]
 
 
 class TestDiagnostic:

@@ -69,10 +69,10 @@ class WindowRecorder:
 
 def observed(predictor, boxes, track_id=1):
     """Start a track on boxes[0] and observe the rest on its row."""
-    predictor.start([track_id], boxes[:1])
+    predictor.start([track_id], stack_boxes(boxes[:1]))
     row = predictor.ids.size - 1
     for b in boxes[1:]:
-        predictor.observe([row], [b])
+        predictor.observe([row], stack_boxes([b]))
     return predictor
 
 
@@ -220,18 +220,18 @@ class TestConditionWindow:
         p = observed(D2MPPredictor(WindowRecorder(history_length=5)), [nbox(0.4, 0.4)])
         for row in (1, -1):
             with pytest.raises(InvalidInputError):
-                p.observe([row], [nbox(0.4, 0.4)])
+                p.observe([row], stack_boxes([nbox(0.4, 0.4)]))
 
     def test_mixed_units_rejected(self):
-        """A session takes its unit mode from its first box and rejects a box
-        in the other mode, whether it starts a track or is observed."""
+        """A session fixes its unit mode once and rejects the other mode
+        afterwards; its boxes keep the scale of that mode."""
         for p in (KalmanPredictor(), ConstantVelocityPredictor()):
-            p.start([1], [BoundingBox(10, 10, 5, 5, "px")])
+            p.use_units("px")
+            p.start([1], stack_boxes([BoundingBox(10, 10, 5, 5, "px")]))
             with pytest.raises(UnitMismatchError):
-                p.start([2], [nbox(0.4, 0.4)])
-            with pytest.raises(UnitMismatchError):
-                p.observe([0], [nbox(0.4, 0.4)])
-            p.observe([0], [BoundingBox(11, 10, 5, 5, "px")])
+                p.use_units("norm")
+            p.use_units("px")
+            p.observe([0], stack_boxes([BoundingBox(11, 10, 5, 5, "px")]))
             # the prediction stays on the pixel scale of the px boxes
             assert np.allclose(p.predict_all()[0, 1:], [10, 5, 5])
 
@@ -289,15 +289,15 @@ class TestD2MPPredict:
             for i in range(len(boxes) - 1)
         }
         p = D2MPPredictor(LookupOracle(table), PredictorConfig(kind="d2mp"))
-        p.start([1], boxes[:1])
+        p.start([1], stack_boxes(boxes[:1]))
         for i in range(1, len(boxes) - 1):
-            p.observe([0], [boxes[i]])
+            p.observe([0], stack_boxes([boxes[i]]))
             pred = p.predict_all()[0]
             assert np.abs(pred - boxes[i + 1].as_array()).max() < 1e-12
 
     def test_zero_motion_model_keeps_box(self):
         p = D2MPPredictor(LookupOracle({tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}))
-        p.start([1], [nbox(0.4, 0.4)])
+        p.start([1], stack_boxes([nbox(0.4, 0.4)]))
         assert np.array_equal(p.predict_all(), stack(nbox(0.4, 0.4))[0])
 
     def test_fixed_seed_deterministic(self):
@@ -345,7 +345,7 @@ class TestSessions:
             D2MPPredictor(LookupOracle(table)),
         ]
         for p in predictors:
-            p.start([1], [nbox(0.4, 0.4)])
+            p.start([1], stack_boxes([nbox(0.4, 0.4)]))
             pred = p.predict_all()
             assert pred.shape == (1, 4) and (pred[:, 2:] > 0).all()
             p.drop([0])
@@ -356,40 +356,41 @@ class TestSessions:
     def test_start_live_id_rejected(self):
         table = {tuple(np.round(nbox(0.4, 0.4).as_array(), 9)): np.zeros(4)}
         for p in (KalmanPredictor(), ConstantVelocityPredictor(), D2MPPredictor(LookupOracle(table))):
-            p.start([1], [nbox(0.4, 0.4)])
+            p.start([1], stack_boxes([nbox(0.4, 0.4)]))
             with pytest.raises(InvalidInputError):
-                p.start([1], [nbox(0.4, 0.4)])
+                p.start([1], stack_boxes([nbox(0.4, 0.4)]))
             p.drop([0])
-            p.start([1], [nbox(0.4, 0.4)])  # the session may take a dropped id again; the tracker never does
+            # the session may take a dropped id again; the tracker never does
+            p.start([1], stack_boxes([nbox(0.4, 0.4)]))
             assert np.array_equal(p.predict_all(), stack(nbox(0.4, 0.4))[0])
 
     @pytest.mark.parametrize("ids", [[3, 2], [2, 2], [1]])
     def test_new_ids_must_ascend_above_live_ids(self, ids):
         p = KalmanPredictor()
-        p.start([1], [nbox(0.4, 0.4)])
+        p.start([1], stack_boxes([nbox(0.4, 0.4)]))
         with pytest.raises(InvalidInputError):
-            p.start(ids, [nbox(0.4, 0.4)] * len(ids))
+            p.start(ids, stack_boxes([nbox(0.4, 0.4)] * len(ids)))
         assert p.ids.tolist() == [1]
 
     @pytest.mark.parametrize("rows", [[-1], [2], [0, 2]])
     def test_rows_outside_the_table_rejected(self, rows):
         """A negative row would silently index from the end."""
         for p in (KalmanPredictor(), ConstantVelocityPredictor()):
-            p.start([1, 2], [nbox(0.3, 0.3), nbox(0.6, 0.6)])
+            p.start([1, 2], stack_boxes([nbox(0.3, 0.3), nbox(0.6, 0.6)]))
             with pytest.raises(InvalidInputError):
-                p.observe(rows, [nbox(0.3, 0.3)] * len(rows))
+                p.observe(rows, stack_boxes([nbox(0.3, 0.3)] * len(rows)))
             with pytest.raises(InvalidInputError):
                 p.drop(rows)
             assert p.ids.tolist() == [1, 2]
 
     def test_misses_count_predicts_since_observed(self):
         p = ConstantVelocityPredictor()
-        p.start([1, 2], [nbox(0.3, 0.3), nbox(0.6, 0.6)])
+        p.start([1, 2], stack_boxes([nbox(0.3, 0.3), nbox(0.6, 0.6)]))
         assert p.misses.tolist() == [0, 0]
         p.predict_all()
         p.predict_all()
-        p.observe([1], [nbox(0.6, 0.6)])
-        p.start([5], [nbox(0.8, 0.8)])
+        p.observe([1], stack_boxes([nbox(0.6, 0.6)]))
+        p.start([5], stack_boxes([nbox(0.8, 0.8)]))
         assert p.misses.tolist() == [2, 0, 0]
         p.drop([0])
         p.predict_all()
@@ -399,17 +400,17 @@ class TestSessions:
         """Writing into a returned prediction leaves the session's state as
         it was."""
         for p in (KalmanPredictor(), ConstantVelocityPredictor()):
-            p.start([1], [nbox(0.4, 0.4)])
+            p.start([1], stack_boxes([nbox(0.4, 0.4)]))
             p.predict_all()[:] = 0.0
             assert np.array_equal(p.predict_all(), stack(nbox(0.4, 0.4))[0])
 
     def test_diagnose_needs_empty_session(self):
         boxes = [nbox(0.4 + 0.01 * i, 0.4) for i in range(4)]
         p = KalmanPredictor()
-        assert p.diagnose_trajectory(boxes).shape == (3, 4) and p.ids.size == 0
-        p.start([1], boxes[:1])
+        assert p.diagnose_trajectory(stack_boxes(boxes)).shape == (3, 4) and p.ids.size == 0
+        p.start([1], stack_boxes(boxes[:1]))
         with pytest.raises(InvalidInputError):
-            p.diagnose_trajectory(boxes)
+            p.diagnose_trajectory(stack_boxes(boxes))
 
     def test_d2mp_clamps_floored_and_counted(self):
         shrink, keep = nbox(0.4, 0.4), nbox(0.7, 0.7)
@@ -418,7 +419,7 @@ class TestSessions:
             tuple(np.round(keep.as_array(), 9)): np.zeros(4),
         }
         p = D2MPPredictor(LookupOracle(table))
-        p.start([1, 2, 3], [shrink, shrink, keep])
+        p.start([1, 2, 3], stack_boxes([shrink, shrink, keep]))
         pred = p.predict_all()
         assert np.array_equal(pred[:2, 2], [p.config.min_box_extent] * 2)
         assert np.array_equal(pred[2], keep.as_array())
@@ -427,21 +428,22 @@ class TestSessions:
     def test_d2mp_requires_normalized_boxes(self):
         p = D2MPPredictor(LookupOracle({}))
         with pytest.raises(UnitMismatchError):
-            p.start([1], [BoundingBox(10, 10, 5, 5, "px")])
+            p.use_units("px")
 
     @pytest.mark.parametrize("extent", [1.0, 2.5])
     def test_min_box_extent_below_normalized_frame(self, extent):
         """A normalized frame is one unit wide: d2mp, always normalized,
         refuses a larger floor when built; kf and cv at their first
-        normalized box. A pixel floor of that size is fine."""
+        normalized unit mode. A pixel floor of that size is fine."""
         with pytest.raises(InvalidInputError, match="min_box_extent"):
             D2MPPredictor(LookupOracle({}), PredictorConfig(kind="d2mp", min_box_extent=extent))
         for kind in ("kf", "cv"):
             p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
             with pytest.raises(InvalidInputError, match="min_box_extent"):
-                p.start([1], [nbox(0.4, 0.4)])
+                p.use_units("norm")
             p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
-            p.start([1], [BoundingBox(100, 100, 20, 20, "px")])
+            p.use_units("px")
+            p.start([1], [[100, 100, 20, 20]])
             assert p.predict_all().shape == (1, 4)
 
     def test_kf_cv_track_constant_velocity_to_high_iou(self):
@@ -449,7 +451,7 @@ class TestSessions:
         IoU >= 0.99 after a burn-in of 5 frames."""
         boxes = [nbox(0.2 + 0.004 * f, 0.3 + 0.002 * f) for f in range(40)]
         for p in (KalmanPredictor(), ConstantVelocityPredictor()):
-            preds = p.diagnose_trajectory(boxes)
+            preds = p.diagnose_trajectory(stack_boxes(boxes))
             ious = iou_pairs(preds, stack_boxes(boxes[1:]))[5:]
             assert min(ious) >= 0.99, type(p).__name__
 
@@ -460,7 +462,7 @@ class TestSessions:
         for b in starts:
             table[tuple(np.round(b.as_array(), 9))] = np.array([0.01, 0.0, 0.0, 0.0])
         p = D2MPPredictor(LookupOracle(table), PredictorConfig(kind="d2mp", seed=3))
-        p.start([1, 2, 3], starts)
+        p.start([1, 2, 3], stack_boxes(starts))
         batch = p.predict_all()
         for tid, b in zip([1, 2, 3], starts):
             assert np.allclose(batch[tid - 1], b.as_array() + [0.01, 0, 0, 0])
