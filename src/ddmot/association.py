@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BoundingBox, Detection, InvalidInputError, MotTable, check_field_types, iou_matrix
+from .core import BoundingBox, Detection, InvalidInputError, MotRecord, MotTable, check_field_types, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,7 @@ def _frame_table(frame: int, detections: MotTable | Sequence[Detection]) -> MotT
     """A frame's detections as one table: a table of the frame's rows, or
     a list of ``Detection`` converted once."""
     if not isinstance(detections, MotTable):
-        detections = list(detections)
-        detections = MotTable.from_boxes([d.frame for d in detections], np.full(len(detections), -1),
-                                         [d.box for d in detections], [d.confidence for d in detections])
+        detections = MotTable.of([MotRecord(d.frame, -1, d.box, d.confidence) for d in detections])
     stray = detections.frame[detections.frame != frame]
     if stray.size:
         raise InvalidInputError(f"detection carries frame {stray[0]}, expected {frame}")

@@ -330,8 +330,14 @@ def cmd_viz(args) -> int:
 # parser / entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error ends in the one-line contract, not in usage text."""
+        raise _fail("invalid-config", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ddmot", description=__doc__)
+    parser = _Parser(prog="ddmot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic sequence (gt, detections, metadata)")
@@ -394,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 _CATEGORIES = (
     (CliError, None),
     (FileNotFoundError, "missing-input"),
+    (OSError, "io-error"),  # e.g. an --out whose parent is a file
     (FormatError, "format-error"),
     (InvalidInputError, "invalid-config"),
     (NumericError, "numeric-error"),
@@ -404,10 +411,12 @@ _CATEGORIES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
+        # numpy prints no warnings: the library's own finite checks refuse a
+        # non-finite result, as one numeric-error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except tuple(t for t, _ in _CATEGORIES) as e:
         category = getattr(e, "category", None)
         if category is None:
@@ -415,7 +424,8 @@ def main(argv=None) -> int:
                 if isinstance(e, t):
                     category = cat
                     break
-        print(f"error: {category}: {e}", file=sys.stderr)
+        message = " ".join(str(e).splitlines())  # a message may quote text with line breaks
+        print(f"error: {category}: {message}", file=sys.stderr)
         return 2
 
 

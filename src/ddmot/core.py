@@ -1,5 +1,5 @@
 """Center-format box geometry: the box and detection types, the columnar
-table of MOT rows, IoU and unit conversions.
+table of MOT rows, array trajectories, IoU and unit conversions.
 
 Everything downstream (prediction, association, metrics) is built on these
 types. Boxes exist in two unit modes: raw pixels ("px") or image-relative
@@ -44,16 +44,41 @@ class NumericError(TrackingError, ArithmeticError):
     """A numeric computation produced non-finite or inconsistent values."""
 
 
+def _finite_real(v) -> bool:
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def check_field_types(obj) -> None:
     """Raise InvalidInputError for a value of the wrong kind in a field of
-    dataclass instance ``obj`` annotated ``int`` or ``bool``: an int field
-    takes an int, never a bool or a float; a bool field takes a bool."""
+    dataclass instance ``obj``: an ``int`` field takes an int, never a bool
+    or a float; a ``bool`` field takes a bool; a ``float`` field (``float |
+    None`` also takes None) takes a finite real that is not a bool; a
+    ``tuple[float, float]`` field takes a pair of finite reals."""
     for f in fields(obj):
         v = getattr(obj, f.name)
+        what = f"{type(obj).__name__}.{f.name}"
         if f.type in ("int", int) and (isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral)):
-            raise InvalidInputError(f"{type(obj).__name__}.{f.name} must be an integer, got {v!r}")
+            raise InvalidInputError(f"{what} must be an integer, got {v!r}")
         if f.type in ("bool", bool) and not isinstance(v, (bool, np.bool_)):
-            raise InvalidInputError(f"{type(obj).__name__}.{f.name} must be true or false, got {v!r}")
+            raise InvalidInputError(f"{what} must be true or false, got {v!r}")
+        if f.type in ("float", float) or (f.type == "float | None" and v is not None):
+            if not _finite_real(v):
+                raise InvalidInputError(f"{what} must be a finite number, got {v!r}")
+        if f.type == "tuple[float, float]" and not (isinstance(v, tuple) and len(v) == 2 and all(map(_finite_real, v))):
+            raise InvalidInputError(f"{what} must be a pair of finite numbers, got {v!r}")
+
+
+def check_boxes(boxes: np.ndarray, what: str) -> None:
+    """Refuse (N, 4) boxes with a non-finite component or an extent <= 0."""
+    if not np.isfinite(boxes).all():
+        raise InvalidInputError(f"{what}: non-finite box component")
+    if (boxes[:, 2:] <= 0).any():
+        raise DegenerateBoxError(f"{what}: box extent must be positive")
 
 
 _INF = math.inf
@@ -112,7 +137,7 @@ class MotRecord:
 def _int_column(values, name: str) -> np.ndarray:
     column = np.asarray(values)
     if column.size and column.dtype.kind not in "iu":
-        raise InvalidInputError(f"MotTable: {name} must be integers, got {column.dtype}")
+        raise InvalidInputError(f"{name} must be integers, got {column.dtype}")
     return column.astype(np.int64, copy=False).reshape(-1)
 
 
@@ -130,7 +155,7 @@ class MotTable:
     __slots__ = ("frame", "track_id", "boxes", "conf", "units")
 
     def __init__(self, frame, track_id, boxes, conf, units: str = "px"):
-        frame, track_id = _int_column(frame, "frame"), _int_column(track_id, "track_id")
+        frame, track_id = _int_column(frame, "MotTable: frame"), _int_column(track_id, "MotTable: track_id")
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         conf = np.asarray(conf, dtype=np.float64)
         conf = np.full(frame.shape, conf) if conf.ndim == 0 else conf.reshape(-1)
@@ -143,10 +168,7 @@ class MotTable:
             raise InvalidInputError(f"unknown unit mode {units!r}")
         if frame.size and frame.min() < 1:
             raise InvalidInputError(f"frame index must be >= 1, got {frame.min()}")
-        if not np.isfinite(boxes).all():
-            raise InvalidInputError("MotTable: non-finite box component")
-        if (boxes[:, 2:] <= 0).any():
-            raise DegenerateBoxError("MotTable: box extent must be positive")
+        check_boxes(boxes, "MotTable")
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             raise InvalidInputError("MotTable: confidence must lie in [0, 1]")
         if (frame[1:] < frame[:-1]).any():
@@ -155,36 +177,69 @@ class MotTable:
         self.frame, self.track_id, self.boxes, self.conf, self.units = frame, track_id, boxes, conf, units
 
     @classmethod
-    def from_boxes(cls, frame, track_id, boxes, conf) -> "MotTable":
-        """A table from columns whose boxes are ``BoundingBox`` objects of
-        one unit mode (no boxes give an empty pixel table)."""
-        boxes = list(boxes)
-        units = {b.units for b in boxes}
-        if len(units) > 1:
-            raise UnitMismatchError(f"boxes mix unit modes {sorted(units)}")
-        return cls(frame, track_id, stack_boxes(boxes).reshape(-1, 4), conf, units.pop() if units else "px")
-
-    @classmethod
     def of(cls, records) -> "MotTable":
         """``records`` as a table: a table is returned as it is, a sequence
-        of ``MotRecord`` is converted once."""
+        of ``MotRecord`` with boxes of one unit mode is converted once (no
+        records give an empty pixel table)."""
         if isinstance(records, cls):
             return records
         records = list(records)
-        return cls.from_boxes([r.frame for r in records], [r.track_id for r in records],
-                              [r.box for r in records], [r.conf for r in records])
+        units = {r.box.units for r in records}
+        if len(units) > 1:
+            raise UnitMismatchError(f"boxes mix unit modes {sorted(units)}")
+        return cls([r.frame for r in records], [r.track_id for r in records], stack_boxes(r.box for r in records),
+                   [r.conf for r in records], units.pop() if units else "px")
+
+    @classmethod
+    def concat(cls, tables: list[MotTable]) -> MotTable:
+        """The rows of ``tables``, whose non-empty ones share one unit mode."""
+        tables = [t for t in tables if len(t)] or [cls([], [], [], [])]
+        units = {t.units for t in tables}
+        if len(units) > 1:
+            raise UnitMismatchError(f"tables mix unit modes {sorted(units)}")
+        columns = (np.concatenate([getattr(t, c) for t in tables]) for c in ("frame", "track_id", "boxes", "conf"))
+        return cls(*columns, units.pop())
 
     def __len__(self) -> int:
         return len(self.frame)
 
     def __getitem__(self, rows) -> "MotTable":
-        return MotTable(self.frame[rows], self.track_id[rows], self.boxes[rows], self.conf[rows], self.units)
+        columns = (self.frame[rows], self.track_id[rows], self.boxes[rows], self.conf[rows], self.units)
+        if not isinstance(rows, slice) or (rows.step or 1) < 0:
+            return MotTable(*columns)
+        part = object.__new__(MotTable)  # a forward slice: its rows are checked and in frame order
+        part.frame, part.track_id, part.boxes, part.conf, part.units = columns
+        return part
 
     def __iter__(self):
         units = self.units
         columns = (self.frame.tolist(), self.track_id.tolist(), self.boxes.tolist(), self.conf.tolist())
         for frame, track_id, box, conf in zip(*columns):
             yield MotRecord(frame, track_id, BoundingBox(*box, units), conf)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One object's ``frames`` (L,) int64 and center-format ``boxes`` (L, 4)
+    float64 in one unit mode. Sequences (of frames, of box rows) become these
+    arrays, checked once: finite boxes, positive extents, a known mode."""
+
+    track_id: int
+    frames: np.ndarray
+    boxes: np.ndarray
+    units: str = "px"
+
+    def __post_init__(self) -> None:
+        frames = _int_column(self.frames, "Trajectory: frames")
+        boxes = np.asarray(self.boxes, dtype=np.float64).reshape(len(frames), 4)
+        check_boxes(boxes, "Trajectory")
+        if self.units not in UNIT_MODES:
+            raise InvalidInputError(f"unknown unit mode {self.units!r}")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "boxes", boxes)
+
+    def __len__(self) -> int:
+        return len(self.frames)
 
 
 def runs(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -241,10 +296,6 @@ def tlwh_to_center(left: float, top: float, w: float, h: float, units: str = "px
     return BoundingBox(left + w / 2, top + h / 2, w, h, units)
 
 
-def center_to_tlwh(box: BoundingBox) -> tuple[float, float, float, float]:
-    return (box.cx - box.w / 2, box.cy - box.h / 2, box.w, box.h)
-
-
 def normalize_box(box: BoundingBox, width: float, height: float, clamp: bool = True) -> BoundingBox:
     """Pixel box -> image-relative box. Centers are clamped into [0, 1] on ingest."""
     if box.units != "px":
@@ -255,9 +306,3 @@ def normalize_box(box: BoundingBox, width: float, height: float, clamp: bool = T
     if clamp:
         cx, cy = min(max(cx, 0.0), 1.0), min(max(cy, 0.0), 1.0)
     return BoundingBox(cx, cy, box.w / width, box.h / height, "norm")
-
-
-def denormalize_box(box: BoundingBox, width: float, height: float) -> BoundingBox:
-    if box.units != "norm":
-        raise UnitMismatchError("denormalize_box expects a normalized box")
-    return BoundingBox(box.cx * width, box.cy * height, box.w * width, box.h * height, "px")

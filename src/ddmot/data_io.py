@@ -12,9 +12,9 @@ MOT text is read and written as columns: ``parse_mot`` converts and checks
 whole columns into one ``MotTable`` (and maps a refused row back to its
 line number), ``detections_by_frame`` slices the frame-sorted table at its
 frame boundaries, and ``write_mot`` formats sorted columns. Lists of
-``MotRecord`` are accepted and converted once. Synthetic scenes keep their
-detections as ``Detection`` lists and their trajectories as ``BoundingBox``
-tuples.
+``MotRecord`` are accepted and converted once. Trajectories are arrays too,
+and a synthetic scene's detections are one table sliced per frame, so no
+box object is built between a scene and its score.
 """
 from __future__ import annotations
 
@@ -27,16 +27,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    BoundingBox,
-    Detection,
     FormatError,
     InvalidInputError,
     MotRecord,
     MotTable,
+    Trajectory,
+    UnitMismatchError,
     check_field_types,
     normalize_box,
     runs,
-    stack_boxes,
     tlwh_to_center,
 )
 from .diffusion import TrainingSet
@@ -44,6 +43,8 @@ from .hminet import HMINet, ModelConfig, apply_condition_variant, check_paramete
 from .predictors import build_condition_window, trajectory_windows
 
 MOTION_PROGRAMS = ("linear", "sinusoidal", "circular", "accelerate", "direction_flip")
+MAX_FP_RATE = 1000.0  # false positives per frame
+MAX_PERIOD = 1e6  # frames
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,6 @@ class SequenceMeta:
 class ParseResult:
     records: MotTable
     skipped: int = 0  # lines dropped for non-positive extent
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    track_id: int
-    frames: tuple[int, ...]
-    boxes: tuple[BoundingBox, ...]
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +205,24 @@ def trajectories_from_records(records: MotTable | Sequence[MotRecord]) -> list[T
     frame (rows of one frame keep their order)."""
     table = MotTable.of(records)
     order = np.lexsort((table.frame, table.track_id))
-    ids, frames, boxes = table.track_id[order], table.frame[order].tolist(), table.boxes[order].tolist()
-    return [
-        Trajectory(int(ids[s]), tuple(frames[s:e]), tuple(BoundingBox(*b, table.units) for b in boxes[s:e]))
-        for s, e in runs(ids)
-    ]
+    ids, frames, boxes = table.track_id[order], table.frame[order], table.boxes[order]
+    return [Trajectory(int(ids[s]), frames[s:e], boxes[s:e], table.units) for s, e in runs(ids)]
 
 
 def records_from_trajectories(trajectories: Sequence[Trajectory], conf: float = 1.0) -> MotTable:
     """Every trajectory's rows as one table."""
-    return MotTable.from_boxes(
-        [f for t in trajectories for f in t.frames],
-        [t.track_id for t in trajectories for _ in t.frames],
-        [b for t in trajectories for b in t.boxes],
-        conf,
-    )
+    return MotTable.concat([MotTable(t.frames, np.full(len(t), t.track_id), t.boxes, conf, t.units)
+                            for t in trajectories])
 
 
 def normalize_trajectories(trajectories: Sequence[Trajectory], meta: SequenceMeta) -> list[Trajectory]:
-    return [
-        replace(t, boxes=tuple(normalize_box(b, meta.width, meta.height) for b in t.boxes))
-        for t in trajectories
-    ]
+    """Pixel trajectories in image-relative units, centers clamped into
+    [0, 1] as ``normalize_box`` clamps them."""
+    if any(t.units != "px" for t in trajectories):
+        raise UnitMismatchError("normalize_trajectories expects pixel trajectories")
+    scale = meta.box_scale()
+    return [replace(t, boxes=np.column_stack([np.clip(t.boxes[:, :2] / scale[:2], 0, 1), t.boxes[:, 2:] / scale[2:]]),
+                    units="norm") for t in trajectories]
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +264,15 @@ class SyntheticSpec:
             raise InvalidInputError("need object_count >= 1 and length >= 2")
         if not (0.0 <= self.drop_prob <= 1.0):
             raise InvalidInputError("drop_prob must lie in [0, 1]")
-        if self.fp_rate < 0 or self.jitter_sigma < 0:
-            raise InvalidInputError("fp_rate and jitter_sigma must be >= 0")
+        if not (0 <= self.fp_rate <= MAX_FP_RATE) or self.jitter_sigma < 0:
+            raise InvalidInputError(f"fp_rate must lie in [0, {MAX_FP_RATE:g}] and jitter_sigma must be >= 0")
         for lo, hi in (self.conf_range, self.fp_conf_range):
             if not (0.0 <= lo <= hi <= 1.0):
                 raise InvalidInputError("confidence ranges must satisfy 0 <= lo <= hi <= 1")
         if not (0.0 < self.box_min <= self.box_max < 0.5):
             raise InvalidInputError("box size range must satisfy 0 < box_min <= box_max < 0.5")
-        if self.amplitude <= 0 or self.period <= 1 or self.speed <= 0:
-            raise InvalidInputError("amplitude, period and speed must be positive (period > 1)")
+        if self.amplitude <= 0 or not (1 < self.period <= MAX_PERIOD) or self.speed <= 0:
+            raise InvalidInputError(f"amplitude and speed must be positive and period lie in (1, {MAX_PERIOD:g}]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -294,7 +281,7 @@ class SyntheticSpec:
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         d = dict(d)
         for key in ("conf_range", "fp_conf_range"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         try:
             return cls(**d)
@@ -304,8 +291,10 @@ class SyntheticSpec:
 
 @dataclass
 class SynthResult:
-    trajectories: list[Trajectory]  # normalized ground truth
-    detections: dict[int, list[Detection]]  # normalized, per frame
+    """Normalized ground truth, and each frame's detections as a slice of one table."""
+
+    trajectories: list[Trajectory]
+    detections: dict[int, MotTable | list[MotRecord]]
     meta: SequenceMeta
 
 
@@ -375,47 +364,40 @@ def synth_sequence(spec: SyntheticSpec, seed: int) -> SynthResult:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     meta = SequenceMeta(spec.length, spec.width, spec.height, spec.frame_rate)
-    trajectories = []
+    frames, trajectories = np.arange(1, spec.length + 1), []
     for obj in range(spec.object_count):
         w = float(rng.uniform(spec.box_min, spec.box_max))
         h = float(rng.uniform(spec.box_min, spec.box_max))
         cx, cy = _program_centers(spec, rng, w / 2, h / 2)
-        boxes = tuple(BoundingBox(float(x), float(y), w, h, "norm") for x, y in zip(cx, cy))
-        trajectories.append(Trajectory(obj + 1, tuple(range(1, spec.length + 1)), boxes))
+        boxes = np.column_stack([cx, cy, np.full_like(cx, w), np.full_like(cx, h)])
+        trajectories.append(Trajectory(obj + 1, frames, boxes, "norm"))
 
-    detections: dict[int, list[Detection]] = {f: [] for f in range(1, spec.length + 1)}
-    for frame in range(1, spec.length + 1):
-        for traj in trajectories:
+    # one (frame, cx, cy, w, h, confidence) row per detection, in the order of the draws
+    rows, gt_rows = [], [t.boxes.tolist() for t in trajectories]
+    for frame in frames.tolist():
+        for obj in range(spec.object_count):
             if spec.drop_prob > 0.0 and rng.uniform() < spec.drop_prob:
                 continue
-            box = traj.boxes[frame - 1]
+            cx, cy, w, h = gt_rows[obj][frame - 1]
             if spec.jitter_sigma > 0.0:
-                d = rng.normal(0.0, spec.jitter_sigma, size=4)
-                box = BoundingBox(
-                    min(max(box.cx + d[0], 0.0), 1.0),
-                    min(max(box.cy + d[1], 0.0), 1.0),
-                    max(box.w + d[2], 0.01),
-                    max(box.h + d[3], 0.01),
-                    "norm",
-                )
-            conf = float(rng.uniform(*spec.conf_range))
-            detections[frame].append(Detection(frame, box, conf))
-        n_fp = int(rng.poisson(spec.fp_rate)) if spec.fp_rate > 0 else 0
-        for _ in range(n_fp):
-            w = float(rng.uniform(spec.box_min, spec.box_max))
-            h = float(rng.uniform(spec.box_min, spec.box_max))
-            box = BoundingBox(float(rng.uniform(w / 2, 1 - w / 2)), float(rng.uniform(h / 2, 1 - h / 2)), w, h, "norm")
-            detections[frame].append(Detection(frame, box, float(rng.uniform(*spec.fp_conf_range))))
-    return SynthResult(trajectories, detections, meta)
+                dx, dy, dw, dh = rng.normal(0.0, spec.jitter_sigma, size=4).tolist()
+                cx, cy = min(max(cx + dx, 0.0), 1.0), min(max(cy + dy, 0.0), 1.0)
+                w, h = max(w + dw, 0.01), max(h + dh, 0.01)
+            rows.append((frame, cx, cy, w, h, rng.uniform(*spec.conf_range)))
+        for _ in range(int(rng.poisson(spec.fp_rate)) if spec.fp_rate > 0 else 0):
+            w = rng.uniform(spec.box_min, spec.box_max)
+            h = rng.uniform(spec.box_min, spec.box_max)
+            cx, cy = rng.uniform(w / 2, 1 - w / 2), rng.uniform(h / 2, 1 - h / 2)
+            rows.append((frame, cx, cy, w, h, rng.uniform(*spec.fp_conf_range)))
+    rows = np.reshape(rows, (-1, 6))
+    table = MotTable(rows[:, 0].astype(np.int64), np.full(len(rows), -1), rows[:, 1:5], rows[:, 5], "norm")
+    bounds = np.searchsorted(table.frame, np.arange(1, spec.length + 2)).tolist()
+    return SynthResult(trajectories, {f: table[bounds[f - 1] : bounds[f]] for f in frames.tolist()}, meta)
 
 
-def detection_records(result: SynthResult) -> list[MotRecord]:
-    """Detections as MOT records (id -1), for writing with write_mot."""
-    return [
-        MotRecord(frame, -1, det.box, det.confidence)
-        for frame in sorted(result.detections)
-        for det in result.detections[frame]
-    ]
+def detection_records(result: SynthResult) -> MotTable:
+    """Every frame's detections (each through ``MotTable.of``) as one table."""
+    return MotTable.concat([MotTable.of(result.detections[f]) for f in sorted(result.detections)])
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +411,8 @@ def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_var
     for traj in trajectories:
         if len(traj) < 2:
             continue
-        boxes = stack_boxes(traj.boxes)
-        conditions.append(build_condition_window(trajectory_windows(boxes, n)))
-        targets.append(np.diff(boxes, axis=0))
+        conditions.append(build_condition_window(trajectory_windows(traj.boxes, n)))
+        targets.append(np.diff(traj.boxes, axis=0))
     if not conditions:
         raise InvalidInputError("no training samples; trajectories need at least 2 frames")
     return TrainingSet(apply_condition_variant(np.concatenate(conditions), condition_variant), np.concatenate(targets))

@@ -24,6 +24,7 @@ from .autodiff import Tensor
 from .core import InvalidInputError, NumericError, check_field_types
 
 T_MIN = 0.001
+Z_LOSS_FORMS = ("smooth_l1", "squared")
 
 
 def _as_motion_array(m) -> np.ndarray:
@@ -251,6 +252,8 @@ class TrainConfig:
             raise InvalidInputError("learning_rate must be positive")
         if not (0.0 < self.t_min < 1.0):
             raise InvalidInputError("t_min must lie in (0, 1)")
+        if self.z_loss not in Z_LOSS_FORMS:
+            raise InvalidInputError(f"z_loss must be one of {Z_LOSS_FORMS}, got {self.z_loss!r}")
 
 
 def train(dataset: TrainingSet, model, config: TrainConfig) -> list[float]:

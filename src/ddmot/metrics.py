@@ -11,8 +11,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .association import CostMatrix, hungarian
-from .core import InvalidInputError, MotRecord, MotTable, UnitMismatchError, iou_matrix, iou_pairs, runs, stack_boxes
-from .data_io import Trajectory
+from .core import InvalidInputError, MotRecord, MotTable, UnitMismatchError, iou_matrix, iou_pairs, runs
+from .data_io import Trajectory, records_from_trajectories
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,10 @@ FrameRows = tuple[list[int], np.ndarray]  # one frame's ids and (k, 4) boxes
 _NO_ROWS: FrameRows = ([], np.empty((0, 4)))
 
 
-def _by_frame(frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray) -> dict[int, FrameRows]:
-    """Rows grouped by frame, each frame's rows in their given order."""
-    order = np.argsort(frames, kind="stable")
-    frames, ids, boxes = frames[order], ids[order].tolist(), boxes[order]
-    return {int(frames[s]): (ids[s:e], boxes[s:e]) for s, e in runs(frames)}
+def _by_frame(table: MotTable) -> dict[int, FrameRows]:
+    """The rows of a (frame-sorted) table grouped by frame."""
+    ids = table.track_id.tolist()
+    return {int(table.frame[s]): (ids[s:e], table.boxes[s:e]) for s, e in runs(table.frame)}
 
 
 def check_iou_threshold(iou_threshold: float) -> None:
@@ -70,14 +69,10 @@ def check_iou_threshold(iou_threshold: float) -> None:
 def _frame_index(gt: Sequence[Trajectory], res: MotTable) -> tuple[dict[int, FrameRows], dict[int, FrameRows]]:
     """Ground truth and results grouped by frame. All boxes must share one
     unit mode."""
-    gt_boxes = [b for t in gt for b in t.boxes]
-    units = {b.units for b in gt_boxes} | ({res.units} if len(res) else set())
-    if len(units) > 1:
-        raise UnitMismatchError(f"ground truth and results mix unit modes {sorted(units)}")
-    gt_frames = _by_frame(np.array([f for t in gt for f in t.frames], dtype=np.int64),
-                          np.array([t.track_id for t in gt for _ in t.frames], dtype=np.int64),
-                          stack_boxes(gt_boxes).reshape(-1, 4))
-    return gt_frames, _by_frame(res.frame, res.track_id, res.boxes)
+    gt = records_from_trajectories(gt)
+    if len(gt) and len(res) and gt.units != res.units:
+        raise UnitMismatchError(f"ground truth and results mix unit modes {sorted({gt.units, res.units})}")
+    return _by_frame(gt), _by_frame(res)
 
 
 def mota(gt: Sequence[Trajectory], records: MotTable | Sequence[MotRecord], iou_threshold: float = 0.5) -> MotaReport:
@@ -169,10 +164,9 @@ def predictor_iou_diagnostic(trajectories: Sequence[Trajectory], predictor, burn
     for traj in trajectories:
         if len(traj) < 2:
             continue
-        boxes = stack_boxes(traj.boxes)
-        predictor.use_units(traj.boxes[0].units)
-        preds = predictor.diagnose_trajectory(boxes, traj.track_id)
-        ious = iou_pairs(preds, boxes[1:]).tolist()[burn_in:]
+        predictor.use_units(traj.units)
+        preds = predictor.diagnose_trajectory(traj.boxes, traj.track_id)
+        ious = iou_pairs(preds, traj.boxes[1:]).tolist()[burn_in:]
         if not ious:
             continue
         per_traj[traj.track_id] = float(np.mean(ious))

@@ -28,10 +28,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     UNIT_MODES,
-    DegenerateBoxError,
     InvalidInputError,
     NumericError,
     UnitMismatchError,
+    check_boxes,
     check_field_types,
 )
 from .diffusion import sample_k_steps
@@ -201,10 +201,7 @@ class MotionPredictor:
         boxes = np.asarray(boxes, dtype=np.float64)
         if boxes.shape != (count, 4):
             raise InvalidInputError(f"expected ({count}, 4) boxes, got shape {boxes.shape}")
-        if not np.isfinite(boxes).all():
-            raise InvalidInputError("boxes must be finite")
-        if (boxes[:, 2:] <= 0).any():
-            raise DegenerateBoxError("box extents must be positive")
+        check_boxes(boxes, "session")
         return boxes
 
     def start(self, ids: Sequence[int], boxes: np.ndarray) -> None:

@@ -169,10 +169,10 @@ def _lane_scene(n_frames=200):
     lanes = [0.2, 0.5, 0.8]
     trajs, frames = [], {}
     for tid, y in enumerate(lanes, start=1):
-        boxes = tuple(BoundingBox(0.15 + 0.003 * f, y, 0.1, 0.1, "norm") for f in range(1, n_frames + 1))
-        trajs.append(Trajectory(tid, tuple(range(1, n_frames + 1)), boxes))
+        boxes = [(0.15 + 0.003 * f, y, 0.1, 0.1) for f in range(1, n_frames + 1)]
+        trajs.append(Trajectory(tid, tuple(range(1, n_frames + 1)), boxes, "norm"))
     for f in range(1, n_frames + 1):
-        frames[f] = [Detection(f, t.boxes[f - 1], 1.0) for t in trajs]
+        frames[f] = [Detection(f, BoundingBox(*t.boxes[f - 1], "norm"), 1.0) for t in trajs]
     return trajs, frames
 
 
@@ -359,7 +359,7 @@ def test_float32_inference_on_desk_model(desk_model):
     held-out window of criterion 7, for one step and for K=10."""
     model, *_ = desk_model
     windows = np.concatenate([
-        build_condition_window(trajectory_windows(stack_boxes(list(t.boxes)), model.history_length))
+        build_condition_window(trajectory_windows(t.boxes, model.history_length))
         for t in _corpus(10_000, 1)
     ])
     worst = {}

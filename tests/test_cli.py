@@ -1,16 +1,36 @@
+import io
 import json
 import math
+import re
 import struct
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ddmot import cli
+from ddmot.association import TrackerConfig
 from ddmot.cli import main
 from ddmot.core import BoundingBox, Detection
-from ddmot.data_io import MotRecord, parse_mot, save_model, trajectories_from_records
+from ddmot.data_io import (
+    MotRecord,
+    SyntheticSpec,
+    build_training_set,
+    parse_mot,
+    save_model,
+    synth_sequence,
+    trajectories_from_records,
+)
+from ddmot.diffusion import TrainConfig, train
 from ddmot.hminet import ModelConfig, init_params, parameter_shapes
-from ddmot.metrics import idf1, mota
+from ddmot.metrics import idf1, mota, predictor_iou_diagnostic
+from ddmot.predictors import PredictorConfig, make_predictor
 
 SMALL_MODEL = {"token_dim": 16, "n_heads": 2, "n_condition_layers": 1, "n_fusion_blocks": 1}
 
@@ -244,22 +264,32 @@ class TestErrorSurface:
 
 
 def test_track_builds_no_row_objects(tmp_path, monkeypatch):
-    """``ddmot track --predictor cv`` keeps MOT rows as columns from the
-    detection text to the result text: it constructs no BoundingBox,
-    MotRecord or Detection."""
-    spec = write_json(tmp_path / "spec.json", {"program": "sinusoidal", "object_count": 8, "length": 40,
-                                               "jitter_sigma": 0.003, "drop_prob": 0.1, "fp_rate": 1.0,
-                                               "conf_range": [0.45, 1.0]})
-    seq = tmp_path / "seq"
-    assert main(["synth", "--spec", spec, "--out", str(seq), "--seed", "2"]) == 0
+    """MOT rows and trajectories stay columns from the scene to the score:
+    ``ddmot synth``, ``track --predictor cv``, ``eval``, ``diag`` and
+    ``train``, and ``build_training_set``, ``mota``, ``idf1`` and
+    ``predictor_iou_diagnostic`` on a synthetic scene construct no
+    BoundingBox, MotRecord or Detection."""
+    spec = SyntheticSpec(program="sinusoidal", object_count=8, length=40, jitter_sigma=0.003, drop_prob=0.1,
+                         fp_rate=1.0, conf_range=(0.45, 1.0))
     built = []
     for cls in (BoundingBox, MotRecord, Detection):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__",
                             lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
-    res = tmp_path / "res.txt"
+    seq, res = tmp_path / "seq", tmp_path / "res.txt"
+    assert main(["synth", "--spec", write_json(tmp_path / "spec.json", spec.to_dict()), "--out", str(seq),
+                 "--seed", "2"]) == 0
     assert main(["track", "--detections", str(seq / "det.txt"), "--meta", str(seq / "meta.json"),
                  "--predictor", "cv", "--out", str(res)]) == 0
+    assert main(["eval", "--gt", str(seq / "gt.txt"), "--res", str(res)]) == 0
+    assert main(["diag", "--gt", str(seq), "--predictor", "kf"]) == 0
+    cfg = write_json(tmp_path / "cfg.json", {"model": SMALL_MODEL, "train": {"steps": 2, "batch_size": 8}})
+    assert main(["train", "--data", str(seq), "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    scene = synth_sequence(spec, 2)
+    build_training_set(scene.trajectories, 5)
+    tracked = parse_mot(res.read_text(), scene.meta, normalized=True).records
+    assert mota(scene.trajectories, tracked).mota > 0.5 and idf1(scene.trajectories, tracked).idf1 > 0.5
+    assert predictor_iou_diagnostic(scene.trajectories, make_predictor(PredictorConfig(kind="cv"))).count > 0
     assert built == []
     assert len(res.read_text().splitlines()) > 200
     list(parse_mot(res.read_text()).records)  # the spy does see objects built from a table
@@ -458,6 +488,26 @@ class TestConfigTypes:
         err = self._assert_invalid(self._argv("track", scene, tmp_path) + ["--config", cfg], tmp_path, capsys)
         assert "iou_weight" in err
 
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("train", "train", "stop_below", "abc"),
+        ("synth", "spec", "conf_range", 5),
+        ("synth", "spec", "conf_range", [0.5]),
+        ("train", "train", "learning_rate", math.nan),
+        ("track", "predictor", "kf_pos_weight", math.nan),
+        ("track", "predictor", "min_box_extent", math.nan),
+        ("synth", "spec", "fp_rate", math.nan),
+        ("synth", "spec", "jitter_sigma", math.nan),
+        ("train", "train", "z_loss", "bogus"),
+    ])
+    def test_float_field_takes_a_finite_number(self, scene, tmp_path, capsys, command, section, field, value):
+        # a float field takes a finite real (JSON reads NaN and Infinity), a
+        # range a pair of them, and z_loss one of its named forms
+        argv = self._argv(command, scene, tmp_path)
+        if command == "track":
+            argv[argv.index("--predictor") + 1] = "kf"
+        cfg = write_json(tmp_path / "cfg.json", {section: {field: value}})
+        assert field in self._assert_invalid(argv + ["--config", cfg], tmp_path, capsys)
+
     def test_train_flag_overrides_still_checked(self, scene, tmp_path, capsys):
         # the command line replaces the file's steps; the file's value must still be valid
         cfg = write_json(tmp_path / "cfg.json", {"train": {"steps": 2.5}})
@@ -467,3 +517,99 @@ class TestConfigTypes:
     @pytest.mark.parametrize("command", ["track", "train", "synth"])
     def test_negative_seed_rejected(self, scene, tmp_path, capsys, command):
         self._assert_invalid(self._argv(command, scene, tmp_path) + ["--seed", "-1"], tmp_path, capsys)
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the one-line error contract
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input files the fuzzed commands read and never write: a 12-frame
+    scene, a small model and a config that trains it for two steps."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = write_json(root / "spec.json", {"program": "circular", "object_count": 3, "length": 12, "fp_rate": 0.5,
+                                           "jitter_sigma": 0.002, "conf_range": [0.5, 1.0]})
+    assert main(["synth", "--spec", spec, "--out", str(root / "seq"), "--seed", "1"]) == 0
+    cfg = ModelConfig(**SMALL_MODEL)
+    (root / "m.d2mp").write_bytes(save_model(init_params(cfg, 0), cfg))
+    write_json(root / "cfg.json", {"model": SMALL_MODEL, "train": {"steps": 2, "batch_size": 8}})
+    return root
+
+
+def run_main(argv: list[str]) -> None:
+    """``main(argv)`` in a fresh output directory ``{out}``: it exits 0, or
+    nonzero with exactly one stderr line ``error: <category>: <message>``.
+    Training runs at most two steps."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            mock.patch.object(cli, "train", lambda data, model, cfg: train(data, model, replace(cfg, steps=2))):
+        (Path(out) / "file").write_text("x")
+        (Path(out) / "dir").mkdir()
+        code = main([a.replace("{out}", out) for a in argv])
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 2 and len(lines) == 1 and re.match(r"error: [a-z-]+: ", lines[0])), (argv, lines)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "predictor": PredictorConfig, "tracker": TrackerConfig,
+            "spec": SyntheticSpec}
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFuzzErrorContract:
+    """Whatever the metadata text, config values or argv, a command
+    succeeds or ends in one ``error: <category>:`` line (JSON reads NaN
+    and Infinity, and integers of any size)."""
+
+    @FUZZ
+    @given(text=st.one_of(
+        st.text(max_size=40),
+        st.dictionaries(st.sampled_from(["frame_count", "width", "height", "frame_rate", "fps"]), json_values,
+                        max_size=5).map(json.dumps),
+    ))
+    def test_sequence_metadata(self, fuzz_inputs, text):
+        meta = fuzz_inputs / "fuzzed_meta.json"
+        meta.write_text(text)
+        run_main(["viz", "--res", str(fuzz_inputs / "seq" / "gt.txt"), "--meta", str(meta), "--out", "{out}/t.svg"])
+
+    @FUZZ
+    @given(data=st.data(), section=st.sampled_from(sorted(SECTIONS)), predictor=st.sampled_from(["kf", "cv", "d2mp"]))
+    def test_config_section_values(self, fuzz_inputs, data, section, predictor):
+        keys = st.sampled_from([f.name for f in fields(SECTIONS[section])] + ["bogus"])
+        body = data.draw(st.dictionaries(keys, json_values, max_size=4))
+        cfg = fuzz_inputs / "fuzzed_cfg.json"
+        cfg.write_text(json.dumps({section: body}))
+        seq = fuzz_inputs / "seq"
+        train = ["train", "--data", str(seq), "--steps", "2", "--batch-size", "8"]
+        track = ["track", "--detections", str(seq / "det.txt"), "--meta", str(seq / "meta.json"),
+                 "--predictor", predictor, "--model", str(fuzz_inputs / "m.d2mp")]
+        argv = {"model": train, "train": train, "spec": ["synth"]}.get(section, track)
+        run_main(argv + ["--config", str(cfg), "--out", "{out}/o"])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_argv(self, fuzz_inputs, data):
+        seq = fuzz_inputs / "seq"
+        paths = [str(p) for p in (seq, seq / "det.txt", seq / "gt.txt", seq / "meta.json", fuzz_inputs / "m.d2mp",
+                                  fuzz_inputs / "cfg.json", fuzz_inputs / "spec.json", fuzz_inputs / "missing")]
+        values = {
+            "--out": st.sampled_from(["{out}/new", "{out}/new.txt", "{out}/file", "{out}/dir", "{out}/file/sub"]),
+            "--predictor": st.sampled_from(["kf", "cv", "d2mp", "lstm"]),
+            "--metrics": st.sampled_from(["mota", "idf1", "mota,idf1", "hota", "", ","]),
+        }
+        words = st.sampled_from(["0", "1", "2", "-1", "1.5", "nan", "inf", "1e400", "x", "", *paths])
+        flags = ["--spec", "--config", "--out", "--seed", "--data", "--steps", "--batch-size", "--lr", "--detections",
+                 "--meta", "--predictor", "--model", "--sampling-steps", "--deterministic", "--gt", "--res",
+                 "--metrics", "--iou-threshold", "--json", "--burn-in", "--bogus"]
+        argv = [data.draw(st.sampled_from(["synth", "train", "track", "eval", "diag", "viz", "bogus"]))]
+        for _ in range(data.draw(st.integers(0, 8))):
+            flag = data.draw(st.sampled_from(flags))
+            argv += [flag, data.draw(values.get(flag, words))]
+        if data.draw(st.booleans()):
+            argv.insert(data.draw(st.integers(0, len(argv))), data.draw(st.text(max_size=6)))
+        run_main(argv)

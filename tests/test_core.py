@@ -11,8 +11,6 @@ from ddmot.core import (
     MotRecord,
     MotTable,
     UnitMismatchError,
-    center_to_tlwh,
-    denormalize_box,
     iou_matrix,
     iou_pairs,
     normalize_box,
@@ -37,6 +35,20 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = ix * iy
     union = a.w * a.h + b.w * b.h - inter
     return min(max(inter / union, 0.0), 1.0)  # rounding can overshoot by an ulp
+
+
+def center_to_tlwh(box: BoundingBox) -> tuple[float, float, float, float]:
+    """Reference: a center-format box as MOT's (left, top, w, h); the
+    inverse of ``tlwh_to_center``."""
+    return (box.cx - box.w / 2, box.cy - box.h / 2, box.w, box.h)
+
+
+def denormalize_box(box: BoundingBox, width: float, height: float) -> BoundingBox:
+    """Reference: an image-relative box in pixels; the inverse of
+    ``normalize_box`` on boxes it does not clamp."""
+    if box.units != "norm":
+        raise UnitMismatchError("denormalize_box expects a normalized box")
+    return BoundingBox(box.cx * width, box.cy * height, box.w * width, box.h * height, "px")
 
 
 def box(cx, cy, w, h, units="px"):

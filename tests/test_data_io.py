@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmot import autodiff as ad
-from ddmot.core import BoundingBox, FormatError, InvalidInputError, stack_boxes
+from ddmot.core import (
+    BoundingBox,
+    DegenerateBoxError,
+    FormatError,
+    InvalidInputError,
+    UnitMismatchError,
+    normalize_box,
+    stack_boxes,
+)
 from ddmot.data_io import (
     MotRecord,
     MotTable,
     SequenceMeta,
+    SynthResult,
     SyntheticSpec,
     Trajectory,
     build_training_set,
@@ -21,6 +31,7 @@ from ddmot.data_io import (
     load_model,
     normalize_trajectories,
     parse_mot,
+    records_from_trajectories,
     save_model,
     synth_sequence,
     trajectories_from_records,
@@ -200,26 +211,26 @@ class TestSynth:
         spec = SyntheticSpec(program="linear", object_count=2, length=20)
         result = synth_sequence(spec, 0)
         for traj in result.trajectories:
-            for f, box in zip(traj.frames, traj.boxes):
+            for f, box in zip(traj.frames.tolist(), traj.boxes):
                 dets = result.detections[f]
-                assert any(np.array_equal(d.box.as_array(), box.as_array()) and d.confidence == 1.0 for d in dets)
+                assert any(np.array_equal(b, box) and c == 1.0 for b, c in zip(dets.boxes, dets.conf))
 
     def test_full_drop_leaves_only_false_positives(self):
         spec = SyntheticSpec(program="linear", object_count=3, length=15, drop_prob=1.0, fp_rate=0.5)
         result = synth_sequence(spec, 1)
         total = sum(len(v) for v in result.detections.values())
         assert total > 0  # Poisson false positives remain
-        gt_boxes = {tuple(np.round(b.as_array(), 12)) for t in result.trajectories for b in t.boxes}
+        gt_boxes = {tuple(np.round(b, 12)) for t in result.trajectories for b in t.boxes}
         for dets in result.detections.values():
-            for d in dets:
-                assert tuple(np.round(d.box.as_array(), 12)) not in gt_boxes
+            for b in dets.boxes:
+                assert tuple(np.round(b, 12)) not in gt_boxes
 
     def test_sinusoidal_closed_form(self):
         spec = SyntheticSpec(program="sinusoidal", object_count=4, length=60, amplitude=0.1, period=17.0)
         result = synth_sequence(spec, 2)
         f = np.arange(1, 61)
         for traj in result.trajectories:
-            cy = np.array([b.cy for b in traj.boxes])
+            cy = traj.boxes[:, 1]
             residual = cy - spec.amplitude * np.sin(2 * np.pi * f / spec.period)
             assert residual.max() - residual.min() < 1e-9  # cy0 + A sin(2 pi f / P)
 
@@ -227,18 +238,23 @@ class TestSynth:
         spec = SyntheticSpec(program="circular", object_count=2, length=30, jitter_sigma=0.01, fp_rate=1.0,
                              conf_range=(0.3, 1.0), drop_prob=0.2)
         a, b = synth_sequence(spec, 7), synth_sequence(spec, 7)
-        assert a.trajectories == b.trajectories
+        for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
+            assert ta.track_id == tb.track_id and ta.units == tb.units
+            assert np.array_equal(ta.frames, tb.frames) and np.array_equal(ta.boxes, tb.boxes)
+        assert list(a.detections) == list(b.detections)
         for f in a.detections:
-            assert a.detections[f] == b.detections[f]
+            da, db = a.detections[f], b.detections[f]
+            assert np.array_equal(da.frame, db.frame) and np.array_equal(da.boxes, db.boxes)
+            assert np.array_equal(da.conf, db.conf) and da.units == db.units
 
     @pytest.mark.parametrize("program", ["linear", "sinusoidal", "circular", "accelerate", "direction_flip"])
     def test_gt_stays_in_bounds(self, program):
         spec = SyntheticSpec(program=program, object_count=5, length=120, speed=0.01, amplitude=0.2)
         result = synth_sequence(spec, 3)
         for traj in result.trajectories:
-            for b in traj.boxes:
-                assert b.cx - b.w / 2 >= 0 and b.cx + b.w / 2 <= 1
-                assert b.cy - b.h / 2 >= 0 and b.cy + b.h / 2 <= 1
+            cx, cy, w, h = traj.boxes.T
+            assert (cx - w / 2 >= 0).all() and (cx + w / 2 <= 1).all()
+            assert (cy - h / 2 >= 0).all() and (cy + h / 2 <= 1).all()
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidInputError):
@@ -254,9 +270,120 @@ class TestSynth:
         assert len(recs) == 5 and all(r.track_id == -1 for r in recs)
 
 
+@st.composite
+def trajectory_sets(draw, units=None):
+    """Trajectories in ascending id order, each with frames in ascending
+    order and boxes of one unit mode."""
+    units = units or draw(st.sampled_from(["px", "norm"]))
+    coord = st.floats(-1e4, 1e4, allow_nan=False)
+    extent = st.floats(1e-3, 1e3, allow_nan=False)
+    trajectories = []
+    for tid in sorted(draw(st.sets(st.integers(-5, 10**6), max_size=5))):
+        n = draw(st.integers(0, 6))
+        frames = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)))
+        boxes = draw(st.lists(st.tuples(coord, coord, extent, extent), min_size=n, max_size=n))
+        trajectories.append(Trajectory(tid, frames, boxes, units))
+    return trajectories
+
+
+class TestTrajectory:
+    def test_sequences_become_checked_arrays(self):
+        t = Trajectory(3, (np.int64(1), 2), ((0.5, 0.5, 0.1, 0.1), np.array([0.6, 0.5, 0.1, 0.1])), "norm")
+        assert t.frames.dtype == np.int64 and t.frames.tolist() == [1, 2] and len(t) == 2
+        assert t.boxes.dtype == np.float64 and t.boxes.shape == (2, 4)
+        with pytest.raises(ValueError):  # one box row per frame
+            Trajectory(1, (1, 2), [(0.5, 0.5, 0.1, 0.1)], "norm")
+
+    @pytest.mark.parametrize("frames, boxes, units, error", [
+        ((1,), [(np.nan, 0.5, 0.1, 0.1)], "norm", InvalidInputError),
+        ((1,), [(0.5, np.inf, 0.1, 0.1)], "norm", InvalidInputError),
+        ((1,), [(0.5, 0.5, 0.0, 0.1)], "norm", DegenerateBoxError),
+        ((1,), [(0.5, 0.5, 0.1, -1.0)], "norm", DegenerateBoxError),
+        ((1,), [(0.5, 0.5, 0.1, 0.1)], "furlongs", InvalidInputError),
+        ((1.5,), [(0.5, 0.5, 0.1, 0.1)], "norm", InvalidInputError),
+    ])
+    def test_every_box_check_kept(self, frames, boxes, units, error):
+        """A box is refused as BoundingBox refused it: non-finite, flat or
+        of an unknown unit mode, each with its error type."""
+        with pytest.raises(error):
+            Trajectory(1, frames, boxes, units)
+
+    def test_edited_by_index_with_tuples(self):
+        """``replace`` with tuples of frames and box rows, as the benchmark
+        cuts occlusion gaps, gives checked arrays again."""
+        t = synth_sequence(SyntheticSpec(length=6), 0).trajectories[0]
+        cut = replace(t, frames=tuple(t.frames[i] for i in (0, 3)), boxes=tuple(t.boxes[i] for i in (0, 3)))
+        assert cut.frames.tolist() == [1, 4] and np.array_equal(cut.boxes, t.boxes[[0, 3]]) and cut.units == "norm"
+        empty = replace(t, frames=(), boxes=())
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trajectories=trajectory_sets())
+    def test_records_round_trip_keeps_every_column(self, trajectories):
+        table = records_from_trajectories(trajectories)
+        back = trajectories_from_records(table)
+        kept = [t for t in trajectories if len(t)]
+        assert [t.track_id for t in back] == [t.track_id for t in kept]
+        for a, b in zip(kept, back):
+            assert b.units == a.units and b.frames.dtype == np.int64
+            assert np.array_equal(a.frames, b.frames) and np.array_equal(a.boxes, b.boxes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trajectories=trajectory_sets("px"), width=st.integers(1, 4000), height=st.integers(1, 4000))
+    def test_normalize_equals_per_box_reference(self, trajectories, width, height):
+        normalized = normalize_trajectories(trajectories, SequenceMeta(10, width, height))
+        for t, n in zip(trajectories, normalized, strict=True):
+            reference = [normalize_box(BoundingBox(*b, "px"), width, height) for b in t.boxes.tolist()]
+            assert n.units == "norm" and n.track_id == t.track_id and np.array_equal(n.frames, t.frames)
+            assert np.array_equal(n.boxes, stack_boxes(reference).reshape(-1, 4))
+
+    def test_normalize_refuses_normalized_input(self):
+        with pytest.raises(UnitMismatchError):
+            normalize_trajectories([Trajectory(1, (1,), [(0.5, 0.5, 0.1, 0.1)], "norm")], SequenceMeta(1, 10, 10))
+
+    def test_records_refuse_mixed_units(self):
+        px = Trajectory(1, (1,), [(5, 5, 1, 1)], "px")
+        norm = Trajectory(2, (1,), [(0.5, 0.5, 0.1, 0.1)], "norm")
+        with pytest.raises(UnitMismatchError):
+            records_from_trajectories([px, norm])
+
+    def test_benchmark_gap_cut_pattern_writes_the_column_text(self):
+        """The benchmark cuts occlusion gaps by editing trajectories with
+        ``replace`` and tuples of rows, and each frame's detections as a
+        list of ``MotRecord`` (detection i of a frame is object i when
+        nothing drops). Uncut, that path writes the scene's own text; cut,
+        it writes the scene's text without the hidden rows."""
+        spec = SyntheticSpec(program="circular", object_count=4, length=30, jitter_sigma=0.002, fp_rate=0.5,
+                             conf_range=(0.5, 1.0))
+        scene = synth_sequence(spec, 3)
+        meta = scene.meta
+        gt_text = write_mot(records_from_trajectories(scene.trajectories), meta)
+        det_text = write_mot(detection_records(scene), meta)
+        for hidden in (set(), {(0, 2), (0, 3), (2, 10), (3, 30)}):  # (object index, frame)
+            trajectories = []
+            for obj, t in enumerate(scene.trajectories):
+                keep = [i for i, f in enumerate(t.frames) if (obj, f) not in hidden]
+                trajectories.append(replace(t, frames=tuple(t.frames[i] for i in keep),
+                                            boxes=tuple(t.boxes[i] for i in keep)))
+            detections = {f: [d for i, d in enumerate(dets) if (i, f) not in hidden]
+                          for f, dets in scene.detections.items()}
+            cut = SynthResult(trajectories, detections, meta)
+            gt_lines = [line for line in gt_text.splitlines(keepends=True)
+                        if (int(line.split(",")[1]) - 1, int(line.split(",")[0])) not in hidden]
+            det_lines, index = [], {}  # index: a frame's last detection row
+            for line in det_text.splitlines(keepends=True):
+                f = int(line.split(",")[0])
+                index[f] = index.get(f, -1) + 1
+                if (index[f], f) not in hidden:
+                    det_lines.append(line)
+            assert write_mot(records_from_trajectories(cut.trajectories), meta) == "".join(gt_lines)
+            assert write_mot(detection_records(cut), meta) == "".join(det_lines)
+            assert len(gt_lines) == len(gt_text.splitlines()) - len(hidden)
+
+
 class TestTrainingSetAssembly:
     def _traj(self, boxes, tid=1):
-        return Trajectory(tid, tuple(range(1, len(boxes) + 1)), tuple(boxes))
+        return Trajectory(tid, tuple(range(1, len(boxes) + 1)), stack_boxes(boxes), "norm")
 
     def test_sample_count(self):
         boxes = [BoundingBox(0.2 + 0.01 * i, 0.5, 0.1, 0.1, "norm") for i in range(9)]
@@ -274,7 +401,7 @@ class TestTrainingSetAssembly:
         ds = build_training_set(trajs, n=5)
         k = 0
         for traj in trajs:
-            boxes = stack_boxes(traj.boxes)
+            boxes = traj.boxes
             back = boxes[:-1] + ds.targets[k:k + len(boxes) - 1]
             assert np.abs(back - boxes[1:]).max() < 1e-12
             k += len(boxes) - 1
@@ -453,12 +580,12 @@ class TestMeta:
             MotRecord(1, -1, BoundingBox(9, 9, 2, 2), 0.8),
         ]
         trajs = trajectories_from_records([r for r in records if r.track_id > 0])
-        assert len(trajs) == 1 and trajs[0].frames == (1, 2)
+        assert len(trajs) == 1 and trajs[0].frames.tolist() == [1, 2]
         dets = detections_by_frame([r for r in records if r.track_id == -1])
         assert list(dets) == [1] and dets[1].conf.tolist() == [0.8]
 
     def test_normalize_trajectories(self):
         meta = SequenceMeta(5, 100, 100)
-        t = Trajectory(1, (1,), (BoundingBox(50, 50, 10, 10),))
+        t = Trajectory(1, (1,), [(50, 50, 10, 10)])
         (n,) = normalize_trajectories([t], meta)
-        assert n.boxes[0].units == "norm" and n.boxes[0].cx == 0.5
+        assert n.units == "norm" and n.boxes.tolist() == [[0.5, 0.5, 0.1, 0.1]]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ddmot.association import Tracker, TrackerConfig, run_sequence
-from ddmot.core import Detection, denormalize_box, stack_boxes
+from ddmot.core import MotTable
 from ddmot.data_io import SyntheticSpec, build_training_set, save_model, synth_sequence, write_mot
 from ddmot.diffusion import TrainConfig, train
 from ddmot.hminet import HMINet, ModelConfig
@@ -83,7 +83,7 @@ def _frames(scene, units):
     for f in sorted(scene.detections):
         dets = scene.detections[f]
         if units == "px":
-            dets = [Detection(d.frame, denormalize_box(d.box, meta.width, meta.height), d.confidence) for d in dets]
+            dets = MotTable(dets.frame, dets.track_id, dets.boxes * meta.box_scale(), dets.conf, "px")
         yield f, dets
 
 
@@ -117,7 +117,7 @@ def test_training_set(scene):
 @pytest.mark.parametrize("kind", list(DIAG_DIGESTS))
 def test_diagnostic_predictions(scene, model, kind):
     predictor = make_predictor(PredictorConfig(kind=kind, seed=3), model if kind == "d2mp" else None)
-    preds = [predictor.diagnose_trajectory(stack_boxes(t.boxes), t.track_id) for t in scene.trajectories]
+    preds = [predictor.diagnose_trajectory(t.boxes, t.track_id) for t in scene.trajectories]
     assert sha(*(p.tobytes() for p in preds)) == DIAG_DIGESTS[kind]
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ddmot import metrics
-from ddmot.core import BoundingBox, InvalidInputError, UnitMismatchError, iou_matrix, iou_pairs
+from ddmot.core import BoundingBox, InvalidInputError, UnitMismatchError, iou_matrix, iou_pairs, stack_boxes
 from ddmot.data_io import MotRecord, SyntheticSpec, Trajectory, synth_sequence
 from ddmot.association import CostMatrix, TrackerConfig, hungarian, run_sequence
 from ddmot.metrics import (
@@ -29,12 +29,22 @@ def nbox(cx, cy, w=0.1, h=0.1):
 def straight_trajectory(tid, n, x0=0.2, y=0.5, v=0.005):
     frames = tuple(range(1, n + 1))
     boxes = tuple(nbox(x0 + v * f, y) for f in frames)
-    return Trajectory(tid, frames, boxes)
+    return trajectory(tid, frames, boxes)
+
+
+def trajectory(tid, frames, boxes):
+    """A normalized trajectory of ``BoundingBox`` objects as arrays."""
+    return Trajectory(tid, frames, stack_boxes(boxes), "norm")
+
+
+def box_objects(traj):
+    """(frame, BoundingBox) of each row of a trajectory."""
+    return [(f, BoundingBox(*b, traj.units)) for f, b in zip(traj.frames.tolist(), traj.boxes.tolist())]
 
 
 def records_of(traj, pred_id=None):
     pid = traj.track_id if pred_id is None else pred_id
-    return [MotRecord(f, pid, b) for f, b in zip(traj.frames, traj.boxes)]
+    return [MotRecord(f, pid, b) for f, b in box_objects(traj)]
 
 
 class TestMota:
@@ -46,7 +56,7 @@ class TestMota:
 
     def test_hand_counted_frame(self):
         # 10 gt boxes in one frame; 9 are matched, one result is far away
-        gt = [Trajectory(i, (1,), (nbox(0.08 * i + 0.05, 0.3),)) for i in range(1, 11)]
+        gt = [trajectory(i, (1,), (nbox(0.08 * i + 0.05, 0.3),)) for i in range(1, 11)]
         res = [MotRecord(1, i, nbox(0.08 * i + 0.05, 0.3)) for i in range(1, 10)]
         res.append(MotRecord(1, 10, nbox(0.9, 0.9)))
         report = mota(gt, res)
@@ -77,7 +87,7 @@ class TestMota:
     def test_continuity_rule_prefers_previous_hypothesis(self):
         # frame 2 offers a slightly better-overlapping new id; CLEAR keeps
         # the existing correspondence while it clears the threshold
-        gt = [Trajectory(1, (1, 2), (nbox(0.5, 0.5), nbox(0.5, 0.5)))]
+        gt = [trajectory(1, (1, 2), (nbox(0.5, 0.5), nbox(0.5, 0.5)))]
         res = [
             MotRecord(1, 7, nbox(0.5, 0.5)),
             MotRecord(2, 7, nbox(0.51, 0.5)),  # previous id, slightly off
@@ -88,7 +98,7 @@ class TestMota:
         assert report.fp == 1  # the perfect newcomer goes unmatched
 
     def test_switch_across_gap(self):
-        gt = [Trajectory(1, (1, 2, 3), (nbox(0.5, 0.5),) * 3)]
+        gt = [trajectory(1, (1, 2, 3), (nbox(0.5, 0.5),) * 3)]
         res = [MotRecord(1, 7, nbox(0.5, 0.5)), MotRecord(3, 8, nbox(0.5, 0.5))]
         report = mota(gt, res)
         assert report.idsw == 1 and report.fn == 1
@@ -136,7 +146,7 @@ def scored_outputs(draw):
     gt = []
     for gid in draw(st.lists(st.integers(1, 6), unique=True, max_size=4)):
         frames = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1))))
-        gt.append(Trajectory(gid, frames, tuple(draw(grid_boxes) for _ in frames)))
+        gt.append(trajectory(gid, frames, tuple(draw(grid_boxes) for _ in frames)))
     records = draw(st.lists(st.builds(MotRecord, st.integers(1, 4), st.integers(1, 3), grid_boxes), max_size=24))
     return gt, records
 
@@ -148,7 +158,7 @@ def brute_force_idf1(gt, records, threshold=0.5):
     pred_ids = sorted({r.track_id for r in records})
     overlap = np.zeros((len(gt_ids), len(pred_ids)))
     for t in gt:
-        for f, gbox in zip(t.frames, t.boxes):
+        for f, gbox in box_objects(t):
             for r in records:
                 if r.frame == f and iou_matrix(gbox.as_array(), r.box.as_array())[0, 0] >= threshold:
                     overlap[gt_ids.index(t.track_id), pred_ids.index(r.track_id)] += 1
@@ -175,7 +185,7 @@ def reference_mota(gt, records, threshold=0.5):
     ground-truth object that keeps its previous hypothesis."""
     gt_frames, res_frames = {}, {}
     for t in gt:
-        for f, b in zip(t.frames, t.boxes):
+        for f, b in box_objects(t):
             gt_frames.setdefault(f, []).append((t.track_id, b))
     for r in records:
         res_frames.setdefault(r.frame, []).append((r.track_id, r.box))
@@ -221,8 +231,8 @@ class TestMotaContinuity:
     @settings(max_examples=150, deadline=None)
     @given(case=scored_outputs())
     @example(case=(
-        [Trajectory(1, (1, 2, 3), (nbox(0.1, 0.1),) * 3),
-         Trajectory(2, (1, 3, 4), (nbox(0.1, 0.15), nbox(0.15, 0.15, 0.1, 0.15), nbox(0.15, 0.1)))],
+        [trajectory(1, (1, 2, 3), (nbox(0.1, 0.1),) * 3),
+         trajectory(2, (1, 3, 4), (nbox(0.1, 0.15), nbox(0.15, 0.15, 0.1, 0.15), nbox(0.15, 0.1)))],
         [MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 1, nbox(0.1, 0.1)),
          MotRecord(3, 2, nbox(0.15, 0.15)), MotRecord(4, 1, nbox(0.15, 0.1)),
          MotRecord(3, 1, nbox(0.15, 0.15, 0.15, 0.15))],
