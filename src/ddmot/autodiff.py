@@ -238,19 +238,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ])
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x`` (any leading
-    shape): one GEMM on the flattened rows plus an in-place bias add."""
-    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape} ({x.name}, {w.name}, {b.name})")
+    shape): one GEMM on the flattened rows, then an in-place add of ``b`` if any."""
+    b_shape = None if b is None else b.shape
+    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0] or b_shape not in (None, w.shape[1:]):
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b_shape} ({x.name}, {w.name})")
     x2 = x.value.reshape(-1, w.shape[0])
     v = x2 @ w.value
-    v += b.value
-    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", [
-        (x, lambda g: (g.reshape(-1, g.shape[-1]) @ w.value.T).reshape(x.shape)),
-        (w, lambda g: x2.T @ g.reshape(-1, g.shape[-1])),
-        (b, lambda g: _unbroadcast(g, b.shape)),
-    ])
+    parents = [(x, lambda g: (g.reshape(-1, g.shape[-1]) @ w.value.T).reshape(x.shape)),
+               (w, lambda g: x2.T @ g.reshape(-1, g.shape[-1]))]
+    if b is not None:
+        v += b.value
+        parents.append((b, lambda g: _unbroadcast(g, b.shape)))
+    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", parents)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -453,6 +454,9 @@ def backward(output: Tensor, wrt: Iterable[Tensor]) -> list[Array]:
 # Adam
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, one entry per parameter name."""
@@ -460,19 +464,12 @@ class AdamState:
     m: dict[str, Array]
     v: dict[str, Array]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: dict[str, Tensor]) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p.value) for k, p in params.items()},
         v={k: np.zeros_like(p.value) for k, p in params.items()},
-        step=0,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -482,11 +479,11 @@ def adam_step(
     state: AdamState,
     learning_rate: float,
 ) -> tuple[dict[str, Tensor], AdamState]:
-    """One Adam update with bias correction; mutates params in place."""
+    """One bias-corrected Adam update at the ``ADAM_*`` constants; mutates params in place."""
     if learning_rate <= 0:
         raise InvalidInputError(f"learning_rate must be positive, got {learning_rate}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in params.items():
@@ -497,7 +494,7 @@ def adam_step(
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        p.value = p.value - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.value = p.value - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -512,7 +509,6 @@ class FDReport:
     max_rel_error: float
     worst: tuple[str, int] | None
     flagged: list[tuple[str, int, float, float, float]] = field(default_factory=list)
-    per_param: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -558,17 +554,13 @@ def finite_difference_check(
     for name, p in params.items():
         a = analytic[name].reshape(-1)
         orig = p.value
-        worst_here = 0.0
         for i in range(orig.size):
             fd = (f_moved(p, orig, i, h) - f_moved(p, orig, i, -h)) / (2.0 * h)
             p.value = orig
             err = abs(a[i] - fd) / max(abs(a[i]), abs(fd), floor)
-            if err > worst_here:
-                worst_here = err
             if err > report.max_rel_error:
                 report.max_rel_error = err
                 report.worst = (name, i)
             if err > tolerance:
                 report.flagged.append((name, i, float(a[i]), fd, err))
-        report.per_param[name] = worst_here
     return report

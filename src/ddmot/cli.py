@@ -222,7 +222,9 @@ def cmd_track(args) -> int:
     frames = detections_by_frame(parsed.records)
 
     predictor = make_predictor(pred_cfg, model)
-    stream = ((f, frames.get(f, [])) for f in range(1, meta.frame_count + 1))
+    # past the last detection no track is matched, so no frame writes a row
+    last = int(parsed.records.frame[-1]) if len(parsed.records) else 0
+    stream = ((f, frames.get(f, [])) for f in range(1, last + 1))
     table = run_sequence(stream, predictor, tracker_cfg)
 
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -222,7 +222,8 @@ class MotTable:
 class Trajectory:
     """One object's ``frames`` (L,) int64 and center-format ``boxes`` (L, 4)
     float64 in one unit mode. Sequences (of frames, of box rows) become these
-    arrays, checked once: finite boxes, positive extents, a known mode."""
+    arrays, checked once: strictly ascending frames, finite boxes, positive
+    extents, a known mode."""
 
     track_id: int
     frames: np.ndarray
@@ -231,6 +232,9 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         frames = _int_column(self.frames, "Trajectory: frames")
+        if (bad := np.flatnonzero(frames[1:] <= frames[:-1])).size:
+            raise InvalidInputError(f"Trajectory {self.track_id}: frame {frames[bad[0] + 1]} after frame "
+                                    f"{frames[bad[0]]}; frames must strictly increase")
         boxes = np.asarray(self.boxes, dtype=np.float64).reshape(len(frames), 4)
         check_boxes(boxes, "Trajectory")
         if self.units not in UNIT_MODES:

@@ -422,7 +422,7 @@ def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_var
 # model container
 
 MODEL_MAGIC = b"D2MP"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def save_model(params: dict, config: ModelConfig) -> bytes:

@@ -24,7 +24,6 @@ from .autodiff import Tensor
 from .core import InvalidInputError, NumericError, check_field_types
 
 T_MIN = 0.001
-Z_LOSS_FORMS = ("smooth_l1", "squared")
 
 
 def _as_motion_array(m) -> np.ndarray:
@@ -204,11 +203,10 @@ def sample_one_step(windows, model, rng) -> np.ndarray:
 # training
 
 
-def training_loss(c_hat, c, z_hat=None, z=None, z_loss: str = "smooth_l1"):
+def training_loss(c_hat, c, z_hat=None, z=None):
     """Smooth-L1 between predicted and true attenuation, averaged over
-    components (and batch). The two-branch variant adds the noise-head
-    term; ``z_loss`` picks smooth-L1 (default) or plain squared error for
-    that head.
+    components (and batch). The two-branch variant adds the same smooth-L1
+    term for the noise head.
 
     Returns a Tensor when any input is a Tensor, else a float.
     """
@@ -219,13 +217,7 @@ def training_loss(c_hat, c, z_hat=None, z=None, z_loss: str = "smooth_l1"):
         if z is None:
             raise InvalidInputError("z_hat given without z")
         zh = z_hat if isinstance(z_hat, Tensor) else Tensor(np.asarray(z_hat, dtype=np.float64))
-        diff = zh - Tensor(np.asarray(z, dtype=np.float64))
-        if z_loss == "smooth_l1":
-            loss = loss + ad.mean(ad.smooth_l1(diff))
-        elif z_loss == "squared":
-            loss = loss + ad.mean(ad.mul(diff, diff))
-        else:
-            raise InvalidInputError(f"unknown z_loss form {z_loss!r}")
+        loss = loss + ad.mean(ad.smooth_l1(zh - Tensor(np.asarray(z, dtype=np.float64))))
     return loss if graph else float(loss.value)
 
 
@@ -237,9 +229,7 @@ class TrainConfig:
     steps: int = 5000
     batch_size: int = 256
     learning_rate: float = 1e-4
-    t_min: float = T_MIN
     seed: int = 0
-    z_loss: str = "smooth_l1"
     stop_below: float | None = None  # end early once the loss dips under this
 
     def __post_init__(self) -> None:
@@ -250,17 +240,14 @@ class TrainConfig:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate <= 0:
             raise InvalidInputError("learning_rate must be positive")
-        if not (0.0 < self.t_min < 1.0):
-            raise InvalidInputError("t_min must lie in (0, 1)")
-        if self.z_loss not in Z_LOSS_FORMS:
-            raise InvalidInputError(f"z_loss must be one of {Z_LOSS_FORMS}, got {self.z_loss!r}")
 
 
 def train(dataset: TrainingSet, model, config: TrainConfig) -> list[float]:
     """Optimize the model on (condition, clean-motion) pairs.
 
-    Per step: draw a minibatch, a time t ~ U[t_min, 1] and noise z per
-    sample, diffuse forward, predict, take the smooth-L1 loss, and apply
+    Per step: draw a minibatch, a time t ~ U[T_MIN, 1] (the floor the
+    sampler queries at) and noise z per sample, diffuse forward, predict,
+    take the smooth-L1 loss (both heads for two-branch models), and apply
     one Adam step. Mutates ``model.params``; returns the loss history.
     Deterministic for a fixed config seed.
 
@@ -281,13 +268,13 @@ def train(dataset: TrainingSet, model, config: TrainConfig) -> list[float]:
             idx = rng.integers(0, len(dataset), size=config.batch_size)
             m0 = dataset.targets[idx]
             cond = dataset.conditions[idx]
-            t = rng.uniform(config.t_min, 1.0, size=config.batch_size)
+            t = rng.uniform(T_MIN, 1.0, size=config.batch_size)
             z = rng.standard_normal((config.batch_size, 4))
             noisy, _ = forward_diffuse(m0, t, z)
             c = attenuation_constant(m0)
             with ad.precision(np.float32):
                 c_hat, z_hat = model.predict_graph(noisy.values, t, cond)
-                loss = training_loss(c_hat, c, z_hat, z if z_hat is not None else None, config.z_loss)
+                loss = training_loss(c_hat, c, z_hat, z)
                 value = float(loss.value)
                 if not np.isfinite(value):
                     raise NumericError("loss is not finite")

@@ -32,10 +32,12 @@ sixth of the cost of the block's widest tensors for a 5-frame window.
 
 Unstated-by-construction choices (documented here because they are load
 bearing): condition rows get a learned 8->token_dim embedding plus learned
-positional encodings; time enters as a sinusoidal feature added to the
-encoded noisy motion; attention blocks are pre-norm with a 4x feed-forward
-and SiLU activations; the final projection starts at 1/100 of its init
-range so a fresh model predicts near-zero motion.
+positional encodings, so the encoder sees the order of its window; time
+enters as a sinusoidal feature added to the encoded noisy motion; attention
+blocks are pre-norm with a 4x feed-forward and SiLU activations, and keys
+have no bias (softmax cancels a shift shared by a query's scores); the final
+projection starts at 1/100 of its init range so a fresh model predicts
+near-zero motion.
 """
 from __future__ import annotations
 
@@ -63,7 +65,6 @@ class ModelConfig:
     history_length: int = 5
     variant: str = "OB"
     condition_variant: str = "I"
-    positional_encoding: bool = True
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -135,7 +136,7 @@ def _block_shapes(prefix: str, d: int) -> dict[str, tuple]:
         shapes[f"{prefix}.{ln}.b"] = (d,)
     for w in ("wq", "wk", "wv", "wo"):
         shapes[f"{prefix}.attn.{w}"] = (d, d)
-    for b in ("bq", "bk", "bv", "bo"):
+    for b in ("bq", "bv", "bo"):
         shapes[f"{prefix}.attn.{b}"] = (d,)
     shapes.update(_mlp2_shapes(f"{prefix}.ffn", d, 4 * d, d))
     return shapes
@@ -150,9 +151,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
         "cond.embed.w": (8, d),
         "cond.embed.b": (d,),
         "cond.cls": (1, d),
+        "cond.pos": (n, d),
     }
-    if config.positional_encoding:
-        shapes["cond.pos"] = (n, d)
     for i in range(config.n_condition_layers):
         shapes.update(_block_shapes(f"cond.l{i}", d))
     shapes.update(_mlp2_shapes("time", d, d, d))
@@ -244,7 +244,8 @@ class HMINet:
         nh, dh = self.config.n_heads, d // self.config.n_heads
 
         def heads(x: Tensor, name: str) -> Tensor:
-            proj = ad.linear(x, self._p(f"{prefix}.attn.w{name}"), self._p(f"{prefix}.attn.b{name}"))
+            bias = None if name == "k" else self._p(f"{prefix}.attn.b{name}")
+            proj = ad.linear(x, self._p(f"{prefix}.attn.w{name}"), bias)
             return ad.swapaxes(ad.reshape(proj, (b, x.shape[1], nh, dh)), 1, 2)
 
         q, k, v = heads(x_q, "q"), heads(x_n, "k"), heads(x_n, "v")
@@ -280,9 +281,7 @@ class HMINet:
             raise InvalidInputError(f"condition windows must have shape (B, {n}, 8), got {w.shape}")
         w = apply_condition_variant(w, self.config.condition_variant)
         b, d = w.shape[0], self.config.token_dim
-        x = ad.linear(Tensor(w), self._p("cond.embed.w"), self._p("cond.embed.b"))
-        if self.config.positional_encoding:
-            x = x + self._p("cond.pos")
+        x = ad.linear(Tensor(w), self._p("cond.embed.w"), self._p("cond.embed.b")) + self._p("cond.pos")
         cls = ad.broadcast_to(ad.reshape(self._p("cond.cls"), (1, 1, d)), (b, 1, d))
         x = ad.concat([cls, x], axis=1)
         last = self.config.n_condition_layers - 1

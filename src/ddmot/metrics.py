@@ -54,9 +54,18 @@ _NO_ROWS: FrameRows = ([], np.empty((0, 4)))
 
 
 def _by_frame(table: MotTable) -> dict[int, FrameRows]:
-    """The rows of a (frame-sorted) table grouped by frame."""
+    """The rows of a (frame-sorted) table grouped by frame. A track id may
+    appear once per frame; a repeated row would be scored twice."""
     ids = table.track_id.tolist()
-    return {int(table.frame[s]): (ids[s:e], table.boxes[s:e]) for s, e in runs(table.frame)}
+    grouped = {int(table.frame[s]): (ids[s:e], table.boxes[s:e]) for s, e in runs(table.frame)}
+    # equal keys flag a repeated (frame, id); keys wrap past int64 range, so each frame confirms a hit
+    keys = np.sort((table.frame << 32) + table.track_id)
+    if np.any(keys[1:] == keys[:-1]):
+        for frame, (frame_ids, _) in grouped.items():
+            if len(set(frame_ids)) < len(frame_ids):
+                repeated = min(i for i in frame_ids if frame_ids.count(i) > 1)
+                raise InvalidInputError(f"frame {frame}: track id {repeated} appears more than once")
+    return grouped
 
 
 def check_iou_threshold(iou_threshold: float) -> None:
@@ -157,8 +166,10 @@ def idf1(gt: Sequence[Trajectory], records: MotTable | Sequence[MotRecord], iou_
 
 def predictor_iou_diagnostic(trajectories: Sequence[Trajectory], predictor, burn_in: int = 0) -> DiagReport:
     """Mean IoU between one-frame-ahead predictions (given the true history)
-    and ground truth. ``burn_in`` drops the first predictions of each
-    trajectory, where stateful predictors are still converging."""
+    and ground truth. ``burn_in`` (>= 0) drops the first predictions of
+    each trajectory, where stateful predictors are still converging."""
+    if burn_in < 0:
+        raise InvalidInputError(f"burn_in must be >= 0, got {burn_in}")
     per_traj: dict[int, float] = {}
     pooled: list[float] = []
     for traj in trajectories:

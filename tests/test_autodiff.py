@@ -106,7 +106,7 @@ class TestOpGradients:
 
     @pytest.mark.parametrize(
         "name",
-        ["add", "mul", "matmul", "linear", "sigmoid", "silu", "softmax", "concat", "scale",
+        ["add", "mul", "matmul", "linear", "linear_no_bias", "sigmoid", "silu", "softmax", "concat", "scale",
          "slice", "mean", "layer_norm", "reshape", "swapaxes", "broadcast", "smooth_l1"],
     )
     def test_gradient(self, name):
@@ -123,6 +123,8 @@ class TestOpGradients:
                 out = ad.matmul(a, ad.swapaxes(b, 0, 1))
             elif name == "linear":
                 out = ad.linear(a, ad.swapaxes(b, 0, 1), ad.slice_(b, (slice(None), 0)))
+            elif name == "linear_no_bias":
+                out = ad.linear(a, ad.swapaxes(b, 0, 1), None)
             elif name == "sigmoid":
                 out = ad.sigmoid(a)
             elif name == "silu":
@@ -186,6 +188,7 @@ class TestFusedValues:
         rng = np.random.default_rng(11)
         x, w, bias = t(rng.normal(size=(6, 4))), t(rng.normal(size=(4, 3))), t(rng.normal(size=3))
         assert np.array_equal(ad.linear(x, w, bias).value, (ad.matmul(x, w) + bias).value)
+        assert np.array_equal(ad.linear(x, w, None).value, ad.matmul(x, w).value)
 
     def test_linear_shape_error_names_op(self):
         with pytest.raises(ad.ShapeError, match="linear"):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ddmot import cli
+from ddmot import association, cli
 from ddmot.association import TrackerConfig
 from ddmot.cli import main
 from ddmot.core import BoundingBox, Detection
@@ -146,6 +146,26 @@ class TestTrack:
         assert code == 2
         assert "model" in capsys.readouterr().err
 
+    def test_stops_after_the_last_detection_frame(self, scene, tmp_path, monkeypatch):
+        # no track is matched past the last detection, so those frames write
+        # nothing; a huge frame_count must not make them run
+        last = int(parse_mot((scene / "det.txt").read_text()).records.frame.max())
+        meta = json.loads((scene / "meta.json").read_text())
+        meta["frame_count"] = 10**9
+        huge = write_json(tmp_path / "meta.json", meta)
+        args = ["track", "--detections", str(scene / "det.txt"), "--predictor", "kf", "--seed", "0"]
+        assert main(args + ["--meta", str(scene / "meta.json"), "--out", str(tmp_path / "a.txt")]) == 0
+        real_step = association.Tracker.step
+
+        def step(tracker, frame, detections):
+            if frame > last:
+                raise AssertionError(f"stepped frame {frame} past the last detection frame {last}")
+            return real_step(tracker, frame, detections)
+
+        monkeypatch.setattr(association.Tracker, "step", step)
+        assert main(args + ["--meta", huge, "--out", str(tmp_path / "b.txt")]) == 0
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
     def test_d2mp_end_to_end_with_trained_model(self, scene, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"model": SMALL_MODEL, "train": {"steps": 40, "batch_size": 32}})
         model_dir = tmp_path / "m"
@@ -184,6 +204,19 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert 0 <= payload["idf1"]["IDF1"] < 1.0
 
+    @pytest.mark.parametrize("repeated", ["gt", "res"])
+    def test_repeated_id_in_a_frame_refused(self, scene, tmp_path, capsys, repeated):
+        # a repeated (frame, id) row would be scored twice: IDF1 above 1 or a negative count
+        lines = (scene / "gt.txt").read_text().splitlines()
+        frame, track_id = lines[4].split(",")[:2]
+        (tmp_path / "dup.txt").write_text("\n".join(lines[:5] + [lines[4]] + lines[5:]) + "\n")
+        files = {"gt": str(scene / "gt.txt"), "res": str(scene / "gt.txt"), repeated: str(tmp_path / "dup.txt")}
+        assert main(["eval", "--gt", files["gt"], "--res", files["res"]]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: invalid-config:"), err
+        assert f"frame {frame}" in err[0] and track_id in err[0]
+
 
 class TestDiag:
     def test_kf_row_per_corpus(self, scene, capsys):
@@ -194,6 +227,14 @@ class TestDiag:
     def test_missing_model_for_d2mp(self, scene, capsys):
         assert main(["diag", "--gt", str(scene), "--predictor", "d2mp"]) == 2
         assert "model" in capsys.readouterr().err
+
+    def test_negative_burn_in_refused(self, scene, capsys):
+        # a negative burn-in would slice each trajectory's predictions from its end
+        assert main(["diag", "--gt", str(scene), "--predictor", "kf", "--burn-in", "-1"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: invalid-config:"), err
+        assert "burn_in" in err[0]
 
     def test_json_mode(self, scene, capsys):
         assert main(["diag", "--gt", str(scene), "--predictor", "cv", "--json"]) == 0
@@ -351,15 +392,21 @@ class TestMalformedInputs:
         err = self._track(scene, tmp_path, capsys, model_bytes=blob[:4] + struct.pack("<I", 1) + blob[8:])
         assert "version 1" in err
 
+    def test_version_2_model_file(self, scene, tmp_path, capsys):
+        # version 2 declared the attention key biases that version 3 drops
+        blob = self._model()
+        err = self._track(scene, tmp_path, capsys, model_bytes=blob[:4] + struct.pack("<I", 2) + blob[8:])
+        assert "version 2" in err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_payload(self, scene, tmp_path, capsys, value):
         err = self._track(scene, tmp_path, capsys, model_bytes=poison(self._model(), "head.b2", value))
         assert "head.b2" in err
 
     def test_wrong_kind_in_model_config(self, scene, tmp_path, capsys):
-        model = repack(self._model(), lambda h: h["config"].update(positional_encoding="x"))
+        model = repack(self._model(), lambda h: h["config"].update(history_length="5"))
         err = self._track(scene, tmp_path, capsys, model_bytes=model)
-        assert "positional_encoding" in err
+        assert "history_length" in err
 
     @pytest.mark.parametrize("field", ["left", "conf"])
     def test_nan_detection_field(self, scene, tmp_path, capsys, field):
@@ -488,6 +535,18 @@ class TestConfigTypes:
         err = self._assert_invalid(self._argv("track", scene, tmp_path) + ["--config", cfg], tmp_path, capsys)
         assert "iou_weight" in err
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("model", "positional_encoding", True),
+        ("train", "t_min", 0.001),
+        ("train", "z_loss", "smooth_l1"),
+    ])
+    def test_removed_option_rejected(self, scene, tmp_path, capsys, section, field, value):
+        # positional encodings, the training time floor and the noise-head
+        # loss are fixed; setting one, even to its only value, is refused
+        cfg = write_json(tmp_path / "cfg.json", {section: {field: value}})
+        argv = self._argv("train", scene, tmp_path) + ["--config", cfg]
+        assert field in self._assert_invalid(argv, tmp_path, capsys)
+
     @pytest.mark.parametrize("command, section, field, value", [
         ("train", "train", "stop_below", "abc"),
         ("synth", "spec", "conf_range", 5),
@@ -500,8 +559,8 @@ class TestConfigTypes:
         ("train", "train", "z_loss", "bogus"),
     ])
     def test_float_field_takes_a_finite_number(self, scene, tmp_path, capsys, command, section, field, value):
-        # a float field takes a finite real (JSON reads NaN and Infinity), a
-        # range a pair of them, and z_loss one of its named forms
+        # a float field takes a finite real (JSON reads NaN and Infinity) and
+        # a range a pair of them; z_loss is no field at all
         argv = self._argv(command, scene, tmp_path)
         if command == "track":
             argv[argv.index("--predictor") + 1] = "kf"

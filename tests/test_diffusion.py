@@ -266,10 +266,6 @@ class TestTrainingLoss:
         both = training_loss(np.array([0.5]), np.array([0.0]), z_hat=np.array([2.0]), z=np.array([0.0]))
         assert both == pytest.approx(c_term + 1.5, abs=1e-15)
 
-    def test_squared_z_option(self):
-        v = training_loss(np.array([0.0]), np.array([0.0]), z_hat=np.array([2.0]), z=np.array([0.0]), z_loss="squared")
-        assert v == pytest.approx(4.0, abs=1e-15)
-
     def test_graph_mode_returns_tensor(self):
         out = training_loss(Tensor(np.zeros(4)), np.zeros(4))
         assert isinstance(out, Tensor)
@@ -358,9 +354,9 @@ def spied_train_step(monkeypatch, net: HMINet) -> dict:
         seen["inputs"] = args
         return real_graph(*args)
 
-    def loss(c_hat, c, z_hat, z, z_loss):
-        seen["targets"] = c, z, z_loss
-        return real_loss(c_hat, c, z_hat, z, z_loss)
+    def loss(c_hat, c, z_hat, z):
+        seen["targets"] = c, z
+        return real_loss(c_hat, c, z_hat, z)
 
     def make(value, op, parents):
         seen["ops"].append((op, value.dtype))
@@ -405,10 +401,10 @@ class TestMixedPrecisionTraining:
         net = HMINet.init(replace(SMALL, variant=variant), 3)
         ref = HMINet(net.config, {k: ad.parameter(p.value.copy(), k) for k, p in net.params.items()})
         seen = spied_train_step(monkeypatch, net)
-        c, z, z_loss = seen["targets"]
+        c, z = seen["targets"]
         c_hat, z_hat = ref.predict_graph(*seen["inputs"])
         assert c_hat.value.dtype == np.float64
-        want = dict(zip(ref.params, ad.backward(training_loss(c_hat, c, z_hat, z, z_loss), list(ref.params.values()))))
+        want = dict(zip(ref.params, ad.backward(training_loss(c_hat, c, z_hat, z), list(ref.params.values()))))
         got = seen["grads"]
         assert list(got) == list(want)
         largest = max(np.abs(g).max() for g in want.values())

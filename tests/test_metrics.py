@@ -141,13 +141,14 @@ grid_boxes = st.builds(
 
 @st.composite
 def scored_outputs(draw):
-    """Ground truth and results on a coarse box grid, so many pairs overlap
-    and a frame can hold several records of one predicted id."""
+    """Ground truth and results on a coarse box grid, so many pairs overlap;
+    a predicted id has at most one record per frame, as the metrics require."""
     gt = []
     for gid in draw(st.lists(st.integers(1, 6), unique=True, max_size=4)):
         frames = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1))))
         gt.append(trajectory(gid, frames, tuple(draw(grid_boxes) for _ in frames)))
-    records = draw(st.lists(st.builds(MotRecord, st.integers(1, 4), st.integers(1, 3), grid_boxes), max_size=24))
+    records = draw(st.lists(st.builds(MotRecord, st.integers(1, 4), st.integers(1, 3), grid_boxes), max_size=12,
+                            unique_by=lambda r: (r.frame, r.track_id)))
     return gt, records
 
 
@@ -233,7 +234,7 @@ class TestMotaContinuity:
     @example(case=(
         [trajectory(1, (1, 2, 3), (nbox(0.1, 0.1),) * 3),
          trajectory(2, (1, 3, 4), (nbox(0.1, 0.15), nbox(0.15, 0.15, 0.1, 0.15), nbox(0.15, 0.1)))],
-        [MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 1, nbox(0.1, 0.1)),
+        [MotRecord(1, 1, nbox(0.1, 0.1)), MotRecord(1, 2, nbox(0.1, 0.1)), MotRecord(1, 3, nbox(0.1, 0.1)),
          MotRecord(3, 2, nbox(0.15, 0.15)), MotRecord(4, 1, nbox(0.15, 0.1)),
          MotRecord(3, 1, nbox(0.15, 0.15, 0.15, 0.15))],
     ))
@@ -273,6 +274,19 @@ class TestMotaContinuity:
         with pytest.raises(UnitMismatchError):
             idf1(gt, res)
 
+    @pytest.mark.parametrize("source", ["result", "ground truth"])
+    def test_repeated_id_in_a_frame_rejected(self, source):
+        # a repeated result row would be scored twice: IDF1 above 1, IDFN below 0
+        truth = straight_trajectory(1, 3)
+        gt, res = [truth], records_of(truth)
+        if source == "result":
+            res.insert(1, res[1])
+        else:
+            gt.append(trajectory(1, (2,), (nbox(0.5, 0.5),)))
+        for score in (mota, idf1):
+            with pytest.raises(InvalidInputError, match="frame 2: track id 1 appears more than once"):
+                score(gt, res)
+
 
 class OraclePredictor:
     """Returns the true next box (upper bound for the diagnostic)."""
@@ -311,6 +325,11 @@ class TestDiagnostic:
         kf_lin = predictor_iou_diagnostic(linear, KalmanPredictor()).mean
         kf_cur = predictor_iou_diagnostic(curved, KalmanPredictor()).mean
         assert kf_lin - kf_cur >= 0.1
+
+    def test_negative_burn_in_rejected(self):
+        # a negative burn-in would slice each trajectory's predictions from its end
+        with pytest.raises(InvalidInputError, match="burn_in"):
+            predictor_iou_diagnostic([straight_trajectory(1, 20)], KalmanPredictor(), burn_in=-1)
 
     def test_report_values_in_unit_interval(self):
         trajs = [straight_trajectory(1, 20)]
