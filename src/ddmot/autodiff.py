@@ -3,31 +3,38 @@
 Just enough machinery to express and train the motion network: values are
 float64 or float32 numpy arrays, the graph is built implicitly as ops run, and
 ``backward`` accumulates vector-Jacobian products in reverse topological
-order. Every op validates shapes up front and checks its output for
-non-finite values; both failure modes raise structured errors naming the
-offending node.
+order. Every op validates shapes up front; when it records a graph it also
+checks its output for non-finite values. Both failure modes raise
+structured errors naming the offending node.
 
 New tensors take their dtype from one module-level compute-precision
 switch: float64 by default, float32 inside ``with precision(np.float32):``.
 Every op keeps its input dtype, and a ``parameter`` is always float64, so
-it can serve as a master weight under either precision. The per-op finite
-check stays on at both precisions: checking only the final output would
-miss an overflow that a sigmoid gate or a softmax squashes back into a
-finite value.
+it can serve as a master weight under either precision. In graph mode the
+per-op finite check runs at both precisions, so a training step aborts at
+the op that overflowed and the finite-difference audit never sees an inf.
 
 Inside ``with no_grad():`` the same ops run without building a graph, in
 float32: an op's output records no parents, gets its op name instead of a
-unique node name, and never requires a gradient. Inference uses this mode
-at the precision of the model file, so sampling runs the training
-network's ops without paying for the graph. Training records the graph in
-float32 too (``diffusion.train``) and casts the gradients up to float64
-for Adam; the default float64 graph is what ``finite_difference_check``
-audits.
+unique node name, never requires a gradient and is not finite-checked.
+In the motion network a non-finite value reaches the output of the pass
+except where ``sigmoid`` saturates it to a finite 0 or 1, or softmax turns
+a -inf score into a finite 0 weight, so those two ops check in both
+modes: ``sigmoid`` its input and ``attention`` its scores. Callers check
+the values leaving a no-grad pass with ``check_finite``; every error names
+the op that made the value. Inference uses this mode at the precision of
+the model file, so sampling runs the training network's ops without paying
+for the graph. Training records the graph in float32 too
+(``diffusion.train``) and casts the gradients up to float64 for Adam; the
+default float64 graph is what ``finite_difference_check`` audits.
 
-Two fused ops carry the network's hot paths with hand-written
-vector-Jacobian products: ``linear(x, w, b)`` is one GEMM over the
-flattened rows of ``x`` plus an in-place bias add, and ``silu(x)`` is
-``x * sigmoid(x)`` as one node. ``sigmoid`` and ``silu`` use
+Fused ops carry the network's hot paths with hand-written vector-Jacobian
+products: ``linear(x, w, b)`` is one GEMM over the flattened rows of ``x``
+plus an in-place bias add; ``silu(x)`` is ``x * sigmoid(x)`` as one node;
+``layer_norm(x, gain, bias)`` is the affine layer norm; and
+``attention(...)`` is a whole multi-head attention (projections, scaled
+softmax per head, output projection), whose VJP computes all nine parent
+gradients at once. ``sigmoid`` and ``silu`` use
 ``scipy.special.expit`` on float64 input, which is stable on both tails;
 on float32 input they use ``0.5 * tanh(x / 2) + 0.5``, which is bounded,
 cannot overflow, is within 6.5e-8 of ``expit`` and runs several times
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -85,8 +93,7 @@ class Tensor:
         self.name = name if name is not None else f"tensor{next(_node_ids)}"
         with np.errstate(over="ignore"):  # beyond float32 range is inf, rejected below
             v = np.asarray(value, dtype=_dtype)
-        if not np.isfinite(v).all():
-            raise NonFiniteError(f"node '{self.name}': non-finite value")
+        _check_finite(v, self.name)
         self.value = v
         self.grad: Array | None = None
         self.requires_grad = requires_grad
@@ -169,18 +176,29 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _check_finite(value: Array, name: str) -> None:
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"node '{name}': non-finite value")
+
+
+def check_finite(t: Tensor) -> Tensor:
+    """Return ``t``; raise NonFiniteError naming the op that made it if it
+    holds a NaN or Inf. Callers put it where a no-grad result leaves."""
+    _check_finite(t.value, t.name)
+    return t
+
+
 def _make(value: Array, op: str, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
     out = Tensor.__new__(Tensor)
     if _grad_enabled:
         out.name = f"{op}#{next(_node_ids)}"
         out.requires_grad = any(p.requires_grad for p, _ in parents)
         out._parents = tuple(parents)
+        _check_finite(value, out.name)
     else:
         out.name = op
         out.requires_grad = False
         out._parents = ()
-    if not np.isfinite(value).all():
-        raise NonFiniteError(f"node '{out.name}': non-finite value")
     out.value = value
     out.grad = None
     return out
@@ -265,6 +283,8 @@ def _sigmoid(x: Array) -> Array:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    """Checks its input in both modes: it saturates an Inf to a finite 0 or 1."""
+    _check_finite(a.value, a.name)
     s = _sigmoid(a.value)
     return _make(s, "sigmoid", [(a, lambda g: g * s * (1.0 - s))])
 
@@ -355,25 +375,101 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(v), "mean", [(a, grad)])
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance.
+LN_EPS = 1e-5
 
-    Learnable gain and bias are applied by the caller with mul/add so this
-    primitive stays parameter-free.
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``gain * (x - mean) / sqrt(var + LN_EPS) + bias`` over the last axis.
+
+    The variance is the mean square of the centred values, the same bits
+    as ``np.var``, without its second pass for the mean.
     """
     x = a.value
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
     d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm: {a.shape} with gain {gain.shape}, bias {bias.shape} ({a.name})")
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
+    out = xhat * gain.value
+    out += bias.value
 
-    def grad(g: Array) -> Array:
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return inv * (g - gm - xhat * gx)
+    def grad_x(g: Array) -> Array:
+        gx = g * gain.value
+        return inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
 
-    return _make(xhat, "layer_norm", [(a, grad)])
+    return _make(out, "layer_norm", [
+        (a, grad_x),
+        (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
+        (bias, lambda g: _unbroadcast(g, bias.shape)),
+    ])
+
+
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+              wo: Tensor, bo: Tensor, heads: int) -> Tensor:
+    """Multi-head attention of the (B, Tq, d) queries ``xq`` over the
+    (B, Tk, d) tokens ``xkv``, as one node.
+
+    Queries, keys and values are ``linear`` projections (keys take no bias:
+    softmax cancels a shift shared by a query's scores), each head takes
+    a softmax of its scores scaled by 1/sqrt(d/heads), and the merged heads
+    go through the output projection ``wo``, ``bo``. The scores are checked
+    in both modes, because softmax turns a -Inf score into a finite 0. The
+    VJP computes every parent's gradient on its first call for a given
+    upstream gradient and hands out the rest from that.
+    """
+    d = xq.shape[-1]
+    if (xq.value.ndim != 3 or xkv.value.ndim != 3 or xkv.shape[::2] != xq.shape[::2] or d % heads
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo)) or any(v.shape != (d,) for v in (bq, bv, bo))):
+        raise ShapeError(f"attention: queries {xq.shape}, tokens {xkv.shape}, {heads} heads ({xq.name}, {xkv.name})")
+    b, tq, tk = xq.shape[0], xq.shape[1], xkv.shape[1]
+    dh = d // heads
+    k_scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
+    xq2, xkv2 = xq.value.reshape(-1, d), xkv.value.reshape(-1, d)
+
+    def split(v2: Array, t: int) -> Array:  # (B*t, d) -> (B, heads, t, dh)
+        return np.ascontiguousarray(v2.reshape(b, t, heads, dh).swapaxes(1, 2))
+
+    q2 = xq2 @ wq.value
+    q2 += bq.value
+    v2 = xkv2 @ wv.value
+    v2 += bv.value
+    q, v = split(q2, tq), split(v2, tk)
+    k_t = np.ascontiguousarray((xkv2 @ wk.value).reshape(b, tk, heads, dh).transpose(0, 2, 3, 1))
+    s = q @ k_t
+    s *= k_scale
+    if not np.isfinite(s).all():
+        raise NonFiniteError("node 'attention': non-finite score")
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    merged = np.ascontiguousarray((s @ v).swapaxes(1, 2)).reshape(-1, d)
+    out = merged @ wo.value
+    out += bo.value
+
+    memo: list = [None, None]
+
+    def grads(g: Array) -> tuple[Array, ...]:
+        if memo[0] is g:
+            return memo[1]
+        g2 = g.reshape(-1, d)
+        d_attn = split(g2 @ wo.value.T, tq)
+        d_s = d_attn @ np.swapaxes(v, -1, -2)
+        d_scores = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
+        d_scores *= k_scale
+        dq2 = (d_scores @ np.swapaxes(k_t, -1, -2)).swapaxes(1, 2).reshape(-1, d)
+        dk2 = (np.swapaxes(d_scores, -1, -2) @ q).swapaxes(1, 2).reshape(-1, d)
+        dv2 = (np.swapaxes(s, -1, -2) @ d_attn).swapaxes(1, 2).reshape(-1, d)
+        memo[:] = g, (
+            (dq2 @ wq.value.T).reshape(xq.shape), xq2.T @ dq2, dq2.sum(axis=0),
+            (dk2 @ wk.value.T + dv2 @ wv.value.T).reshape(xkv.shape), xkv2.T @ dk2, xkv2.T @ dv2, dv2.sum(axis=0),
+            merged.T @ g2, g2.sum(axis=0),
+        )
+        return memo[1]
+
+    parents = (xq, wq, bq, xkv, wk, wv, bv, wo, bo)
+    return _make(out.reshape(b, tq, d), "attention",
+                 [(p, lambda g, i=i: grads(g)[i]) for i, p in enumerate(parents)])
 
 
 def smooth_l1(a: Tensor) -> Tensor:

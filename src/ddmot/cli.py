@@ -237,7 +237,7 @@ def cmd_track(args) -> int:
             "model": args.model,
         })
     )
-    print(f"tracked {meta.frame_count} frames -> {len(table)} rows, {np.unique(table.track_id).size} ids")
+    print(f"tracked {last} frames -> {len(table)} rows, {np.unique(table.track_id).size} ids")
     return 0
 
 

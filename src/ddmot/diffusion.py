@@ -33,10 +33,10 @@ def _as_motion_array(m) -> np.ndarray:
     return arr
 
 
-def _check_time(t, lo: float = T_MIN, what: str = "t") -> np.ndarray:
+def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or np.any(t < lo) or np.any(t > 1.0):
-        raise InvalidInputError(f"{what} must lie in [{lo}, 1], got {t!r}")
+    if not np.all(np.isfinite(t)) or np.any(t < T_MIN) or np.any(t > 1.0):
+        raise InvalidInputError(f"t must lie in [{T_MIN}, 1], got {t!r}")
     return t
 
 

@@ -14,6 +14,11 @@ head, run on a precomputed embedding. Training calls ``predict_graph``
 (encoder then fusion+head, recording the graph). Sampling encodes a
 frame's windows once and calls ``predict_values`` (fusion+head with no
 graph) once per sampling step; both paths share one network definition.
+Each attention is one ``autodiff.attention`` op and each pre-norm one
+affine ``autodiff.layer_norm``. The no-grad ops skip the finite check, so
+``embed_condition`` and ``predict_values`` check the values they return:
+with the checks inside ``sigmoid`` and ``attention``, sampling raises
+``NonFiniteError`` exactly when the recorded float32 forward would.
 
 The parameters are float64 master weights. The network computes at the
 autodiff compute precision: under the default float64 it reads the
@@ -235,24 +240,13 @@ class HMINet:
         return ad.linear(h, self._p(f"{prefix}.w2"), self._p(f"{prefix}.b2"))
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        return ad.layer_norm(x) * self._p(f"{prefix}.g") + self._p(f"{prefix}.b")
+        return ad.layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
 
     def _attention(self, x_q: Tensor, x_n: Tensor, prefix: str) -> Tensor:
         """Multi-head attention of the query tokens ``x_q`` over every token
         of the normalized sequence ``x_n``."""
-        b, tq, d = x_q.shape
-        nh, dh = self.config.n_heads, d // self.config.n_heads
-
-        def heads(x: Tensor, name: str) -> Tensor:
-            bias = None if name == "k" else self._p(f"{prefix}.attn.b{name}")
-            proj = ad.linear(x, self._p(f"{prefix}.attn.w{name}"), bias)
-            return ad.swapaxes(ad.reshape(proj, (b, x.shape[1], nh, dh)), 1, 2)
-
-        q, k, v = heads(x_q, "q"), heads(x_n, "k"), heads(x_n, "v")
-        scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
-        attn = ad.matmul(ad.softmax(scores), v)
-        merged = ad.reshape(ad.swapaxes(attn, 1, 2), (b, tq, d))
-        return ad.linear(merged, self._p(f"{prefix}.attn.wo"), self._p(f"{prefix}.attn.bo"))
+        wq, bq, wk, wv, bv, wo, bo = (self._p(f"{prefix}.attn.{n}") for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
+        return ad.attention(x_q, x_n, wq, bq, wk, wv, bv, wo, bo, self.config.n_heads)
 
     def _block(self, x: Tensor, prefix: str, queries: slice = slice(None)) -> Tensor:
         """Pre-norm attention block; only the ``queries`` tokens are
@@ -289,7 +283,7 @@ class HMINet:
             x = self._block(x, f"cond.l{i}")
         # only the class token is read from the last block: it alone is updated
         x = self._block(x, f"cond.l{last}", queries=slice(0, 1))
-        return ad.reshape(x, (b, d))
+        return ad.check_finite(ad.reshape(x, (b, d)))
 
     def _fusion_head(self, noisy_motion, t, e: Tensor) -> tuple[Tensor, Tensor | None]:
         """Fusion blocks and head on a precomputed (B, d) condition
@@ -333,7 +327,7 @@ class HMINet:
         (B, 4) float32 arrays."""
         with ad.no_grad():
             c, z = self._fusion_head(noisy_motion, t, Tensor(getattr(emb, "value", emb)))
-        return c.value, None if z is None else z.value
+        return ad.check_finite(c).value, None if z is None else ad.check_finite(z).value
 
     @property
     def history_length(self) -> int:

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ class TestForward:
 
         def run():
             h = ad.matmul(t(x), t(w))
-            return ad.mean(ad.mul(ad.sigmoid(h), ad.layer_norm(h))).value.copy()
+            return ad.mean(ad.mul(ad.sigmoid(h), ad.layer_norm(h, t(w[0]), t(w[1])))).value.copy()
 
         assert np.array_equal(run(), run())
 
@@ -140,7 +142,7 @@ class TestOpGradients:
             elif name == "mean":
                 out = ad.mean(a, axis=0)
             elif name == "layer_norm":
-                out = ad.mul(ad.layer_norm(a), b)
+                out = ad.layer_norm(a, ad.slice_(b, 0), ad.slice_(b, 1))
             elif name == "reshape":
                 out = ad.reshape(a, (4, 3))
             elif name == "swapaxes":
@@ -153,6 +155,27 @@ class TestOpGradients:
 
         report = ad.finite_difference_check(f, {"a": a, "b": b}, h=1e-5, tolerance=1e-4)
         assert report.ok, (name, report.flagged[:3])
+
+    @pytest.mark.parametrize("queries", ["self", "class_token"])
+    def test_attention_gradient(self, queries):
+        """``xq is xkv`` sends two gradients into one tensor; a class-token
+        query attends over more tokens than it has queries (Tk > Tq)."""
+        rng = np.random.default_rng(13)
+        d = 4
+        params = {"xkv": ad.parameter(rng.normal(size=(2, 3, d)), "xkv")}
+        params |= {n: ad.parameter(rng.normal(size=(d, d)), n) for n in ("wq", "wk", "wv", "wo")}
+        params |= {n: ad.parameter(rng.normal(size=d), n) for n in ("bq", "bv", "bo")}
+        if queries == "class_token":
+            params["xq"] = ad.parameter(rng.normal(size=(2, 1, d)), "xq")
+        p = params
+
+        def f():
+            out = ad.attention(p.get("xq", p["xkv"]), p["xkv"], p["wq"], p["bq"], p["wk"], p["wv"], p["bv"],
+                               p["wo"], p["bo"], heads=2)
+            return ad.mean(ad.mul(out, out))
+
+        report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
+        assert report.ok, report.flagged[:3]
 
     def test_broadcast_add_gradient(self):
         rng = np.random.default_rng(9)
@@ -195,6 +218,45 @@ class TestFusedValues:
             ad.linear(t(np.zeros((2, 3))), t(np.zeros((4, 5))), t(np.zeros(5)))
         with pytest.raises(ad.ShapeError, match="linear"):
             ad.linear(t(np.zeros((2, 4))), t(np.zeros((4, 5))), t(np.zeros(4)))
+
+    @pytest.mark.parametrize("tq", [6, 1])
+    def test_float32_attention_equals_composition(self, tq):
+        """No-grad float32 ``attention`` gives the bits of the ops it fuses."""
+        rng = np.random.default_rng(14)
+        b, tk, d, heads = 8, 6, 64, 8
+        dh = d // heads
+        with ad.no_grad():
+            xkv = Tensor(rng.normal(size=(b, tk, d)))
+            xq = xkv if tq == tk else Tensor(rng.normal(size=(b, tq, d)))
+            wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)) / 8) for _ in range(4))
+            bq, bv, bo = (Tensor(rng.normal(size=d)) for _ in range(3))
+
+            def split(x, w, bias):
+                return ad.swapaxes(ad.reshape(ad.linear(x, w, bias), (b, x.shape[1], heads, dh)), 1, 2)
+
+            scores = ad.scale(ad.matmul(split(xq, wq, bq), ad.swapaxes(split(xkv, wk, None), -1, -2)), 1.0 / np.sqrt(dh))
+            heads_out = ad.matmul(ad.softmax(scores), split(xkv, wv, bv))
+            want = ad.linear(ad.reshape(ad.swapaxes(heads_out, 1, 2), (b, tq, d)), wo, bo).value
+            got = ad.attention(xq, xkv, wq, bq, wk, wv, bv, wo, bo, heads).value
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    def test_layer_norm_equals_unfused_form(self):
+        x = np.random.default_rng(15).normal(size=(5, 3, 16)).astype(np.float32) * 3 + 1
+        gain, bias = x[0, 0], x[1, 1]
+        with ad.no_grad():
+            got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).value
+        mu = x.mean(axis=-1, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * gain + bias
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    def test_attention_and_layer_norm_shape_errors_name_op(self):
+        x, w, v = t(np.zeros((2, 3, 4))), t(np.zeros((4, 4))), t(np.zeros(4))
+        for args, heads in [((x, t(np.zeros((3, 3, 4)))), 2), ((x, x), 3), ((t(np.zeros((3, 4))),) * 2, 2)]:
+            with pytest.raises(ad.ShapeError, match="attention"):
+                ad.attention(*args, w, v, w, w, v, w, v, heads=heads)
+        with pytest.raises(ad.ShapeError, match="layer_norm"):
+            ad.layer_norm(x, v, t(np.zeros(3)))
 
     def test_silu_equals_product_with_sigmoid(self):
         x = t(np.linspace(-40.0, 40.0, 81))
@@ -303,7 +365,7 @@ class TestNoGrad:
 
         def run():
             h = ad.matmul(x, w)
-            return ad.softmax(ad.mul(ad.sigmoid(h), ad.layer_norm(h))).value
+            return ad.softmax(ad.mul(ad.sigmoid(h), ad.layer_norm(h, ad.slice_(w, 0), ad.slice_(w, 1)))).value
 
         with ad.no_grad():
             free = run()
@@ -328,9 +390,31 @@ class TestNoGrad:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_linear_overflow_names_op(self):
+        # no-grad ops skip the finite check; the sigmoid that would hide the
+        # inf checks its input and names the op that made it
         x, w, bias = t([[1e200]]), t([[1e200]]), t([0.0])
-        with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="node 'linear'"):
-            ad.linear(x, w, bias)
+        with ad.no_grad():
+            h = ad.linear(x, w, bias)
+            assert np.isposinf(h.value).all()
+            with pytest.raises(ad.NonFiniteError, match="node 'linear'"):
+                ad.sigmoid(h)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("grad", [True, False], ids=["graph", "no_grad"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_key_score_names_attention(self, grad, sign):
+        """Key 0's scores overflow float32 to +-inf. Softmax would turn -inf
+        into a finite 0 weight, so the scores themselves are checked."""
+        d = 4
+        xkv = np.zeros((1, 2, d))
+        xkv[0, 0] = 1.0
+        eye, zero = np.eye(d), np.zeros(d)
+        with ad.precision(np.float32):
+            args = [Tensor(v, requires_grad=grad) for v in (xkv, eye, zero, sign * 3e38 * eye, eye, zero, eye, zero)]
+            x = args[0]
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                with pytest.raises(ad.NonFiniteError, match="node 'attention'"):
+                    ad.attention(x, *args, heads=2)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_every_op_still_checks_finiteness(self):
@@ -360,7 +444,8 @@ class TestFloat32Inference:
                 h, h + x, h * x, ad.scale(h, 0.5), ad.matmul(h, ad.swapaxes(x, -1, -2)),
                 ad.sigmoid(h), ad.silu(h), ad.softmax(h), ad.concat([h, x], axis=1),
                 ad.slice_(h, (slice(None), 0)), ad.reshape(h, (6, 4)), ad.broadcast_to(b, (3, 4)),
-                ad.mean(h, axis=1), ad.layer_norm(h), ad.smooth_l1(h),
+                ad.mean(h, axis=1), ad.layer_norm(h, b, b), ad.smooth_l1(h),
+                ad.attention(h, x, w, b, w, w, b, w, b, heads=2),
             ]
         assert all(o.value.dtype == np.float32 for o in outs), [o.name for o in outs if o.value.dtype != np.float32]
 

@@ -146,7 +146,7 @@ class TestTrack:
         assert code == 2
         assert "model" in capsys.readouterr().err
 
-    def test_stops_after_the_last_detection_frame(self, scene, tmp_path, monkeypatch):
+    def test_stops_after_the_last_detection_frame(self, scene, tmp_path, monkeypatch, capsys):
         # no track is matched past the last detection, so those frames write
         # nothing; a huge frame_count must not make them run
         last = int(parse_mot((scene / "det.txt").read_text()).records.frame.max())
@@ -163,8 +163,10 @@ class TestTrack:
             return real_step(tracker, frame, detections)
 
         monkeypatch.setattr(association.Tracker, "step", step)
+        capsys.readouterr()
         assert main(args + ["--meta", huge, "--out", str(tmp_path / "b.txt")]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert capsys.readouterr().out.startswith(f"tracked {last} frames -> ")
 
     def test_d2mp_end_to_end_with_trained_model(self, scene, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"model": SMALL_MODEL, "train": {"steps": 40, "batch_size": 32}})

@@ -416,7 +416,7 @@ class TestMixedPrecisionTraining:
     def test_forward_and_backward_run_in_float32(self, monkeypatch, variant):
         net = HMINet.init(replace(SMALL, variant=variant), 5)
         ops = spied_train_step(monkeypatch, net)["ops"]
-        assert sum(op.endswith(" vjp") for op, _ in ops) > 100 and sum(not op.endswith(" vjp") for op, _ in ops) > 100
+        assert sum(op.endswith(" vjp") for op, _ in ops) > 100 and sum(not op.endswith(" vjp") for op, _ in ops) > 50
         assert [op for op, dtype in ops if dtype != np.float32] == []
 
     def test_master_weights_and_moments_stay_float64(self, monkeypatch):

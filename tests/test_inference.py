@@ -3,7 +3,7 @@ once and runs fusion+head per step without a graph, in float32, with
 outputs within INFERENCE_TOLERANCE of the float64 training forward pass."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddmot import autodiff as ad
@@ -22,7 +22,7 @@ from ddmot.diffusion import (
     train,
     training_loss,
 )
-from ddmot.hminet import HMINet, ModelConfig
+from ddmot.hminet import HMINet, ModelConfig, parameter_shapes
 from ddmot.predictors import D2MPPredictor, PredictorConfig
 
 from test_predictors import WindowRecorder
@@ -174,12 +174,16 @@ class TestModeHygiene:
 
 
 class TestFiniteCheckKept:
+    """No-grad ops skip the per-op finite check. The check stays where an
+    inf can vanish: the input of ``sigmoid``, the attention scores, and the
+    values leaving ``embed_condition`` and ``predict_values``."""
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_gate_overflow_raises(self):
         """Scale one unit of the first gate's output layer so that its
         pre-activation overflows to +inf. The sigmoid turns that into a
         finite 1.0 and the sample would come out finite, so only the
-        per-op check stops it."""
+        sigmoid's input check stops it."""
         net = HMINet.init(SMALL, 4)
         window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
         e = net.embed_condition(window).value[0]
@@ -198,7 +202,7 @@ class TestFiniteCheckKept:
     def test_float32_gate_overflow_raises(self):
         """The same overflow with weights that float32 holds: the gate's
         pre-activation overflows float32 only inside the no-grad forward,
-        and the per-op check stops it there."""
+        and the sigmoid's input check stops it there."""
         net = HMINet.init(SMALL, 4)
         window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
         with ad.no_grad():
@@ -211,3 +215,63 @@ class TestFiniteCheckKept:
         assert np.isfinite(h.astype(np.float64) @ w2.value[:, 0])
         with pytest.raises(NonFiniteError, match="node 'linear'"):
             sample_k_steps(1, window, net, np.random.default_rng(8))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_head_overflow_names_op(self):
+        """A head output past float32 range is refused by the sampler as a
+        NonFiniteError naming the head's op, before the reverse step reads
+        it."""
+        net = HMINet.init(SMALL, 4)
+        net.params["head.w2"].value = np.full((16, 4), 3e38)
+        net.params["head.b2"].value = np.full(4, 3e38)
+        window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
+        with pytest.raises(NonFiniteError, match="node 'linear'"):
+            sample_k_steps(1, window, net, np.random.default_rng(8))
+
+    @settings(max_examples=40, deadline=None)
+    @example(name="fuse.l0.mfl.scale.w1", index=144, exponent=38.5, sign=1.0)  # only the sigmoid check sees it
+    @given(
+        name=st.sampled_from(sorted(parameter_shapes(SMALL))),
+        index=st.integers(0, 2**16),
+        exponent=st.floats(30.0, 39.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_sampler_raises_exactly_when_graph_forward_does(self, name, index, exponent, sign):
+        """One parameter entry pushed towards and past float32 range: the
+        no-grad sampler raises exactly when the float32 graph forward, which
+        checks every op, does."""
+        net = HMINet.init(SMALL, 6)
+        p = net.params[name]
+        p.value.flat[index % p.value.size] = sign * 10.0**exponent
+        windows = np.random.default_rng(9).normal(size=(2, 5, 8)) * 0.3
+        m = np.random.default_rng(10).standard_normal((2, 4))  # the sampler's first draw
+
+        def raises(run) -> bool:
+            try:
+                run()
+            except NonFiniteError:
+                return True
+            return False
+
+        with np.errstate(all="ignore"):
+            with ad.precision(np.float32):
+                graph = raises(lambda: net.predict_graph(m, np.ones(2), windows))
+            free = raises(lambda: sample_k_steps(1, windows, net, np.random.default_rng(10)))
+        assert free == graph
+
+
+def test_one_step_call_runs_at_most_100_nodes(monkeypatch):
+    """The per-op cost of sampling is per node: a desk-scale K=1 call (the
+    encoder and one fusion+head pass) stays within 100 autodiff nodes."""
+    net = HMINet.init(ModelConfig(), 0)
+    windows = np.random.default_rng(11).normal(size=(8, 5, 8)) * 0.3
+    ops = []
+    real_make = ad._make
+
+    def make(value, op, parents):
+        ops.append(op)
+        return real_make(value, op, parents)
+
+    monkeypatch.setattr(ad, "_make", make)
+    sample_k_steps(1, windows, net, np.random.default_rng(12))
+    assert 0 < len(ops) <= 100, sorted(ops)
