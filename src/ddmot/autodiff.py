@@ -1,11 +1,12 @@
 """Dense-tensor computation graph with reverse-mode differentiation.
 
 Just enough machinery to express and train the motion network: values are
-float64 or float32 numpy arrays, the graph is built implicitly as ops run, and
-``backward`` accumulates vector-Jacobian products in reverse topological
-order. Every op validates shapes up front; when it records a graph it also
-checks its output for non-finite values. Both failure modes raise
-structured errors naming the offending node.
+float64 or float32 numpy arrays, and the graph is built implicitly as ops
+run. A node records its inputs and one vector-Jacobian product that
+returns a gradient per input; ``backward`` calls it once per node in
+reverse topological order. Every op validates shapes up front; when it
+records a graph it also checks its output for non-finite values. Both
+failure modes raise structured errors naming the offending node.
 
 New tensors take their dtype from one module-level compute-precision
 switch: float64 by default, float32 inside ``with precision(np.float32):``.
@@ -18,9 +19,10 @@ Inside ``with no_grad():`` the same ops run without building a graph, in
 float32: an op's output records no parents, gets its op name instead of a
 unique node name, never requires a gradient and is not finite-checked.
 In the motion network a non-finite value reaches the output of the pass
-except where ``sigmoid`` saturates it to a finite 0 or 1, or softmax turns
-a -inf score into a finite 0 weight, so those two ops check in both
-modes: ``sigmoid`` its input and ``attention`` its scores. Callers check
+except where ``sigmoid`` saturates it to a finite 0 or 1, softmax turns
+a -inf score into a finite 0 weight, or an infinite variance scales a
+row to 0, so those three ops check in both modes: ``sigmoid`` its input,
+``attention`` its scores and ``layer_norm`` its variance. Callers check
 the values leaving a no-grad pass with ``check_finite``; every error names
 the op that made the value. Inference uses this mode at the precision of
 the model file, so sampling runs the training network's ops without paying
@@ -33,8 +35,8 @@ products: ``linear(x, w, b)`` is one GEMM over the flattened rows of ``x``
 plus an in-place bias add; ``silu(x)`` is ``x * sigmoid(x)`` as one node;
 ``layer_norm(x, gain, bias)`` is the affine layer norm; and
 ``attention(...)`` is a whole multi-head attention (projections, scaled
-softmax per head, output projection), whose VJP computes all nine parent
-gradients at once. ``sigmoid`` and ``silu`` use
+softmax per head, output projection), whose VJP returns all nine parent
+gradients from one pass. ``sigmoid`` and ``silu`` use
 ``scipy.special.expit`` on float64 input, which is stable on both tails;
 on float32 input they use ``0.5 * tanh(x / 2) + 0.5``, which is bounded,
 cannot overflow, is within 6.5e-8 of ``expit`` and runs several times
@@ -77,19 +79,14 @@ class Tensor:
     ``value`` is an ndarray of the compute precision the tensor was made
     at; ``Tensor(...)`` converts its input to it. ``requires_grad`` marks nodes
     that gradients should flow into (parameters and everything downstream
-    of them). ``_parents`` pairs each parent tensor with the local
-    vector-Jacobian product applied during backward.
+    of them). An op's output keeps its inputs in ``_parents`` and one
+    vector-Jacobian product ``_vjp(g)`` that returns one gradient per
+    parent, in order; a leaf has no parents and its VJP returns ``()``.
     """
 
-    __slots__ = ("value", "grad", "name", "requires_grad", "_parents")
+    __slots__ = ("value", "grad", "name", "requires_grad", "_parents", "_vjp")
 
-    def __init__(
-        self,
-        value,
-        requires_grad: bool = False,
-        name: str | None = None,
-        _parents: tuple = (),
-    ):
+    def __init__(self, value, requires_grad: bool = False, name: str | None = None):
         self.name = name if name is not None else f"tensor{next(_node_ids)}"
         with np.errstate(over="ignore"):  # beyond float32 range is inf, rejected below
             v = np.asarray(value, dtype=_dtype)
@@ -97,7 +94,8 @@ class Tensor:
         self.value = v
         self.grad: Array | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
+        self._parents: tuple[Tensor, ...] = ()
+        self._vjp = _leaf_vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,26 +111,15 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
 
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+def _leaf_vjp(g: Array) -> tuple[()]:
+    return ()
 
 
 def _as_tensor(x) -> Tensor:
@@ -188,17 +175,17 @@ def check_finite(t: Tensor) -> Tensor:
     return t
 
 
-def _make(value: Array, op: str, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
+def _make(value: Array, op: str, parents: tuple[Tensor, ...], vjp: Callable[[Array], Sequence[Array]]) -> Tensor:
     out = Tensor.__new__(Tensor)
     if _grad_enabled:
         out.name = f"{op}#{next(_node_ids)}"
-        out.requires_grad = any(p.requires_grad for p, _ in parents)
-        out._parents = tuple(parents)
+        out.requires_grad = any(p.requires_grad for p in parents)
+        out._parents, out._vjp = parents, vjp
         _check_finite(value, out.name)
     else:
         out.name = op
         out.requires_grad = False
-        out._parents = ()
+        out._parents, out._vjp = (), _leaf_vjp
     out.value = value
     out.grad = None
     return out
@@ -223,10 +210,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         v = a.value + b.value
     except ValueError as e:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape} ({a.name}, {b.name})") from e
-    return _make(v, "add", [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
-    ])
+    return _make(v, "add", (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,15 +218,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         v = a.value * b.value
     except ValueError as e:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape} ({a.name}, {b.name})") from e
-    return _make(v, "mul", [
-        (a, lambda g: _unbroadcast(g * b.value, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.value, b.shape)),
-    ])
+    return _make(v, "mul", (a, b),
+                 lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return _make(a.value * k, "scale", [(a, lambda g: g * k)])
+    return _make(a.value * k, "scale", (a,), lambda g: (g * k,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,10 +232,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must have ndim >= 2 ({a.name}: {a.shape}, {b.name}: {b.shape})")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape} ({a.name}, {b.name})")
-    return _make(a.value @ b.value, "matmul", [
-        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape)),
-        (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape)),
-    ])
+    return _make(a.value @ b.value, "matmul", (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape),
+        _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape),
+    ))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -264,12 +246,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b_shape} ({x.name}, {w.name})")
     x2 = x.value.reshape(-1, w.shape[0])
     v = x2 @ w.value
-    parents = [(x, lambda g: (g.reshape(-1, g.shape[-1]) @ w.value.T).reshape(x.shape)),
-               (w, lambda g: x2.T @ g.reshape(-1, g.shape[-1]))]
     if b is not None:
         v += b.value
-        parents.append((b, lambda g: _unbroadcast(g, b.shape)))
-    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", parents)
+
+    def grads(g: Array) -> tuple[Array, ...]:
+        g2 = g.reshape(-1, g.shape[-1])
+        dx, dw = (g2 @ w.value.T).reshape(x.shape), x2.T @ g2
+        return (dx, dw) if b is None else (dx, dw, _unbroadcast(g, b.shape))
+
+    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", (x, w) if b is None else (x, w, b), grads)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -286,7 +271,7 @@ def sigmoid(a: Tensor) -> Tensor:
     """Checks its input in both modes: it saturates an Inf to a finite 0 or 1."""
     _check_finite(a.value, a.name)
     s = _sigmoid(a.value)
-    return _make(s, "sigmoid", [(a, lambda g: g * s * (1.0 - s))])
+    return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -294,7 +279,7 @@ def silu(a: Tensor) -> Tensor:
     sum of the product-rule and sigmoid terms."""
     x = a.value
     s = _sigmoid(x)
-    return _make(x * s, "silu", [(a, lambda g: g * s + g * x * s * (1.0 - s))])
+    return _make(x * s, "silu", (a,), lambda g: (g * s + g * x * s * (1.0 - s),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -302,56 +287,40 @@ def softmax(a: Tensor) -> Tensor:
     x = a.value
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
-
-    def grad(g: Array) -> Array:
-        return s * (g - (g * s).sum(axis=-1, keepdims=True))
-
-    return _make(s, "softmax", [(a, grad)])
+    return _make(s, "softmax", (a,), lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     if not tensors:
         raise InvalidInputError("concat: need at least one tensor")
     try:
         v = np.concatenate([t.value for t in tensors], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}") from e
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    parents = []
-    for i, t in enumerate(tensors):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def grad(g: Array, lo=lo, hi=hi) -> Array:
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            return g[tuple(idx)]
-
-        parents.append((t, grad))
-    return _make(v, "concat", parents)
+    bounds = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    return _make(v, "concat", tensors, lambda g: np.split(g, bounds, axis))
 
 
 def slice_(a: Tensor, key) -> Tensor:
     v = a.value[key]
 
-    def grad(g: Array) -> Array:
+    def grad(g: Array) -> tuple[Array]:
         out = np.zeros_like(a.value)
         out[key] = g
-        return out
+        return (out,)
 
-    return _make(np.ascontiguousarray(v), "slice", [(a, grad)])
+    return _make(np.ascontiguousarray(v), "slice", (a,), grad)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     v = a.value.reshape(shape)
-    return _make(v, "reshape", [(a, lambda g: g.reshape(a.shape))])
+    return _make(v, "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     v = np.ascontiguousarray(np.swapaxes(a.value, ax1, ax2))
-    return _make(v, "swapaxes", [(a, lambda g: np.swapaxes(g, ax1, ax2))])
+    return _make(v, "swapaxes", (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -359,20 +328,20 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         v = np.broadcast_to(a.value, shape).copy()
     except ValueError as e:
         raise ShapeError(f"broadcast_to: {a.shape} -> {shape} ({a.name})") from e
-    return _make(v, "broadcast", [(a, lambda g: _unbroadcast(g, a.shape))])
+    return _make(v, "broadcast", (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     v = a.value.mean(axis=axis, keepdims=keepdims)
     n = a.value.size if axis is None else int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
 
-    def grad(g: Array) -> Array:
+    def grad(g: Array) -> tuple[Array]:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape) / n
+        return (np.broadcast_to(g, a.shape) / n,)
 
-    return _make(np.asarray(v), "mean", [(a, grad)])
+    return _make(np.asarray(v), "mean", (a,), grad)
 
 
 LN_EPS = 1e-5
@@ -382,27 +351,30 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``gain * (x - mean) / sqrt(var + LN_EPS) + bias`` over the last axis.
 
     The variance is the mean square of the centred values, the same bits
-    as ``np.var``, without its second pass for the mean.
+    as ``np.var``, without its second pass for the mean. It is checked in
+    both modes: a finite row whose squares overflow has an infinite
+    variance, which would normalise the row to 0 and return the bias.
     """
     x = a.value
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: {a.shape} with gain {gain.shape}, bias {bias.shape} ({a.name})")
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite variance is refused below
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+    if not np.isfinite(var).all():
+        raise NonFiniteError("node 'layer_norm': non-finite variance")
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gain.value
     out += bias.value
 
-    def grad_x(g: Array) -> Array:
+    def grads(g: Array) -> tuple[Array, Array, Array]:
         gx = g * gain.value
-        return inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
-    return _make(out, "layer_norm", [
-        (a, grad_x),
-        (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
-        (bias, lambda g: _unbroadcast(g, bias.shape)),
-    ])
+    return _make(out, "layer_norm", (a, gain, bias), grads)
 
 
 def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
@@ -414,9 +386,7 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: T
     softmax cancels a shift shared by a query's scores), each head takes
     a softmax of its scores scaled by 1/sqrt(d/heads), and the merged heads
     go through the output projection ``wo``, ``bo``. The scores are checked
-    in both modes, because softmax turns a -Inf score into a finite 0. The
-    VJP computes every parent's gradient on its first call for a given
-    upstream gradient and hands out the rest from that.
+    in both modes, because softmax turns a -Inf score into a finite 0.
     """
     d = xq.shape[-1]
     if (xq.value.ndim != 3 or xkv.value.ndim != 3 or xkv.shape[::2] != xq.shape[::2] or d % heads
@@ -447,11 +417,7 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: T
     out = merged @ wo.value
     out += bo.value
 
-    memo: list = [None, None]
-
     def grads(g: Array) -> tuple[Array, ...]:
-        if memo[0] is g:
-            return memo[1]
         g2 = g.reshape(-1, d)
         d_attn = split(g2 @ wo.value.T, tq)
         d_s = d_attn @ np.swapaxes(v, -1, -2)
@@ -460,16 +426,13 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: T
         dq2 = (d_scores @ np.swapaxes(k_t, -1, -2)).swapaxes(1, 2).reshape(-1, d)
         dk2 = (np.swapaxes(d_scores, -1, -2) @ q).swapaxes(1, 2).reshape(-1, d)
         dv2 = (np.swapaxes(s, -1, -2) @ d_attn).swapaxes(1, 2).reshape(-1, d)
-        memo[:] = g, (
+        return (
             (dq2 @ wq.value.T).reshape(xq.shape), xq2.T @ dq2, dq2.sum(axis=0),
             (dk2 @ wk.value.T + dv2 @ wv.value.T).reshape(xkv.shape), xkv2.T @ dk2, xkv2.T @ dv2, dv2.sum(axis=0),
             merged.T @ g2, g2.sum(axis=0),
         )
-        return memo[1]
 
-    parents = (xq, wq, bq, xkv, wk, wv, bv, wo, bo)
-    return _make(out.reshape(b, tq, d), "attention",
-                 [(p, lambda g, i=i: grads(g)[i]) for i, p in enumerate(parents)])
+    return _make(out.reshape(b, tq, d), "attention", (xq, wq, bq, xkv, wk, wv, bv, wo, bo), grads)
 
 
 def smooth_l1(a: Tensor) -> Tensor:
@@ -477,11 +440,7 @@ def smooth_l1(a: Tensor) -> Tensor:
     x = a.value
     absx = np.abs(x)
     v = np.where(absx < 1.0, 0.5 * x * x, absx - 0.5)
-
-    def grad(g: Array) -> Array:
-        return g * np.where(absx < 1.0, x, np.sign(x))
-
-    return _make(v, "smooth_l1", [(a, grad)])
+    return _make(v, "smooth_l1", (a,), lambda g: (g * np.where(absx < 1.0, x, np.sign(x)),))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +460,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._parents:
+        for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
@@ -524,10 +483,9 @@ def backward(output: Tensor, wrt: Iterable[Tensor]) -> list[Array]:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        for parent, vjp in node._parents:
+        for parent, contribution in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:
                 continue
-            contribution = vjp(g)
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + contribution

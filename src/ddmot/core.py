@@ -1,5 +1,5 @@
 """Center-format box geometry: the box and detection types, the columnar
-table of MOT rows, array trajectories, IoU and unit conversions.
+table of MOT rows, array trajectories and IoU.
 
 Everything downstream (prediction, association, metrics) is built on these
 types. Boxes exist in two unit modes: raw pixels ("px") or image-relative
@@ -291,22 +291,3 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row IoU of two (N, 4) arrays of center-format boxes;
     identical boxes give exactly 1."""
     return np.where((a == b).all(axis=1), 1.0, _iou_broadcast(a.T, b.T))
-
-
-def tlwh_to_center(left: float, top: float, w: float, h: float, units: str = "px") -> BoundingBox:
-    """MOT files carry (left, top, w, h); the math here is center-format."""
-    if w <= 0 or h <= 0:
-        raise InvalidInputError(f"tlwh box needs positive extent, got w={w}, h={h}")
-    return BoundingBox(left + w / 2, top + h / 2, w, h, units)
-
-
-def normalize_box(box: BoundingBox, width: float, height: float, clamp: bool = True) -> BoundingBox:
-    """Pixel box -> image-relative box. Centers are clamped into [0, 1] on ingest."""
-    if box.units != "px":
-        raise UnitMismatchError("normalize_box expects a pixel box")
-    if width <= 0 or height <= 0:
-        raise InvalidInputError("frame dimensions must be positive")
-    cx, cy = box.cx / width, box.cy / height
-    if clamp:
-        cx, cy = min(max(cx, 0.0), 1.0), min(max(cy, 0.0), 1.0)
-    return BoundingBox(cx, cy, box.w / width, box.h / height, "norm")

@@ -34,9 +34,7 @@ from .core import (
     Trajectory,
     UnitMismatchError,
     check_field_types,
-    normalize_box,
     runs,
-    tlwh_to_center,
 )
 from .diffusion import TrainingSet
 from .hminet import HMINet, ModelConfig, apply_condition_variant, check_parameters, parameter_shapes
@@ -45,6 +43,8 @@ from .predictors import build_condition_window, trajectory_windows
 MOTION_PROGRAMS = ("linear", "sinusoidal", "circular", "accelerate", "direction_flip")
 MAX_FP_RATE = 1000.0  # false positives per frame
 MAX_PERIOD = 1e6  # frames
+MAX_OBJECT_COUNT = 1000
+MAX_LENGTH = 10_000  # frames
 
 
 @dataclass(frozen=True)
@@ -87,42 +87,33 @@ class ParseResult:
 # MOT text format
 
 
-def _convert(column: Sequence[str], convert, dtype) -> tuple[np.ndarray, int]:
+def _convert(column: Sequence[str], convert, dtype) -> tuple[np.ndarray, str | None]:
     """``convert`` (``int`` or ``float``) over a column of strings, as
-    ``dtype``: the values up to the first string it rejects, and that
-    string's index (the column length if there is none)."""
+    ``dtype``: the values up to the first string it rejects, and why it
+    rejects that string (None if it takes them all)."""
     try:
-        return np.fromiter(map(convert, column), dtype, len(column)), len(column)
+        return np.fromiter(map(convert, column), dtype, len(column)), None
     except (ValueError, OverflowError):
         for bad, text in enumerate(column):
             try:
                 dtype(convert(text))
-            except (ValueError, OverflowError):
-                return np.fromiter(map(convert, column[:bad]), dtype, bad), bad
+            except (ValueError, OverflowError) as e:
+                why = str(e) if isinstance(e, ValueError) else "an integer field is outside the int64 range"
+                return np.fromiter(map(convert, column[:bad]), dtype, bad), why
         raise
 
 
-def _row_error(lineno: int, fields: list[str], meta: SequenceMeta | None, normalized: bool) -> FormatError:
-    """The FormatError of a row the vectorised checks refused: the message of
-    the first check it fails, in the order its fields are read."""
-    if len(fields) < 7:
-        return FormatError(f"line {lineno}: expected at least 7 comma-separated fields, got {len(fields)}")
-    try:
-        frame = int(np.int64(int(fields[0])))
-        np.int64(int(fields[1]))
-        left, top, w, h, conf = (float(p) for p in fields[2:7])
-        if frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {frame}")
-        if math.isnan(conf):
-            raise ValueError("confidence is NaN")
-        box = tlwh_to_center(left, top, w, h, "px")
-        if normalized:
-            normalize_box(box, meta.width, meta.height)
-    except OverflowError:
-        return FormatError(f"line {lineno}: an integer field is outside the int64 range")
-    except ValueError as e:  # InvalidInputError is a ValueError
-        return FormatError(f"line {lineno}: {e}")
-    return FormatError(f"line {lineno}: malformed row")
+def _refusal(frame: int, conf: float, left: float, top: float, w: float, h: float) -> str:
+    """Why the column checks refused a converted row: the first check it
+    fails, in the order its fields are read."""
+    if frame < 1:
+        return f"frame index must be >= 1, got {frame}"
+    if math.isnan(conf):
+        return "confidence is NaN"
+    with np.errstate(over="ignore"):
+        if not np.isfinite([left + w / 2, top + h / 2, w, h]).all():
+            return f"box (left, top, w, h) = ({left}, {top}, {w}, {h}) is not finite"
+    return f"box extent {w} x {h} underflows to 0 in normalized units"
 
 
 def parse_mot(text: str | Iterable[str], meta: SequenceMeta | None = None, normalized: bool = False) -> ParseResult:
@@ -134,20 +125,23 @@ def parse_mot(text: str | Iterable[str], meta: SequenceMeta | None = None, norma
     else malformed (fewer than 7 fields, a field ``int``/``float`` rejects or
     an id beyond int64, frame < 1, a NaN confidence, a non-finite box)
     raises FormatError naming its line number. Every check runs on whole
-    columns; only the first refused row is looked at on its own, to name it.
+    columns, and the first refused row is named from their results.
     """
     if normalized and meta is None:
         raise InvalidInputError("normalized parsing needs sequence metadata")
     lines = [line.strip() for line in (text.splitlines() if isinstance(text, str) else text)]
     rows = [line.split(",", 7) for line in lines if line]
-    # rows before the first short or unconvertible one; checked as columns
-    end = len(rows)
+    # rows before the first short or unconvertible one (and why it is refused); checked as columns
+    end, reason = len(rows), None
     if rows and min(map(len, rows)) < 7:
         end = [len(fields) < 7 for fields in rows].index(True)
+        reason = f"expected at least 7 comma-separated fields, got {len(rows[end])}"
     columns = list(zip(*rows[:end]))[:7] or [()] * 7
     values = []
     for i, column in enumerate(columns):
-        value, end = _convert(column[:end], int if i < 2 else float, np.int64 if i < 2 else np.float64)
+        value, why = _convert(column[:end], int if i < 2 else float, np.int64 if i < 2 else np.float64)
+        if why is not None:
+            end, reason = len(value), why
         values.append(value)
     frame, track_id, left, top, w, h, conf = (v[:end] for v in values)
 
@@ -161,10 +155,12 @@ def parse_mot(text: str | Iterable[str], meta: SequenceMeta | None = None, norma
     refused = (frame < 1) | np.isnan(conf)
     skip = ~refused & ((w <= 0) | (h <= 0))
     refused |= ~skip & ~valid
-    if refused.any() or end < len(rows):
+    if refused.any() or reason is not None:
         bad = int(np.argmax(refused)) if refused.any() else end
         lineno = [n for n, line in enumerate(lines, start=1) if line][bad]
-        raise _row_error(lineno, rows[bad], meta, normalized)
+        if bad < end:
+            reason = _refusal(frame[bad], conf[bad], left[bad], top[bad], w[bad], h[bad])
+        raise FormatError(f"line {lineno}: {reason}")
     keep = ~skip
     table = MotTable(frame[keep], track_id[keep], boxes[keep], np.minimum(np.maximum(conf[keep], 0.0), 1.0),
                      "norm" if normalized else "px")
@@ -217,7 +213,7 @@ def records_from_trajectories(trajectories: Sequence[Trajectory], conf: float = 
 
 def normalize_trajectories(trajectories: Sequence[Trajectory], meta: SequenceMeta) -> list[Trajectory]:
     """Pixel trajectories in image-relative units, centers clamped into
-    [0, 1] as ``normalize_box`` clamps them."""
+    [0, 1] as ``parse_mot`` clamps them."""
     if any(t.units != "px" for t in trajectories):
         raise UnitMismatchError("normalize_trajectories expects pixel trajectories")
     scale = meta.box_scale()
@@ -260,8 +256,9 @@ class SyntheticSpec:
         check_field_types(self)
         if self.program not in MOTION_PROGRAMS:
             raise InvalidInputError(f"program must be one of {MOTION_PROGRAMS}, got {self.program!r}")
-        if self.object_count < 1 or self.length < 2:
-            raise InvalidInputError("need object_count >= 1 and length >= 2")
+        if not (1 <= self.object_count <= MAX_OBJECT_COUNT and 2 <= self.length <= MAX_LENGTH):
+            raise InvalidInputError(f"need object_count in [1, {MAX_OBJECT_COUNT}] and length in [2, {MAX_LENGTH}], "
+                                    f"got {self.object_count} and {self.length}")
         if not (0.0 <= self.drop_prob <= 1.0):
             raise InvalidInputError("drop_prob must lie in [0, 1]")
         if not (0 <= self.fp_rate <= MAX_FP_RATE) or self.jitter_sigma < 0:

@@ -24,6 +24,8 @@ from .autodiff import Tensor
 from .core import InvalidInputError, NumericError, check_field_types
 
 T_MIN = 0.001
+MAX_TRAIN_STEPS = 10**6
+MAX_BATCH_SIZE = 4096  # the full-scale recipe uses 2048
 
 
 def _as_motion_array(m) -> np.ndarray:
@@ -234,8 +236,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.steps < 1 or self.batch_size < 1:
-            raise InvalidInputError("steps and batch_size must be positive")
+        if not (1 <= self.steps <= MAX_TRAIN_STEPS and 1 <= self.batch_size <= MAX_BATCH_SIZE):
+            raise InvalidInputError(f"steps must lie in [1, {MAX_TRAIN_STEPS}] and batch_size in [1, {MAX_BATCH_SIZE}], "
+                                    f"got {self.steps} and {self.batch_size}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate <= 0:

@@ -56,6 +56,8 @@ from .core import InvalidInputError, check_field_types
 
 CONDITION_VARIANTS = ("B", "M", "I")
 NETWORK_VARIANTS = ("OB", "TB")
+# the largest value of each size, checked before any parameter is allocated
+MAX_MODEL_SIZES = {"token_dim": 512, "n_heads": 64, "n_condition_layers": 8, "n_fusion_blocks": 8, "history_length": 64}
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        for name in ("token_dim", "n_heads", "n_condition_layers", "n_fusion_blocks", "history_length"):
-            if (v := getattr(self, name)) < 1:
-                raise InvalidInputError(f"ModelConfig.{name} must be a positive integer, got {v!r}")
+        for name, most in MAX_MODEL_SIZES.items():
+            if not 1 <= (v := getattr(self, name)) <= most:
+                raise InvalidInputError(f"ModelConfig.{name} must lie in [1, {most}], got {v!r}")
         if self.token_dim % self.n_heads != 0:
             raise InvalidInputError(
                 f"token_dim ({self.token_dim}) must be divisible by n_heads ({self.n_heads})"

@@ -5,12 +5,12 @@ ascending) and ``misses`` (``predict_all`` calls since the row was last
 observed) and of every motion-state array belongs to one track. Boxes
 enter as (N, 4) center-format arrays, checked to be finite with positive
 extents. A session has one unit mode, fixed by its first ``use_units``
-call (the diffusion predictor's is always normalized); in the normalized
-mode a frame is one unit wide, so ``min_box_extent`` must be below 1. Per
-frame, ``predict_all`` returns a fresh (T, 4) array of next-frame boxes
-for every row, ``observe`` takes the matched rows and their boxes in one
-call, ``drop`` removes the frame's dead rows and ``start`` appends its new
-tracks, whose ids must exceed every live id.
+call (the diffusion predictor's is always normalized). Predicted extents
+are floored at ``MIN_BOX_EXTENT``, below the one-unit width of a
+normalized frame. Per frame, ``predict_all`` returns a fresh (T, 4) array
+of next-frame boxes for every row, ``observe`` takes the matched rows and
+their boxes in one call, ``drop`` removes the frame's dead rows and
+``start`` appends its new tracks, whose ids must exceed every live id.
 
 Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
@@ -38,6 +38,10 @@ from .diffusion import sample_k_steps
 
 PREDICTOR_KINDS = ("kf", "cv", "d2mp")
 MAX_SAMPLING_STEPS = 1000
+# SORT-convention Kalman noise scales: standard deviations proportional to box height
+KF_POS_WEIGHT = 1.0 / 20.0
+KF_VEL_WEIGHT = 1.0 / 160.0
+MIN_BOX_EXTENT = 1e-4  # floor of a predicted width or height
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,6 @@ class PredictorConfig:
     sampling_steps: int = 1
     deterministic: bool = False
     seed: int = 0
-    # SORT-convention noise scales: standard deviations proportional to box height
-    kf_pos_weight: float = 1.0 / 20.0
-    kf_vel_weight: float = 1.0 / 160.0
-    min_box_extent: float = 1e-4
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -59,8 +59,6 @@ class PredictorConfig:
             raise InvalidInputError(f"sampling_steps must lie in [1, {MAX_SAMPLING_STEPS}], got {self.sampling_steps}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if self.kf_pos_weight <= 0 or self.kf_vel_weight <= 0 or self.min_box_extent <= 0:
-            raise InvalidInputError("noise weights and min_box_extent must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +70,11 @@ _F[:4, 4:] = np.eye(4)
 _H = np.eye(4, 8)
 
 
-def kf_initiate(boxes: np.ndarray, config: PredictorConfig) -> tuple[np.ndarray, np.ndarray]:
+def kf_initiate(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, 4) first boxes -> (T, 8) means and (T, 8, 8) covariances."""
     # velocity prior deliberately weak (SORT inflates it too): the first
     # few measurements then pin the velocity almost exactly
-    p, v = config.kf_pos_weight, config.kf_vel_weight
-    std = np.repeat([2.0 * p, 100.0 * v], 4) * boxes[:, 3:4]
+    std = np.repeat([2.0 * KF_POS_WEIGHT, 100.0 * KF_VEL_WEIGHT], 4) * boxes[:, 3:4]
     return np.concatenate([boxes, np.zeros_like(boxes)], axis=1), np.eye(8) * (std * std)[:, None]
 
 
@@ -88,22 +85,19 @@ def _check_cov(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def kf_predict(mean: np.ndarray, cov: np.ndarray, config: PredictorConfig) -> tuple[np.ndarray, np.ndarray]:
+def kf_predict(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Constant-velocity time update of (T, 8) means and (T, 8, 8)
     covariances. Mean extents are floored so the boxes stay valid."""
-    eps = config.min_box_extent
-    std = np.repeat([config.kf_pos_weight, config.kf_vel_weight], 4) * np.maximum(mean[:, 3:4], eps)
+    std = np.repeat([KF_POS_WEIGHT, KF_VEL_WEIGHT], 4) * np.maximum(mean[:, 3:4], MIN_BOX_EXTENT)
     mean = (_F @ mean[:, :, None])[:, :, 0]
-    mean[:, 2:4] = np.maximum(mean[:, 2:4], eps)
+    mean[:, 2:4] = np.maximum(mean[:, 2:4], MIN_BOX_EXTENT)
     return mean, _check_cov(_F @ cov @ _F.T + np.eye(8) * (std * std)[:, None])
 
 
-def kf_update(
-    mean: np.ndarray, cov: np.ndarray, measurement: np.ndarray, config: PredictorConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def kf_update(mean: np.ndarray, cov: np.ndarray, measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standard gain correction with Joseph-form covariance update, for
     (T, 8) means, (T, 8, 8) covariances and (T, 4) measured boxes."""
-    std = config.kf_pos_weight * np.maximum(measurement[:, 3:4], config.min_box_extent)
+    std = KF_POS_WEIGHT * np.maximum(measurement[:, 3:4], MIN_BOX_EXTENT)
     r = np.eye(4) * (std**2)[:, :, None]
     s = _H @ cov @ _H.T + r
     try:
@@ -130,7 +124,7 @@ def _apply_motion(last: np.ndarray, motion: np.ndarray, min_extent: float) -> tu
     return pred, int(small.any(axis=1).sum())
 
 
-def cv_predict(history: np.ndarray, min_extent: float = 1e-4) -> np.ndarray:
+def cv_predict(history: np.ndarray, min_extent: float = MIN_BOX_EXTENT) -> np.ndarray:
     """Repeat each track's last observed motion: (T, k, 4) box histories,
     oldest first, -> (T, 4) boxes. A one-box history predicts itself."""
     if history.shape[1] == 0:
@@ -183,10 +177,6 @@ class MotionPredictor:
             raise UnitMismatchError(f"this session holds {self.units} boxes, got {units} boxes")
         if units not in UNIT_MODES:
             raise InvalidInputError(f"unknown unit mode {units!r}")
-        if units == "norm" and self.config.min_box_extent >= 1.0:
-            raise InvalidInputError(
-                f"min_box_extent {self.config.min_box_extent} must be below 1 for normalized boxes"
-            )
         self.units = units
 
     def _check_rows(self, rows: Sequence[int]) -> np.ndarray:
@@ -262,13 +252,13 @@ class KalmanPredictor(MotionPredictor):
         self._cov = np.empty((0, 8, 8))
 
     def _first_rows(self, ids: np.ndarray, boxes: np.ndarray):
-        return kf_initiate(boxes, self.config)
+        return kf_initiate(boxes)
 
     def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
-        self._mean[rows], self._cov[rows] = kf_update(self._mean[rows], self._cov[rows], boxes, self.config)
+        self._mean[rows], self._cov[rows] = kf_update(self._mean[rows], self._cov[rows], boxes)
 
     def _predict(self) -> np.ndarray:
-        self._mean, self._cov = kf_predict(self._mean, self._cov, self.config)
+        self._mean, self._cov = kf_predict(self._mean, self._cov)
         return self._mean[:, :4].copy()
 
 
@@ -295,7 +285,7 @@ class ConstantVelocityPredictor(_BoxHistoryPredictor):
         super().__init__(config or PredictorConfig(kind="cv"), keep=2)
 
     def _predict(self) -> np.ndarray:
-        return cv_predict(self._boxes, self.config.min_box_extent)
+        return cv_predict(self._boxes)
 
 
 class D2MPPredictor(_BoxHistoryPredictor):
@@ -322,7 +312,7 @@ class D2MPPredictor(_BoxHistoryPredictor):
         """Sampled next boxes after the last box of each (B, n + 1, 4) window."""
         cfg = self.config
         motions = sample_k_steps(cfg.sampling_steps, build_condition_window(windows), self.model, rng, cfg.deterministic)
-        pred, clamped = _apply_motion(windows[:, -1], motions, cfg.min_box_extent)
+        pred, clamped = _apply_motion(windows[:, -1], motions, MIN_BOX_EXTENT)
         self.clamp_count += clamped
         return pred
 

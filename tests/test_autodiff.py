@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 
 import numpy as np
 import pytest
@@ -202,6 +203,54 @@ class TestOpGradients:
 
         report = ad.finite_difference_check(f, {"x": x, "w": w, "bias": bias}, h=1e-5, tolerance=1e-4)
         assert report.ok, report.flagged[:3]
+
+
+def _op_nodes(rng) -> dict:
+    """One graph-mode node per op, on float32 parents that require a
+    gradient; ``add`` and ``mul`` broadcast a (4,) parent over (3, 4)."""
+    def p(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    x, w, v = p(2, 3, 4), p(4, 4), p(4)
+    return {
+        "add": ad.add(p(3, 4), v), "mul": ad.mul(v, p(3, 4)), "scale": ad.scale(x, 0.5),
+        "matmul": ad.matmul(p(2, 3, 4), p(4, 5)), "linear": ad.linear(x, w, v), "linear_no_bias": ad.linear(x, w, None),
+        "sigmoid": ad.sigmoid(x), "silu": ad.silu(x), "softmax": ad.softmax(x),
+        "concat": ad.concat([x, p(2, 1, 4), p(2, 2, 4)], axis=1), "slice_": ad.slice_(x, (slice(None), 1)),
+        "reshape": ad.reshape(x, (6, 4)), "swapaxes": ad.swapaxes(x, 0, 2), "broadcast_to": ad.broadcast_to(v, (3, 4)),
+        "mean": ad.mean(x, axis=1), "layer_norm": ad.layer_norm(x, p(4), v), "smooth_l1": ad.smooth_l1(x),
+        "attention": ad.attention(p(2, 1, 4), x, w, v, p(4, 4), p(4, 4), p(4), p(4, 4), p(4), heads=2),
+    }
+
+
+class TestVjpContract:
+    """A node's one VJP returns a gradient per parent, in parent order,
+    each of its parent's shape and, in a float32 graph, float32."""
+
+    CASES = ["add", "mul", "scale", "matmul", "linear", "linear_no_bias", "sigmoid", "silu", "softmax", "concat",
+             "slice_", "reshape", "swapaxes", "broadcast_to", "mean", "layer_norm", "smooth_l1", "attention"]
+
+    def test_every_op_is_covered(self):
+        # every public function of the module that makes a node
+        ops = {name for name, fn in vars(ad).items()
+               if inspect.isfunction(fn) and not name.startswith("_") and "_make" in fn.__code__.co_names}
+        assert ops == {case.removesuffix("_no_bias") for case in self.CASES}
+        with ad.precision(np.float32):
+            assert sorted(_op_nodes(np.random.default_rng(0))) == sorted(self.CASES)
+
+    @pytest.mark.parametrize("op", CASES)
+    def test_one_gradient_per_parent(self, op):
+        with ad.precision(np.float32):
+            node = _op_nodes(np.random.default_rng(1))[op]
+            g = np.random.default_rng(2).normal(size=node.shape).astype(np.float32)
+            grads = node._vjp(g)
+        assert node.requires_grad and len(grads) == len(node._parents) > 0
+        assert [gr.shape for gr in grads] == [parent.shape for parent in node._parents]
+        assert all(gr.dtype == np.float32 for gr in grads)
+
+    def test_leaf_has_no_parents_and_an_empty_vjp(self):
+        leaf = ad.parameter(np.ones(3), "w")
+        assert leaf._parents == () and tuple(leaf._vjp(np.ones(3))) == ()
 
 
 class TestFusedValues:
@@ -415,6 +464,17 @@ class TestNoGrad:
             with contextlib.nullcontext() if grad else ad.no_grad():
                 with pytest.raises(ad.NonFiniteError, match="node 'attention'"):
                     ad.attention(x, *args, heads=2)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["graph", "no_grad"])
+    def test_layer_norm_variance_overflow_names_op(self, grad):
+        """The squares of a finite float32 row overflow, so its variance is
+        inf; the op would return the bias row, so the variance is checked."""
+        with ad.precision(np.float32):
+            x = Tensor([[3e19, -3e19, 1.0, 2.0]], requires_grad=grad)
+            gain, bias = Tensor(np.ones(4)), Tensor([0.0, 1.0, 2.0, 3.0])
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                with pytest.raises(ad.NonFiniteError, match="node 'layer_norm'"):
+                    ad.layer_norm(x, gain, bias)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_every_op_still_checks_finiteness(self):

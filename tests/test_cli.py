@@ -525,7 +525,7 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("predictor", ["d2mp", "kf", "cv"])
     def test_min_box_extent_beyond_normalized_frame_rejected(self, scene, tmp_path, capsys, predictor):
-        # track reads normalized boxes, whose frame is one unit wide
+        # the box floor is a constant below a normalized frame's width, no option
         argv = self._argv("track", scene, tmp_path)
         argv[argv.index("--predictor") + 1] = predictor
         cfg = write_json(tmp_path / "cfg.json", {"predictor": {"min_box_extent": 2.5}})
@@ -541,13 +541,39 @@ class TestConfigTypes:
         ("model", "positional_encoding", True),
         ("train", "t_min", 0.001),
         ("train", "z_loss", "smooth_l1"),
+        ("predictor", "kf_pos_weight", 1 / 20),
+        ("predictor", "kf_vel_weight", 1 / 160),
+        ("predictor", "min_box_extent", 1e-4),
     ])
     def test_removed_option_rejected(self, scene, tmp_path, capsys, section, field, value):
-        # positional encodings, the training time floor and the noise-head
-        # loss are fixed; setting one, even to its only value, is refused
+        # positional encodings, the training time floor, the noise-head loss,
+        # the Kalman noise weights and the box floor are fixed; setting one,
+        # even to its only value, is refused
         cfg = write_json(tmp_path / "cfg.json", {section: {field: value}})
-        argv = self._argv("train", scene, tmp_path) + ["--config", cfg]
+        argv = self._argv("track" if section == "predictor" else "train", scene, tmp_path) + ["--config", cfg]
         assert field in self._assert_invalid(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command, section, field", [
+        ("train", "model", "token_dim"),
+        ("train", "model", "n_heads"),
+        ("train", "model", "n_condition_layers"),
+        ("train", "model", "n_fusion_blocks"),
+        ("train", "model", "history_length"),
+        ("train", "train", "steps"),
+        ("train", "train", "batch_size"),
+        ("synth", "spec", "object_count"),
+        ("synth", "spec", "length"),
+    ])
+    def test_count_above_its_bound_rejected(self, scene, tmp_path, capsys, command, section, field):
+        # every count that sizes an allocation or a loop has a maximum, checked before either
+        cfg = write_json(tmp_path / "cfg.json", {section: {field: 10**9}})
+        assert field in self._assert_invalid(self._argv(command, scene, tmp_path) + ["--config", cfg], tmp_path, capsys)
+
+    def test_bounds_admit_the_documented_sizes(self):
+        # the full-scale network, the bench's crowded scene and training batch
+        assert ModelConfig(token_dim=512, n_heads=8, n_condition_layers=6).token_dim == 512
+        assert SyntheticSpec(object_count=150, length=200).object_count == 150
+        assert TrainConfig(batch_size=256).batch_size == 256
 
     @pytest.mark.parametrize("command, section, field, value", [
         ("train", "train", "stop_below", "abc"),
@@ -613,7 +639,7 @@ def run_main(argv: list[str]) -> None:
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-3, 8) | st.just(10**9) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
     max_leaves=5,
 )

@@ -13,10 +13,9 @@ from ddmot.core import (
     UnitMismatchError,
     iou_matrix,
     iou_pairs,
-    normalize_box,
     stack_boxes,
-    tlwh_to_center,
 )
+from ddmot.data_io import SequenceMeta, Trajectory, normalize_trajectories, parse_mot
 from ddmot.predictors import _apply_motion, build_condition_window
 
 
@@ -35,6 +34,19 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = ix * iy
     union = a.w * a.h + b.w * b.h - inter
     return min(max(inter / union, 0.0), 1.0)  # rounding can overshoot by an ulp
+
+
+def tlwh_to_center(left: float, top: float, w: float, h: float) -> BoundingBox:
+    """The center-format box ``parse_mot`` reads from one MOT row's
+    (left, top, w, h)."""
+    (row,) = parse_mot(",".join(["1", "1", *map(repr, map(float, (left, top, w, h))), "1"])).records.boxes
+    return BoundingBox(*row.tolist())
+
+
+def normalize_box(box: BoundingBox, width: int, height: int) -> BoundingBox:
+    """``normalize_trajectories`` of a one-box pixel trajectory."""
+    (t,) = normalize_trajectories([Trajectory(1, (1,), [box.as_array()], box.units)], SequenceMeta(1, width, height))
+    return BoundingBox(*t.boxes[0].tolist(), t.units)
 
 
 def center_to_tlwh(box: BoundingBox) -> tuple[float, float, float, float]:
@@ -186,8 +198,8 @@ class TestTlwhConversion:
             assert np.abs(back.as_array() - b.as_array()).max() < 1e-12
 
     def test_rejects_flat_boxes(self):
-        with pytest.raises(InvalidInputError):
-            tlwh_to_center(0, 0, 0, 2)
+        parsed = parse_mot("1,1,0,0,0,2,1")
+        assert parsed.skipped == 1 and len(parsed.records) == 0
 
 
 class TestTypes:

@@ -14,7 +14,6 @@ from ddmot.core import (
     FormatError,
     InvalidInputError,
     UnitMismatchError,
-    normalize_box,
     stack_boxes,
 )
 from ddmot.data_io import (
@@ -74,6 +73,31 @@ class TestParseMot:
     def test_malformed_line_number(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_mot("1,-1,0,0,5,5,1,-1,-1,-1\n1,-1,zero,0,5,5,1,-1,-1,-1")
+
+    @pytest.mark.parametrize("line, normalized, message", [
+        ("1,-1,0,0,5", False, "expected at least 7 comma-separated fields, got 5"),
+        ("x,1.5,zero,0,5", False, "expected at least 7 comma-separated fields, got 5"),
+        ("1,-1,0,0,5\n1,-1,zero,0,5,5,1", False, "expected at least 7 comma-separated fields, got 5"),
+        ("1,-1,zero,0,5,5,1\n1,-1,0,0,5", False, "could not convert string to float: 'zero'"),
+        ("1.5,x,zero,0,5,5,nan", False, "invalid literal for int() with base 10: '1.5'"),
+        ("99999999999999999999,-1,0,0,5,5,1", False, "an integer field is outside the int64 range"),
+        ("1,99999999999999999999,zero,0,5,5,1", False, "an integer field is outside the int64 range"),
+        ("0,-1,zero,0,5,5,nan", False, "could not convert string to float: 'zero'"),
+        ("0,-1,inf,0,5,5,nan", False, "frame index must be >= 1, got 0"),
+        ("0,-1,0,0,-5,5,1", False, "frame index must be >= 1, got 0"),
+        ("1,-1,inf,0,5,5,nan", False, "confidence is NaN"),
+        ("1,-1,inf,0,5,5,1", False, "box (left, top, w, h) = (inf, 0.0, 5.0, 5.0) is not finite"),
+        ("1,-1,1.7e308,0,1.7e308,5,1", True, "box (left, top, w, h) = (1.7e+308, 0.0, 1.7e+308, 5.0) is not finite"),
+        ("1,-1,0,0,5e-324,5,1", True, "box extent 5e-324 x 5.0 underflows to 0 in normalized units"),
+    ])
+    def test_refused_row_reports_its_first_failed_check(self, line, normalized, message):
+        """A row that fails several checks is named by the first one, in the
+        order its fields are read: field count, the integer columns, the
+        float columns, the frame index, the confidence, the box. The first
+        refused row of a file is named, whatever a later row fails."""
+        with pytest.raises(FormatError) as e:
+            parse_mot("1,-1,0,0,5,5,1\n\n" + line, SequenceMeta(10, 640, 480), normalized)
+        assert str(e.value) == f"line 3: {message}"
 
     def test_flat_boxes_skipped_and_counted(self):
         result = parse_mot("1,-1,0,0,0,5,1,-1,-1,-1\n2,-1,0,0,5,5,1,-1,-1,-1")
@@ -341,9 +365,10 @@ class TestTrajectory:
     def test_normalize_equals_per_box_reference(self, trajectories, width, height):
         normalized = normalize_trajectories(trajectories, SequenceMeta(10, width, height))
         for t, n in zip(trajectories, normalized, strict=True):
-            reference = [normalize_box(BoundingBox(*b, "px"), width, height) for b in t.boxes.tolist()]
+            reference = [(min(max(cx / width, 0.0), 1.0), min(max(cy / height, 0.0), 1.0), w / width, h / height)
+                         for cx, cy, w, h in t.boxes.tolist()]
             assert n.units == "norm" and n.track_id == t.track_id and np.array_equal(n.frames, t.frames)
-            assert np.array_equal(n.boxes, stack_boxes(reference).reshape(-1, 4))
+            assert np.array_equal(n.boxes, np.array(reference).reshape(-1, 4))
 
     def test_normalize_refuses_normalized_input(self):
         with pytest.raises(UnitMismatchError):

@@ -358,14 +358,14 @@ def spied_train_step(monkeypatch, net: HMINet) -> dict:
         seen["targets"] = c, z
         return real_loss(c_hat, c, z_hat, z)
 
-    def make(value, op, parents):
+    def make(value, op, parents, vjp):
         seen["ops"].append((op, value.dtype))
-        return real_make(value, op, [(p, spy_vjp(op, vjp)) for p, vjp in parents])
+        return real_make(value, op, parents, spy_vjp(op, vjp))
 
     def spy_vjp(op, vjp):
         def run(g):
             out = vjp(g)
-            seen["ops"].append((f"{op} vjp", out.dtype))
+            seen["ops"].extend((f"{op} vjp", grad.dtype) for grad in out)
             return out
         return run
 

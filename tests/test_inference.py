@@ -268,9 +268,9 @@ def test_one_step_call_runs_at_most_100_nodes(monkeypatch):
     ops = []
     real_make = ad._make
 
-    def make(value, op, parents):
+    def make(value, op, parents, vjp):
         ops.append(op)
-        return real_make(value, op, parents)
+        return real_make(value, op, parents, vjp)
 
     monkeypatch.setattr(ad, "_make", make)
     sample_k_steps(1, windows, net, np.random.default_rng(12))

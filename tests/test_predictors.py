@@ -15,6 +15,7 @@ from ddmot.predictors import (
     ConstantVelocityPredictor,
     D2MPPredictor,
     KalmanPredictor,
+    MIN_BOX_EXTENT,
     PredictorConfig,
     build_condition_window,
     cv_predict,
@@ -24,8 +25,6 @@ from ddmot.predictors import (
     make_predictor,
     trajectory_windows,
 )
-
-KF_CFG = PredictorConfig(kind="kf")
 
 
 def nbox(cx, cy, w=0.1, h=0.1):
@@ -94,48 +93,48 @@ def session_windows(histories, n):
 
 class TestKalman:
     def test_linear_transition(self):
-        mean, cov = kf_initiate(stack_boxes([nbox(10, 10, 4, 8)]), KF_CFG)
+        mean, cov = kf_initiate(stack_boxes([nbox(10, 10, 4, 8)]))
         mean[:, 4:] = [1.0, 0.0, 0.0, 0.0]
-        mean, _ = kf_predict(mean, cov, KF_CFG)
+        mean, _ = kf_predict(mean, cov)
         assert np.allclose(mean[0, :4], [11, 10, 4, 8])
 
     def test_zero_velocity_is_stationary(self):
-        mean, cov = kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG)
-        mean, _ = kf_predict(mean, cov, KF_CFG)
+        mean, cov = kf_initiate(stack_boxes([nbox(0.4, 0.4)]))
+        mean, _ = kf_predict(mean, cov)
         assert np.allclose(mean[0, :4], [0.4, 0.4, 0.1, 0.1])
 
     def test_covariance_grows_under_predict(self):
-        mean, cov = kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG)
-        _, advanced = kf_predict(mean, cov, KF_CFG)
+        mean, cov = kf_initiate(stack_boxes([nbox(0.4, 0.4)]))
+        _, advanced = kf_predict(mean, cov)
         assert np.trace(advanced[0]) > np.trace(cov[0])
 
     def test_update_with_predicted_mean_changes_nothing(self):
-        mean, cov = kf_predict(*kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG), KF_CFG)
-        updated, _ = kf_update(mean, cov, mean[:, :4], KF_CFG)
+        mean, cov = kf_predict(*kf_initiate(stack_boxes([nbox(0.4, 0.4)])))
+        updated, _ = kf_update(mean, cov, mean[:, :4])
         assert np.allclose(updated, mean, atol=1e-12)
 
     def test_repeated_updates_converge_to_measurement(self):
-        mean, cov = kf_initiate(stack_boxes([nbox(0.2, 0.2)]), KF_CFG)
+        mean, cov = kf_initiate(stack_boxes([nbox(0.2, 0.2)]))
         target = stack_boxes([nbox(0.6, 0.6)])
         for _ in range(60):
-            mean, cov = kf_update(*kf_predict(mean, cov, KF_CFG), target, KF_CFG)
+            mean, cov = kf_update(*kf_predict(mean, cov), target)
         assert np.abs(mean[:, :4] - target).max() < 1e-3
 
     def test_update_contracts_position_variance(self):
-        mean, cov = kf_predict(*kf_initiate(stack_boxes([nbox(0.4, 0.4)]), KF_CFG), KF_CFG)
-        _, updated = kf_update(mean, cov, stack_boxes([nbox(0.41, 0.4)]), KF_CFG)
+        mean, cov = kf_predict(*kf_initiate(stack_boxes([nbox(0.4, 0.4)])))
+        _, updated = kf_update(mean, cov, stack_boxes([nbox(0.41, 0.4)]))
         assert np.all(np.diag(updated[0])[:4] <= np.diag(cov[0])[:4] + 1e-15)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_covariance_raises(self, bad):
         """A negative variance or a non-finite entry in any row fails the
         batched predict and update."""
-        mean, cov = kf_initiate(stack_boxes([nbox(0.3, 0.3), nbox(0.6, 0.6)]), KF_CFG)
+        mean, cov = kf_initiate(stack_boxes([nbox(0.3, 0.3), nbox(0.6, 0.6)]))
         cov[1, 6, 6] = bad  # the width velocity, which no measurement corrects
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            kf_predict(mean, cov, KF_CFG)
+            kf_predict(mean, cov)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            kf_update(mean, cov, mean[:, :4], KF_CFG)
+            kf_update(mean, cov, mean[:, :4])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 12))
@@ -144,12 +143,12 @@ class TestKalman:
         same filter run on that track alone."""
         rng = np.random.default_rng(seed)
         boxes = np.column_stack([rng.uniform(0, 1, (t, 2)), rng.uniform(0.01, 0.3, (t, 2))])
-        mean, cov = kf_initiate(boxes, KF_CFG)
+        mean, cov = kf_initiate(boxes)
         for _ in range(3):
             measured = boxes + rng.normal(0, 0.01, (t, 4))
-            batch = kf_update(*kf_predict(mean, cov, KF_CFG), measured, KF_CFG)
+            batch = kf_update(*kf_predict(mean, cov), measured)
             for i in range(t):
-                alone = kf_update(*kf_predict(mean[i:i + 1], cov[i:i + 1], KF_CFG), measured[i:i + 1], KF_CFG)
+                alone = kf_update(*kf_predict(mean[i:i + 1], cov[i:i + 1]), measured[i:i + 1])
                 assert np.array_equal(batch[0][i], alone[0][0]) and np.array_equal(batch[1][i], alone[1][0])
             mean, cov = batch
 
@@ -421,7 +420,7 @@ class TestSessions:
         p = D2MPPredictor(LookupOracle(table))
         p.start([1, 2, 3], stack_boxes([shrink, shrink, keep]))
         pred = p.predict_all()
-        assert np.array_equal(pred[:2, 2], [p.config.min_box_extent] * 2)
+        assert np.array_equal(pred[:2, 2], [MIN_BOX_EXTENT] * 2)
         assert np.array_equal(pred[2], keep.as_array())
         assert p.clamp_count == 2
 
@@ -429,22 +428,6 @@ class TestSessions:
         p = D2MPPredictor(LookupOracle({}))
         with pytest.raises(UnitMismatchError):
             p.use_units("px")
-
-    @pytest.mark.parametrize("extent", [1.0, 2.5])
-    def test_min_box_extent_below_normalized_frame(self, extent):
-        """A normalized frame is one unit wide: d2mp, always normalized,
-        refuses a larger floor when built; kf and cv at their first
-        normalized unit mode. A pixel floor of that size is fine."""
-        with pytest.raises(InvalidInputError, match="min_box_extent"):
-            D2MPPredictor(LookupOracle({}), PredictorConfig(kind="d2mp", min_box_extent=extent))
-        for kind in ("kf", "cv"):
-            p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
-            with pytest.raises(InvalidInputError, match="min_box_extent"):
-                p.use_units("norm")
-            p = make_predictor(PredictorConfig(kind=kind, min_box_extent=extent))
-            p.use_units("px")
-            p.start([1], [[100, 100, 20, 20]])
-            assert p.predict_all().shape == (1, 4)
 
     def test_kf_cv_track_constant_velocity_to_high_iou(self):
         """Noiseless constant-velocity track: both linear predictors reach
