@@ -101,9 +101,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -238,23 +235,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x`` (any leading
-    shape): one GEMM on the flattened rows, then an in-place add of ``b`` if any."""
-    b_shape = None if b is None else b.shape
-    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0] or b_shape not in (None, w.shape[1:]):
-        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b_shape} ({x.name}, {w.name})")
+    shape): one GEMM on the flattened rows, then an in-place add of ``b``."""
+    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape} ({x.name}, {w.name})")
     x2 = x.value.reshape(-1, w.shape[0])
     v = x2 @ w.value
-    if b is not None:
-        v += b.value
+    v += b.value
 
     def grads(g: Array) -> tuple[Array, ...]:
         g2 = g.reshape(-1, g.shape[-1])
-        dx, dw = (g2 @ w.value.T).reshape(x.shape), x2.T @ g2
-        return (dx, dw) if b is None else (dx, dw, _unbroadcast(g, b.shape))
+        return (g2 @ w.value.T).reshape(x.shape), x2.T @ g2, _unbroadcast(g, b.shape)
 
-    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", (x, w) if b is None else (x, w, b), grads)
+    return _make(v.reshape(*x.shape[:-1], w.shape[1]), "linear", (x, w, b), grads)
 
 
 def _sigmoid(x: Array) -> Array:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .data_io import (
     detection_records,
     detections_by_frame,
     load_hminet,
-    normalize_trajectories,
     parse_mot,
     records_from_trajectories,
     save_model,
@@ -41,10 +40,6 @@ from .predictors import PredictorConfig, make_predictor
 METRIC_NAMES = ("mota", "idf1")
 
 
-def _fail(category: str, message: str) -> "CliError":
-    return CliError(category, message)
-
-
 class CliError(TrackingError):
     def __init__(self, category: str, message: str):
         super().__init__(message)
@@ -54,7 +49,7 @@ class CliError(TrackingError):
 def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
-        raise _fail("missing-input", f"no such file: {path}")
+        raise CliError("missing-input", f"no such file: {path}")
     try:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -66,7 +61,7 @@ def _output_file(path: str) -> Path:
     names a directory."""
     p = Path(path)
     if p.is_dir():
-        raise _fail("invalid-config", f"--out {path} is a directory; it must name a file")
+        raise CliError("invalid-config", f"--out {path} is a directory; it must name a file")
     return p
 
 
@@ -91,11 +86,11 @@ def _config_section(file_cfg: dict, name: str, path: str | None) -> dict:
 
 
 def _build(cls, section: dict, what: str, **overrides):
-    """``cls`` from one config-file section, then the command line's
-    overrides: the file's own values are validated even where a flag
-    replaces them."""
+    """``cls`` from one config-file section (a JSON list is a tuple), then
+    the command line's overrides: the file's own values are validated even
+    where a flag replaces them."""
     try:
-        return replace(cls(**section), **overrides)
+        return replace(cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}), **overrides)
     except TypeError as e:
         raise InvalidInputError(f"{what}: {e}") from e
 
@@ -106,10 +101,10 @@ def _effective_json(command: str, seed: int, sections: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def _load_sequence_dirs(paths: list[str]) -> list[tuple]:
+def _load_sequence_dirs(paths: list[str]) -> list[tuple[str, list]]:
     """Each path is a sequence directory (gt.txt + meta.json) or a parent
-    of such directories; returns (name, meta, normalized trajectories)
-    triples, one per sequence."""
+    of such directories; returns (name, normalized trajectories) pairs, one
+    per sequence."""
     seq_dirs: list[Path] = []
     for p in paths:
         root = Path(p)
@@ -118,15 +113,14 @@ def _load_sequence_dirs(paths: list[str]) -> list[tuple]:
         elif root.is_dir():
             seq_dirs.extend(sorted(d for d in root.iterdir() if (d / "gt.txt").is_file()))
         else:
-            raise _fail("missing-input", f"no such data directory: {p}")
+            raise CliError("missing-input", f"no such data directory: {p}")
     if not seq_dirs:
-        raise _fail("missing-input", f"no sequence directories (gt.txt + meta.json) under {paths}")
+        raise CliError("missing-input", f"no sequence directories (gt.txt + meta.json) under {paths}")
     out = []
     for d in seq_dirs:
         meta = SequenceMeta.from_json(_read_text(str(d / "meta.json")))
-        records = parse_mot(_read_text(str(d / "gt.txt")), meta).records
-        trajs = normalize_trajectories(trajectories_from_records(records), meta)
-        out.append((str(d), meta, trajs))
+        gt = parse_mot(_read_text(str(d / "gt.txt")), meta, normalized=True).records
+        out.append((str(d), trajectories_from_records(gt)))
     return out
 
 
@@ -138,7 +132,7 @@ def cmd_synth(args) -> int:
     file_cfg = _read_config_file(args.config)
     section = _config_section(file_cfg, "spec", args.config)
     section.update(_read_config_file(args.spec, "spec file"))
-    spec = SyntheticSpec.from_dict(section) if section else SyntheticSpec()
+    spec = _build(SyntheticSpec, section, "synthetic spec")
     result = synth_sequence(spec, args.seed)
 
     out = Path(args.out)
@@ -148,7 +142,7 @@ def cmd_synth(args) -> int:
     (out / "det.txt").write_text(write_mot(detection_records(result), result.meta))
     (out / "meta.json").write_text(result.meta.to_json())
     (out / "effective_config.json").write_text(
-        _effective_json("synth", args.seed, {"spec": spec.to_dict()})
+        _effective_json("synth", args.seed, {"spec": asdict(spec)})
     )
     print(f"wrote {len(gt_records)} ground-truth rows for {spec.object_count} objects to {out}")
     return 0
@@ -165,7 +159,7 @@ def cmd_train(args) -> int:
     train_cfg = _build(TrainConfig, _config_section(file_cfg, "train", args.config), "train config", **overrides)
 
     sequences = _load_sequence_dirs(args.data)
-    trajectories = [t for _, _, trajs in sequences for t in trajs]
+    trajectories = [t for _, trajs in sequences for t in trajs]
     dataset = build_training_set(trajectories, model_cfg.history_length, model_cfg.condition_variant)
 
     model = HMINet.init(model_cfg, args.seed)
@@ -179,9 +173,9 @@ def cmd_train(args) -> int:
     )
     (out / "effective_config.json").write_text(
         _effective_json("train", args.seed, {
-            "model": model_cfg.to_dict(),
-            "train": train_cfg.__dict__,
-            "data": [d for d, _, _ in sequences],
+            "model": asdict(model_cfg),
+            "train": asdict(train_cfg),
+            "data": [d for d, _ in sequences],
             "samples": len(dataset),
         })
     )
@@ -191,18 +185,18 @@ def cmd_train(args) -> int:
 
 def _predictor_from_args(args, file_cfg: dict):
     overrides = {"kind": args.predictor, "seed": args.seed}
-    if getattr(args, "sampling_steps", None) is not None:
+    if args.sampling_steps is not None:
         overrides["sampling_steps"] = args.sampling_steps
-    if getattr(args, "deterministic", False):
+    if args.deterministic:
         overrides["deterministic"] = True
     pred_cfg = _build(PredictorConfig, _config_section(file_cfg, "predictor", args.config), "predictor config", **overrides)
     model = None
     if args.predictor == "d2mp":
         if not args.model:
-            raise _fail("invalid-config", "--predictor d2mp requires --model")
+            raise CliError("invalid-config", "--predictor d2mp requires --model")
         path = Path(args.model)
         if not path.is_file():
-            raise _fail("missing-input", f"no such file: {args.model}")
+            raise CliError("missing-input", f"no such file: {args.model}")
         model = load_hminet(path.read_bytes())
     return pred_cfg, model
 
@@ -231,8 +225,8 @@ def cmd_track(args) -> int:
     out.write_text(write_mot(table, meta))
     Path(str(out) + ".config.json").write_text(
         _effective_json("track", args.seed, {
-            "tracker": tracker_cfg.__dict__,
-            "predictor": pred_cfg.__dict__,
+            "tracker": asdict(tracker_cfg),
+            "predictor": asdict(pred_cfg),
             "detections": args.detections,
             "model": args.model,
         })
@@ -246,7 +240,7 @@ def cmd_eval(args) -> int:
     unknown = [m for m in names if m not in METRIC_NAMES]
     if unknown or not names:
         what = f"unknown metric(s) {unknown}" if unknown else "no metric named"
-        raise _fail("invalid-config", f"{what}; valid names: {', '.join(METRIC_NAMES)}")
+        raise CliError("invalid-config", f"{what}; valid names: {', '.join(METRIC_NAMES)}")
     check_iou_threshold(args.iou_threshold)
     gt = trajectories_from_records(parse_mot(_read_text(args.gt)).records)
     res = parse_mot(_read_text(args.res)).records
@@ -274,7 +268,7 @@ def cmd_diag(args) -> int:
     rows = []
     reports = {}
     pooled_sum, pooled_n = 0.0, 0
-    for name, _, trajs in sequences:
+    for name, trajs in sequences:
         predictor = make_predictor(pred_cfg, model)
         report = predictor_iou_diagnostic(trajs, predictor, burn_in=args.burn_in)
         reports[name] = report
@@ -335,12 +329,20 @@ def cmd_viz(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """A usage error ends in the one-line contract, not in usage text."""
-        raise _fail("invalid-config", f"{self.prog}: {message}")
+        raise CliError("invalid-config", f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ddmot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that choose and configure a predictor, shared by track and diag
+    predictor_flags = argparse.ArgumentParser(add_help=False)
+    predictor_flags.add_argument("--predictor", required=True, choices=["d2mp", "kf", "cv"])
+    predictor_flags.add_argument("--model", help="model file (required for d2mp)")
+    predictor_flags.add_argument("--config", help="JSON config file (section 'predictor'; track also reads 'tracker')")
+    predictor_flags.add_argument("--sampling-steps", dest="sampling_steps", type=int)
+    predictor_flags.add_argument("--deterministic", action="store_true")
+    predictor_flags.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth", help="generate a synthetic sequence (gt, detections, metadata)")
     p.add_argument("--spec", help="JSON file with SyntheticSpec fields")
@@ -359,15 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("track", help="run the tracker over a detection file")
+    p = sub.add_parser("track", parents=[predictor_flags], help="run the tracker over a detection file")
     p.add_argument("--detections", required=True)
     p.add_argument("--meta", required=True)
-    p.add_argument("--predictor", required=True, choices=["d2mp", "kf", "cv"])
-    p.add_argument("--model", help="model file (required for d2mp)")
-    p.add_argument("--config", help="JSON config file (sections 'tracker', 'predictor')")
-    p.add_argument("--sampling-steps", dest="sampling_steps", type=int)
-    p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_track)
 
@@ -379,15 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("diag", help="predictor linearity diagnostic (mean IoU vs ground truth)")
+    p = sub.add_parser("diag", parents=[predictor_flags],
+                       help="predictor linearity diagnostic (mean IoU vs ground truth)")
     p.add_argument("--gt", nargs="+", required=True, help="sequence directories")
-    p.add_argument("--predictor", required=True, choices=["d2mp", "kf", "cv"])
-    p.add_argument("--model")
-    p.add_argument("--config")
-    p.add_argument("--sampling-steps", dest="sampling_steps", type=int)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diag)
 

@@ -245,6 +245,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def motion_spans(self) -> list[np.ndarray]:
+        """The boxes of each run of consecutive frames that holds at least
+        two boxes: the spans over which one-frame motions are defined, so
+        none crosses a gap."""
+        return [self.boxes[s:e] for s, e in runs(self.frames - np.arange(len(self.frames))) if e - s >= 2]
+
 
 def runs(keys: np.ndarray) -> list[tuple[int, int]]:
     """(start, end) of each run of equal values in the 1-d ``keys``."""

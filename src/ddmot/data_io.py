@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from .core import (
     MotRecord,
     MotTable,
     Trajectory,
-    UnitMismatchError,
     check_field_types,
     runs,
 )
@@ -205,20 +204,10 @@ def trajectories_from_records(records: MotTable | Sequence[MotRecord]) -> list[T
     return [Trajectory(int(ids[s]), frames[s:e], boxes[s:e], table.units) for s, e in runs(ids)]
 
 
-def records_from_trajectories(trajectories: Sequence[Trajectory], conf: float = 1.0) -> MotTable:
-    """Every trajectory's rows as one table."""
-    return MotTable.concat([MotTable(t.frames, np.full(len(t), t.track_id), t.boxes, conf, t.units)
+def records_from_trajectories(trajectories: Sequence[Trajectory]) -> MotTable:
+    """Every trajectory's rows as one table, confidence 1."""
+    return MotTable.concat([MotTable(t.frames, np.full(len(t), t.track_id), t.boxes, 1.0, t.units)
                             for t in trajectories])
-
-
-def normalize_trajectories(trajectories: Sequence[Trajectory], meta: SequenceMeta) -> list[Trajectory]:
-    """Pixel trajectories in image-relative units, centers clamped into
-    [0, 1] as ``parse_mot`` clamps them."""
-    if any(t.units != "px" for t in trajectories):
-        raise UnitMismatchError("normalize_trajectories expects pixel trajectories")
-    scale = meta.box_scale()
-    return [replace(t, boxes=np.column_stack([np.clip(t.boxes[:, :2] / scale[:2], 0, 1), t.boxes[:, 2:] / scale[2:]]),
-                    units="norm") for t in trajectories]
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +259,6 @@ class SyntheticSpec:
             raise InvalidInputError("box size range must satisfy 0 < box_min <= box_max < 0.5")
         if self.amplitude <= 0 or not (1 < self.period <= MAX_PERIOD) or self.speed <= 0:
             raise InvalidInputError(f"amplitude and speed must be positive and period lie in (1, {MAX_PERIOD:g}]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        d = dict(d)
-        for key in ("conf_range", "fp_conf_range"):
-            if isinstance(d.get(key), list):
-                d[key] = tuple(d[key])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise InvalidInputError(f"bad synthetic spec: {e}") from e
 
 
 @dataclass
@@ -402,16 +377,17 @@ def detection_records(result: SynthResult) -> MotTable:
 
 
 def build_training_set(trajectories: Sequence[Trajectory], n: int, condition_variant: str = "I") -> TrainingSet:
-    """One sample per (trajectory, frame f >= 2): the window of the last n
-    (box, motion) rows before f and the target motion into f."""
+    """One sample per frame f of a trajectory whose previous frame is also
+    observed: the window of the last n (box, motion) rows before f and the
+    target motion into f, all within f's run of consecutive frames (a
+    ground-truth gap starts a new run)."""
     conditions, targets = [], []
     for traj in trajectories:
-        if len(traj) < 2:
-            continue
-        conditions.append(build_condition_window(trajectory_windows(traj.boxes, n)))
-        targets.append(np.diff(traj.boxes, axis=0))
+        for boxes in traj.motion_spans():
+            conditions.append(build_condition_window(trajectory_windows(boxes, n)))
+            targets.append(np.diff(boxes, axis=0))
     if not conditions:
-        raise InvalidInputError("no training samples; trajectories need at least 2 frames")
+        raise InvalidInputError("no training samples; trajectories need at least 2 consecutive frames")
     return TrainingSet(apply_condition_variant(np.concatenate(conditions), condition_variant), np.concatenate(targets))
 
 
@@ -428,7 +404,7 @@ def save_model(params: dict, config: ModelConfig) -> bytes:
     Accepts Tensors or plain arrays; their names and shapes must be those
     of the config."""
     check_parameters(config, params)
-    header = json.dumps({"config": config.to_dict()}, sort_keys=True, separators=(",", ":")).encode()
+    header = json.dumps({"config": asdict(config)}, sort_keys=True, separators=(",", ":")).encode()
     payload = b"".join(np.asarray(getattr(params[name], "value", params[name]), dtype="<f4").tobytes()
                        for name in parameter_shapes(config))
     return MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(header)) + header + payload
@@ -444,7 +420,7 @@ def load_model(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:
     if len(data) < 12 + header_len:
         raise FormatError("truncated model file header")
     try:
-        config = ModelConfig.from_dict(json.loads(data[12 : 12 + header_len].decode())["config"])
+        config = ModelConfig(**json.loads(data[12 : 12 + header_len].decode())["config"])
     except (KeyError, TypeError, ValueError, InvalidInputError) as e:
         raise FormatError(f"bad model header: {e}") from e
     shapes = parameter_shapes(config)

@@ -46,7 +46,7 @@ near-zero motion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,13 +88,6 @@ class ModelConfig:
             raise InvalidInputError(
                 f"condition_variant must be one of {CONDITION_VARIANTS}, got {self.condition_variant!r}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def apply_condition_variant(windows: np.ndarray, variant: str) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .association import CostMatrix, hungarian
+from .association import build_cost_matrix, hungarian
 from .core import InvalidInputError, MotRecord, MotTable, UnitMismatchError, iou_matrix, iou_pairs, runs
 from .data_io import Trajectory, records_from_trajectories
 
@@ -117,8 +117,7 @@ def mota(gt: Sequence[Trajectory], records: MotTable | Sequence[MotRecord], iou_
         rem_gt = [i for i, gid in enumerate(gt_ids) if gid not in matched_gt]
         rem_res = [j for j in range(len(res_ids)) if j not in used_res]
         if rem_gt and rem_res:
-            overlap = iou_matrix(gt_boxes[rem_gt], res_boxes[rem_res])
-            for r_i, c_i in hungarian(CostMatrix(1.0 - overlap, overlap >= iou_threshold)).matches:
+            for r_i, c_i in hungarian(build_cost_matrix(gt_boxes[rem_gt], res_boxes[rem_res], iou_threshold)).matches:
                 matched_gt[gt_ids[rem_gt[r_i]]] = rem_res[c_i]
                 used_res.add(rem_res[c_i])
 
@@ -166,18 +165,19 @@ def idf1(gt: Sequence[Trajectory], records: MotTable | Sequence[MotRecord], iou_
 
 def predictor_iou_diagnostic(trajectories: Sequence[Trajectory], predictor, burn_in: int = 0) -> DiagReport:
     """Mean IoU between one-frame-ahead predictions (given the true history)
-    and ground truth. ``burn_in`` (>= 0) drops the first predictions of
-    each trajectory, where stateful predictors are still converging."""
+    and ground truth. Each run of consecutive frames is predicted from its
+    own first box, so no prediction spans a ground-truth gap. ``burn_in``
+    (>= 0) drops the first predictions of each run, where stateful
+    predictors are still converging."""
     if burn_in < 0:
         raise InvalidInputError(f"burn_in must be >= 0, got {burn_in}")
     per_traj: dict[int, float] = {}
     pooled: list[float] = []
     for traj in trajectories:
-        if len(traj) < 2:
-            continue
-        predictor.use_units(traj.units)
-        preds = predictor.diagnose_trajectory(traj.boxes, traj.track_id)
-        ious = iou_pairs(preds, traj.boxes[1:]).tolist()[burn_in:]
+        ious = []
+        for boxes in traj.motion_spans():
+            predictor.use_units(traj.units)
+            ious += iou_pairs(predictor.diagnose_trajectory(boxes, traj.track_id), boxes[1:]).tolist()[burn_in:]
         if not ious:
             continue
         per_traj[traj.track_id] = float(np.mean(ious))

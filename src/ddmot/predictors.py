@@ -115,22 +115,22 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, measurement: np.ndarray) -> tup
 # pure prediction functions over box arrays
 
 
-def _apply_motion(last: np.ndarray, motion: np.ndarray, min_extent: float) -> tuple[np.ndarray, int]:
-    """last + motion for (T, 4) arrays, extents floored at min_extent;
+def _apply_motion(last: np.ndarray, motion: np.ndarray) -> tuple[np.ndarray, int]:
+    """last + motion for (T, 4) arrays, extents floored at MIN_BOX_EXTENT;
     also returns how many rows were floored."""
     pred = last + motion
-    small = pred[:, 2:] < min_extent
-    pred[:, 2:] = np.maximum(pred[:, 2:], min_extent)
+    small = pred[:, 2:] < MIN_BOX_EXTENT
+    pred[:, 2:] = np.maximum(pred[:, 2:], MIN_BOX_EXTENT)
     return pred, int(small.any(axis=1).sum())
 
 
-def cv_predict(history: np.ndarray, min_extent: float = MIN_BOX_EXTENT) -> np.ndarray:
+def cv_predict(history: np.ndarray) -> np.ndarray:
     """Repeat each track's last observed motion: (T, k, 4) box histories,
     oldest first, -> (T, 4) boxes. A one-box history predicts itself."""
     if history.shape[1] == 0:
         raise InvalidInputError("cv_predict needs at least one box")
     last = history[:, -1]
-    return _apply_motion(last, last - history[:, max(history.shape[1] - 2, 0)], min_extent)[0]
+    return _apply_motion(last, last - history[:, max(history.shape[1] - 2, 0)])[0]
 
 
 def build_condition_window(boxes: np.ndarray) -> np.ndarray:
@@ -312,7 +312,7 @@ class D2MPPredictor(_BoxHistoryPredictor):
         """Sampled next boxes after the last box of each (B, n + 1, 4) window."""
         cfg = self.config
         motions = sample_k_steps(cfg.sampling_steps, build_condition_window(windows), self.model, rng, cfg.deterministic)
-        pred, clamped = _apply_motion(windows[:, -1], motions, MIN_BOX_EXTENT)
+        pred, clamped = _apply_motion(windows[:, -1], motions)
         self.clamp_count += clamped
         return pred
 

@@ -6,7 +6,7 @@ import struct
 import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +19,11 @@ from ddmot.association import TrackerConfig
 from ddmot.cli import main
 from ddmot.core import BoundingBox, Detection
 from ddmot.data_io import (
+    MAX_FP_RATE,
+    MAX_LENGTH,
+    MAX_OBJECT_COUNT,
+    MAX_PERIOD,
+    MOTION_PROGRAMS,
     MotRecord,
     SyntheticSpec,
     build_training_set,
@@ -27,10 +32,10 @@ from ddmot.data_io import (
     synth_sequence,
     trajectories_from_records,
 )
-from ddmot.diffusion import TrainConfig, train
-from ddmot.hminet import ModelConfig, init_params, parameter_shapes
+from ddmot.diffusion import MAX_BATCH_SIZE, MAX_TRAIN_STEPS, TrainConfig, train
+from ddmot.hminet import CONDITION_VARIANTS, MAX_MODEL_SIZES, NETWORK_VARIANTS, ModelConfig, init_params, parameter_shapes
 from ddmot.metrics import idf1, mota, predictor_iou_diagnostic
-from ddmot.predictors import PredictorConfig, make_predictor
+from ddmot.predictors import MAX_SAMPLING_STEPS, PREDICTOR_KINDS, PredictorConfig, make_predictor
 
 SMALL_MODEL = {"token_dim": 16, "n_heads": 2, "n_condition_layers": 1, "n_fusion_blocks": 1}
 
@@ -305,6 +310,13 @@ class TestErrorSurface:
         assert main(["eval", "--gt", gt, "--res", gt, "--metrics", ""]) == 2
         self._one_error_line(capsys, "invalid-config")
 
+    @pytest.mark.parametrize("command", ["track", "diag"])
+    def test_help_lists_each_predictor_flag_once(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:", 1)[1]
+        for flag in ("--predictor", "--model", "--config", "--sampling-steps", "--deterministic", "--seed"):
+            assert len(re.findall(rf"^\s+{flag}\b", options, re.M)) == 1, flag
+
 
 def test_track_builds_no_row_objects(tmp_path, monkeypatch):
     """MOT rows and trajectories stay columns from the scene to the score:
@@ -320,7 +332,7 @@ def test_track_builds_no_row_objects(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__init__",
                             lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
     seq, res = tmp_path / "seq", tmp_path / "res.txt"
-    assert main(["synth", "--spec", write_json(tmp_path / "spec.json", spec.to_dict()), "--out", str(seq),
+    assert main(["synth", "--spec", write_json(tmp_path / "spec.json", asdict(spec)), "--out", str(seq),
                  "--seed", "2"]) == 0
     assert main(["track", "--detections", str(seq / "det.txt"), "--meta", str(seq / "meta.json"),
                  "--predictor", "cv", "--out", str(res)]) == 0
@@ -357,7 +369,7 @@ def poison(blob: bytes, tensor: str, value: float) -> bytes:
     """Overwrite the first element of ``tensor`` in the payload, which holds
     the tensors back to back in ``parameter_shapes`` order."""
     header, at = _header(blob)
-    for name, shape in parameter_shapes(ModelConfig.from_dict(header["config"])).items():
+    for name, shape in parameter_shapes(ModelConfig(**header["config"])).items():
         if name == tensor:
             return blob[:at] + struct.pack("<f", value) + blob[at + 4 :]
         at += 4 * math.prod(shape)
@@ -441,6 +453,20 @@ class TestMalformedInputs:
         meta[field] = value
         err = self._track(scene, tmp_path, capsys, meta_text=json.dumps(meta))
         assert "metadata" in err and field in err
+
+    def test_ground_truth_extent_underflowing_when_normalized(self, scene, tmp_path, capsys):
+        # a 5e-324 px width is positive, but 0 once divided by the frame width
+        seq = tmp_path / "tiny"
+        seq.mkdir()
+        (seq / "meta.json").write_text((scene / "meta.json").read_text())
+        lines = (scene / "gt.txt").read_text().splitlines()
+        lines[1] = ",".join([*lines[1].split(",")[:4], "5e-324", *lines[1].split(",")[5:]])
+        (seq / "gt.txt").write_text("\n".join(lines) + "\n")
+        for argv in (["train", "--data", str(seq), "--steps", "1", "--out", str(tmp_path / "out")],
+                     ["diag", "--gt", str(seq), "--predictor", "kf"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: format-error: line 2: box extent 5e-324"), err
 
 
 class TestConfigSections:
@@ -529,7 +555,7 @@ class TestConfigTypes:
         argv = self._argv("track", scene, tmp_path)
         argv[argv.index("--predictor") + 1] = predictor
         cfg = write_json(tmp_path / "cfg.json", {"predictor": {"min_box_extent": 2.5}})
-        self._assert_invalid(argv + ["--config", cfg], tmp_path, capsys)
+        assert "min_box_extent" in self._assert_invalid(argv + ["--config", cfg], tmp_path, capsys)
 
     def test_iou_weight_rejected(self, scene, tmp_path, capsys):
         # association has no appearance term, so there is nothing to weigh IoU against
@@ -700,3 +726,46 @@ class TestFuzzErrorContract:
         if data.draw(st.booleans()):
             argv.insert(data.draw(st.integers(0, len(argv))), data.draw(st.text(max_size=6)))
         run_main(argv)
+
+
+def valid_config(draw, section: str):
+    """A valid config of one section's class, its values drawn over their
+    whole ranges."""
+    seed = st.integers(0, 2**64)
+
+    def ascending(k, lo=0.0, hi=1.0):
+        return sorted(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k, unique=True)))
+
+    if section == "tracker":
+        low, high, new = ascending(3)
+        return TrackerConfig(high, low, new, draw(st.floats(0, 1)), draw(st.floats(0, 1)), draw(st.integers(0, 10**6)))
+    if section == "predictor":
+        return PredictorConfig(draw(st.sampled_from(PREDICTOR_KINDS)), draw(st.integers(1, MAX_SAMPLING_STEPS)),
+                               draw(st.booleans()), draw(seed))
+    if section == "train":
+        return TrainConfig(draw(st.integers(1, MAX_TRAIN_STEPS)), draw(st.integers(1, MAX_BATCH_SIZE)),
+                           draw(st.floats(1e-12, 1e3)), draw(seed), draw(st.none() | st.floats(-1e3, 1e3)))
+    if section == "model":
+        heads = draw(st.integers(1, MAX_MODEL_SIZES["n_heads"]))
+        return ModelConfig(heads * draw(st.integers(1, MAX_MODEL_SIZES["token_dim"] // heads)), heads,
+                           *(draw(st.integers(1, MAX_MODEL_SIZES[k]))
+                             for k in ("n_condition_layers", "n_fusion_blocks", "history_length")),
+                           draw(st.sampled_from(NETWORK_VARIANTS)), draw(st.sampled_from(CONDITION_VARIANTS)))
+    return SyntheticSpec(
+        draw(st.sampled_from(MOTION_PROGRAMS)), draw(st.integers(1, MAX_OBJECT_COUNT)), draw(st.integers(2, MAX_LENGTH)),
+        draw(st.floats(1e-3, 1.0)), draw(st.floats(1.5, MAX_PERIOD)), draw(st.floats(1e-6, 1.0)),
+        *ascending(2, 1e-3, 0.49), draw(st.floats(0, 1)), draw(st.floats(0, 1)), draw(st.floats(0, MAX_FP_RATE)),
+        tuple(ascending(2)), tuple(ascending(2)), *(draw(st.integers(1, 10**4)) for _ in range(3)),
+    )
+
+
+class TestConfigJson:
+    """Every config is written with ``dataclasses.asdict`` (model header,
+    effective configs) and read back by ``cli._build``."""
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_config_survives_its_json(self, section, data):
+        cfg = valid_config(data.draw, section)
+        assert cli._build(SECTIONS[section], json.loads(json.dumps(asdict(cfg))), section) == cfg

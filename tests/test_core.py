@@ -15,7 +15,7 @@ from ddmot.core import (
     iou_pairs,
     stack_boxes,
 )
-from ddmot.data_io import SequenceMeta, Trajectory, normalize_trajectories, parse_mot
+from ddmot.data_io import SequenceMeta, parse_mot
 from ddmot.predictors import _apply_motion, build_condition_window
 
 
@@ -44,9 +44,10 @@ def tlwh_to_center(left: float, top: float, w: float, h: float) -> BoundingBox:
 
 
 def normalize_box(box: BoundingBox, width: int, height: int) -> BoundingBox:
-    """``normalize_trajectories`` of a one-box pixel trajectory."""
-    (t,) = normalize_trajectories([Trajectory(1, (1,), [box.as_array()], box.units)], SequenceMeta(1, width, height))
-    return BoundingBox(*t.boxes[0].tolist(), t.units)
+    """The normalized box ``parse_mot`` reads from a pixel box's MOT row."""
+    row = ",".join(["1", "1", *map(repr, center_to_tlwh(box)), "1"])
+    (n,) = parse_mot(row, SequenceMeta(1, width, height), normalized=True).records.boxes
+    return BoundingBox(*n.tolist(), "norm")
 
 
 def center_to_tlwh(box: BoundingBox) -> tuple[float, float, float, float]:
@@ -98,16 +99,16 @@ class TestApplyMotion:
     that the constant-velocity and d2mp predictors share."""
 
     def test_inverse_of_delta(self):
-        pred, clamped = _apply_motion(np.array([[8.0, 9, 4, 8]]), np.array([[2.0, 1, 0, 0]]), 1e-4)
+        pred, clamped = _apply_motion(np.array([[8.0, 9, 4, 8]]), np.array([[2.0, 1, 0, 0]]))
         assert pred.tolist() == [[10, 10, 4, 8]] and clamped == 0
 
     def test_zero_motion(self):
         b = np.array([[8.0, 9, 4, 8]])
-        assert np.array_equal(_apply_motion(b, np.zeros((1, 4)), 1e-4)[0], b)
+        assert np.array_equal(_apply_motion(b, np.zeros((1, 4)))[0], b)
 
     def test_degenerate_width(self):
         # a motion that closes the box is floored at the minimum extent and counted
-        pred, clamped = _apply_motion(np.array([[0.5, 0.5, 0.1, 0.1]]), np.array([[0.0, 0, -0.1, 0]]), 1e-4)
+        pred, clamped = _apply_motion(np.array([[0.5, 0.5, 0.1, 0.1]]), np.array([[0.0, 0, -0.1, 0]]))
         assert pred.tolist() == [[0.5, 0.5, 1e-4, 0.1]] and clamped == 1
 
     def test_round_trip_property(self):
@@ -115,7 +116,7 @@ class TestApplyMotion:
         prev = stack_boxes([random_box(rng) for _ in range(200)])
         curr = stack_boxes([random_box(rng) for _ in range(200)])
         motion = build_condition_window(np.stack([prev, curr], axis=1))[:, 0, 4:]
-        back, _ = _apply_motion(prev, motion, 1e-4)
+        back, _ = _apply_motion(prev, motion)
         assert np.abs(back - curr).max() < 1e-12
 
 
@@ -234,12 +235,6 @@ class TestNormalization:
     def test_center_clamped_on_ingest(self):
         n = normalize_box(box(-10, 700, 20, 20), 640, 480)
         assert n.cx == 0.0 and n.cy == 1.0
-
-    def test_mode_guards(self):
-        with pytest.raises(UnitMismatchError):
-            normalize_box(box(1, 1, 1, 1, "norm"), 10, 10)
-        with pytest.raises(UnitMismatchError):
-            denormalize_box(box(1, 1, 1, 1, "px"), 10, 10)
 
 
 class TestMotTable:

@@ -1,6 +1,6 @@
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmot import autodiff as ad
+from ddmot.cli import _build
 from ddmot.core import (
     BoundingBox,
     DegenerateBoxError,
@@ -28,7 +29,6 @@ from ddmot.data_io import (
     detections_by_frame,
     load_hminet,
     load_model,
-    normalize_trajectories,
     parse_mot,
     records_from_trajectories,
     save_model,
@@ -286,7 +286,7 @@ class TestSynth:
         with pytest.raises(InvalidInputError):
             SyntheticSpec(drop_prob=1.5)
         with pytest.raises(InvalidInputError, match="warp"):
-            SyntheticSpec.from_dict({"warp": 1})
+            _build(SyntheticSpec, {"warp": 1}, "synthetic spec")
 
     def test_detection_record_export(self):
         spec = SyntheticSpec(program="linear", object_count=1, length=5)
@@ -363,16 +363,17 @@ class TestTrajectory:
     @settings(max_examples=100, deadline=None)
     @given(trajectories=trajectory_sets("px"), width=st.integers(1, 4000), height=st.integers(1, 4000))
     def test_normalize_equals_per_box_reference(self, trajectories, width, height):
-        normalized = normalize_trajectories(trajectories, SequenceMeta(10, width, height))
-        for t, n in zip(trajectories, normalized, strict=True):
+        """Ground truth read normalized is the pixel parse of the same text
+        divided by the frame size, centers clamped into [0, 1], bit for bit."""
+        text = [f"{f},{t.track_id},{cx - w / 2!r},{cy - h / 2!r},{w!r},{h!r},1"
+                for t in trajectories for f, (cx, cy, w, h) in zip(t.frames.tolist(), t.boxes.tolist())]
+        pixel = trajectories_from_records(parse_mot(text).records)
+        normalized = trajectories_from_records(parse_mot(text, SequenceMeta(10, width, height), normalized=True).records)
+        for t, n in zip(pixel, normalized, strict=True):
             reference = [(min(max(cx / width, 0.0), 1.0), min(max(cy / height, 0.0), 1.0), w / width, h / height)
                          for cx, cy, w, h in t.boxes.tolist()]
             assert n.units == "norm" and n.track_id == t.track_id and np.array_equal(n.frames, t.frames)
             assert np.array_equal(n.boxes, np.array(reference).reshape(-1, 4))
-
-    def test_normalize_refuses_normalized_input(self):
-        with pytest.raises(UnitMismatchError):
-            normalize_trajectories([Trajectory(1, (1,), [(0.5, 0.5, 0.1, 0.1)], "norm")], SequenceMeta(1, 10, 10))
 
     def test_records_refuse_mixed_units(self):
         px = Trajectory(1, (1,), [(5, 5, 1, 1)], "px")
@@ -446,6 +447,15 @@ class TestTrainingSetAssembly:
         assert np.array_equal(ds.conditions[..., 4:], np.zeros_like(ds.conditions[..., 4:]))
         assert not np.allclose(ds.conditions[..., :4], 0)
 
+    def test_no_sample_spans_a_gap(self):
+        # frames 1-3 and 10-12, 0.01 per frame: the jump across the gap is no sample
+        frames = (1, 2, 3, 10, 11, 12)
+        boxes = np.array([(0.2 + 0.01 * f, 0.5, 0.1, 0.1) for f in frames])
+        ds = build_training_set([Trajectory(1, frames, boxes, "norm")], n=3)
+        assert len(ds) == 4 and np.allclose(ds.targets[:, 0], 0.01) and not ds.targets[:, 1:].any()
+        # the window before frame 11 holds frame 10's box alone, front-padded
+        assert np.array_equal(ds.conditions[2, :, :4], np.tile(boxes[3], (3, 1))) and not ds.conditions[2, :, 4:].any()
+
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError):
             build_training_set([self._traj([BoundingBox(0.5, 0.5, 0.1, 0.1, "norm")])], n=3)
@@ -501,7 +511,7 @@ class TestModelFile:
     def test_header_holds_only_the_config(self):
         blob = save_model(init_params(SMALL, 0), SMALL)
         (header_len,) = struct.unpack("<I", blob[8:12])
-        assert json.loads(blob[12:12 + header_len]) == {"config": SMALL.to_dict()}
+        assert json.loads(blob[12:12 + header_len]) == {"config": asdict(SMALL)}
         sizes = [int(np.prod(shape)) for shape in parameter_shapes(SMALL).values()]
         assert len(blob) == 12 + header_len + 4 * sum(sizes)
 
@@ -549,7 +559,7 @@ def payload_tensors(blob: bytes) -> dict[str, bytes]:
     the container: the payload holds them back to back in
     ``parameter_shapes`` order."""
     (header_len,) = struct.unpack("<I", blob[8:12])
-    config = ModelConfig.from_dict(json.loads(blob[12:12 + header_len])["config"])
+    config = ModelConfig(**json.loads(blob[12:12 + header_len])["config"])
     at = 12 + header_len
     out = {}
     for name, shape in parameter_shapes(config).items():
@@ -626,6 +636,5 @@ class TestMeta:
 
     def test_normalize_trajectories(self):
         meta = SequenceMeta(5, 100, 100)
-        t = Trajectory(1, (1,), [(50, 50, 10, 10)])
-        (n,) = normalize_trajectories([t], meta)
+        (n,) = trajectories_from_records(parse_mot("1,1,45,45,10,10,1", meta, normalized=True).records)
         assert n.units == "norm" and n.boxes.tolist() == [[0.5, 0.5, 0.1, 0.1]]

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(token_dim=32, n_heads=4, history_length=3, variant="TB")
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
 
 
 class TestInit:

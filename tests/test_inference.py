@@ -1,6 +1,8 @@
 """Graph-free float32 inference: sampling encodes each batch of windows
 once and runs fusion+head per step without a graph, in float32, with
 outputs within INFERENCE_TOLERANCE of the float64 training forward pass."""
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -71,7 +73,7 @@ class TestParity:
         variant=st.sampled_from(["OB", "TB"]),
     )
     def test_predict_values_equals_graph_values(self, seed, b, t, variant):
-        net = HMINet.init(ModelConfig(**{**SMALL.to_dict(), "variant": variant}), seed % 100)
+        net = HMINet.init(ModelConfig(**{**asdict(SMALL), "variant": variant}), seed % 100)
         rng = np.random.default_rng(seed)
         w, m = rng.normal(size=(b, 5, 8)), rng.normal(size=(b, 4))
         c_free, z_free = net.predict_values(m, t, net.embed_condition(w))

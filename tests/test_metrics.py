@@ -326,6 +326,12 @@ class TestDiagnostic:
         kf_cur = predictor_iou_diagnostic(curved, KalmanPredictor()).mean
         assert kf_lin - kf_cur >= 0.1
 
+    def test_no_prediction_spans_a_gap(self):
+        # frames 1-3 and 10-12, 0.01 per frame: each run is predicted from its own first box
+        frames = (1, 2, 3, 10, 11, 12)
+        gapped = trajectory(1, frames, tuple(nbox(0.2 + 0.01 * f, 0.5) for f in frames))
+        assert predictor_iou_diagnostic([gapped], ConstantVelocityPredictor()).count == 4
+
     def test_negative_burn_in_rejected(self):
         # a negative burn-in would slice each trajectory's predictions from its end
         with pytest.raises(InvalidInputError, match="burn_in"):

@@ -173,7 +173,7 @@ class TestConstantVelocity:
     def test_shrinking_box_clamped(self):
         big = nbox(0.5, 0.5, 0.3, 0.3)
         small = nbox(0.5, 0.5, 0.05, 0.05)
-        pred = cv_predict(stack(big, small), min_extent=1e-4)
+        pred = cv_predict(stack(big, small))
         assert pred[0, 2] >= 1e-4 and pred[0, 3] >= 1e-4
 
     def test_non_finite_prediction_raises(self):
