@@ -10,6 +10,7 @@ import numpy as np
 from ddmot.diffusion import (
     attenuation_constant,
     derive_noise,
+    encode_windows,
     forward_diffuse,
     reverse_step,
     sample_k_steps,
@@ -55,10 +56,11 @@ class PerfectNet:
 
 print("5) sampling: draw M_1 ~ N(0, I), predict c, undo the diffusion.")
 windows = np.zeros((1, 5, 8))  # a batch of one track; conditioning is the model's business
-one = sample_one_step(windows, PerfectNet(), np.random.default_rng(1))
+emb = encode_windows(windows, PerfectNet())  # encoded once, read at every step
+one = sample_one_step(emb, PerfectNet(), np.random.default_rng(1))
 print(f"   one-step sample      = {one[0]}  (target {m0})")
 for k in (10, 20):
-    out = sample_k_steps(k, windows, PerfectNet(), np.random.default_rng(1), deterministic=True)
+    out = sample_k_steps(k, emb, PerfectNet(), np.random.default_rng(1), deterministic=True)
     print(f"   {k:2d}-step deterministic = {out[0]}")
 print("   with a perfect network every schedule reaches the same answer;")
 print("   a learned network gets one cheap shot at it per frame.")

@@ -10,7 +10,7 @@ evaluation (`metrics`), and a CLI (`cli`).
 
 from .core import BoundingBox, Detection, MotRecord, MotTable
 from .hminet import HMINet, ModelConfig
-from .diffusion import TrainConfig, TrainingSet, sample_k_steps, sample_one_step, train
+from .diffusion import TrainConfig, TrainingSet, encode_windows, sample_k_steps, sample_one_step, train
 from .predictors import (
     ConstantVelocityPredictor,
     D2MPPredictor,
@@ -33,6 +33,7 @@ __all__ = [
     "ModelConfig",
     "TrainConfig",
     "TrainingSet",
+    "encode_windows",
     "sample_k_steps",
     "sample_one_step",
     "train",

@@ -36,11 +36,14 @@ plus an in-place bias add; ``silu(x)`` is ``x * sigmoid(x)`` as one node;
 ``layer_norm(x, gain, bias)`` is the affine layer norm; and
 ``attention(...)`` is a whole multi-head attention (projections, scaled
 softmax per head, output projection), whose VJP returns all nine parent
-gradients from one pass. ``sigmoid`` and ``silu`` use
-``scipy.special.expit`` on float64 input, which is stable on both tails;
-on float32 input they use ``0.5 * tanh(x / 2) + 0.5``, which is bounded,
-cannot overflow, is within 6.5e-8 of ``expit`` and runs several times
-faster than ``expit``'s scalar loop.
+gradients from one pass. Its softmax maximum and sum, and the VJP's sum,
+run over the few keys as one elementwise call per key slab, not as numpy
+last-axis reductions, whose per-row loop costs more than the arithmetic.
+``sigmoid`` and ``silu`` use ``scipy.special.expit`` on float64 input,
+which is stable on both tails; on float32 input they use
+``0.5 * tanh(x / 2) + 0.5``, which is bounded, cannot overflow, is within
+6.5e-8 of ``expit`` and runs several times faster than ``expit``'s scalar
+loop.
 
 The Adam optimizer and a central-finite-difference gradient checker live
 here too, because they only make sense next to the graph.
@@ -371,6 +374,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out, "layer_norm", (a, gain, bias), grads)
 
 
+def _over_keys(ufunc: np.ufunc, s: Array) -> Array:
+    """Reduce the (..., Tk) scores ``s`` over their last (key) axis with
+    one ``ufunc`` call per key slab, in key order, keeping that axis.
+
+    numpy reduces a short last axis through a per-row inner loop that costs
+    far more than its arithmetic on a batch of 6-key rows; the slab calls
+    run over the whole batch at once. Up to 7 keys numpy adds in this same
+    order, so the bits match ``s.sum(axis=-1)``; from 8 keys on its
+    pairwise sum groups differently. A maximum is exact in any order.
+    """
+    out = s[..., :1].copy()
+    for j in range(1, s.shape[-1]):
+        ufunc(out, s[..., j : j + 1], out=out)
+    return out
+
+
 def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
               wo: Tensor, bo: Tensor, heads: int) -> Tensor:
     """Multi-head attention of the (B, Tq, d) queries ``xq`` over the
@@ -404,9 +423,9 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: T
     s *= k_scale
     if not np.isfinite(s).all():
         raise NonFiniteError("node 'attention': non-finite score")
-    s -= s.max(axis=-1, keepdims=True)
+    s -= _over_keys(np.maximum, s)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= _over_keys(np.add, s)
     merged = np.ascontiguousarray((s @ v).swapaxes(1, 2)).reshape(-1, d)
     out = merged @ wo.value
     out += bo.value
@@ -415,7 +434,7 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: T
         g2 = g.reshape(-1, d)
         d_attn = split(g2 @ wo.value.T, tq)
         d_s = d_attn @ np.swapaxes(v, -1, -2)
-        d_scores = s * (d_s - (d_s * s).sum(axis=-1, keepdims=True))
+        d_scores = s * (d_s - _over_keys(np.add, d_s * s))
         d_scores *= k_scale
         dq2 = (d_scores @ np.swapaxes(k_t, -1, -2)).swapaxes(1, 2).reshape(-1, d)
         dk2 = (np.swapaxes(d_scores, -1, -2) @ q).swapaxes(1, 2).reshape(-1, d)

@@ -56,6 +56,15 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
 
 
+def _parse_mot_file(path: str, meta: SequenceMeta | None = None, normalized: bool = False):
+    """``parse_mot`` on a file's text; a refused row names the file too."""
+    text = _read_text(path)
+    try:
+        return parse_mot(text, meta, normalized=normalized)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from e
+
+
 def _output_file(path: str) -> Path:
     """The path of a file a command writes; refused before any work when it
     names a directory."""
@@ -119,7 +128,7 @@ def _load_sequence_dirs(paths: list[str]) -> list[tuple[str, list]]:
     out = []
     for d in seq_dirs:
         meta = SequenceMeta.from_json(_read_text(str(d / "meta.json")))
-        gt = parse_mot(_read_text(str(d / "gt.txt")), meta, normalized=True).records
+        gt = _parse_mot_file(str(d / "gt.txt"), meta, normalized=True).records
         out.append((str(d), trajectories_from_records(gt)))
     return out
 
@@ -207,7 +216,7 @@ def cmd_track(args) -> int:
     tracker_cfg = _build(TrackerConfig, _config_section(file_cfg, "tracker", args.config), "tracker config")
     pred_cfg, model = _predictor_from_args(args, file_cfg)
     meta = SequenceMeta.from_json(_read_text(args.meta))
-    parsed = parse_mot(_read_text(args.detections), meta, normalized=True)
+    parsed = _parse_mot_file(args.detections, meta, normalized=True)
     if parsed.skipped:
         print(f"warning: skipped {parsed.skipped} detection rows with non-positive extent", file=sys.stderr)
     late = parsed.records.frame[parsed.records.frame > meta.frame_count]  # ascending
@@ -242,8 +251,8 @@ def cmd_eval(args) -> int:
         what = f"unknown metric(s) {unknown}" if unknown else "no metric named"
         raise CliError("invalid-config", f"{what}; valid names: {', '.join(METRIC_NAMES)}")
     check_iou_threshold(args.iou_threshold)
-    gt = trajectories_from_records(parse_mot(_read_text(args.gt)).records)
-    res = parse_mot(_read_text(args.res)).records
+    gt = trajectories_from_records(_parse_mot_file(args.gt).records)
+    res = _parse_mot_file(args.res).records
     reports = {}
     rows = []
     if "mota" in names:
@@ -315,7 +324,7 @@ def render_trajectories_svg(records: MotTable, meta: SequenceMeta) -> str:
 def cmd_viz(args) -> int:
     out = _output_file(args.out)
     meta = SequenceMeta.from_json(_read_text(args.meta))
-    records = parse_mot(_read_text(args.res)).records
+    records = _parse_mot_file(args.res).records
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_trajectories_svg(records, meta))
     print(f"wrote {out} with {np.unique(records.track_id).size} trajectories")

@@ -158,29 +158,38 @@ def _normal_draws(rng, b: int) -> np.ndarray:
     return np.stack(draws)
 
 
-def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False) -> np.ndarray:
-    """Generate motion by iterating the reverse step K times from t = 1.
-
-    ``windows`` is a (B, n, 8) batch of condition windows; ``rng`` is a
-    numpy Generator or one Generator per batch row. Returns a (B, 4)
-    array. ``deterministic`` suppresses the noise term at every step (the
-    final step is noise-free regardless).
-
-    The model protocol is ``embed_condition(windows) -> emb``, called once
-    per call under ``autodiff.no_grad``; ``predict_values(noisy, t, emb)
-    -> (c_hat, z_hat)``, called once per step with (B, 4) arrays (z_hat is
-    None for one-branch models); and ``history_length``, read by callers
-    that build the windows.
-    """
-    if k < 1:
-        raise InvalidInputError(f"sampling steps must be >= 1, got {k}")
+def encode_windows(windows, model) -> np.ndarray:
+    """The model's condition embeddings of a (B, n, 8) batch of condition
+    windows, encoded once under ``autodiff.no_grad``, as an array whose
+    row i is window i's embedding. Sampling reads them at every step."""
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3:
         raise InvalidInputError(f"condition windows must be a (B, n, 8) batch, got shape {w.shape}")
-    b = w.shape[0]
-    m = _normal_draws(rng, b)
     with ad.no_grad():
         emb = model.embed_condition(w)
+    return getattr(emb, "value", emb)
+
+
+def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.ndarray:
+    """Generate motion by iterating the reverse step K times from t = 1.
+
+    ``emb`` holds one condition embedding per batch row, as made by
+    ``encode_windows``; a caller that keeps them (the diffusion predictor's
+    session) encodes a window only when it changes. ``rng`` is a numpy
+    Generator or one Generator per batch row. Returns a (B, 4) array.
+    ``deterministic`` suppresses the noise term at every step (the final
+    step is noise-free regardless).
+
+    The model protocol is ``embed_condition(windows) -> emb``, called by
+    ``encode_windows``; ``predict_values(noisy, t, emb) -> (c_hat,
+    z_hat)``, called once per step with (B, 4) arrays (z_hat is None for
+    one-branch models); and ``history_length``, read by callers that build
+    the windows.
+    """
+    if k < 1:
+        raise InvalidInputError(f"sampling steps must be >= 1, got {k}")
+    b = emb.shape[0]
+    m = _normal_draws(rng, b)
     for i in range(k, 0, -1):
         t = i / k
         dt = 1.0 / k
@@ -195,10 +204,10 @@ def sample_k_steps(k: int, windows, model, rng, deterministic: bool = False) -> 
     return m
 
 
-def sample_one_step(windows, model, rng) -> np.ndarray:
+def sample_one_step(emb, model, rng) -> np.ndarray:
     """Single-step generation: draw M_1 ~ N(0, I), predict the attenuation
     at t = 1, return the (B, 4) clean motion (variance coefficient is 0)."""
-    return sample_k_steps(1, windows, model, rng)
+    return sample_k_steps(1, emb, model, rng)
 
 
 # ---------------------------------------------------------------------------

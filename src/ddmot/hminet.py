@@ -11,9 +11,14 @@ layers (scale/shift gating). A final MLP emits the attenuation prediction
 The forward pass splits at the condition embedding. ``embed_condition``
 is the encoder; ``_fusion_head`` is the time embedding, motion fusion and
 head, run on a precomputed embedding. Training calls ``predict_graph``
-(encoder then fusion+head, recording the graph). Sampling encodes a
-frame's windows once and calls ``predict_values`` (fusion+head with no
-graph) once per sampling step; both paths share one network definition.
+(encoder then fusion+head, recording the graph). Sampling calls
+``predict_values`` (fusion+head with no graph) once per sampling step, on
+embeddings encoded beforehand: the d2mp session keeps one per track and
+encodes a track's window only when it changes, which is sound because the
+float32 encoder is batch invariant (a window's embedding has the same bits
+in any batch of two or more windows; a one-row batch runs BLAS's
+matrix-vector path and may differ in the last bit). Both paths share one
+network definition.
 Each attention is one ``autodiff.attention`` op and each pre-norm one
 affine ``autodiff.layer_norm``. The no-grad ops skip the finite check, so
 ``embed_condition`` and ``predict_values`` check the values they return:

@@ -16,7 +16,9 @@ Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
 (T, 8, 8) covariances, advanced on every predict so misses compound. The
 diffusion predictor's per-track rng streams, seeded from (master seed,
-track id), keep each track's draws independent of its batch.
+track id), keep each track's draws independent of its batch, and its
+per-track condition embeddings are encoded only when a track starts or is
+observed: a track that misses keeps its window, and so its embedding.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .core import (
     check_boxes,
     check_field_types,
 )
-from .diffusion import sample_k_steps
+from .diffusion import encode_windows, sample_k_steps
 
 PREDICTOR_KINDS = ("kf", "cv", "d2mp")
 MAX_SAMPLING_STEPS = 1000
@@ -290,15 +292,34 @@ class ConstantVelocityPredictor(_BoxHistoryPredictor):
 
 class D2MPPredictor(_BoxHistoryPredictor):
     """Diffusion-based predictor on normalized boxes; predictions for a
-    frame run as one batch."""
+    frame run as one batch.
 
-    _per_track = ("_boxes", "_rngs")
+    The session owns its condition embeddings: ``_emb`` holds one per track
+    and ``_pending`` marks the tracks whose window changed (started or
+    observed) since the last successful predict. A predict encodes only
+    those rows, in one batch, and clears their marks once the encode has
+    succeeded, so a predict that raises leaves them pending. A track that
+    misses keeps its window and so its embedding. The table takes its
+    trailing shape and dtype from the model's first encode.
+
+    The cache gives the bits of re-encoding every row each frame because
+    the encoder is batch invariant: every row of a batch of two or more
+    windows is bit-equal to that row of any other such batch. A one-row
+    batch is not: BLAS multiplies it on its matrix-vector path, whose last
+    bits differ. So a lone pending row of a larger table is encoded twice
+    over, as a batch of two, and a table's only row is encoded alone at
+    every predict, as a full re-encode would, and kept pending.
+    """
+
+    _per_track = ("_boxes", "_rngs", "_emb", "_pending")
 
     def __init__(self, model, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="d2mp"), model.history_length + 1)
         self.model = model
         self.use_units("norm")
         self._rngs = np.empty(0, dtype=object)
+        self._emb = np.empty(0)
+        self._pending = np.empty(0, dtype=bool)
 
     def _track_rng(self, track_id: int) -> np.random.Generator:
         # SeedSequence entropy must be non-negative; map ids through 2^32
@@ -306,23 +327,47 @@ class D2MPPredictor(_BoxHistoryPredictor):
 
     def _first_rows(self, ids: np.ndarray, boxes: np.ndarray):
         rngs = np.array([self._track_rng(int(i)) for i in ids], dtype=object)
-        return (*super()._first_rows(ids, boxes), rngs)
+        emb = np.empty((ids.size, *self._emb.shape[1:]), self._emb.dtype)
+        return (*super()._first_rows(ids, boxes), rngs, emb, np.ones(ids.size, dtype=bool))
 
-    def _sample(self, windows: np.ndarray, rng) -> np.ndarray:
-        """Sampled next boxes after the last box of each (B, n + 1, 4) window."""
+    def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
+        super()._update_rows(rows, boxes)
+        self._pending[rows] = True
+
+    def _encode_pending(self) -> None:
+        """Encode the pending rows into ``_emb`` as one batch."""
+        alone = self.ids.size == 1
+        if alone:
+            self._pending[0] = True
+        rows = np.flatnonzero(self._pending)
+        if not rows.size:
+            return
+        batch = np.repeat(rows, 2) if rows.size == 1 < self.ids.size else rows
+        emb = encode_windows(build_condition_window(self._boxes[batch]), self.model)[: rows.size]
+        if self._emb.shape[1:] != emb.shape[1:] or self._emb.dtype != emb.dtype:
+            # the first encode: every row is pending, so none is lost
+            self._emb = np.empty((self.ids.size, *emb.shape[1:]), emb.dtype)
+        self._emb[rows] = emb
+        self._pending[rows] = alone
+
+    def _sample(self, last: np.ndarray, emb: np.ndarray, rng) -> np.ndarray:
+        """Sampled next boxes after the (B, 4) ``last`` boxes, from their
+        windows' embeddings."""
         cfg = self.config
-        motions = sample_k_steps(cfg.sampling_steps, build_condition_window(windows), self.model, rng, cfg.deterministic)
-        pred, clamped = _apply_motion(windows[:, -1], motions)
+        motions = sample_k_steps(cfg.sampling_steps, emb, self.model, rng, cfg.deterministic)
+        pred, clamped = _apply_motion(last, motions)
         self.clamp_count += clamped
         return pred
 
     def _predict(self) -> np.ndarray:
-        return self._sample(self._boxes, list(self._rngs))
+        self._encode_pending()
+        return self._sample(self._boxes[:, -1], self._emb, list(self._rngs))
 
     def diagnose_trajectory(self, boxes: np.ndarray, track_id: int = -1) -> np.ndarray:
         # one batched network call per trajectory instead of one per frame
         windows = trajectory_windows(self._check_boxes(boxes, len(boxes)), self.model.history_length)
-        return self._sample(windows, self._track_rng(track_id))
+        emb = encode_windows(build_condition_window(windows), self.model)
+        return self._sample(windows[:, -1], emb, self._track_rng(track_id))
 
 
 def make_predictor(config: PredictorConfig, model=None) -> MotionPredictor:

@@ -29,6 +29,7 @@ from ddmot.diffusion import (
     TrainConfig,
     attenuation_constant,
     derive_noise,
+    encode_windows,
     forward_diffuse,
     reverse_step,
     sample_k_steps,
@@ -47,7 +48,7 @@ from ddmot.predictors import (
     trajectory_windows,
 )
 
-from test_inference import INFERENCE_TOLERANCE, graph_sample
+from test_inference import INFERENCE_TOLERANCE, graph_sample, window_sample
 
 # training budget for the desk-scale comparison (criterion 7);
 # hard ceiling: 20k steps at batch 256
@@ -108,12 +109,12 @@ def test_criterion_2_ob_tb_equivalence():
 def test_criterion_3_one_step_endpoint():
     target = np.array([0.31, -0.12, 0.05, 0.0])
     net = OracleNet(target)
-    window = np.zeros((1, 5, 8))
-    one = sample_one_step(window, net, np.random.default_rng(103))
+    emb = encode_windows(np.zeros((1, 5, 8)), net)
+    one = sample_one_step(emb, net, np.random.default_rng(103))
     exact = np.array_equal(one, target[None])
     worst = 0.0
     for k in (1, 10, 20):
-        out = sample_k_steps(k, window, net, np.random.default_rng(104), deterministic=True)
+        out = sample_k_steps(k, emb, net, np.random.default_rng(104), deterministic=True)
         worst = max(worst, float(np.abs(out - target).max()))
     report(3, "one-step endpoint and K-step agreement", exact and worst < 1e-9,
            f"one-step exact={exact}, K-step max err {worst:.2e}")
@@ -366,7 +367,7 @@ def test_float32_inference_on_desk_model(desk_model):
     for k in (1, 10):
         worst[k] = 0.0
         for rows in np.array_split(windows, 4):
-            got = sample_k_steps(k, rows, model, np.random.default_rng(k))
+            got = window_sample(k, rows, model, np.random.default_rng(k))
             want = graph_sample(k, rows, model, np.random.default_rng(k))
             worst[k] = max(worst[k], float(np.abs(got - want).max()))
     print(f"\nfloat32 inference on {len(windows)} held-out windows: max |float32 - float64| "

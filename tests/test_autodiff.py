@@ -318,6 +318,33 @@ class TestFusedValues:
         assert np.all(np.abs(ad.sigmoid(t(x)).value - ref) <= 3 * np.spacing(ref))
 
 
+class TestKeySlabReductions:
+    """``attention`` reduces its softmax over keys one key slab at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keys", range(1, 8))
+    def test_bits_equal_numpy_up_to_7_keys(self, dtype, keys):
+        for shape in [(37, 8, 6, keys), (37, 8, 1, keys)]:
+            s = (np.random.default_rng(keys).normal(size=shape) * 10).astype(dtype)
+            assert np.array_equal(ad._over_keys(np.maximum, s), s.max(axis=-1, keepdims=True))
+            assert np.array_equal(ad._over_keys(np.add, s), s.sum(axis=-1, keepdims=True))
+            assert ad._over_keys(np.add, s).dtype == dtype
+
+    @pytest.mark.parametrize("precision", [np.float32, np.float64])
+    @pytest.mark.parametrize("keys", [8, 9, 16, 33, 65])  # history_length <= 64, plus the class token
+    def test_softmax_rows_sum_to_one_from_8_keys(self, precision, keys):
+        """With every value 1 an attention head returns its softmax row's sum."""
+        rng = np.random.default_rng(keys)
+        d, heads = 8, 2
+        with ad.precision(precision):
+            xq, xkv = Tensor(rng.normal(size=(5, 3, d))), Tensor(rng.normal(size=(5, keys, d)))
+            wq, wk = Tensor(rng.normal(size=(d, d)) * 3), Tensor(rng.normal(size=(d, d)))
+            zero, one = Tensor(np.zeros(d)), Tensor(np.ones(d))
+            out = ad.attention(xq, xkv, wq, zero, wk, Tensor(np.zeros((d, d))), one, Tensor(np.eye(d)), zero, heads)
+        assert out.value.dtype == precision
+        assert np.abs(out.value - 1.0).max() <= 1e-6
+
+
 class TestSmoothL1Values:
     def test_anchors(self):
         v = ad.smooth_l1(t([0.0, 0.5, -0.5, 2.0, -2.0])).value

@@ -466,7 +466,23 @@ class TestMalformedInputs:
                      ["diag", "--gt", str(seq), "--predictor", "kf"]):
             assert main(argv) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error: format-error: line 2: box extent 5e-324"), err
+            want = f"error: format-error: {seq / 'gt.txt'}: line 2: box extent 5e-324"
+            assert len(err) == 1 and err[0].startswith(want), err
+
+    def test_refused_row_names_its_file(self, scene, tmp_path, capsys):
+        """Each command that parses a MOT file names the file of a refused
+        row, before its line."""
+        bad = tmp_path / "bad.txt"
+        lines = (scene / "gt.txt").read_text().splitlines()
+        bad.write_text("\n".join([lines[0], "1,1,nan", *lines[1:]]) + "\n")
+        gt, meta, out = str(scene / "gt.txt"), str(scene / "meta.json"), str(tmp_path / "out")
+        for argv in (["track", "--detections", str(bad), "--meta", meta, "--out", out, "--predictor", "kf"],
+                     ["eval", "--gt", str(bad), "--res", gt],
+                     ["eval", "--gt", gt, "--res", str(bad)],
+                     ["viz", "--res", str(bad), "--meta", meta, "--out", out]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: format-error: {bad}: line 2:"), (argv, err)
 
 
 class TestConfigSections:

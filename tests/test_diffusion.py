@@ -17,6 +17,7 @@ from ddmot.diffusion import (
     TrainingSet,
     attenuation_constant,
     derive_noise,
+    encode_windows,
     forward_diffuse,
     reverse_step,
     sample_k_steps,
@@ -204,34 +205,35 @@ class TestSampling:
         target = np.array([0.02, -0.01, 0.0, 0.005])
         model = OracleModel(target)
         rng = np.random.default_rng(6)
-        out = sample_one_step(np.zeros((1, 5, 8)), model, rng)
+        out = sample_one_step(encode_windows(np.zeros((1, 5, 8)), model), model, rng)
         assert np.array_equal(out, target[None])
 
     def test_seeded_determinism(self):
         model = OracleModel(np.zeros(4))
-        w = np.zeros((1, 5, 8))
-        a = sample_one_step(w, model, np.random.default_rng(11))
-        b = sample_one_step(w, model, np.random.default_rng(11))
+        emb = encode_windows(np.zeros((1, 5, 8)), model)
+        a = sample_one_step(emb, model, np.random.default_rng(11))
+        b = sample_one_step(emb, model, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [1, 10, 20])
     def test_oracle_k_step_deterministic_telescopes(self, k):
         target = np.array([0.5, -0.25, 0.1, 0.0])
         model = OracleModel(target)
-        out = sample_k_steps(k, np.zeros((1, 5, 8)), model, np.random.default_rng(7), deterministic=True)
+        emb = encode_windows(np.zeros((1, 5, 8)), model)
+        out = sample_k_steps(k, emb, model, np.random.default_rng(7), deterministic=True)
         assert out.shape == (1, 4) and np.abs(out - target).max() < 1e-9
 
     @pytest.mark.parametrize("k", [1, 10, 20])
     def test_k_step_loop_contract(self, k):
         model = OracleModel(np.ones(4), with_z=True)
-        out = sample_k_steps(k, np.zeros((3, 5, 8)), model, np.random.default_rng(8))
+        out = sample_k_steps(k, encode_windows(np.zeros((3, 5, 8)), model), model, np.random.default_rng(8))
         assert out.shape == (3, 4) and np.all(np.isfinite(out))
 
     def test_k1_equals_one_step(self):
         model = OracleModel(np.array([1.0, 2.0, 3.0, 4.0]))
-        w = np.zeros((1, 5, 8))
-        a = sample_one_step(w, model, np.random.default_rng(9))
-        b = sample_k_steps(1, w, model, np.random.default_rng(9))
+        emb = encode_windows(np.zeros((1, 5, 8)), model)
+        a = sample_one_step(emb, model, np.random.default_rng(9))
+        b = sample_k_steps(1, emb, model, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_invalid_k(self):
@@ -241,7 +243,7 @@ class TestSampling:
     def test_single_window_rejected(self):
         # a lone (n, 8) window is not a batch of one
         with pytest.raises(InvalidInputError, match="batch"):
-            sample_one_step(np.zeros((5, 8)), OracleModel(np.zeros(4)), np.random.default_rng(0))
+            encode_windows(np.zeros((5, 8)), OracleModel(np.zeros(4)))
 
 
 class TestTrainingLoss:

@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmot import autodiff as ad
 from ddmot.autodiff import Tensor
@@ -92,6 +93,26 @@ class TestEmbedCondition:
         net = HMINet.init(SMALL, 5)
         e1, e2 = net.embed_condition(w).value, net.embed_condition(perm).value
         assert np.abs(e1 - e2).max() > 1e-8
+
+
+DESK = HMINet.init(ModelConfig(), 0)
+
+
+class TestBatchInvariance:
+    """What the d2mp session's embedding cache relies on: a window's
+    float32 embedding does not depend on the batch it is encoded in, once
+    that batch has two or more rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), b=st.integers(2, 96), data=st.data())
+    def test_sub_batch_bits_equal_full_batch(self, seed, b, data):
+        rows = data.draw(st.lists(st.integers(0, b - 1), min_size=2, max_size=b))  # any order, repeats too
+        w = window(np.random.default_rng(seed), b=b)
+        with ad.no_grad():
+            full = DESK.embed_condition(w).value
+            sub = DESK.embed_condition(w[rows]).value
+        assert sub.dtype == np.float32
+        assert np.array_equal(sub, full[rows])
 
 
 def all_token_embedding(net, windows):

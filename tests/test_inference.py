@@ -1,6 +1,7 @@
-"""Graph-free float32 inference: sampling encodes each batch of windows
-once and runs fusion+head per step without a graph, in float32, with
-outputs within INFERENCE_TOLERANCE of the float64 training forward pass."""
+"""Graph-free float32 inference: ``encode_windows`` encodes each batch of
+windows once and sampling runs fusion+head per step on the embeddings
+without a graph, in float32, with outputs within INFERENCE_TOLERANCE of the
+float64 training forward pass."""
 from dataclasses import asdict
 
 import numpy as np
@@ -18,6 +19,7 @@ from ddmot.diffusion import (
     TrainingSet,
     _normal_draws,
     attenuation_constant,
+    encode_windows,
     forward_diffuse,
     reverse_step,
     sample_k_steps,
@@ -49,6 +51,11 @@ def graph_sample(k, windows, net, rng):
     return m
 
 
+def window_sample(k, windows, net, rng):
+    """The sampler on a batch of windows: one encode, then k steps."""
+    return sample_k_steps(k, encode_windows(windows, net), net, rng)
+
+
 def streams(b, seed=0):
     return [np.random.default_rng((seed, i)) for i in range(b)]
 
@@ -61,7 +68,7 @@ class TestParity:
         net = HMINet.init(ModelConfig(variant=variant), 3)
         rng = np.random.default_rng(b)
         windows = rng.normal(size=(b, 5, 8)) * 0.3
-        got = sample_k_steps(k, windows, net, streams(b))
+        got = window_sample(k, windows, net, streams(b))
         want = graph_sample(k, windows, net, streams(b))
         assert np.abs(got - want).max() <= INFERENCE_TOLERANCE
 
@@ -109,8 +116,9 @@ class CountingNet(HMINet):
 class TestEncodeOnce:
     def test_one_encode_per_sample_call(self):
         net = CountingNet.init(SMALL, 1)
-        windows = np.random.default_rng(2).normal(size=(4, 5, 8))
-        sample_k_steps(10, windows, net, streams(4))
+        emb = encode_windows(np.random.default_rng(2).normal(size=(4, 5, 8)), net)
+        assert (net.encodes, net.steps) == (1, 0)
+        sample_k_steps(10, emb, net, streams(4))
         assert (net.encodes, net.steps) == (1, 10)
 
     def test_sampling_records_no_graph(self):
@@ -124,7 +132,7 @@ class TestEncodeOnce:
             return out
 
         net._fusion_head = spy
-        sample_k_steps(3, np.zeros((2, 5, 8)), net, streams(2))
+        window_sample(3, np.zeros((2, 5, 8)), net, streams(2))
         assert len(sampled) == 3
         for emb, c_hat in sampled:
             assert emb._parents == () and c_hat._parents == () and not c_hat.requires_grad
@@ -152,7 +160,7 @@ class TestModeHygiene:
         rng = np.random.default_rng(5)
         net = HMINet.init(TINY, 11)
         windows = rng.normal(size=(3, 2, 8)) * 0.3
-        sample_k_steps(10, windows, net, rng)
+        window_sample(10, windows, net, rng)
         m0 = rng.normal(size=(3, 4)) * 0.5
         t = rng.uniform(0.2, 1.0, 3)
         noisy, _ = forward_diffuse(m0, t, rng.normal(size=(3, 4)))
@@ -168,7 +176,7 @@ class TestModeHygiene:
         rng = np.random.default_rng(6)
         net = HMINet.init(TINY, 2)
         ds = TrainingSet(rng.normal(size=(16, 2, 8)) * 0.3, rng.normal(size=(16, 4)) * 0.1)
-        sample_k_steps(10, ds.conditions, net, rng)
+        window_sample(10, ds.conditions, net, rng)
         before = {k: p.value.copy() for k, p in net.params.items()}
         train(ds, net, TrainConfig(steps=1, batch_size=8, learning_rate=1e-3))
         for name in ("cond.embed.w", "cond.l0.attn.wq", "mfl0.scale.w2", "fuse.l0.attn.wv", "head.w2"):
@@ -196,7 +204,7 @@ class TestFiniteCheckKept:
         with np.errstate(over="ignore"):
             assert np.isposinf(h @ w2.value[:, 0])  # the overflow this test is about
         with pytest.raises(NonFiniteError, match="node"):
-            sample_k_steps(1, window, net, np.random.default_rng(8))
+            window_sample(1, window, net, np.random.default_rng(8))
         # the graph mode came back when the error left the sampler
         assert ad.mul(net.params["head.b2"], net.params["head.b2"]).requires_grad
 
@@ -216,7 +224,7 @@ class TestFiniteCheckKept:
         assert np.isposinf(h @ w2.value[:, 0].astype(np.float32))
         assert np.isfinite(h.astype(np.float64) @ w2.value[:, 0])
         with pytest.raises(NonFiniteError, match="node 'linear'"):
-            sample_k_steps(1, window, net, np.random.default_rng(8))
+            window_sample(1, window, net, np.random.default_rng(8))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_head_overflow_names_op(self):
@@ -228,7 +236,7 @@ class TestFiniteCheckKept:
         net.params["head.b2"].value = np.full(4, 3e38)
         window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
         with pytest.raises(NonFiniteError, match="node 'linear'"):
-            sample_k_steps(1, window, net, np.random.default_rng(8))
+            window_sample(1, window, net, np.random.default_rng(8))
 
     @settings(max_examples=40, deadline=None)
     @example(name="fuse.l0.mfl.scale.w1", index=144, exponent=38.5, sign=1.0)  # only the sigmoid check sees it
@@ -258,7 +266,7 @@ class TestFiniteCheckKept:
         with np.errstate(all="ignore"):
             with ad.precision(np.float32):
                 graph = raises(lambda: net.predict_graph(m, np.ones(2), windows))
-            free = raises(lambda: sample_k_steps(1, windows, net, np.random.default_rng(10)))
+            free = raises(lambda: window_sample(1, windows, net, np.random.default_rng(10)))
         assert free == graph
 
 
@@ -275,5 +283,5 @@ def test_one_step_call_runs_at_most_100_nodes(monkeypatch):
         return real_make(value, op, parents, vjp)
 
     monkeypatch.setattr(ad, "_make", make)
-    sample_k_steps(1, windows, net, np.random.default_rng(12))
+    window_sample(1, windows, net, np.random.default_rng(12))
     assert 0 < len(ops) <= 100, sorted(ops)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddmot.association import Tracker, TrackerConfig
 from ddmot.core import (
     BoundingBox,
     InvalidInputError,
@@ -11,6 +12,7 @@ from ddmot.core import (
     iou_pairs,
     stack_boxes,
 )
+from ddmot.hminet import HMINet, ModelConfig
 from ddmot.predictors import (
     ConstantVelocityPredictor,
     D2MPPredictor,
@@ -25,6 +27,8 @@ from ddmot.predictors import (
     make_predictor,
     trajectory_windows,
 )
+
+from test_association import det, detection_streams
 
 
 def nbox(cx, cy, w=0.1, h=0.1):
@@ -315,6 +319,131 @@ class TestD2MPPredict:
         p = observed(observed(D2MPPredictor(model), boxes, 1), boxes, 2)
         p.predict_all()
         assert model.windows[-1].shape == (2, 3, 8)
+
+
+class ReencodingD2MP(D2MPPredictor):
+    """The reference for the embedding cache: every predict encodes every
+    row, as if no embedding were kept."""
+
+    def _predict(self):
+        self._pending[:] = True
+        return super()._predict()
+
+
+class FailingEncoder(WindowRecorder):
+    """A zero-motion network whose second encode raises."""
+
+    def __init__(self, history_length):
+        super().__init__(history_length)
+        self.encoded = []
+
+    def embed_condition(self, windows):
+        self.encoded.append(np.array(windows))
+        if len(self.encoded) == 2:
+            raise NumericError("encoder overflow")
+        return windows
+
+
+class TestEmbeddingCache:
+    """The d2mp session encodes a track's window only when it changes: when
+    the track starts or is observed. A predict encodes those rows alone."""
+
+    def test_encodes_rows_started_or_observed_since_last_predict(self, monkeypatch):
+        encoded = []
+        embed = HMINet.embed_condition
+
+        def spy(self, windows):
+            encoded.append(np.array(windows))
+            return embed(self, windows)
+
+        monkeypatch.setattr(HMINet, "embed_condition", spy)
+        p = D2MPPredictor(HMINet.init(ModelConfig(), 0))
+        latest = {}
+
+        def start(tid, cx):
+            latest[tid] = nbox(cx, 0.5).as_array()
+            p.start([tid], latest[tid][None])
+
+        def observe(tid, dx):
+            latest[tid] = latest[tid] + [dx, 0, 0, 0]
+            p.observe([p.ids.tolist().index(tid)], latest[tid][None])
+
+        def predict_encodes(ids):
+            """Predict; the one encode (if any) holds exactly the windows of
+            ``ids``, whose most recent box is their first row."""
+            before = len(encoded)
+            p.predict_all()
+            if not ids:
+                assert len(encoded) == before
+                return
+            assert len(encoded) == before + 1
+            got = encoded[-1]
+            assert {tuple(w[0, :4]) for w in got} == {tuple(latest[tid]) for tid in ids}
+            # a lone changed row of a larger table is encoded as a batch of two
+            assert len(got) == (2 if len(ids) == 1 < p.ids.size else len(ids))
+
+        for tid, cx in [(1, 0.2), (2, 0.5), (3, 0.8)]:
+            start(tid, cx)
+        predict_encodes([1, 2, 3])
+        observe(2, 0.01)
+        predict_encodes([2])
+        predict_encodes([])  # every track missed: no window changed
+        observe(1, 0.01)
+        observe(3, -0.01)
+        start(4, 0.35)
+        predict_encodes([1, 3, 4])
+        p.drop([1])
+        predict_encodes([])
+        p.drop([0, 1])
+        # the only track is encoded alone at every predict, as a full re-encode would be
+        predict_encodes([4])
+        predict_encodes([4])
+        start(5, 0.9)
+        predict_encodes([4, 5])
+        predict_encodes([])
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(stream=detection_streams, max_age=st.integers(0, 3), seed=st.integers(0, 2**16))
+    def test_cached_predictions_equal_reencoding_every_row(self, steps, stream, max_age, seed):
+        """Through misses, births and deaths, each frame's predictions are
+        bit-equal to a session that re-encodes every row, drawing from the
+        same rng streams."""
+        net = HMINet.init(ModelConfig(), 1)
+        config = PredictorConfig(kind="d2mp", sampling_steps=steps, seed=seed)
+        sessions = [D2MPPredictor(net, config), ReencodingD2MP(net, config)]
+        predictions = [[], []]
+        for session, out in zip(sessions, predictions):
+            def predict_all(predict=session.predict_all, out=out):
+                out.append(predict())
+                return out[-1]
+            session.predict_all = predict_all
+        trackers = [Tracker(TrackerConfig(max_age=max_age), s) for s in sessions]
+        frame = 0
+        for gap, dets in stream:
+            frame += gap
+            for tracker in trackers:
+                tracker.step(frame, [det(frame, cx, cy, conf) for cx, cy, conf in dets])
+        assert len(predictions[0]) == len(predictions[1]) == len(stream)
+        for cached, full in zip(*predictions):
+            assert np.array_equal(cached, full)
+
+    def test_failed_predict_leaves_rows_pending(self):
+        """A predict that raises encodes nothing for good: the next one
+        encodes the same rows, although they now count a miss."""
+        model = FailingEncoder(history_length=3)
+        p = D2MPPredictor(model)
+        boxes = stack_boxes([nbox(0.3, 0.3), nbox(0.6, 0.6)])
+        p.start([1, 2], boxes)
+        p.predict_all()
+        p.observe([1], stack_boxes([nbox(0.62, 0.6)]))
+        with pytest.raises(NumericError):
+            p.predict_all()
+        assert p.misses.tolist() == [2, 1]
+        pred = p.predict_all()
+        assert [len(w) for w in model.encoded] == [2, 2, 2]
+        assert np.array_equal(model.encoded[2], model.encoded[1])  # row 1 twice, as a batch of two
+        assert np.array_equal(pred, stack_boxes([nbox(0.3, 0.3), nbox(0.62, 0.6)]))
 
 
 class TestBoundedSessionHistory:
