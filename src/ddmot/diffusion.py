@@ -148,16 +148,6 @@ def reverse_step(noisy: NoisyMotion, dt, c, z=None, noise=None) -> NoisyMotion:
 # sampling
 
 
-def _normal_draws(rng, b: int) -> np.ndarray:
-    """(b, 4) standard normal; rng may be one Generator or one per row."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal((b, 4))
-    draws = [r.standard_normal(4) for r in rng]
-    if len(draws) != b:
-        raise InvalidInputError(f"need {b} rng streams, got {len(draws)}")
-    return np.stack(draws)
-
-
 def encode_windows(windows, model) -> np.ndarray:
     """The model's condition embeddings of a (B, n, 8) batch of condition
     windows, encoded once under ``autodiff.no_grad``, as an array whose
@@ -176,7 +166,9 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
     ``emb`` holds one condition embedding per batch row, as made by
     ``encode_windows``; a caller that keeps them (the diffusion predictor's
     session) encodes a window only when it changes. ``rng`` is a numpy
-    Generator or one Generator per batch row. Returns a (B, 4) array.
+    Generator, or a function that returns a (B, 4) array of standard
+    normals when called with the size (B, 4) (the diffusion predictor's
+    per-track streams). Returns a (B, 4) array.
     ``deterministic`` suppresses the noise term at every step (the final
     step is noise-free regardless).
 
@@ -189,7 +181,8 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
     if k < 1:
         raise InvalidInputError(f"sampling steps must be >= 1, got {k}")
     b = emb.shape[0]
-    m = _normal_draws(rng, b)
+    draw = rng.standard_normal if isinstance(rng, np.random.Generator) else rng
+    m = draw((b, 4))
     for i in range(k, 0, -1):
         t = i / k
         dt = 1.0 / k
@@ -199,7 +192,7 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
         sigma2 = dt * (t - dt) / t
         noise = None
         if not deterministic and sigma2 > 0.0:
-            noise = _normal_draws(rng, b)
+            noise = draw((b, 4))
         m = reverse_step(state, dt, c_hat, z=z_hat, noise=noise).values
     return m
 

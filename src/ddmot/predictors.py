@@ -16,8 +16,10 @@ Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
 (T, 8, 8) covariances, advanced on every predict so misses compound. The
 diffusion predictor's per-track rng streams, seeded from (master seed,
-track id), keep each track's draws independent of its batch, and its
-per-track condition embeddings are encoded only when a track starts or is
+track id), keep each track's draws independent of its batch; each track
+draws its normals in blocks of ``NOISE_BLOCK`` rows, which hold the values
+of that many one-row draws, so a sampling step gathers one row per track.
+Its per-track condition embeddings are encoded only when a track starts or is
 observed: a track that misses keeps its window, and so its embedding.
 """
 from __future__ import annotations
@@ -44,6 +46,7 @@ MAX_SAMPLING_STEPS = 1000
 KF_POS_WEIGHT = 1.0 / 20.0
 KF_VEL_WEIGHT = 1.0 / 160.0
 MIN_BOX_EXTENT = 1e-4  # floor of a predicted width or height
+NOISE_BLOCK = 64  # 4-component standard normals a d2mp track draws from its stream at once
 
 
 @dataclass(frozen=True)
@@ -309,15 +312,25 @@ class D2MPPredictor(_BoxHistoryPredictor):
     bits differ. So a lone pending row of a larger table is encoded twice
     over, as a batch of two, and a table's only row is encoded alone at
     every predict, as a full re-encode would, and kept pending.
+
+    Each track's noise comes from its own Generator in blocks of
+    ``NOISE_BLOCK`` x 4 (``_normals``, of which ``_used`` rows are spent),
+    drawn when the track first samples and whenever its block runs out. A
+    Generator's ``standard_normal((n, 4))`` yields the values of n
+    ``standard_normal(4)`` calls, so the draws are those of one call per
+    track and sampling step.
     """
 
-    _per_track = ("_boxes", "_rngs", "_emb", "_pending")
+    _per_track = ("_boxes", "_rngs", "_normals", "_used", "_emb", "_pending")
 
     def __init__(self, model, config: PredictorConfig | None = None):
         super().__init__(config or PredictorConfig(kind="d2mp"), model.history_length + 1)
         self.model = model
         self.use_units("norm")
         self._rngs = np.empty(0, dtype=object)
+        self._normals = np.empty((0, NOISE_BLOCK, 4))
+        self._used = np.empty(0, dtype=np.intp)
+        self._diag_rngs: dict[int, np.random.Generator] = {}
         self._emb = np.empty(0)
         self._pending = np.empty(0, dtype=bool)
 
@@ -328,7 +341,9 @@ class D2MPPredictor(_BoxHistoryPredictor):
     def _first_rows(self, ids: np.ndarray, boxes: np.ndarray):
         rngs = np.array([self._track_rng(int(i)) for i in ids], dtype=object)
         emb = np.empty((ids.size, *self._emb.shape[1:]), self._emb.dtype)
-        return (*super()._first_rows(ids, boxes), rngs, emb, np.ones(ids.size, dtype=bool))
+        normals = np.empty((ids.size, NOISE_BLOCK, 4))
+        used = np.full(ids.size, NOISE_BLOCK, dtype=np.intp)  # no block drawn yet
+        return (*super()._first_rows(ids, boxes), rngs, normals, used, emb, np.ones(ids.size, dtype=bool))
 
     def _update_rows(self, rows: np.ndarray, boxes: np.ndarray) -> None:
         super()._update_rows(rows, boxes)
@@ -350,6 +365,17 @@ class D2MPPredictor(_BoxHistoryPredictor):
         self._emb[rows] = emb
         self._pending[rows] = alone
 
+    def _next_normals(self, size: tuple[int, int]) -> np.ndarray:
+        """The next (T, 4) standard normals, row i from track i's stream."""
+        if tuple(size) != (self.ids.size, 4):
+            raise InvalidInputError(f"need ({self.ids.size}, 4) normals, one row per track, got {size}")
+        for row in np.flatnonzero(self._used == NOISE_BLOCK):
+            self._normals[row] = self._rngs[row].standard_normal((NOISE_BLOCK, 4))
+            self._used[row] = 0
+        draws = self._normals[np.arange(self.ids.size), self._used]
+        self._used += 1
+        return draws
+
     def _sample(self, last: np.ndarray, emb: np.ndarray, rng) -> np.ndarray:
         """Sampled next boxes after the (B, 4) ``last`` boxes, from their
         windows' embeddings."""
@@ -361,13 +387,18 @@ class D2MPPredictor(_BoxHistoryPredictor):
 
     def _predict(self) -> np.ndarray:
         self._encode_pending()
-        return self._sample(self._boxes[:, -1], self._emb, list(self._rngs))
+        return self._sample(self._boxes[:, -1], self._emb, self._next_normals)
 
     def diagnose_trajectory(self, boxes: np.ndarray, track_id: int = -1) -> np.ndarray:
-        # one batched network call per trajectory instead of one per frame
+        """As the base method, in one batched network call per trajectory.
+        The first call for a track id seeds its stream from (seed, id); a
+        later call for that id (the next run of a gapped trajectory)
+        continues the stream instead of replaying its draws."""
         windows = trajectory_windows(self._check_boxes(boxes, len(boxes)), self.model.history_length)
         emb = encode_windows(build_condition_window(windows), self.model)
-        return self._sample(windows[:, -1], emb, self._track_rng(track_id))
+        if track_id not in self._diag_rngs:
+            self._diag_rngs[track_id] = self._track_rng(track_id)
+        return self._sample(windows[:, -1], emb, self._diag_rngs[track_id])
 
 
 def make_predictor(config: PredictorConfig, model=None) -> MotionPredictor:

@@ -17,7 +17,6 @@ from ddmot.diffusion import (
     NoisyMotion,
     TrainConfig,
     TrainingSet,
-    _normal_draws,
     attenuation_constant,
     encode_windows,
     forward_diffuse,
@@ -36,16 +35,16 @@ SMALL = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_bloc
 INFERENCE_TOLERANCE = 1e-6
 
 
-def graph_sample(k, windows, net, rng):
+def graph_sample(k, windows, net, draw):
     """The sampler as a loop over the training forward pass: encoder,
     fusion and head rebuilt as a graph at every step."""
     w = np.asarray(windows, dtype=np.float64)
     b = w.shape[0]
-    m = _normal_draws(rng, b)
+    m = draw((b, 4))
     for i in range(k, 0, -1):
         t, dt = i / k, 1.0 / k
         c_hat, z_hat = net.predict_graph(m, np.full(b, max(t, T_MIN)), w)
-        noise = _normal_draws(rng, b) if dt * (t - dt) / t > 0.0 else None
+        noise = draw((b, 4)) if dt * (t - dt) / t > 0.0 else None
         z = None if z_hat is None else z_hat.value
         m = reverse_step(NoisyMotion(m, np.full(b, t)), dt, c_hat.value, z=z, noise=noise).values
     return m
@@ -57,7 +56,10 @@ def window_sample(k, windows, net, rng):
 
 
 def streams(b, seed=0):
-    return [np.random.default_rng((seed, i)) for i in range(b)]
+    """One Generator per row, as a draw function: row i of a (b, 4) draw
+    comes from stream i."""
+    rngs = [np.random.default_rng((seed, i)) for i in range(b)]
+    return lambda size: np.stack([r.standard_normal(size[1:]) for r in rngs])
 
 
 class TestParity:

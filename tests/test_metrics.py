@@ -18,7 +18,7 @@ from ddmot.metrics import (
     render_table,
     reports_to_json,
 )
-from ddmot.predictors import ConstantVelocityPredictor, KalmanPredictor
+from ddmot.predictors import ConstantVelocityPredictor, D2MPPredictor, KalmanPredictor, PredictorConfig
 from test_core import iou
 
 
@@ -332,6 +332,18 @@ class TestDiagnostic:
         gapped = trajectory(1, frames, tuple(nbox(0.2 + 0.01 * f, 0.5) for f in frames))
         assert predictor_iou_diagnostic([gapped], ConstantVelocityPredictor()).count == 4
 
+    def test_each_run_continues_its_tracks_noise(self):
+        """The second run of a gapped trajectory draws on from the track's
+        stream instead of replaying the first run's draws."""
+        frames = (1, 2, 3, 10, 11, 12)
+        gapped = trajectory(1, frames, tuple(nbox(0.2 + 0.01 * f, 0.5) for f in frames))
+        net = NoiseRecorder()
+        predictor_iou_diagnostic([gapped], D2MPPredictor(net, PredictorConfig(kind="d2mp", seed=3)))
+        first, second = net.noisy
+        stream = np.random.default_rng((3, 1))
+        assert np.array_equal(first, stream.standard_normal((2, 4)))
+        assert np.array_equal(second, stream.standard_normal((2, 4)))
+
     def test_negative_burn_in_rejected(self):
         # a negative burn-in would slice each trajectory's predictions from its end
         with pytest.raises(InvalidInputError, match="burn_in"):
@@ -342,6 +354,23 @@ class TestDiagnostic:
         report = predictor_iou_diagnostic(trajs, ConstantVelocityPredictor())
         assert all(0.0 <= v <= 1.0 for v in report.per_trajectory.values())
         assert 0.0 <= report.mean <= 1.0
+
+
+class NoiseRecorder:
+    """A zero-motion d2mp network that keeps the noisy motion of each
+    sampling step."""
+
+    history_length = 3
+
+    def __init__(self):
+        self.noisy = []
+
+    def embed_condition(self, windows):
+        return windows
+
+    def predict_values(self, noisy, t, windows):
+        self.noisy.append(np.array(noisy))
+        return np.zeros((len(windows), 4)), None
 
 
 class TestRendering:

@@ -18,6 +18,7 @@ from ddmot.predictors import (
     D2MPPredictor,
     KalmanPredictor,
     MIN_BOX_EXTENT,
+    NOISE_BLOCK,
     PredictorConfig,
     build_condition_window,
     cv_predict,
@@ -28,7 +29,7 @@ from ddmot.predictors import (
     trajectory_windows,
 )
 
-from test_association import det, detection_streams
+from test_association import StillOracle, det, detection_streams
 
 
 def nbox(cx, cy, w=0.1, h=0.1):
@@ -444,6 +445,60 @@ class TestEmbeddingCache:
         assert [len(w) for w in model.encoded] == [2, 2, 2]
         assert np.array_equal(model.encoded[2], model.encoded[1])  # row 1 twice, as a batch of two
         assert np.array_equal(pred, stack_boxes([nbox(0.3, 0.3), nbox(0.62, 0.6)]))
+
+
+class RecordingD2MP(D2MPPredictor):
+    """A d2mp session that keeps every batch of normals it serves, with the
+    ids of the rows it served them to."""
+
+    def __init__(self, model, config):
+        super().__init__(model, config)
+        self.drawn = []
+        self.predicts = 0
+
+    def _predict(self):
+        self.predicts += 1
+        return super()._predict()
+
+    def _next_normals(self, size):
+        draws = super()._next_normals(size)
+        self.drawn.append((self.ids.copy(), draws))
+        return draws
+
+
+class TestNoiseStreams:
+    """A d2mp track's noise is the stream of its own Generator, seeded from
+    (seed, id), whatever the tracks beside it and however its block of
+    normals is buffered."""
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(stream=detection_streams, max_age=st.integers(0, 3), seed=st.integers(0, 2**16))
+    def test_draws_equal_per_track_streams(self, steps, deterministic, stream, max_age, seed):
+        config = PredictorConfig(kind="d2mp", sampling_steps=steps, deterministic=deterministic, seed=seed)
+        session = RecordingD2MP(StillOracle(), config)
+        tracker = Tracker(TrackerConfig(max_age=max_age), session)
+        frame = 0
+        for gap, dets in stream:
+            frame += gap
+            tracker.step(frame, [det(frame, cx, cy, conf) for cx, cy, conf in dets])
+        # the first draw, then one noise draw per step but the noise-free last
+        assert len(session.drawn) == session.predicts * (1 if deterministic else steps)
+        reference = {}
+        for ids, draws in session.drawn:
+            for tid, row in zip(ids.tolist(), draws):
+                rng = reference.setdefault(tid, np.random.default_rng((seed, tid)))
+                assert np.array_equal(row, rng.standard_normal(4))
+
+    def test_used_up_blocks_continue_the_stream(self):
+        session = RecordingD2MP(StillOracle(), PredictorConfig(kind="d2mp", sampling_steps=10, seed=2))
+        session.start([4], stack_boxes([nbox(0.5, 0.5)]))
+        for _ in range(2 * NOISE_BLOCK // 10 + 1):  # 10 draws per predict: three blocks
+            session.predict_all()
+        drawn = np.concatenate([draws for _, draws in session.drawn])
+        assert len(drawn) > 2 * NOISE_BLOCK
+        assert np.array_equal(drawn, np.random.default_rng((2, 4)).standard_normal((len(drawn), 4)))
 
 
 class TestBoundedSessionHistory:
