@@ -174,7 +174,8 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
 
     The model protocol is ``embed_condition(windows) -> emb``, called by
     ``encode_windows``; ``predict_values(noisy, t, emb) -> (c_hat,
-    z_hat)``, called once per step with (B, 4) arrays (z_hat is None for
+    z_hat)``, called once per step with the (B, 4) noisy motion and the
+    step's time as a scalar, returning (B, 4) arrays (z_hat is None for
     one-branch models); and ``history_length``, read by callers that build
     the windows.
     """
@@ -187,7 +188,7 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
         t = i / k
         dt = 1.0 / k
         query_t = max(t, T_MIN)
-        c_hat, z_hat = model.predict_values(m, np.full(b, query_t), emb)
+        c_hat, z_hat = model.predict_values(m, query_t, emb)
         state = NoisyMotion(m, np.full(b, t))
         sigma2 = dt * (t - dt) / t
         noise = None

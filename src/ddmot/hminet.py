@@ -288,7 +288,9 @@ class HMINet:
     def _fusion_head(self, noisy_motion, t, e: Tensor) -> tuple[Tensor, Tensor | None]:
         """Fusion blocks and head on a precomputed (B, d) condition
         embedding and a (B, 4) noisy motion; returns (c_hat, z_hat) of shape
-        (B, 4)."""
+        (B, 4). A scalar ``t`` (a sampling step's) gets its time features
+        once and shares them across the rows; a (B,) ``t`` (training's)
+        gets them per row."""
         d = self.config.token_dim
         if e.value.ndim != 2 or e.shape[1] != d:
             raise InvalidInputError(f"condition embedding must have shape (B, {d}), got {e.shape}")
@@ -296,10 +298,18 @@ class HMINet:
         m = np.asarray(noisy_motion)
         if m.shape != (b, 4):
             raise InvalidInputError(f"noisy motion must have shape ({b}, 4), got {m.shape}")
-        t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (b,))
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim == 0:
+            # one row broadcast over the batch; it is computed in a batch of
+            # two when B allows, because a one-row GEMM takes BLAS's
+            # matrix-vector path, whose last bits differ from a batch's
+            time = self._mlp2(Tensor(sinusoidal_features(np.full(min(b, 2), t), d)), "time")
+            time = ad.slice_(time, (slice(0, 1),))
+        else:
+            time = self._mlp2(Tensor(sinusoidal_features(np.broadcast_to(np.atleast_1d(t), (b,)), d)), "time")
 
         feat = self._mlp2(Tensor(m), "motion")
-        feat = feat + self._mlp2(Tensor(sinusoidal_features(t_arr, d)), "time")
+        feat = feat + time
         fused = self._mfl(e, feat, "mfl0")
 
         seq = ad.concat([ad.reshape(e, (b, 1, d)), ad.reshape(fused, (b, 1, d))], axis=1)

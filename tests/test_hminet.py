@@ -114,6 +114,18 @@ class TestBatchInvariance:
         assert sub.dtype == np.float32
         assert np.array_equal(sub, full[rows])
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), b=st.integers(1, 96), t=st.floats(0.001, 1.0))
+    def test_scalar_time_bits_equal_per_row_time(self, seed, b, t):
+        """A sampling step's scalar time, whose features are computed once
+        and shared, gives the bits of the same time given per row."""
+        rng = np.random.default_rng(seed)
+        emb = DESK.embed_condition(window(rng, b=b))
+        m = rng.normal(size=(b, 4))
+        shared, _ = DESK.predict_values(m, t, emb)
+        per_row, _ = DESK.predict_values(m, np.full(b, t), emb)
+        assert np.array_equal(shared, per_row)
+
 
 def all_token_embedding(net, windows):
     """The encoder with every block updating every token; the class token

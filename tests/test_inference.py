@@ -35,11 +35,13 @@ SMALL = ModelConfig(token_dim=16, n_heads=2, n_condition_layers=1, n_fusion_bloc
 INFERENCE_TOLERANCE = 1e-6
 
 
-def graph_sample(k, windows, net, draw):
+def graph_sample(k, windows, net, rng):
     """The sampler as a loop over the training forward pass: encoder,
-    fusion and head rebuilt as a graph at every step."""
+    fusion and head rebuilt as a graph at every step. ``rng`` is a
+    Generator or a draw function, as for ``sample_k_steps``."""
     w = np.asarray(windows, dtype=np.float64)
     b = w.shape[0]
+    draw = rng.standard_normal if isinstance(rng, np.random.Generator) else rng
     m = draw((b, 4))
     for i in range(k, 0, -1):
         t, dt = i / k, 1.0 / k
