@@ -6,17 +6,28 @@ low-confidence detections. Matched tracks pass their detections to the
 predictor, tracks unmatched for more than ``max_age`` frames are removed,
 and confident leftover detections spawn new tracks.
 
-The predictor session is the only track table (``ids``, ``misses`` and
-the motion state, one row per track). Per frame, ``Tracker.step`` takes
-the frame's detections as one ``MotTable`` (a list of ``Detection`` is
-converted once on entry), fixes the session's unit mode from it, splits
-the confidences with masks and makes one ``predict_all`` call, returning a
-(T, 4) array whose rows both Hungarian stages match against index arrays
-of the detections. Then it makes one ``observe`` call with the matched
-rows and their (k, 4) boxes, one ``drop`` with the rows whose ``misses``
-exceed ``max_age`` and one ``start`` with the births, which take the
-largest ids (each only when there are any). ``FrameResult`` carries the
-frame's ids and boxes as arrays.
+Tracks are confirmed as in ByteTrack: the births of the first step are
+confirmed at once, and a later birth starts tentative and is confirmed by
+its next match, in either stage. A tentative track that misses is dropped
+at once, so a lone confident false positive is predicted for one frame,
+not for ``max_age``. Only confirmed tracks are written: a confirmed
+track's frames are written from its confirmation on, and its birth frame
+is not written later.
+
+The predictor session is the only track table (``ids``, ``misses``,
+``confirmed`` and the motion state, one row per track). Per frame,
+``Tracker.step`` takes the frame's detections as one ``MotTable`` (a list
+of ``Detection`` is converted once on entry), fixes the session's unit
+mode from it, splits the confidences with masks and makes one
+``predict_all`` call, returning a (T, 4) array whose rows both Hungarian
+stages match against index arrays of the detections. Then it makes one
+``observe`` call with the matched rows and their (k, 4) boxes, which
+confirms them, one ``drop`` with the tentative rows (now all unmatched)
+and the rows whose ``misses`` exceed ``max_age``, and one ``start`` with
+the births, which take the largest ids (each only when there are any).
+``FrameResult`` describes the written output: the frame's confirmed ids
+and boxes as arrays, the ids written for the first time and the confirmed
+ids removed.
 """
 from __future__ import annotations
 
@@ -109,10 +120,10 @@ def hungarian(cost: CostMatrix) -> Assignment:
 @dataclass
 class FrameResult:
     frame: int
-    ids: np.ndarray  # (k,) ids of the frame's matched and new tracks, ascending
+    ids: np.ndarray  # (k,) ids of the frame's written tracks (matched confirmed ones, first-step births), ascending
     boxes: np.ndarray  # (k, 4) their boxes: the detections they took
-    new_tracks: list[int]
-    removed_tracks: list[int]
+    new_tracks: list[int]  # ids written for the first time: first-step births and confirmations
+    removed_tracks: list[int]  # confirmed ids dropped; a dropped tentative track is in neither list
     units: str = "px"
 
     @property
@@ -159,6 +170,7 @@ class Tracker:
         cfg, session = self.config, self.predictor
         if len(table):
             session.use_units(table.units)
+        first_step = self._last_frame == 0
         self._last_frame = frame
 
         boxes = table.boxes
@@ -178,12 +190,14 @@ class Tracker:
         # rows ascend with ids, so sorting by row sorts the matches by id
         order = np.argsort(rows)
         rows, taken = rows[order], taken[order]
-        session.observe(rows, boxes[taken])
+        confirmations = session.ids[rows[~session.confirmed[rows]]]
+        session.observe(rows, boxes[taken])  # confirms the matched rows
         matched_ids = session.ids[rows]
 
-        dead = np.flatnonzero(session.misses > cfg.max_age)
-        removed = session.ids[dead].tolist()
-        if removed:
+        # every row still tentative missed this frame
+        dead = np.flatnonzero(~session.confirmed | (session.misses > cfg.max_age))
+        removed = session.ids[dead[session.confirmed[dead]]].tolist()
+        if dead.size:
             session.drop(dead)
 
         # births take the largest ids, so they keep the table and the matches sorted
@@ -192,10 +206,11 @@ class Tracker:
         new_ids = np.arange(self._next_id, self._next_id + born.size, dtype=np.int64)
         self._next_id += born.size
         if born.size:
-            session.start(new_ids, boxes[born])
-        taken = np.concatenate([taken, born])
-        return FrameResult(frame, np.concatenate([matched_ids, new_ids]), boxes[taken], new_ids.tolist(), removed,
-                           session.units or table.units)
+            session.start(new_ids, boxes[born], confirmed=first_step)
+        ids, written = matched_ids, confirmations
+        if first_step:  # its births are written at once
+            ids, taken, written = (np.concatenate(pair) for pair in ((ids, new_ids), (taken, born), (written, new_ids)))
+        return FrameResult(frame, ids, boxes[taken], written.tolist(), removed, session.units or table.units)
 
 
 def run_sequence(
@@ -204,7 +219,10 @@ def run_sequence(
     config: TrackerConfig,
 ) -> MotTable:
     """Track a whole sequence; returns the (frame, track id, box) rows of
-    every track matched in each frame, confidence 1, as one table.
+    every confirmed track matched in each frame (and of the first frame's
+    births), confidence 1, as one table. Each frame's rows are those of its
+    ``Tracker.step``: no frame is held back, so the birth frame of a track
+    confirmed later is not written.
 
     Frames must arrive in increasing order. A frame number may be skipped,
     but the predictors do not see the gap: each step predicts one frame

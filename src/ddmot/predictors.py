@@ -1,16 +1,18 @@
 """Next-box predictors behind one session-style contract.
 
 A session is the tracker's only track table: row i of ``ids`` (strictly
-ascending) and ``misses`` (``predict_all`` calls since the row was last
-observed) and of every motion-state array belongs to one track. Boxes
+ascending), ``misses`` (``predict_all`` calls since the row was last
+observed), ``confirmed`` (started confirmed or observed since) and of
+every motion-state array belongs to one track. Boxes
 enter as (N, 4) center-format arrays, checked to be finite with positive
 extents. A session has one unit mode, fixed by its first ``use_units``
 call (the diffusion predictor's is always normalized). Predicted extents
 are floored at ``MIN_BOX_EXTENT``, below the one-unit width of a
 normalized frame. Per frame, ``predict_all`` returns a fresh (T, 4) array
 of next-frame boxes for every row, ``observe`` takes the matched rows and
-their boxes in one call, ``drop`` removes the frame's dead rows and
-``start`` appends its new tracks, whose ids must exceed every live id.
+their boxes in one call and confirms them, ``drop`` removes the frame's
+dead rows and ``start`` appends its new tracks, confirmed or tentative,
+whose ids must exceed every live id.
 
 Constant velocity and the diffusion predictor read a front-padded
 (T, keep, 4) box history; the Kalman filter keeps (T, 8) means and
@@ -158,8 +160,9 @@ def trajectory_windows(boxes: np.ndarray, n: int) -> np.ndarray:
 
 
 class MotionPredictor:
-    """The track table. Row i of ``ids``, ``misses`` and every array named
-    in ``_per_track`` belongs to one track; ``ids`` strictly ascend.
+    """The track table. Row i of ``ids``, ``misses``, ``confirmed`` and
+    every array named in ``_per_track`` belongs to one track; ``ids``
+    strictly ascend.
     Subclasses give new tracks' rows (``_first_rows``), take a frame's
     matched boxes (``_update_rows``) and predict raw (T, 4) boxes for every
     row (``_predict``)."""
@@ -171,6 +174,7 @@ class MotionPredictor:
         self.clamp_count = 0
         self.ids = np.empty(0, dtype=np.int64)
         self.misses = np.empty(0, dtype=np.int64)  # predict_all calls since each row was observed
+        self.confirmed = np.empty(0, dtype=bool)  # started confirmed, or observed since its start
         self.units: str | None = None  # fixed by the first use_units call
 
     def use_units(self, units: str) -> None:
@@ -199,27 +203,31 @@ class MotionPredictor:
         check_boxes(boxes, "session")
         return boxes
 
-    def start(self, ids: Sequence[int], boxes: np.ndarray) -> None:
+    def start(self, ids: Sequence[int], boxes: np.ndarray, confirmed: bool = True) -> None:
         """Append one track per (id, first box) of ``ids`` and the (N, 4)
-        ``boxes``; the ids must ascend above every live id."""
+        ``boxes``, confirmed or tentative; the ids must ascend above every
+        live id."""
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         first = self._check_boxes(boxes, ids.size)
         if (np.diff(np.concatenate([self.ids[-1:], ids])) <= 0).any():
             raise InvalidInputError(f"new track ids {ids.tolist()} must ascend above the last live id {self.ids[-1:]}")
         self.ids = np.concatenate([self.ids, ids])
         self.misses = np.concatenate([self.misses, np.zeros_like(ids)])
+        self.confirmed = np.concatenate([self.confirmed, np.full(ids.size, confirmed)])
         for name, value in zip(self._per_track, self._first_rows(ids, first)):
             setattr(self, name, np.concatenate([getattr(self, name), value]))
 
     def observe(self, rows: Sequence[int], boxes: np.ndarray) -> None:
-        """The (N, 4) matched detection boxes of a frame's N matched rows."""
+        """The (N, 4) matched detection boxes of a frame's N matched rows,
+        which are confirmed by it."""
         rows = self._check_rows(rows)
         self._update_rows(rows, self._check_boxes(boxes, rows.size))
         self.misses[rows] = 0
+        self.confirmed[rows] = True
 
     def drop(self, rows: Sequence[int]) -> None:
         rows = self._check_rows(rows)
-        for name in ("ids", "misses", *self._per_track):
+        for name in ("ids", "misses", "confirmed", *self._per_track):
             setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
 
     def predict_all(self) -> np.ndarray:

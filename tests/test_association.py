@@ -295,8 +295,8 @@ detection_streams = st.lists(
 
 
 class TestTrackTable:
-    """The predictor session is the only track table; its ids and miss
-    counts follow the tracker's lifecycle events."""
+    """The predictor session is the only track table; its ids, miss counts
+    and confirmed flags follow the tracker's lifecycle events."""
 
     @pytest.mark.parametrize("kind", ["kf", "cv", "d2mp"])
     @settings(max_examples=40, deadline=None)
@@ -304,27 +304,98 @@ class TestTrackTable:
     def test_lifecycle_matches_oracle(self, kind, stream, max_age):
         session = make_predictor(PredictorConfig(kind=kind), StillOracle())
         tracker = Tracker(TrackerConfig(max_age=max_age), session)
-        live: dict[int, int] = {}  # started, not removed: id -> consecutive unmatched steps
-        seen: set[int] = set()
+        live: dict[int, int] = {}  # written, not removed: id -> consecutive unmatched steps
+        tentative: set[int] = set()  # started, not yet written
+        seen: set[int] = set()  # every id started so far
         frame = 0
-        for gap, dets in stream:
+        for step, (gap, dets) in enumerate(stream):
             frame += gap
             r = tracker.step(frame, [det(frame, cx, cy, conf) for cx, cy, conf in dets])
             ids = [tid for tid, _ in r.matched]
             assert ids == sorted(set(ids))
-            kept = set(ids) - set(r.new_tracks)
+            new = set(r.new_tracks)
+            assert new <= set(ids) and not new & set(live)
+            if step:
+                assert new <= tentative  # later births are written when their next match confirms them
+            kept = set(ids) - new
             assert kept <= set(live)
             for tid in live:
                 live[tid] = 0 if tid in kept else live[tid] + 1
             assert r.removed_tracks == sorted(tid for tid, misses in live.items() if misses > max_age)
             for tid in r.removed_tracks:
                 assert live.pop(tid) == max_age + 1
-            assert not seen & set(r.new_tracks) and set(r.new_tracks) <= set(ids)
-            seen |= set(r.new_tracks)
-            live.update((tid, 0) for tid in r.new_tracks)
+            live.update((tid, 0) for tid in new)
+            # an unconfirmed tentative track is dropped at once, so the tentative
+            # tracks left are this step's births, none on the first step
+            tentative = set(session.ids.tolist()) - set(live)
+            assert not (tentative and step == 0)
+            assert not tentative & seen  # births take fresh ids
+            seen |= tentative | new
             assert (np.diff(session.ids) > 0).all()
-            assert session.ids.tolist() == sorted(live)
-            assert session.misses.tolist() == [live[tid] for tid in sorted(live)]
+            assert session.ids.tolist() == sorted(set(live) | tentative)
+            assert session.misses.tolist() == [live.get(tid, 0) for tid in session.ids.tolist()]
+            assert session.confirmed.tolist() == [tid in live for tid in session.ids.tolist()]
+
+
+class TestConfirmation:
+    """A track born after the first step is written from its next match on;
+    one that misses before is dropped unwritten."""
+
+    def test_lone_false_positive_never_written(self):
+        tracker = make_tracker()
+        for f in range(1, 4):
+            r = tracker.step(f, [det(f, 0.2, 0.2, conf=0.9)] + ([det(f, 0.7, 0.7, conf=0.9)] if f == 2 else []))
+            assert [tid for tid, _ in r.matched] == [1] and r.removed_tracks == []
+            assert r.new_tracks == ([1] if f == 1 else [])
+            if f == 2:
+                assert tracker.predictor.ids.tolist() == [1, 2]  # started, not written
+        assert tracker.predictor.ids.tolist() == [1]  # gone after the frame it missed
+
+    def test_late_object_written_from_its_second_frame(self):
+        frames = [(f, [det(f, 0.2, 0.2, conf=0.9)] + ([det(f, 0.5 + 0.004 * f, 0.6, conf=0.9)] if f >= 5 else []))
+                  for f in range(1, 12)]
+        records = run_sequence(frames, KalmanPredictor(), TrackerConfig())
+        late = [(f, tid) for f, tid, box in rows_of(records) if box[1] > 0.4]
+        assert [f for f, _ in late] == list(range(6, 12))
+        assert len({tid for _, tid in late}) == 1
+
+    def test_first_step_births_written_at_once(self):
+        tracker = make_tracker()
+        r = tracker.step(1, [det(1, 0.2 + 0.2 * i, 0.5, conf=0.9) for i in range(4)])
+        assert r.new_tracks == [1, 2, 3, 4] and r.ids.tolist() == [1, 2, 3, 4]
+        assert tracker.predictor.confirmed.tolist() == [True] * 4
+        r = tracker.step(2, [])
+        assert r.removed_tracks == [] and tracker.predictor.ids.tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("kind", ["kf", "cv", "d2mp"])
+    @settings(max_examples=40, deadline=None)
+    @given(stream=detection_streams, max_age=st.integers(0, 3))
+    def test_written_ids_were_born_first_or_matched_twice_in_a_row(self, kind, stream, max_age):
+        """Every written id was born on the first step or started on one step
+        and matched on the next."""
+        session = make_predictor(PredictorConfig(kind=kind), StillOracle())
+        started: dict[int, int] = {}  # id -> step it started on
+        matched: set[tuple[int, int]] = set()  # (id, step)
+        step = 0
+        start, observe = session.start, session.observe
+
+        def spy_start(ids, boxes, **kw):
+            started.update((int(tid), step) for tid in np.asarray(ids).tolist())
+            start(ids, boxes, **kw)
+
+        def spy_observe(rows, boxes):
+            matched.update((int(tid), step) for tid in session.ids[rows].tolist())
+            observe(rows, boxes)
+
+        session.start, session.observe = spy_start, spy_observe
+        tracker = Tracker(TrackerConfig(max_age=max_age), session)
+        frame = 0
+        for step, (gap, dets) in enumerate(stream):
+            frame += gap
+            r = tracker.step(frame, [det(frame, cx, cy, conf) for cx, cy, conf in dets])
+            for tid in r.ids.tolist():
+                born = started[tid]
+                assert born == 0 or (tid, born + 1) in matched
 
 
 def rows_of(table):

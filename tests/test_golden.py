@@ -27,21 +27,21 @@ SEED = 7
 # (kind, sampling steps, unit mode) -> sha256 of the written MOT text and
 # of the unrounded boxes, so a last-ulp change shows too
 TRACK_DIGESTS = {
-    ("kf", 1, "norm"): "8cfce5d282b11183eb4efee742256ff4081be05d01118f73529023c3e6817903",
-    ("cv", 1, "norm"): "5e1ebbc8cb7d3393f1daad04ec650f9ca56df5c0f98ed222b137a1bb7b8ceaaa",
-    ("d2mp", 1, "norm"): "f680fdc836a1edd36c02006e9e8ec367fa62c0b03ff756e20e018b197f4c3f6d",
-    ("d2mp", 10, "norm"): "f680fdc836a1edd36c02006e9e8ec367fa62c0b03ff756e20e018b197f4c3f6d",
-    ("kf", 1, "px"): "b5282b7738c6ab087801abcb99099d69b09bbc54f3e3e2fb93ecd1f9f91d85dc",
-    ("cv", 1, "px"): "73d78bf6ad5087a49788afd8986efac4d5d656b6d54fba4e54b5c04d760a2500",
+    ("kf", 1, "norm"): "14b4a8bada4139a0129e2866c2313bb4d0b10712c85f46f28189265785664db1",
+    ("cv", 1, "norm"): "f80c42e340c3f09c4a1ae40919dd6a0c4286801e92f75ecfe51aa14e626b7a8a",
+    ("d2mp", 1, "norm"): "e0563303e314706dfca6e5bf327ab0d259db02165ec88cbd7b959c5902521c78",
+    ("d2mp", 10, "norm"): "17bcbb74969f3d4fefb0662f1e20edee09790eb40a69027b36482cc4c8d8bc8f",
+    ("kf", 1, "px"): "346d9f4faea40b597525004b6f5d90e74aab06dc8798d8cd1b42b47692044cec",
+    ("cv", 1, "px"): "0e52ca7dfbf49380f0ae4ecbf6a8d9b8e938acd8c4300953b842831c1cdaf903",
 }
 # (kind, max_age) -> sha256 of each frame's new and removed track ids
 LIFECYCLE_DIGESTS = {
-    ("kf", 30): "e9d5bf9bc489dbae03c79365fb615fb49596ff35b68e76de1757be4e7aded10b",
-    ("kf", 2): "668a42ac9108cd2273f29e88b4d5ef49ef7c20d0f35d73c4a408adbfd0c6bfc4",
-    ("cv", 30): "0993058699e60bd24807a6cf0ef87bb5a45707dbdf892145dbe49ea105c7d3d9",
-    ("cv", 2): "c2e225655149a2c1e345f0f368df57a0f9e557b2b6f4c512a1c97f37568f0d85",
-    ("d2mp", 30): "00e7322a4f80b77af1a5f853bdc8d3d3aa2b0efbf5135a1213692e396e2e732c",
-    ("d2mp", 2): "2078bc5a391a197070b6a29dfcf5b86e21d3129da077479497895f645c6b037d",
+    ("kf", 30): "549c8b3493bf8f091c06fd2c451c08ac75b7fd061e0ef84ad0fd25aea7907388",
+    ("kf", 2): "dc197261d5497cc78389a4ef2d1ba66ae87f07f170e4dad27ba0ae56635a7bb0",
+    ("cv", 30): "36c62ea20cd6dc067d570a37b83a1c94f9c10ee7955700695728b983ab7d2923",
+    ("cv", 2): "026710c04717b188fcdae1152f7f1a1a6aa41ca4b58205d38772a69ad32cc932",
+    ("d2mp", 30): "8eb13ead02acf3c12777cb540ca67add463a0423cd935990799ba5f6c8ed3e88",
+    ("d2mp", 2): "92e8fd956473f5370abe9515279d9c41b578eedc2b2b38597d2875e497c88371",
 }
 TRAINING_SET_DIGEST = "eee3b69bcb1976039d9dcfee9110892b54bb071d4e0420a571a21240618036d5"
 DIAG_DIGESTS = {
