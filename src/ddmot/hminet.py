@@ -306,7 +306,7 @@ class HMINet:
             time = self._mlp2(Tensor(sinusoidal_features(np.full(min(b, 2), t), d)), "time")
             time = ad.slice_(time, (slice(0, 1),))
         else:
-            time = self._mlp2(Tensor(sinusoidal_features(np.broadcast_to(np.atleast_1d(t), (b,)), d)), "time")
+            time = self._mlp2(Tensor(sinusoidal_features(np.broadcast_to(t, (b,)), d)), "time")
 
         feat = self._mlp2(Tensor(m), "motion")
         feat = feat + time
