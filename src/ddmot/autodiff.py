@@ -19,10 +19,11 @@ Inside ``with no_grad():`` the same ops run without building a graph, in
 float32: an op's output records no parents, gets its op name instead of a
 unique node name, never requires a gradient and is not finite-checked.
 In the motion network a non-finite value reaches the output of the pass
-except where ``sigmoid`` saturates it to a finite 0 or 1, softmax turns
+except where a sigmoid saturates it to a finite 0 or 1, softmax turns
 a -inf score into a finite 0 weight, or an infinite variance scales a
-row to 0, so those three ops check in both modes: ``sigmoid`` its input,
-``attention`` its scores and ``layer_norm`` its variance. Callers check
+row to 0, so those ops check in both modes: ``sigmoid`` its input,
+``mfl`` its gate's input, ``attention`` its scores and ``layer_norm`` its
+variance. Callers check
 the values leaving a no-grad pass with ``check_finite``; every error names
 the op that made the value. Inference uses this mode at the precision of
 the model file, so sampling runs the training network's ops without paying
@@ -32,18 +33,26 @@ default float64 graph is what ``finite_difference_check`` audits.
 
 Fused ops carry the network's hot paths with hand-written vector-Jacobian
 products: ``linear(x, w, b)`` is one GEMM over the flattened rows of ``x``
-plus an in-place bias add; ``silu(x)`` is ``x * sigmoid(x)`` as one node;
+plus an in-place bias add; ``mlp2(x, w1, b1, w2, b2)`` is a two-layer
+perceptron (linear, SiLU ``a * sigmoid(a)``, linear) as one node;
+``mfl(e, m, ...)`` is a motion fusion layer ``sigmoid(mlp_s(e)) * m +
+mlp_h(e)`` whose two perceptrons share one first-layer GEMM;
 ``layer_norm(x, gain, bias)`` is the affine layer norm; and
-``attention(...)`` is a whole multi-head attention (projections, scaled
-softmax per head, output projection), whose VJP returns all nine parent
-gradients from one pass. Its softmax maximum and sum, and the VJP's sum,
-run over the few keys as one elementwise call per key slab, not as numpy
-last-axis reductions, whose per-row loop costs more than the arithmetic.
-``sigmoid`` and ``silu`` use ``scipy.special.expit`` on float64 input,
-which is stable on both tails; on float32 input they use
-``0.5 * tanh(x / 2) + 0.5``, which is bounded, cannot overflow, is within
-6.5e-8 of ``expit`` and runs several times faster than ``expit``'s scalar
-loop.
+``attention(...)`` is a whole multi-head attention (one GEMM for the
+query, key and value projections of self-attention, scaled softmax per
+head, output projection), whose VJP returns every parent gradient from one
+pass. Its softmax maximum and sum, and the VJP's sum, run over the few
+keys as one elementwise call per key slab, not as numpy last-axis
+reductions, whose per-row loop costs more than the arithmetic. Each fused
+op keeps the numpy ops and reduction order of the ops it replaces, so its
+values and gradients have their bits (``mfl`` and ``attention`` where
+every joined projection is a multiple of 16 columns wide: a GEMM's
+columns then have the bits of the narrower GEMMs it joins).
+``sigmoid`` and the SiLU of ``mlp2`` and ``mfl`` use
+``scipy.special.expit`` on float64 input, which is stable on both tails;
+on float32 input they use ``0.5 * tanh(x / 2) + 0.5``, which is bounded,
+cannot overflow, is within 6.5e-8 of ``expit`` and runs several times
+faster than ``expit``'s scalar loop.
 
 The Adam optimizer and a central-finite-difference gradient checker live
 here too, because they only make sense next to the graph.
@@ -130,6 +139,11 @@ def parameter(value, name: str) -> Tensor:
     """A float64 leaf that requires a gradient, at either precision."""
     with precision(np.float64):
         return Tensor(value, requires_grad=True, name=name)
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph: true except inside ``no_grad``."""
+    return _grad_enabled
 
 
 def compute_dtype() -> type:
@@ -271,12 +285,89 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def silu(a: Tensor) -> Tensor:
-    """``x * sigmoid(x)``; its VJP is g*s*(1 + x*(1 - s)), evaluated as the
-    sum of the product-rule and sigmoid terms."""
-    x = a.value
-    s = _sigmoid(x)
-    return _make(x * s, "silu", (a,), lambda g: (g * s + g * x * s * (1.0 - s),))
+def _silu_grad(g: Array, a: Array, s: Array) -> Array:
+    """The VJP of SiLU ``a * s`` (``s = sigmoid(a)``) as the sum of the
+    product-rule and sigmoid terms, the order ``mul`` and ``sigmoid`` sum
+    them in."""
+    return g * s + g * a * s * (1.0 - s)
+
+
+def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The two-layer perceptron ``linear(silu(linear(x, w1, b1)), w2, b2)``
+    over the last axis of ``x`` (any leading shape), as one node: two GEMMs
+    on the flattened rows with SiLU ``a * sigmoid(a)`` between them. Its
+    VJP reduces each bias gradient over the leading shape of ``x``, axis by
+    axis, as ``linear`` does."""
+    xv, w1v, w2v = x.value, w1.value, w2.value  # shapes read from arrays: Tensor.shape is a Python call
+    if (w1v.ndim != 2 or w2v.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != w1v.shape[0]
+            or b1.value.shape != w1v.shape[1:] or w2v.shape[0] != w1v.shape[1] or b2.value.shape != w2v.shape[1:]):
+        raise ShapeError(f"mlp2: {x.shape} through {w1.shape} + {b1.shape}, {w2.shape} + {b2.shape} ({x.name}, {w1.name})")
+    lead = xv.shape[:-1]
+    x2 = xv.reshape(-1, w1v.shape[0])
+    a = x2 @ w1v
+    a += b1.value
+    s = _sigmoid(a)
+    h = a * s
+    out = h @ w2v
+    out += b2.value
+
+    def grads(g: Array) -> tuple[Array, ...]:
+        g2 = g.reshape(-1, g.shape[-1])
+        da = _silu_grad(g2 @ w2v.T, a, s)
+        return ((da @ w1v.T).reshape(xv.shape), x2.T @ da, _unbroadcast(da.reshape(*lead, -1), b1.shape),
+                h.T @ g2, _unbroadcast(g, b2.shape))
+
+    return _make(out.reshape(*lead, w2v.shape[1]), "mlp2", (x, w1, b1, w2, b2), grads)
+
+
+def mfl(e: Tensor, m: Tensor, w1: Tensor, b1: Tensor, w2s: Tensor, b2s: Tensor, w2h: Tensor, b2h: Tensor) -> Tensor:
+    """The motion fusion layer ``sigmoid(mlp_s(e)) * m + mlp_h(e)``, where
+    ``mlp_s`` and ``mlp_h`` are ``mlp2`` perceptrons over the last axis of
+    ``e``, as one node. ``m`` has the leading shape of ``e``.
+
+    ``w1`` (k, 2h) and ``b1`` (2h,) hold the first layers of the scale and
+    shift perceptrons side by side, so both run as one GEMM; the second
+    layers ``w2s``, ``b2s`` and ``w2h``, ``b2h`` read column views of the
+    shared hidden array. The gate's input is checked in both modes, as
+    ``sigmoid`` checks its input: the gate saturates an Inf to 0 or 1.
+    ``e`` is a parent twice, once per perceptron, so ``backward`` adds its
+    two gradients to the others it gets in the order it would add them
+    for the unfused layer.
+    """
+    ev, mv, w1v, w2sv, w2hv = e.value, m.value, w1.value, w2s.value, w2h.value
+    hid = w2sv.shape[0] if w2sv.ndim == 2 else -1
+    d = mv.shape[-1] if mv.ndim else -1
+    if (ev.ndim < 1 or mv.shape[:-1] != ev.shape[:-1] or w1v.shape != (ev.shape[-1], 2 * hid)
+            or b1.value.shape != (2 * hid,) or w2sv.shape != (hid, d) or w2hv.shape != (hid, d)
+            or b2s.value.shape != (d,) or b2h.value.shape != (d,)):
+        raise ShapeError(f"mfl: embedding {e.shape}, motion {m.shape} through {w1.shape}, {w2s.shape}, {w2h.shape} "
+                         f"({e.name}, {m.name})")
+    lead = ev.shape[:-1]
+    e2, m2 = ev.reshape(-1, w1v.shape[0]), mv.reshape(-1, d)
+    a = e2 @ w1v
+    a += b1.value
+    s = _sigmoid(a)
+    h = a * s
+    gate = h[:, :hid] @ w2sv
+    gate += b2s.value
+    if not np.isfinite(gate).all():
+        raise NonFiniteError("node 'mfl': non-finite gate input")
+    gate = _sigmoid(gate)
+    shift = h[:, hid:] @ w2hv
+    shift += b2h.value
+    out = gate * m2
+    out += shift
+
+    def grads(g: Array) -> tuple[Array, ...]:
+        g2 = g.reshape(-1, d)
+        d_gate = g2 * m2 * gate * (1.0 - gate)
+        da = _silu_grad(np.concatenate([d_gate @ w2sv.T, g2 @ w2hv.T], axis=1), a, s)
+        return ((da[:, :hid] @ w1v[:, :hid].T).reshape(ev.shape), (da[:, hid:] @ w1v[:, hid:].T).reshape(ev.shape),
+                (g2 * gate).reshape(mv.shape), e2.T @ da, _unbroadcast(da.reshape(*lead, -1), b1.shape),
+                h[:, :hid].T @ d_gate, _unbroadcast(d_gate.reshape(*lead, d), b2s.shape),
+                h[:, hid:].T @ g2, _unbroadcast(g, b2h.shape))
+
+    return _make(out.reshape(mv.shape), "mfl", (e, e, m, w1, b1, w2s, b2s, w2h, b2h), grads)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -295,8 +386,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         v = np.concatenate([t.value for t in tensors], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}") from e
-    bounds = np.cumsum([t.shape[axis] for t in tensors[:-1]])
-    return _make(v, "concat", tensors, lambda g: np.split(g, bounds, axis))
+    return _make(v, "concat", tensors, lambda g: np.split(g, np.cumsum([t.shape[axis] for t in tensors[:-1]]), axis))
 
 
 def slice_(a: Tensor, key) -> Tensor:
@@ -344,6 +434,14 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 LN_EPS = 1e-5
 
 
+def _mean_last(x: Array) -> Array:
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit (the same sum, then
+    one correctly rounded division), without ``mean``'s Python wrapper."""
+    out = np.add.reduce(x, axis=-1, keepdims=True)
+    out /= x.shape[-1]
+    return out
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``gain * (x - mean) / sqrt(var + LN_EPS) + bias`` over the last axis.
 
@@ -354,11 +452,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """
     x = a.value
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise ShapeError(f"layer_norm: {a.shape} with gain {gain.shape}, bias {bias.shape} ({a.name})")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite variance is refused below
-        xc = x - x.mean(axis=-1, keepdims=True)
-        var = (xc * xc).mean(axis=-1, keepdims=True)
+        xc = x - _mean_last(x)
+        var = _mean_last(xc * xc)
     if not np.isfinite(var).all():
         raise NonFiniteError("node 'layer_norm': non-finite variance")
     inv = 1.0 / np.sqrt(var + LN_EPS)
@@ -368,7 +466,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def grads(g: Array) -> tuple[Array, Array, Array]:
         gx = g * gain.value
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (gx - _mean_last(gx) - xhat * _mean_last(gx * xhat))
         return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
     return _make(out, "layer_norm", (a, gain, bias), grads)
@@ -390,35 +488,44 @@ def _over_keys(ufunc: np.ufunc, s: Array) -> Array:
     return out
 
 
-def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
-              wo: Tensor, bo: Tensor, heads: int) -> Tensor:
+def attention(xq: Tensor, xkv: Tensor, wqkv: Tensor, bq: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+              heads: int) -> Tensor:
     """Multi-head attention of the (B, Tq, d) queries ``xq`` over the
     (B, Tk, d) tokens ``xkv``, as one node.
 
-    Queries, keys and values are ``linear`` projections (keys take no bias:
-    softmax cancels a shift shared by a query's scores), each head takes
-    a softmax of its scores scaled by 1/sqrt(d/heads), and the merged heads
-    go through the output projection ``wo``, ``bo``. The scores are checked
-    in both modes, because softmax turns a -Inf score into a finite 0.
+    ``wqkv`` (d, 3d) holds the query, key and value projections side by
+    side (keys take no bias: softmax cancels a shift shared by a query's
+    scores). Self-attention (``xq is xkv``) projects all three with one
+    GEMM; otherwise the queries take one and the keys and values another.
+    Each head takes a softmax of its scores scaled by 1/sqrt(d/heads), and
+    the merged heads go through the output projection ``wo``, ``bo``. The
+    scores are checked in both modes, because softmax turns a -Inf score
+    into a finite 0.
     """
-    d = xq.shape[-1]
-    if (xq.value.ndim != 3 or xkv.value.ndim != 3 or xkv.shape[::2] != xq.shape[::2] or d % heads
-            or any(w.shape != (d, d) for w in (wq, wk, wv, wo)) or any(v.shape != (d,) for v in (bq, bv, bo))):
+    xqv, xkvv, wqkvv = xq.value, xkv.value, wqkv.value
+    d = xqv.shape[-1]
+    if (xqv.ndim != 3 or xkvv.ndim != 3 or xkvv.shape[::2] != xqv.shape[::2] or d % heads
+            or wqkvv.shape != (d, 3 * d) or wo.value.shape != (d, d) or any(v.value.shape != (d,) for v in (bq, bv, bo))):
         raise ShapeError(f"attention: queries {xq.shape}, tokens {xkv.shape}, {heads} heads ({xq.name}, {xkv.name})")
-    b, tq, tk = xq.shape[0], xq.shape[1], xkv.shape[1]
+    b, tq, tk = xqv.shape[0], xqv.shape[1], xkvv.shape[1]
     dh = d // heads
     k_scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
-    xq2, xkv2 = xq.value.reshape(-1, d), xkv.value.reshape(-1, d)
+    xq2, xkv2 = xqv.reshape(-1, d), xkvv.reshape(-1, d)
+    wq, wk, wv = wqkvv[:, :d], wqkvv[:, d : 2 * d], wqkvv[:, 2 * d :]
 
     def split(v2: Array, t: int) -> Array:  # (B*t, d) -> (B, heads, t, dh)
         return np.ascontiguousarray(v2.reshape(b, t, heads, dh).swapaxes(1, 2))
 
-    q2 = xq2 @ wq.value
+    if xq is xkv:
+        qkv = xkv2 @ wqkvv
+        q2, k2, v2 = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
+    else:
+        q2, kv = xq2 @ wq, xkv2 @ wqkvv[:, d:]
+        k2, v2 = kv[:, :d], kv[:, d:]
     q2 += bq.value
-    v2 = xkv2 @ wv.value
     v2 += bv.value
     q, v = split(q2, tq), split(v2, tk)
-    k_t = np.ascontiguousarray((xkv2 @ wk.value).reshape(b, tk, heads, dh).transpose(0, 2, 3, 1))
+    k_t = np.ascontiguousarray(k2.reshape(b, tk, heads, dh).transpose(0, 2, 3, 1))
     s = q @ k_t
     s *= k_scale
     if not np.isfinite(s).all():
@@ -440,12 +547,12 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: T
         dk2 = (np.swapaxes(d_scores, -1, -2) @ q).swapaxes(1, 2).reshape(-1, d)
         dv2 = (np.swapaxes(s, -1, -2) @ d_attn).swapaxes(1, 2).reshape(-1, d)
         return (
-            (dq2 @ wq.value.T).reshape(xq.shape), xq2.T @ dq2, dq2.sum(axis=0),
-            (dk2 @ wk.value.T + dv2 @ wv.value.T).reshape(xkv.shape), xkv2.T @ dk2, xkv2.T @ dv2, dv2.sum(axis=0),
+            (dq2 @ wq.T).reshape(xqv.shape), (dk2 @ wk.T + dv2 @ wv.T).reshape(xkvv.shape),
+            np.concatenate([xq2.T @ dq2, xkv2.T @ dk2, xkv2.T @ dv2], axis=1), dq2.sum(axis=0), dv2.sum(axis=0),
             merged.T @ g2, g2.sum(axis=0),
         )
 
-    return _make(out.reshape(b, tq, d), "attention", (xq, wq, bq, xkv, wk, wv, bv, wo, bo), grads)
+    return _make(out.reshape(b, tq, d), "attention", (xq, xkv, wqkv, bq, bv, wo, bo), grads)
 
 
 def smooth_l1(a: Tensor) -> Tensor:

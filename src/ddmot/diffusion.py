@@ -35,9 +35,17 @@ def _as_motion_array(m) -> np.ndarray:
     return arr
 
 
+def _within(t: np.ndarray, lo: float) -> bool:
+    """Whether every entry of ``t`` lies in [lo, 1] (NaN does not); a 0-d
+    ``t`` is compared as a Python float, without numpy's per-call cost."""
+    if t.ndim == 0:
+        return lo <= float(t) <= 1.0
+    return bool(((t >= lo) & (t <= 1.0)).all())
+
+
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)) or np.any(t < T_MIN) or np.any(t > 1.0):
+    if not _within(t, T_MIN):
         raise InvalidInputError(f"t must lie in [{T_MIN}, 1], got {t!r}")
     return t
 
@@ -58,9 +66,9 @@ class NoisyMotion:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
         t = np.asarray(self.t, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidInputError("NoisyMotion values must be finite")
-        if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > 1.0):
+        if not _within(t, 0.0):
             raise InvalidInputError(f"NoisyMotion time must lie in [0, 1], got {self.t!r}")
         object.__setattr__(self, "values", v)
 
@@ -129,7 +137,7 @@ def reverse_step(noisy: NoisyMotion, dt, c, z=None, noise=None) -> NoisyMotion:
     """
     t = np.asarray(noisy.t, dtype=np.float64)
     dt = np.asarray(dt, dtype=np.float64)
-    if np.any(dt <= 0) or np.any(dt > t):
+    if (dt <= 0).any() or (dt > t).any():
         raise InvalidInputError(f"need 0 < dt <= t, got dt={dt!r}, t={t!r}")
     c = np.asarray(c, dtype=np.float64)
     m = noisy.values
@@ -189,12 +197,10 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
         dt = 1.0 / k
         query_t = max(t, T_MIN)
         c_hat, z_hat = model.predict_values(m, query_t, emb)
-        state = NoisyMotion(m, np.full(b, t))
-        sigma2 = dt * (t - dt) / t
         noise = None
-        if not deterministic and sigma2 > 0.0:
+        if not deterministic and dt * (t - dt) / t > 0.0:
             noise = draw((b, 4))
-        m = reverse_step(state, dt, c_hat, z=z_hat, noise=noise).values
+        m = reverse_step(NoisyMotion(m, t), dt, c_hat, z=z_hat, noise=noise).values
     return m
 
 

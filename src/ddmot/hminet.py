@@ -19,11 +19,15 @@ float32 encoder is batch invariant (a window's embedding has the same bits
 in any batch of two or more windows; a one-row batch runs BLAS's
 matrix-vector path and may differ in the last bit). Both paths share one
 network definition.
-Each attention is one ``autodiff.attention`` op and each pre-norm one
-affine ``autodiff.layer_norm``. The no-grad ops skip the finite check, so
+Each layer is one autodiff node: every two-layer perceptron (time,
+motion, feed-forward, head) an ``autodiff.mlp2``, every motion fusion layer
+an ``autodiff.mfl``, each attention an ``autodiff.attention`` and each
+pre-norm an affine ``autodiff.layer_norm``. A desk-scale sampling step
+(fusion and head) runs 30 nodes. The no-grad ops skip the finite check, so
 ``embed_condition`` and ``predict_values`` check the values they return:
-with the checks inside ``sigmoid`` and ``attention``, sampling raises
-``NonFiniteError`` exactly when the recorded float32 forward would.
+with the checks inside ``mfl`` (the gate's input), ``attention`` and
+``layer_norm``, sampling raises ``NonFiniteError`` exactly when the
+recorded float32 forward would.
 
 The parameters are float64 master weights. The network computes at the
 autodiff compute precision: under the default float64 it reads the
@@ -32,7 +36,14 @@ inference, ``autodiff.precision`` for training) it reads float32 copies of
 them, made once per parameter array. In a float32 training step those
 copies are the gradient leaves. A copy is remade when a parameter's array
 is rebound (as Adam does); the array a copy was made from is set
-read-only, so an in-place edit cannot leave the copy stale.
+read-only, so an in-place edit cannot leave the copy stale. Each layer
+fetches its parameters as one group; the query, key and value weights of
+an attention, and the first layers of a fusion layer's two perceptrons,
+are joined side by side, so that one GEMM computes them. Inference keeps
+each layer's float32 group, joins included, until a parameter's array is
+rebound; a recorded graph joins with ``concat`` nodes, through which the
+gradients reach the separate parameters, so the model file and the
+optimizer see the same tensors as before.
 
 Only the class token of the last encoder block is ever read, so that block
 computes queries, attention output, residual, second norm and feed-forward
@@ -51,6 +62,8 @@ near-zero motion.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +73,13 @@ from .autodiff import Tensor
 from .core import InvalidInputError, check_field_types
 
 CONDITION_VARIANTS = ("B", "M", "I")
+# the parameter names of each layer kind, under the layer's prefix, in the
+# order its autodiff op takes them; a tuple of names is one joined tensor
+MLP = ("w1", "b1", "w2", "b2")
+LAYER_NORM = ("g", "b")
+ATTENTION = (("wq", "wk", "wv"), "bq", "bv", "wo", "bo")
+MFL = (("scale.w1", "shift.w1"), ("scale.b1", "shift.b1"), "scale.w2", "scale.b2", "shift.w2", "shift.b2")
+MAX_KEPT_STEP_TIMES = 4096  # time-MLP outputs an inference network keeps, one per sampling time
 NETWORK_VARIANTS = ("OB", "TB")
 # the largest value of each size, checked before any parameter is allocated
 MAX_MODEL_SIZES = {"token_dim": 512, "n_heads": 64, "n_condition_layers": 8, "n_fusion_blocks": 8, "history_length": 64}
@@ -113,12 +133,17 @@ def apply_condition_variant(windows: np.ndarray, variant: str) -> np.ndarray:
     return out
 
 
+@functools.cache  # half = token_dim // 2 <= 256, so few arrays are kept
+def _frequencies(half: int) -> np.ndarray:
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
+    freqs.flags.writeable = False
+    return freqs
+
+
 def sinusoidal_features(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of diffusion time t in [0, 1], shape (B, dim)."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64)) * 1000.0
-    half = dim // 2
-    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
-    ang = t[:, None] * freqs[None, :]
+    ang = t[:, None] * _frequencies(dim // 2)[None, :]
     emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
     if emb.shape[-1] < dim:
         emb = np.concatenate([emb, np.zeros((emb.shape[0], dim - emb.shape[-1]))], axis=-1)
@@ -206,6 +231,12 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
+def _keeps_values() -> bool:
+    """Whether the network may keep what it computes across calls: under
+    ``no_grad`` at float32, where nothing records a graph."""
+    return not ad.grad_enabled() and ad.compute_dtype() is np.float32
+
+
 class HMINet:
     """Bundles a config with its parameter tensors and the forward pass."""
 
@@ -214,6 +245,8 @@ class HMINet:
         self.config = config
         self.params = params
         self._float32: dict[str, tuple[np.ndarray, Tensor]] = {}
+        self._groups: dict[tuple, tuple] = {}
+        self._step_times: dict[tuple[float, int], tuple[tuple, Tensor]] = {}
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "HMINet":
@@ -235,34 +268,49 @@ class HMINet:
             self._float32[name] = source, copy
         return copy
 
+    def _group(self, prefix: str, names: tuple) -> tuple[Tensor, ...]:
+        """One layer's parameters: ``_p`` of ``{prefix}.{name}`` for each of
+        ``names``, where a tuple of names is one tensor that joins those
+        parameters along their last axis. A recorded graph joins them with
+        a ``concat`` node, through which each gets its gradient. Under
+        ``no_grad`` the float32 group, joins included, is kept and fetched
+        as one until a parameter's array is rebound."""
+        kept = _keeps_values()
+        if kept:
+            params, sources, group = self._groups.get((prefix, names), ((), (), ()))
+            if params and all(map(operator.is_, [p.value for p in params], sources)):
+                return group
+        full = [[f"{prefix}.{n}" for n in ((name,) if isinstance(name, str) else name)] for name in names]
+        group = []
+        for part in full:
+            copies = [self._p(n) for n in part]
+            if len(copies) == 1:
+                group.append(copies[0])
+            elif kept:
+                group.append(Tensor(np.concatenate([c.value for c in copies], axis=-1), name="+".join(part)))
+            else:
+                group.append(ad.concat(copies, axis=-1))
+        if kept:
+            params = tuple(self.params[n] for part in full for n in part)
+            self._groups[(prefix, names)] = params, tuple(p.value for p in params), tuple(group)
+        return tuple(group)
+
     def _mlp2(self, x: Tensor, prefix: str) -> Tensor:
-        h = ad.silu(ad.linear(x, self._p(f"{prefix}.w1"), self._p(f"{prefix}.b1")))
-        return ad.linear(h, self._p(f"{prefix}.w2"), self._p(f"{prefix}.b2"))
-
-    def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        return ad.layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
-
-    def _attention(self, x_q: Tensor, x_n: Tensor, prefix: str) -> Tensor:
-        """Multi-head attention of the query tokens ``x_q`` over every token
-        of the normalized sequence ``x_n``."""
-        wq, bq, wk, wv, bv, wo, bo = (self._p(f"{prefix}.attn.{n}") for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
-        return ad.attention(x_q, x_n, wq, bq, wk, wv, bv, wo, bo, self.config.n_heads)
+        return ad.mlp2(x, *self._group(prefix, MLP))
 
     def _block(self, x: Tensor, prefix: str, queries: slice = slice(None)) -> Tensor:
         """Pre-norm attention block; only the ``queries`` tokens are
         updated and returned, while keys and values come from every token."""
-        x_n = x_q = self._ln(x, f"{prefix}.ln1")
+        x_n = x_q = ad.layer_norm(x, *self._group(f"{prefix}.ln1", LAYER_NORM))
         if queries != slice(None):
             x, x_q = ad.slice_(x, (slice(None), queries)), ad.slice_(x_n, (slice(None), queries))
-        x = x + self._attention(x_q, x_n, prefix)
-        return x + self._mlp2(self._ln(x, f"{prefix}.ln2"), f"{prefix}.ffn")
+        x = x + ad.attention(x_q, x_n, *self._group(f"{prefix}.attn", ATTENTION), self.config.n_heads)
+        return x + self._mlp2(ad.layer_norm(x, *self._group(f"{prefix}.ln2", LAYER_NORM)), f"{prefix}.ffn")
 
     def _mfl(self, cond: Tensor, motion_feat: Tensor, prefix: str) -> Tensor:
         """The motion fusion layer: scale/shift gating of motion features by
         the condition embedding, Sigmoid(MLP(e)) * m + MLP(e)."""
-        gate = ad.sigmoid(self._mlp2(cond, f"{prefix}.scale"))
-        shift = self._mlp2(cond, f"{prefix}.shift")
-        return ad.mul(gate, motion_feat) + shift
+        return ad.mfl(cond, motion_feat, *self._group(prefix, MFL))
 
     # -- public forward ---------------------------------------------------
 
@@ -275,8 +323,9 @@ class HMINet:
             raise InvalidInputError(f"condition windows must have shape (B, {n}, 8), got {w.shape}")
         w = apply_condition_variant(w, self.config.condition_variant)
         b, d = w.shape[0], self.config.token_dim
-        x = ad.linear(Tensor(w), self._p("cond.embed.w"), self._p("cond.embed.b")) + self._p("cond.pos")
-        cls = ad.broadcast_to(ad.reshape(self._p("cond.cls"), (1, 1, d)), (b, 1, d))
+        embed_w, embed_b, pos, cls = self._group("cond", ("embed.w", "embed.b", "pos", "cls"))
+        x = ad.linear(Tensor(w), embed_w, embed_b) + pos
+        cls = ad.broadcast_to(ad.reshape(cls, (1, 1, d)), (b, 1, d))
         x = ad.concat([cls, x], axis=1)
         last = self.config.n_condition_layers - 1
         for i in range(last):
@@ -284,6 +333,25 @@ class HMINet:
         # only the class token is read from the last block: it alone is updated
         x = self._block(x, f"cond.l{last}", queries=slice(0, 1))
         return ad.check_finite(ad.reshape(x, (b, d)))
+
+    def _step_time(self, t: float, rows: int) -> Tensor:
+        """The time MLP's (1, d) output at a sampling step's time ``t``,
+        broadcast over the batch. It is computed in a batch of two equal
+        rows when the batch has two (``rows``), because a one-row GEMM takes
+        BLAS's matrix-vector path, whose last bits differ from a batch's.
+        Under ``no_grad`` it is kept per (t, rows) until the time MLP's
+        parameters change, so K-step sampling computes each step's once."""
+        group = self._group("time", MLP)
+        kept = _keeps_values()
+        if kept and (hit := self._step_times.get((t, rows))) is not None and hit[0] is group:
+            return hit[1]
+        features = Tensor(sinusoidal_features(np.full(rows, t), self.config.token_dim))
+        time = ad.slice_(ad.mlp2(features, *group), (slice(0, 1),))
+        if kept:
+            if len(self._step_times) >= MAX_KEPT_STEP_TIMES:
+                self._step_times.clear()
+            self._step_times[(t, rows)] = group, time
+        return time
 
     def _fusion_head(self, noisy_motion, t, e: Tensor) -> tuple[Tensor, Tensor | None]:
         """Fusion blocks and head on a precomputed (B, d) condition
@@ -300,27 +368,21 @@ class HMINet:
             raise InvalidInputError(f"noisy motion must have shape ({b}, 4), got {m.shape}")
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
-            # one row broadcast over the batch; it is computed in a batch of
-            # two when B allows, because a one-row GEMM takes BLAS's
-            # matrix-vector path, whose last bits differ from a batch's
-            time = self._mlp2(Tensor(sinusoidal_features(np.full(min(b, 2), t), d)), "time")
-            time = ad.slice_(time, (slice(0, 1),))
+            time = self._step_time(float(t), min(b, 2))
         else:
             time = self._mlp2(Tensor(sinusoidal_features(np.broadcast_to(t, (b,)), d)), "time")
 
         feat = self._mlp2(Tensor(m), "motion")
         feat = feat + time
-        fused = self._mfl(e, feat, "mfl0")
-
-        seq = ad.concat([ad.reshape(e, (b, 1, d)), ad.reshape(fused, (b, 1, d))], axis=1)
+        m_tok = self._mfl(e, feat, "mfl0")
+        e_tok = e
         for k in range(self.config.n_fusion_blocks):
+            seq = ad.concat([ad.reshape(e_tok, (b, 1, d)), ad.reshape(m_tok, (b, 1, d))], axis=1)
             seq = self._block(seq, f"fuse.l{k}")
             e_tok = ad.slice_(seq, (slice(None), 0))
-            m_tok = ad.slice_(seq, (slice(None), 1))
-            m_tok = self._mfl(e_tok, m_tok, f"fuse.l{k}.mfl")
-            seq = ad.concat([ad.reshape(e_tok, (b, 1, d)), ad.reshape(m_tok, (b, 1, d))], axis=1)
+            m_tok = self._mfl(e_tok, ad.slice_(seq, (slice(None), 1)), f"fuse.l{k}.mfl")
 
-        out = self._mlp2(ad.slice_(seq, (slice(None), 1)), "head")
+        out = self._mlp2(m_tok, "head")
         if self.config.variant == "TB":
             return ad.slice_(out, (slice(None), slice(0, 4))), ad.slice_(out, (slice(None), slice(4, 8)))
         return out, None

@@ -240,13 +240,20 @@ class MotionPredictor:
             raise NumericError("a predicted box is not finite")
         return pred
 
+    def _trajectory_boxes(self, boxes) -> np.ndarray:
+        """The checked (L, 4) boxes of a trajectory of at least one box."""
+        boxes = np.asarray(boxes, dtype=np.float64)
+        if boxes.ndim != 2 or not len(boxes):
+            raise InvalidInputError(f"a trajectory needs (L, 4) boxes with L >= 1, got shape {boxes.shape}")
+        return self._check_boxes(boxes, len(boxes))
+
     def diagnose_trajectory(self, boxes: np.ndarray, track_id: int = -1) -> np.ndarray:
         """(L - 1, 4) one-frame-ahead predictions for frames 2..L given the
         true prefix of the (L, 4) ``boxes``; used by the linearity
         diagnostic. The session must hold no tracks."""
         if self.ids.size:
             raise InvalidInputError(f"diagnose_trajectory needs an empty session, not one of {self.ids.size} tracks")
-        boxes = self._check_boxes(boxes, len(boxes))
+        boxes = self._trajectory_boxes(boxes)
         self.start([track_id], boxes[:1])
         preds = np.empty((len(boxes) - 1, 4))
         for i in range(1, len(boxes)):
@@ -402,7 +409,7 @@ class D2MPPredictor(_BoxHistoryPredictor):
         The first call for a track id seeds its stream from (seed, id); a
         later call for that id (the next run of a gapped trajectory)
         continues the stream instead of replaying its draws."""
-        windows = trajectory_windows(self._check_boxes(boxes, len(boxes)), self.model.history_length)
+        windows = trajectory_windows(self._trajectory_boxes(boxes), self.model.history_length)
         emb = encode_windows(build_condition_window(windows), self.model)
         if track_id not in self._diag_rngs:
             self._diag_rngs[track_id] = self._track_rng(track_id)

@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmot import autodiff as ad
 from ddmot.autodiff import Tensor
@@ -109,7 +111,7 @@ class TestOpGradients:
 
     @pytest.mark.parametrize(
         "name",
-        ["add", "mul", "matmul", "linear", "linear_no_bias", "sigmoid", "silu", "softmax", "concat", "scale",
+        ["add", "mul", "matmul", "linear", "linear_no_bias", "sigmoid", "mlp2", "softmax", "concat", "scale",
          "slice", "mean", "layer_norm", "reshape", "swapaxes", "broadcast", "smooth_l1"],
     )
     def test_gradient(self, name):
@@ -130,8 +132,8 @@ class TestOpGradients:
                 out = ad.matmul(ad.reshape(a, (3, 1, 4)), ad.swapaxes(b, 0, 1))
             elif name == "sigmoid":
                 out = ad.sigmoid(a)
-            elif name == "silu":
-                out = ad.silu(a)
+            elif name == "mlp2":
+                out = ad.mlp2(a, ad.swapaxes(b, 0, 1), ad.slice_(b, (slice(None), 0)), b, ad.slice_(b, 0))
             elif name == "softmax":
                 out = ad.mul(ad.softmax(a), b)
             elif name == "concat":
@@ -164,15 +166,14 @@ class TestOpGradients:
         rng = np.random.default_rng(13)
         d = 4
         params = {"xkv": ad.parameter(rng.normal(size=(2, 3, d)), "xkv")}
-        params |= {n: ad.parameter(rng.normal(size=(d, d)), n) for n in ("wq", "wk", "wv", "wo")}
+        params |= {"wqkv": ad.parameter(rng.normal(size=(d, 3 * d)), "wqkv"), "wo": ad.parameter(rng.normal(size=(d, d)), "wo")}
         params |= {n: ad.parameter(rng.normal(size=d), n) for n in ("bq", "bv", "bo")}
         if queries == "class_token":
             params["xq"] = ad.parameter(rng.normal(size=(2, 1, d)), "xq")
         p = params
 
         def f():
-            out = ad.attention(p.get("xq", p["xkv"]), p["xkv"], p["wq"], p["bq"], p["wk"], p["wv"], p["bv"],
-                               p["wo"], p["bo"], heads=2)
+            out = ad.attention(p.get("xq", p["xkv"]), p["xkv"], p["wqkv"], p["bq"], p["bv"], p["wo"], p["bo"], heads=2)
             return ad.mean(ad.mul(out, out))
 
         report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
@@ -204,6 +205,43 @@ class TestOpGradients:
         report = ad.finite_difference_check(f, {"x": x, "w": w, "bias": bias}, h=1e-5, tolerance=1e-4)
         assert report.ok, report.flagged[:3]
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_mlp2_gradient(self, lead):
+        rng = np.random.default_rng(16)
+        params = {"x": ad.parameter(rng.normal(size=(*lead, 4)), "x")}
+        params |= {n: ad.parameter(rng.normal(size=shape), n) for n, shape in _mlp_shapes(4, 5, 3).items()}
+
+        def f():
+            out = ad.mlp2(*params.values())
+            return ad.mean(ad.mul(out, out))
+
+        report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
+        assert report.ok, report.flagged[:3]
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_mfl_gradient(self, lead):
+        """Every parameter of the fusion layer, the embedding ``e`` (a
+        parent twice) and the motion features ``m``."""
+        rng = np.random.default_rng(17)
+        params = {"e": ad.parameter(rng.normal(size=(*lead, 4)), "e"), "m": ad.parameter(rng.normal(size=(*lead, 3)), "m")}
+        params |= {n: ad.parameter(rng.normal(size=shape), n) for n, shape in _mfl_shapes(4, 5, 3).items()}
+
+        def f():
+            out = ad.mfl(*params.values())
+            return ad.mean(ad.mul(out, out))
+
+        report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
+        assert report.ok, report.flagged[:3]
+
+
+def _mlp_shapes(k: int, h: int, d: int) -> dict[str, tuple[int, ...]]:
+    return {"w1": (k, h), "b1": (h,), "w2": (h, d), "b2": (d,)}
+
+
+def _mfl_shapes(k: int, h: int, d: int) -> dict[str, tuple[int, ...]]:
+    """``mfl``'s weights after ``e`` and ``m``, in its parameter order."""
+    return {"w1": (k, 2 * h), "b1": (2 * h,), "w2s": (h, d), "b2s": (d,), "w2h": (h, d), "b2h": (d,)}
+
 
 def _op_nodes(rng) -> dict:
     """One graph-mode node per op, on float32 parents that require a
@@ -212,14 +250,15 @@ def _op_nodes(rng) -> dict:
         return Tensor(rng.normal(size=shape), requires_grad=True)
 
     x, w, v = p(2, 3, 4), p(4, 4), p(4)
+    mlp, fusion = (p(*shape) for shape in _mlp_shapes(4, 5, 3).values()), (p(*shape) for shape in _mfl_shapes(4, 5, 4).values())
     return {
         "add": ad.add(p(3, 4), v), "mul": ad.mul(v, p(3, 4)), "scale": ad.scale(x, 0.5),
         "matmul": ad.matmul(p(2, 3, 4), p(4, 5)), "linear": ad.linear(x, w, v), "linear_no_bias": ad.matmul(x, w),
-        "sigmoid": ad.sigmoid(x), "silu": ad.silu(x), "softmax": ad.softmax(x),
+        "sigmoid": ad.sigmoid(x), "mlp2": ad.mlp2(x, *mlp), "mfl": ad.mfl(x, p(2, 3, 4), *fusion), "softmax": ad.softmax(x),
         "concat": ad.concat([x, p(2, 1, 4), p(2, 2, 4)], axis=1), "slice_": ad.slice_(x, (slice(None), 1)),
         "reshape": ad.reshape(x, (6, 4)), "swapaxes": ad.swapaxes(x, 0, 2), "broadcast_to": ad.broadcast_to(v, (3, 4)),
         "mean": ad.mean(x, axis=1), "layer_norm": ad.layer_norm(x, p(4), v), "smooth_l1": ad.smooth_l1(x),
-        "attention": ad.attention(p(2, 1, 4), x, w, v, p(4, 4), p(4, 4), p(4), p(4, 4), p(4), heads=2),
+        "attention": ad.attention(p(2, 1, 4), x, p(4, 12), v, p(4), w, p(4), heads=2),
     }
 
 
@@ -227,7 +266,7 @@ class TestVjpContract:
     """A node's one VJP returns a gradient per parent, in parent order,
     each of its parent's shape and, in a float32 graph, float32."""
 
-    CASES = ["add", "mul", "scale", "matmul", "linear", "linear_no_bias", "sigmoid", "silu", "softmax", "concat",
+    CASES = ["add", "mul", "scale", "matmul", "linear", "linear_no_bias", "sigmoid", "mlp2", "mfl", "softmax", "concat",
              "slice_", "reshape", "swapaxes", "broadcast_to", "mean", "layer_norm", "smooth_l1", "attention"]
 
     def test_every_op_is_covered(self):
@@ -251,6 +290,42 @@ class TestVjpContract:
     def test_leaf_has_no_parents_and_an_empty_vjp(self):
         leaf = ad.parameter(np.ones(3), "w")
         assert leaf._parents == () and tuple(leaf._vjp(np.ones(3))) == ()
+
+
+def _leaf(rng, *shape) -> Tensor:
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def _silu_mlp(x, w1, b1, w2, b2) -> Tensor:
+    a = ad.linear(x, w1, b1)
+    return ad.linear(ad.mul(a, ad.sigmoid(a)), w2, b2)
+
+
+def _fused_and_composed(rng, fused, composed, fused_leaves, composed_leaves) -> tuple[list, list]:
+    """The value and the leaves' gradients of ``fused`` and of ``composed``,
+    each backpropagated from the same random cotangent."""
+    cotangent = Tensor(rng.normal(size=fused.shape))
+    return [[out.value, *ad.backward(ad.mean(ad.mul(out, cotangent)), leaves)]
+            for out, leaves in [(fused, fused_leaves), (composed, composed_leaves)]]
+
+
+def _fusion_layer_pair(rng, lead, k: int, h: int, d: int) -> tuple[list, list]:
+    """``mfl`` and its composition on random float32 leaves: values, then
+    gradients in ``mfl``'s parameter order (the joined first layers' as
+    the two perceptrons' side by side)."""
+    e, m = _leaf(rng, *lead, k), _leaf(rng, *lead, d)
+    scale, shift = ([_leaf(rng, *shape) for shape in _mlp_shapes(k, h, d).values()] for _ in range(2))
+    joined = [Tensor(np.concatenate([a.value, b.value], axis=-1), requires_grad=True) for a, b in zip(scale[:2], shift[:2])]
+    composed = ad.add(ad.mul(ad.sigmoid(_silu_mlp(e, *scale)), m), _silu_mlp(e, *shift))
+    got, want = _fused_and_composed(rng, ad.mfl(e, m, *joined, *scale[2:], *shift[2:]), composed,
+                                    [e, m, *joined, *scale[2:], *shift[2:]], [e, m, *scale, *shift])
+    w1, b1, w2s, b2s = want[3:7]
+    return got, [*want[:3], np.concatenate([w1, want[7]], axis=-1), np.concatenate([b1, want[8]], axis=-1),
+                 w2s, b2s, *want[9:]]
+
+
+def _float32_close(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.allclose(a, b, rtol=1e-5, atol=1e-6 * np.abs(b).max())
 
 
 class TestFusedValues:
@@ -278,6 +353,7 @@ class TestFusedValues:
             xq = xkv if tq == tk else Tensor(rng.normal(size=(b, tq, d)))
             wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)) / 8) for _ in range(4))
             bq, bv, bo = (Tensor(rng.normal(size=d)) for _ in range(3))
+            wqkv = Tensor(np.concatenate([wq.value, wk.value, wv.value], axis=1))
 
             def split(x, w, bias):  # keys take no bias: a matmul on the flattened rows
                 h = ad.matmul(ad.reshape(x, (-1, d)), w) if bias is None else ad.linear(x, w, bias)
@@ -286,7 +362,7 @@ class TestFusedValues:
             scores = ad.scale(ad.matmul(split(xq, wq, bq), ad.swapaxes(split(xkv, wk, None), -1, -2)), 1.0 / np.sqrt(dh))
             heads_out = ad.matmul(ad.softmax(scores), split(xkv, wv, bv))
             want = ad.linear(ad.reshape(ad.swapaxes(heads_out, 1, 2), (b, tq, d)), wo, bo).value
-            got = ad.attention(xq, xkv, wq, bq, wk, wv, bv, wo, bo, heads).value
+            got = ad.attention(xq, xkv, wqkv, bq, bv, wo, bo, heads).value
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
 
@@ -301,21 +377,70 @@ class TestFusedValues:
 
     def test_attention_and_layer_norm_shape_errors_name_op(self):
         x, w, v = t(np.zeros((2, 3, 4))), t(np.zeros((4, 4))), t(np.zeros(4))
-        for args, heads in [((x, t(np.zeros((3, 3, 4)))), 2), ((x, x), 3), ((t(np.zeros((3, 4))),) * 2, 2)]:
+        for args, wqkv, heads in [((x, t(np.zeros((3, 3, 4)))), t(np.zeros((4, 12))), 2), ((x, x), t(np.zeros((4, 12))), 3),
+                                  ((t(np.zeros((3, 4))),) * 2, t(np.zeros((4, 12))), 2), ((x, x), w, 2)]:
             with pytest.raises(ad.ShapeError, match="attention"):
-                ad.attention(*args, w, v, w, w, v, w, v, heads=heads)
+                ad.attention(*args, wqkv, v, v, w, v, heads=heads)
         with pytest.raises(ad.ShapeError, match="layer_norm"):
             ad.layer_norm(x, v, t(np.zeros(3)))
 
-    def test_silu_equals_product_with_sigmoid(self):
-        x = t(np.linspace(-40.0, 40.0, 81))
-        assert np.array_equal(ad.silu(x).value, ad.mul(x, ad.sigmoid(x)).value)
+    def test_mlp2_hidden_activation_equals_product_with_sigmoid(self):
+        """With identity weights and zero biases ``mlp2`` returns its hidden
+        activation, SiLU ``x * sigmoid(x)``."""
+        x = t(np.linspace(-40.0, 40.0, 81)[:, None])
+        assert np.array_equal(_hidden_activation(x).value, ad.mul(x, ad.sigmoid(x)).value)
+
+    def test_fused_op_shape_errors_name_op(self):
+        x, w1, b1, w2, b2 = t(np.zeros((2, 4))), t(np.zeros((4, 6))), t(np.zeros(6)), t(np.zeros((6, 3))), t(np.zeros(3))
+        for args in [(x, w1, b1, t(np.zeros((5, 3))), b2), (x, w1, t(np.zeros(5)), w2, b2), (t(np.zeros((2, 5))), w1, b1, w2, b2)]:
+            with pytest.raises(ad.ShapeError, match="mlp2"):
+                ad.mlp2(*args)
+        m, w2s = t(np.zeros((2, 3))), t(np.zeros((3, 3)))
+        for e_, m_, w1_ in [(x, m, w2), (x, t(np.zeros((3, 3))), w1), (x, t(np.zeros((2, 4))), w1)]:
+            with pytest.raises(ad.ShapeError, match="mfl"):
+                ad.mfl(e_, m_, w1_, b1, w2s, b2, w2s, b2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.sampled_from([(1,), (2,), (7,), (3, 1), (2, 5)]),
+        dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+        mfl_width=st.sampled_from([16, 32, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_float32_fused_ops_equal_composition(self, lead, dims, mfl_width, seed):
+        """``mlp2`` and ``mfl`` give the values, and their VJPs every
+        gradient, of their composition from ``linear``, ``sigmoid``,
+        ``mul`` and ``add`` in a float32 graph.
+
+        ``mfl`` runs its two first layers as one GEMM, whose columns have
+        the bits of the two GEMMs it joins when each is a multiple of 16
+        columns wide (OpenBLAS's sgemm column block; the network's widths
+        are 64 at desk and 512 at full scale). At any width they agree to
+        float32 rounding."""
+        k, h, d = dims
+        rng = np.random.default_rng(seed)
+        with ad.precision(np.float32):
+            x, mlp = _leaf(rng, *lead, k), [_leaf(rng, *shape) for shape in _mlp_shapes(k, h, d).values()]
+            got, want = _fused_and_composed(rng, ad.mlp2(x, *mlp), _silu_mlp(x, *mlp), [x, *mlp], [x, *mlp])
+            assert got[0].dtype == np.float32
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            for width, same in [(mfl_width, np.array_equal), (h, _float32_close)]:
+                got, want = _fusion_layer_pair(rng, lead, k, width, d)
+                assert all(same(a, b) for a, b in zip(got, want)), width
 
     def test_sigmoid_within_three_ulp_of_two_branch_formula(self):
         x = np.random.default_rng(12).normal(size=10_000) * 8.0
         e = np.exp(-np.abs(x))
         ref = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         assert np.all(np.abs(ad.sigmoid(t(x)).value - ref) <= 3 * np.spacing(ref))
+
+
+def _hidden_activation(x: Tensor) -> Tensor:
+    """``mlp2`` of the (N, 1) ``x`` through unit weights and zero biases:
+    its hidden activation, exactly."""
+    with ad.precision(x.value.dtype):
+        one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+    return ad.mlp2(x, one, zero, one, zero)
 
 
 class TestKeySlabReductions:
@@ -340,7 +465,8 @@ class TestKeySlabReductions:
             xq, xkv = Tensor(rng.normal(size=(5, 3, d))), Tensor(rng.normal(size=(5, keys, d)))
             wq, wk = Tensor(rng.normal(size=(d, d)) * 3), Tensor(rng.normal(size=(d, d)))
             zero, one = Tensor(np.zeros(d)), Tensor(np.ones(d))
-            out = ad.attention(xq, xkv, wq, zero, wk, Tensor(np.zeros((d, d))), one, Tensor(np.eye(d)), zero, heads)
+            wqkv = Tensor(np.concatenate([wq.value, wk.value, np.zeros((d, d))], axis=1))
+            out = ad.attention(xq, xkv, wqkv, zero, one, Tensor(np.eye(d)), zero, heads)
         assert out.value.dtype == precision
         assert np.abs(out.value - 1.0).max() <= 1e-6
 
@@ -486,7 +612,8 @@ class TestNoGrad:
         xkv[0, 0] = 1.0
         eye, zero = np.eye(d), np.zeros(d)
         with ad.precision(np.float32):
-            args = [Tensor(v, requires_grad=grad) for v in (xkv, eye, zero, sign * 3e38 * eye, eye, zero, eye, zero)]
+            wqkv = np.concatenate([eye, sign * 3e38 * eye, eye], axis=1)
+            args = [Tensor(v, requires_grad=grad) for v in (xkv, wqkv, zero, zero, eye, zero)]
             x = args[0]
             with contextlib.nullcontext() if grad else ad.no_grad():
                 with pytest.raises(ad.NonFiniteError, match="node 'attention'"):
@@ -529,14 +656,15 @@ class TestFloat32Inference:
             h = ad.linear(x, w, b)
             outs = [
                 h, h + x, h * x, ad.scale(h, 0.5), ad.matmul(h, ad.swapaxes(x, -1, -2)),
-                ad.sigmoid(h), ad.silu(h), ad.softmax(h), ad.concat([h, x], axis=1),
+                ad.sigmoid(h), ad.mlp2(h, w, b, w, b), ad.mfl(h, x, ad.concat([w, w]), ad.concat([b, b]), w, b, w, b),
+                ad.softmax(h), ad.concat([h, x], axis=1),
                 ad.slice_(h, (slice(None), 0)), ad.reshape(h, (6, 4)), ad.broadcast_to(b, (3, 4)),
                 ad.mean(h, axis=1), ad.layer_norm(h, b, b), ad.smooth_l1(h),
-                ad.attention(h, x, w, b, w, w, b, w, b, heads=2),
+                ad.attention(h, x, ad.concat([w, w, w]), b, b, w, b, heads=2),
             ]
         assert all(o.value.dtype == np.float32 for o in outs), [o.name for o in outs if o.value.dtype != np.float32]
 
-    def test_float32_sigmoid_and_silu_close_to_expit(self):
+    def test_float32_sigmoid_and_mlp2_activation_close_to_expit(self):
         """The float32 form is within 6.5e-8 of float64 ``expit`` of the
         same input and stays finite without a warning on both tails."""
         from scipy.special import expit
@@ -544,7 +672,7 @@ class TestFloat32Inference:
         x = np.concatenate([np.linspace(-40.0, 40.0, 200001), [-3e38, -1e4, 1e4, 3e38]]).astype(np.float32)
         want = expit(x.astype(np.float64))
         with ad.no_grad():
-            s, silu = ad.sigmoid(Tensor(x)).value, ad.silu(Tensor(x)).value
+            s, silu = ad.sigmoid(Tensor(x)).value, _hidden_activation(Tensor(x[:, None])).value[:, 0]
         assert np.abs(s - want).max() <= 6.5e-8
         assert np.all(np.abs(silu - x * want) <= 6.5e-8 * np.abs(x) + 2**-24 * np.abs(x * want))
 
@@ -552,10 +680,10 @@ class TestFloat32Inference:
         from scipy.special import expit
 
         x = np.random.default_rng(5).normal(size=1000) * 10
-        xt = t(x)
+        xt, column = t(x), t(x[:, None])
         with ad.no_grad():
             assert np.array_equal(ad.sigmoid(xt).value, expit(x))
-            assert np.array_equal(ad.silu(xt).value, x * expit(x))
+            assert np.array_equal(_hidden_activation(column).value[:, 0], x * expit(x))
 
     def test_value_beyond_float32_range_is_non_finite(self):
         with ad.no_grad(), pytest.raises(ad.NonFiniteError, match="non-finite"):

@@ -339,6 +339,17 @@ class TestFloat32Inference:
         p.value = np.full_like(p.value, 0.25)
         assert np.array_equal(predictions(net), predictions(fresh_copy(net)))
 
+    def test_kept_step_time_follows_the_time_mlp(self):
+        """Inference keeps the time MLP's output per sampling time; a
+        rebound time parameter makes it anew."""
+        net = HMINet.init(SMALL, 6)
+        before = predictions(net)
+        assert np.array_equal(predictions(net), before)
+        p = net.params["time.b2"]
+        p.value = np.full_like(p.value, 0.5)
+        after = predictions(net)
+        assert np.array_equal(after, predictions(fresh_copy(net))) and not np.array_equal(after, before)
+
     def test_parameter_beyond_float32_range_raises(self):
         net = HMINet.init(SMALL, 5)
         net.params["time.w1"].value[0, 0] = 1e39  # finite in float64 only
@@ -364,6 +375,25 @@ class TestGradients:
             return training_loss(c_hat, attenuation_constant(m0))
 
         names = ["cond.pos", "cond.l0.attn.wv", "fuse.l0.mfl.scale.w1", "head.b2", "time.w2", "cond.l0.ln2.b"]
+        report = ad.finite_difference_check(f, {n: net.params[n] for n in names}, h=1e-5, tolerance=1e-4)
+        assert report.ok, report.flagged[:3]
+
+    def test_fused_layers_spot_check(self):
+        """FD audit of parameters that reach the loss through the fused
+        ops: both halves of an ``mfl``'s joined first layer and both of its
+        second layers, an ``mlp2``'s first layer, and the keys of a joined
+        attention projection."""
+        rng = np.random.default_rng(13)
+        net = HMINet.init(SMALL, 4)
+        w = window(rng, b=3)
+        m0 = rng.normal(size=(3, 4)) * 0.5
+        noisy, _ = forward_diffuse(m0, rng.uniform(0.2, 1.0, 3), rng.normal(size=(3, 4)))
+
+        def f():
+            c_hat, _ = net.predict_graph(noisy.values, noisy.t, w)
+            return training_loss(c_hat, attenuation_constant(m0))
+
+        names = ["mfl0.scale.b1", "mfl0.shift.b1", "mfl0.scale.b2", "fuse.l0.mfl.shift.w2", "motion.w1", "fuse.l0.attn.wk"]
         report = ad.finite_difference_check(f, {n: net.params[n] for n in names}, h=1e-5, tolerance=1e-4)
         assert report.ok, report.flagged[:3]
 

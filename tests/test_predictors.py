@@ -19,6 +19,7 @@ from ddmot.predictors import (
     KalmanPredictor,
     MIN_BOX_EXTENT,
     NOISE_BLOCK,
+    PREDICTOR_KINDS,
     PredictorConfig,
     build_condition_window,
     cv_predict,
@@ -594,6 +595,16 @@ class TestSessions:
         p.start([1], stack_boxes(boxes[:1]))
         with pytest.raises(InvalidInputError):
             p.diagnose_trajectory(stack_boxes(boxes))
+
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    def test_diagnose_refuses_an_empty_trajectory(self, kind):
+        """Every predictor refuses a (0, 4) trajectory with
+        InvalidInputError; d2mp's window builder would raise numpy's
+        ValueError."""
+        p = make_predictor(PredictorConfig(kind=kind), HMINet.init(ModelConfig(token_dim=16, n_heads=2), 0))
+        with pytest.raises(InvalidInputError, match="L >= 1"):
+            p.diagnose_trajectory(np.empty((0, 4)))
+        assert p.diagnose_trajectory(stack_boxes([nbox(0.4, 0.4)])).shape == (0, 4)
 
     def test_d2mp_clamps_floored_and_counted(self):
         shrink, keep = nbox(0.4, 0.4), nbox(0.7, 0.7)
