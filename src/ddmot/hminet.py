@@ -23,7 +23,8 @@ Each layer is one autodiff node: every two-layer perceptron (time,
 motion, feed-forward, head) an ``autodiff.mlp2``, every motion fusion layer
 an ``autodiff.mfl``, each attention an ``autodiff.attention`` and each
 pre-norm an affine ``autodiff.layer_norm``. A desk-scale sampling step
-(fusion and head) runs 30 nodes. The no-grad ops skip the finite check, so
+(fusion and head) runs 30 nodes, 28 once the time MLP's output for its
+sampling time is kept (``_step_time``). The no-grad ops skip the finite check, so
 ``embed_condition`` and ``predict_values`` check the values they return:
 with the checks inside ``mfl`` (the gate's input), ``attention`` and
 ``layer_norm``, sampling raises ``NonFiniteError`` exactly when the
@@ -277,8 +278,8 @@ class HMINet:
         as one until a parameter's array is rebound."""
         kept = _keeps_values()
         if kept:
-            params, sources, group = self._groups.get((prefix, names), ((), (), ()))
-            if params and all(map(operator.is_, [p.value for p in params], sources)):
+            flat, sources, group = self._groups.get((prefix, names), ((), (), ()))
+            if flat and all(map(operator.is_, [self.params[n].value for n in flat], sources)):
                 return group
         full = [[f"{prefix}.{n}" for n in ((name,) if isinstance(name, str) else name)] for name in names]
         group = []
@@ -291,8 +292,8 @@ class HMINet:
             else:
                 group.append(ad.concat(copies, axis=-1))
         if kept:
-            params = tuple(self.params[n] for part in full for n in part)
-            self._groups[(prefix, names)] = params, tuple(p.value for p in params), tuple(group)
+            flat = tuple(n for part in full for n in part)
+            self._groups[(prefix, names)] = flat, tuple(self.params[n].value for n in flat), tuple(group)
         return tuple(group)
 
     def _mlp2(self, x: Tensor, prefix: str) -> Tensor:

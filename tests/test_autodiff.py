@@ -400,6 +400,11 @@ class TestFusedValues:
             with pytest.raises(ad.ShapeError, match="mfl"):
                 ad.mfl(e_, m_, w1_, b1, w2s, b2, w2s, b2)
 
+    # OpenBLAS's small float32 GEMV can raise a spurious invalid flag on
+    # finite operands (seen once in a full run, for a (10, 5) @ (5, 1)
+    # product in mlp2's VJP, and not again in isolation); every value and
+    # gradient is compared bit for bit, so a real NaN still fails the test
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     @settings(max_examples=60, deadline=None)
     @given(
         lead=st.sampled_from([(1,), (2,), (7,), (3, 1), (2, 5)]),

@@ -350,6 +350,15 @@ class TestFloat32Inference:
         after = predictions(net)
         assert np.array_equal(after, predictions(fresh_copy(net))) and not np.array_equal(after, before)
 
+    def test_replaced_parameter_is_seen(self):
+        """A parameter tensor replaced in ``params`` after inference is read
+        by the next inference, though its layer's group was kept."""
+        net = HMINet.init(SMALL, 7)
+        before = predictions(net)
+        net.params["mfl0.shift.w1"] = ad.parameter(np.full((16, 16), 0.1), "mfl0.shift.w1")
+        after = predictions(net)
+        assert np.array_equal(after, predictions(fresh_copy(net))) and not np.array_equal(after, before)
+
     def test_parameter_beyond_float32_range_raises(self):
         net = HMINet.init(SMALL, 5)
         net.params["time.w1"].value[0, 0] = 1e39  # finite in float64 only
