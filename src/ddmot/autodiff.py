@@ -320,13 +320,29 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _make(out.reshape(*lead, w2v.shape[1]), "mlp2", (x, w1, b1, w2, b2), grads)
 
 
+# OpenBLAS's sgemm column block: a GEMM whose columns split into two parts
+# each a multiple of this wide gives each part the bits of its own GEMM
+_GEMM_COLUMN_BLOCK = 16
+
+
+def _column_halves(x: Array, hid: int, apart: bool) -> tuple[Array, Array]:
+    """The first ``hid`` columns of the 2D ``x`` and the rest: contiguous
+    copies when ``apart``, else views."""
+    if apart:
+        return np.ascontiguousarray(x[:, :hid]), np.ascontiguousarray(x[:, hid:])
+    return x[:, :hid], x[:, hid:]
+
+
 def mfl(e: Tensor, m: Tensor, w1: Tensor, b1: Tensor, w2s: Tensor, b2s: Tensor, w2h: Tensor, b2h: Tensor) -> Tensor:
     """The motion fusion layer ``sigmoid(mlp_s(e)) * m + mlp_h(e)``, where
     ``mlp_s`` and ``mlp_h`` are ``mlp2`` perceptrons over the last axis of
     ``e``, as one node. ``m`` has the leading shape of ``e``.
 
     ``w1`` (k, 2h) and ``b1`` (2h,) hold the first layers of the scale and
-    shift perceptrons side by side, so both run as one GEMM; the second
+    shift perceptrons side by side, so both run as one GEMM when ``h`` is a
+    multiple of ``_GEMM_COLUMN_BLOCK`` (the network's widths are); at other
+    widths each perceptron runs on contiguous copies of its own columns, so
+    the node has the bits of the unfused layer at any width. The second
     layers ``w2s``, ``b2s`` and ``w2h``, ``b2h`` read column views of the
     shared hidden array. The gate's input is checked in both modes, as
     ``sigmoid`` checks its input: the gate saturates an Inf to 0 or 1.
@@ -344,16 +360,19 @@ def mfl(e: Tensor, m: Tensor, w1: Tensor, b1: Tensor, w2s: Tensor, b2s: Tensor, 
                          f"({e.name}, {m.name})")
     lead = ev.shape[:-1]
     e2, m2 = ev.reshape(-1, w1v.shape[0]), mv.reshape(-1, d)
-    a = e2 @ w1v
+    apart = hid % _GEMM_COLUMN_BLOCK != 0
+    w1s, w1h = _column_halves(w1v, hid, apart)
+    a = np.concatenate([e2 @ w1s, e2 @ w1h], axis=1) if apart else e2 @ w1v
     a += b1.value
     s = _sigmoid(a)
     h = a * s
-    gate = h[:, :hid] @ w2sv
+    hs, hh = _column_halves(h, hid, apart)
+    gate = hs @ w2sv
     gate += b2s.value
     if not np.isfinite(gate).all():
         raise NonFiniteError("node 'mfl': non-finite gate input")
     gate = _sigmoid(gate)
-    shift = h[:, hid:] @ w2hv
+    shift = hh @ w2hv
     shift += b2h.value
     out = gate * m2
     out += shift
@@ -362,10 +381,12 @@ def mfl(e: Tensor, m: Tensor, w1: Tensor, b1: Tensor, w2s: Tensor, b2s: Tensor, 
         g2 = g.reshape(-1, d)
         d_gate = g2 * m2 * gate * (1.0 - gate)
         da = _silu_grad(np.concatenate([d_gate @ w2sv.T, g2 @ w2hv.T], axis=1), a, s)
-        return ((da[:, :hid] @ w1v[:, :hid].T).reshape(ev.shape), (da[:, hid:] @ w1v[:, hid:].T).reshape(ev.shape),
-                (g2 * gate).reshape(mv.shape), e2.T @ da, _unbroadcast(da.reshape(*lead, -1), b1.shape),
-                h[:, :hid].T @ d_gate, _unbroadcast(d_gate.reshape(*lead, d), b2s.shape),
-                h[:, hid:].T @ g2, _unbroadcast(g, b2h.shape))
+        das, dah = _column_halves(da, hid, apart)
+        dw1 = np.concatenate([e2.T @ das, e2.T @ dah], axis=1) if apart else e2.T @ da
+        return ((das @ w1s.T).reshape(ev.shape), (dah @ w1h.T).reshape(ev.shape),
+                (g2 * gate).reshape(mv.shape), dw1, _unbroadcast(da.reshape(*lead, -1), b1.shape),
+                hs.T @ d_gate, _unbroadcast(d_gate.reshape(*lead, d), b2s.shape),
+                hh.T @ g2, _unbroadcast(g, b2h.shape))
 
     return _make(out.reshape(mv.shape), "mfl", (e, e, m, w1, b1, w2s, b2s, w2h, b2h), grads)
 
