@@ -36,18 +36,14 @@ products: ``linear(x, w, b)`` is one GEMM over the flattened rows of ``x``
 plus an in-place bias add; ``mlp2(x, w1, b1, w2, b2)`` is a two-layer
 perceptron (linear, SiLU ``a * sigmoid(a)``, linear) as one node;
 ``mfl(e, m, ...)`` is a motion fusion layer ``sigmoid(mlp_s(e)) * m +
-mlp_h(e)`` whose two perceptrons share one first-layer GEMM;
-``layer_norm(x, gain, bias)`` is the affine layer norm; and
-``attention(...)`` is a whole multi-head attention (one GEMM for the
-query, key and value projections of self-attention, scaled softmax per
-head, output projection), whose VJP returns every parent gradient from one
-pass. Its softmax maximum and sum, and the VJP's sum, run over the few
-keys as one elementwise call per key slab, not as numpy last-axis
-reductions, whose per-row loop costs more than the arithmetic. Each fused
-op keeps the numpy ops and reduction order of the ops it replaces, so its
-values and gradients have their bits (``mfl`` and ``attention`` where
-every joined projection is a multiple of 16 columns wide: a GEMM's
-columns then have the bits of the narrower GEMMs it joins).
+mlp_h(e)`` as one node; ``layer_norm(x, gain, bias)`` is the affine layer
+norm; and ``attention(...)`` is a whole multi-head attention (projections,
+scaled softmax per head, output projection), whose VJP returns all nine
+parent gradients from one pass. Its softmax maximum and sum, and the VJP's
+sum, run over the few keys as one elementwise call per key slab, not as
+numpy last-axis reductions, whose per-row loop costs more than the
+arithmetic. Each fused op runs the numpy ops, GEMMs included, of the ops
+it replaces in their order, so its values and gradients have their bits.
 ``sigmoid`` and the SiLU of ``mlp2`` and ``mfl`` use
 ``scipy.special.expit`` on float64 input, which is stable on both tails;
 on float32 input they use ``0.5 * tanh(x / 2) + 0.5``, which is bounded,
@@ -285,110 +281,90 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def _silu_grad(g: Array, a: Array, s: Array) -> Array:
-    """The VJP of SiLU ``a * s`` (``s = sigmoid(a)``) as the sum of the
-    product-rule and sigmoid terms, the order ``mul`` and ``sigmoid`` sum
-    them in."""
-    return g * s + g * a * s * (1.0 - s)
+def _perceptron(x2: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, ...]:
+    """A two-layer perceptron on the 2D rows ``x2``: the hidden
+    pre-activation ``a``, its sigmoid ``s``, the hidden SiLU ``h = a * s``
+    and the output, two GEMMs with in-place bias adds."""
+    a = x2 @ w1
+    a += b1
+    s = _sigmoid(a)
+    h = a * s
+    out = h @ w2
+    out += b2
+    return a, s, h, out
+
+
+def _perceptron_grads(g: Array, x2: Array, w1: Array, w2: Array, a: Array, s: Array, h: Array) -> tuple[Array, ...]:
+    """The gradients of a ``_perceptron`` output gradient ``g`` (the rows'
+    leading shape kept) for ``x2`` (2D), ``w1``, ``b1``, ``w2`` and ``b2``.
+    The SiLU's gradient is the sum of the product-rule and sigmoid terms,
+    the order ``mul`` and ``sigmoid`` sum them in; each bias gradient is
+    reduced over the leading shape axis by axis, as ``linear`` reduces it."""
+    g2 = g.reshape(-1, g.shape[-1])
+    gh = g2 @ w2.T
+    da = gh * s + gh * a * s * (1.0 - s)
+    return (da @ w1.T, x2.T @ da, _unbroadcast(da.reshape(*g.shape[:-1], -1), w1.shape[1:]),
+            h.T @ g2, _unbroadcast(g, w2.shape[1:]))
+
+
+def _perceptron_shapes_ok(k: int, w1: Array, b1: Array, w2: Array, b2: Array) -> bool:
+    """Whether the weights make a two-layer perceptron over ``k`` inputs."""
+    return (w1.ndim == 2 and w2.ndim == 2 and w1.shape[0] == k and b1.shape == w1.shape[1:]
+            and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:])
 
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The two-layer perceptron ``linear(silu(linear(x, w1, b1)), w2, b2)``
     over the last axis of ``x`` (any leading shape), as one node: two GEMMs
-    on the flattened rows with SiLU ``a * sigmoid(a)`` between them. Its
-    VJP reduces each bias gradient over the leading shape of ``x``, axis by
-    axis, as ``linear`` does."""
+    on the flattened rows with SiLU ``a * sigmoid(a)`` between them."""
     xv, w1v, w2v = x.value, w1.value, w2.value  # shapes read from arrays: Tensor.shape is a Python call
-    if (w1v.ndim != 2 or w2v.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != w1v.shape[0]
-            or b1.value.shape != w1v.shape[1:] or w2v.shape[0] != w1v.shape[1] or b2.value.shape != w2v.shape[1:]):
+    if xv.ndim < 1 or not _perceptron_shapes_ok(xv.shape[-1], w1v, b1.value, w2v, b2.value):
         raise ShapeError(f"mlp2: {x.shape} through {w1.shape} + {b1.shape}, {w2.shape} + {b2.shape} ({x.name}, {w1.name})")
-    lead = xv.shape[:-1]
     x2 = xv.reshape(-1, w1v.shape[0])
-    a = x2 @ w1v
-    a += b1.value
-    s = _sigmoid(a)
-    h = a * s
-    out = h @ w2v
-    out += b2.value
+    a, s, h, out = _perceptron(x2, w1v, b1.value, w2v, b2.value)
 
     def grads(g: Array) -> tuple[Array, ...]:
-        g2 = g.reshape(-1, g.shape[-1])
-        da = _silu_grad(g2 @ w2v.T, a, s)
-        return ((da @ w1v.T).reshape(xv.shape), x2.T @ da, _unbroadcast(da.reshape(*lead, -1), b1.shape),
-                h.T @ g2, _unbroadcast(g, b2.shape))
+        dx, *dw = _perceptron_grads(g, x2, w1v, w2v, a, s, h)
+        return dx.reshape(xv.shape), *dw
 
-    return _make(out.reshape(*lead, w2v.shape[1]), "mlp2", (x, w1, b1, w2, b2), grads)
+    return _make(out.reshape(*xv.shape[:-1], w2v.shape[1]), "mlp2", (x, w1, b1, w2, b2), grads)
 
 
-# OpenBLAS's sgemm column block: a GEMM whose columns split into two parts
-# each a multiple of this wide gives each part the bits of its own GEMM
-_GEMM_COLUMN_BLOCK = 16
-
-
-def _column_halves(x: Array, hid: int, apart: bool) -> tuple[Array, Array]:
-    """The first ``hid`` columns of the 2D ``x`` and the rest: contiguous
-    copies when ``apart``, else views."""
-    if apart:
-        return np.ascontiguousarray(x[:, :hid]), np.ascontiguousarray(x[:, hid:])
-    return x[:, :hid], x[:, hid:]
-
-
-def mfl(e: Tensor, m: Tensor, w1: Tensor, b1: Tensor, w2s: Tensor, b2s: Tensor, w2h: Tensor, b2h: Tensor) -> Tensor:
+def mfl(e: Tensor, m: Tensor, w1s: Tensor, b1s: Tensor, w2s: Tensor, b2s: Tensor,
+        w1h: Tensor, b1h: Tensor, w2h: Tensor, b2h: Tensor) -> Tensor:
     """The motion fusion layer ``sigmoid(mlp_s(e)) * m + mlp_h(e)``, where
-    ``mlp_s`` and ``mlp_h`` are ``mlp2`` perceptrons over the last axis of
-    ``e``, as one node. ``m`` has the leading shape of ``e``.
-
-    ``w1`` (k, 2h) and ``b1`` (2h,) hold the first layers of the scale and
-    shift perceptrons side by side, so both run as one GEMM when ``h`` is a
-    multiple of ``_GEMM_COLUMN_BLOCK`` (the network's widths are); at other
-    widths each perceptron runs on contiguous copies of its own columns, so
-    the node has the bits of the unfused layer at any width. The second
-    layers ``w2s``, ``b2s`` and ``w2h``, ``b2h`` read column views of the
-    shared hidden array. The gate's input is checked in both modes, as
-    ``sigmoid`` checks its input: the gate saturates an Inf to 0 or 1.
-    ``e`` is a parent twice, once per perceptron, so ``backward`` adds its
-    two gradients to the others it gets in the order it would add them
-    for the unfused layer.
+    the scale perceptron ``mlp_s`` (``w1s`` .. ``b2s``) and the shift
+    perceptron ``mlp_h`` (``w1h`` .. ``b2h``) are ``mlp2`` perceptrons over
+    the last axis of ``e``, as one node. ``m`` has the leading shape of
+    ``e`` and the width of both perceptrons' outputs. The gate's input is
+    checked in both modes, as ``sigmoid`` checks its input: the gate
+    saturates an Inf to 0 or 1. ``e`` is a parent twice, once per
+    perceptron, so ``backward`` adds its two gradients to the others it
+    gets in the order it would add them for the unfused layer.
     """
-    ev, mv, w1v, w2sv, w2hv = e.value, m.value, w1.value, w2s.value, w2h.value
-    hid = w2sv.shape[0] if w2sv.ndim == 2 else -1
-    d = mv.shape[-1] if mv.ndim else -1
-    if (ev.ndim < 1 or mv.shape[:-1] != ev.shape[:-1] or w1v.shape != (ev.shape[-1], 2 * hid)
-            or b1.value.shape != (2 * hid,) or w2sv.shape != (hid, d) or w2hv.shape != (hid, d)
-            or b2s.value.shape != (d,) or b2h.value.shape != (d,)):
-        raise ShapeError(f"mfl: embedding {e.shape}, motion {m.shape} through {w1.shape}, {w2s.shape}, {w2h.shape} "
-                         f"({e.name}, {m.name})")
-    lead = ev.shape[:-1]
-    e2, m2 = ev.reshape(-1, w1v.shape[0]), mv.reshape(-1, d)
-    apart = hid % _GEMM_COLUMN_BLOCK != 0
-    w1s, w1h = _column_halves(w1v, hid, apart)
-    a = np.concatenate([e2 @ w1s, e2 @ w1h], axis=1) if apart else e2 @ w1v
-    a += b1.value
-    s = _sigmoid(a)
-    h = a * s
-    hs, hh = _column_halves(h, hid, apart)
-    gate = hs @ w2sv
-    gate += b2s.value
+    ev, mv = e.value, m.value
+    scale, shift = (w1s.value, b1s.value, w2s.value, b2s.value), (w1h.value, b1h.value, w2h.value, b2h.value)
+    if (ev.ndim < 1 or mv.shape[:-1] != ev.shape[:-1]
+            or not all(_perceptron_shapes_ok(ev.shape[-1], *p) and p[3].shape == mv.shape[-1:] for p in (scale, shift))):
+        raise ShapeError(f"mfl: embedding {e.shape}, motion {m.shape} through {w1s.shape}, {w2s.shape}, "
+                         f"{w1h.shape}, {w2h.shape} ({e.name}, {m.name})")
+    d = mv.shape[-1]
+    e2, m2 = ev.reshape(-1, ev.shape[-1]), mv.reshape(-1, d)
+    a_s, s_s, h_s, gate = _perceptron(e2, *scale)
     if not np.isfinite(gate).all():
         raise NonFiniteError("node 'mfl': non-finite gate input")
     gate = _sigmoid(gate)
-    shift = hh @ w2hv
-    shift += b2h.value
-    out = gate * m2
-    out += shift
+    a_h, s_h, h_h, out = _perceptron(e2, *shift)
+    out += gate * m2
 
     def grads(g: Array) -> tuple[Array, ...]:
         g2 = g.reshape(-1, d)
-        d_gate = g2 * m2 * gate * (1.0 - gate)
-        da = _silu_grad(np.concatenate([d_gate @ w2sv.T, g2 @ w2hv.T], axis=1), a, s)
-        das, dah = _column_halves(da, hid, apart)
-        dw1 = np.concatenate([e2.T @ das, e2.T @ dah], axis=1) if apart else e2.T @ da
-        return ((das @ w1s.T).reshape(ev.shape), (dah @ w1h.T).reshape(ev.shape),
-                (g2 * gate).reshape(mv.shape), dw1, _unbroadcast(da.reshape(*lead, -1), b1.shape),
-                hs.T @ d_gate, _unbroadcast(d_gate.reshape(*lead, d), b2s.shape),
-                hh.T @ g2, _unbroadcast(g, b2h.shape))
+        d_gate = (g2 * m2 * gate * (1.0 - gate)).reshape(mv.shape)
+        de_s, *dw_s = _perceptron_grads(d_gate, e2, scale[0], scale[2], a_s, s_s, h_s)
+        de_h, *dw_h = _perceptron_grads(g, e2, shift[0], shift[2], a_h, s_h, h_h)
+        return de_s.reshape(ev.shape), de_h.reshape(ev.shape), (g2 * gate).reshape(mv.shape), *dw_s, *dw_h
 
-    return _make(out.reshape(mv.shape), "mfl", (e, e, m, w1, b1, w2s, b2s, w2h, b2h), grads)
+    return _make(out.reshape(mv.shape), "mfl", (e, e, m, w1s, b1s, w2s, b2s, w1h, b1h, w2h, b2h), grads)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -509,44 +485,35 @@ def _over_keys(ufunc: np.ufunc, s: Array) -> Array:
     return out
 
 
-def attention(xq: Tensor, xkv: Tensor, wqkv: Tensor, bq: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-              heads: int) -> Tensor:
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+              wo: Tensor, bo: Tensor, heads: int) -> Tensor:
     """Multi-head attention of the (B, Tq, d) queries ``xq`` over the
     (B, Tk, d) tokens ``xkv``, as one node.
 
-    ``wqkv`` (d, 3d) holds the query, key and value projections side by
-    side (keys take no bias: softmax cancels a shift shared by a query's
-    scores). Self-attention (``xq is xkv``) projects all three with one
-    GEMM; otherwise the queries take one and the keys and values another.
-    Each head takes a softmax of its scores scaled by 1/sqrt(d/heads), and
-    the merged heads go through the output projection ``wo``, ``bo``. The
-    scores are checked in both modes, because softmax turns a -Inf score
-    into a finite 0.
+    Queries, keys and values are ``linear`` projections (keys take no bias:
+    softmax cancels a shift shared by a query's scores), each head takes
+    a softmax of its scores scaled by 1/sqrt(d/heads), and the merged heads
+    go through the output projection ``wo``, ``bo``. The scores are checked
+    in both modes, because softmax turns a -Inf score into a finite 0.
     """
-    xqv, xkvv, wqkvv = xq.value, xkv.value, wqkv.value
-    d = xqv.shape[-1]
-    if (xqv.ndim != 3 or xkvv.ndim != 3 or xkvv.shape[::2] != xqv.shape[::2] or d % heads
-            or wqkvv.shape != (d, 3 * d) or wo.value.shape != (d, d) or any(v.value.shape != (d,) for v in (bq, bv, bo))):
+    d = xq.shape[-1]
+    if (xq.value.ndim != 3 or xkv.value.ndim != 3 or xkv.shape[::2] != xq.shape[::2] or d % heads
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo)) or any(v.shape != (d,) for v in (bq, bv, bo))):
         raise ShapeError(f"attention: queries {xq.shape}, tokens {xkv.shape}, {heads} heads ({xq.name}, {xkv.name})")
-    b, tq, tk = xqv.shape[0], xqv.shape[1], xkvv.shape[1]
+    b, tq, tk = xq.shape[0], xq.shape[1], xkv.shape[1]
     dh = d // heads
     k_scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
-    xq2, xkv2 = xqv.reshape(-1, d), xkvv.reshape(-1, d)
-    wq, wk, wv = wqkvv[:, :d], wqkvv[:, d : 2 * d], wqkvv[:, 2 * d :]
+    xq2, xkv2 = xq.value.reshape(-1, d), xkv.value.reshape(-1, d)
 
     def split(v2: Array, t: int) -> Array:  # (B*t, d) -> (B, heads, t, dh)
         return np.ascontiguousarray(v2.reshape(b, t, heads, dh).swapaxes(1, 2))
 
-    if xq is xkv:
-        qkv = xkv2 @ wqkvv
-        q2, k2, v2 = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-    else:
-        q2, kv = xq2 @ wq, xkv2 @ wqkvv[:, d:]
-        k2, v2 = kv[:, :d], kv[:, d:]
+    q2 = xq2 @ wq.value
     q2 += bq.value
+    v2 = xkv2 @ wv.value
     v2 += bv.value
     q, v = split(q2, tq), split(v2, tk)
-    k_t = np.ascontiguousarray(k2.reshape(b, tk, heads, dh).transpose(0, 2, 3, 1))
+    k_t = np.ascontiguousarray((xkv2 @ wk.value).reshape(b, tk, heads, dh).transpose(0, 2, 3, 1))
     s = q @ k_t
     s *= k_scale
     if not np.isfinite(s).all():
@@ -568,12 +535,12 @@ def attention(xq: Tensor, xkv: Tensor, wqkv: Tensor, bq: Tensor, bv: Tensor, wo:
         dk2 = (np.swapaxes(d_scores, -1, -2) @ q).swapaxes(1, 2).reshape(-1, d)
         dv2 = (np.swapaxes(s, -1, -2) @ d_attn).swapaxes(1, 2).reshape(-1, d)
         return (
-            (dq2 @ wq.T).reshape(xqv.shape), (dk2 @ wk.T + dv2 @ wv.T).reshape(xkvv.shape),
-            np.concatenate([xq2.T @ dq2, xkv2.T @ dk2, xkv2.T @ dv2], axis=1), dq2.sum(axis=0), dv2.sum(axis=0),
+            (dq2 @ wq.value.T).reshape(xq.shape), xq2.T @ dq2, dq2.sum(axis=0),
+            (dk2 @ wk.value.T + dv2 @ wv.value.T).reshape(xkv.shape), xkv2.T @ dk2, xkv2.T @ dv2, dv2.sum(axis=0),
             merged.T @ g2, g2.sum(axis=0),
         )
 
-    return _make(out.reshape(b, tq, d), "attention", (xq, xkv, wqkv, bq, bv, wo, bo), grads)
+    return _make(out.reshape(b, tq, d), "attention", (xq, wq, bq, xkv, wk, wv, bv, wo, bo), grads)
 
 
 def smooth_l1(a: Tensor) -> Tensor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -191,14 +192,24 @@ class MotTable:
                    [r.conf for r in records], units.pop() if units else "px")
 
     @classmethod
-    def concat(cls, tables: list[MotTable]) -> MotTable:
+    def concat(cls, tables: Iterable[MotTable]) -> MotTable:
         """The rows of ``tables``, whose non-empty ones share one unit mode."""
-        tables = [t for t in tables if len(t)] or [cls([], [], [], [])]
-        units = {t.units for t in tables}
+        return cls.from_parts((t.frame, t.track_id, t.boxes, t.conf, t.units) for t in tables)
+
+    @classmethod
+    def from_parts(cls, parts: Iterable[tuple]) -> MotTable:
+        """One table of the rows of ``parts``, each a ``(frame, track_id,
+        boxes, conf, units)`` tuple of row columns and their unit mode: the
+        columns concatenated and validated once. Parts without rows add no
+        unit mode, the others must share one; with no rows at all the table
+        is an empty pixel table."""
+        parts = [p for p in parts if len(p[0])]
+        units = {p[4] for p in parts}
         if len(units) > 1:
-            raise UnitMismatchError(f"tables mix unit modes {sorted(units)}")
-        columns = (np.concatenate([getattr(t, c) for t in tables]) for c in ("frame", "track_id", "boxes", "conf"))
-        return cls(*columns, units.pop())
+            raise UnitMismatchError(f"rows mix unit modes {sorted(units)}")
+        if not parts:
+            return cls([], [], [], [])
+        return cls(*(np.concatenate([p[c] for p in parts]) for c in range(4)), units.pop())
 
     def __len__(self) -> int:
         return len(self.frame)

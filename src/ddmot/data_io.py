@@ -32,7 +32,6 @@ from .core import (
     MotRecord,
     MotTable,
     Trajectory,
-    UnitMismatchError,
     check_field_types,
     runs,
 )
@@ -206,17 +205,9 @@ def trajectories_from_records(records: MotTable | Sequence[MotRecord]) -> list[T
 
 
 def records_from_trajectories(trajectories: Sequence[Trajectory]) -> MotTable:
-    """Every trajectory's rows as one table, confidence 1: the trajectories'
-    columns concatenated and validated once. Empty trajectories add no rows
-    and no unit mode; with no rows the table is an empty pixel table."""
-    kept = [t for t in trajectories if len(t)]
-    units = {t.units for t in kept} or {"px"}
-    if len(units) > 1:
-        raise UnitMismatchError(f"trajectories mix unit modes {sorted(units)}")
-    ids = np.repeat(np.array([t.track_id for t in kept], dtype=np.int64), [len(t) for t in kept])
-    frames = np.concatenate([t.frames for t in kept] or [np.empty(0, dtype=np.int64)])
-    boxes = np.concatenate([t.boxes for t in kept] or [np.empty((0, 4))])
-    return MotTable(frames, ids, boxes, 1.0, units.pop())
+    """Every trajectory's rows as one table, confidence 1, validated once."""
+    return MotTable.from_parts((t.frames, np.full(len(t), t.track_id), t.boxes, np.ones(len(t)), t.units)
+                               for t in trajectories)
 
 
 # ---------------------------------------------------------------------------

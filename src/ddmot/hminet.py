@@ -38,13 +38,7 @@ them, made once per parameter array. In a float32 training step those
 copies are the gradient leaves. A copy is remade when a parameter's array
 is rebound (as Adam does); the array a copy was made from is set
 read-only, so an in-place edit cannot leave the copy stale. Each layer
-fetches its parameters as one group; the query, key and value weights of
-an attention, and the first layers of a fusion layer's two perceptrons,
-are joined side by side, so that one GEMM computes them. Inference keeps
-each layer's float32 group, joins included, until a parameter's array is
-rebound; a recorded graph joins with ``concat`` nodes, through which the
-gradients reach the separate parameters, so the model file and the
-optimizer see the same tensors as before.
+fetches its parameters, in the order its op takes them, as one group.
 
 Only the class token of the last encoder block is ever read, so that block
 computes queries, attention output, residual, second norm and feed-forward
@@ -64,7 +58,6 @@ near-zero motion.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +68,10 @@ from .core import InvalidInputError, check_field_types
 
 CONDITION_VARIANTS = ("B", "M", "I")
 # the parameter names of each layer kind, under the layer's prefix, in the
-# order its autodiff op takes them; a tuple of names is one joined tensor
+# order its autodiff op takes them
 MLP = ("w1", "b1", "w2", "b2")
 LAYER_NORM = ("g", "b")
-ATTENTION = (("wq", "wk", "wv"), "bq", "bv", "wo", "bo")
-MFL = (("scale.w1", "shift.w1"), ("scale.b1", "shift.b1"), "scale.w2", "scale.b2", "shift.w2", "shift.b2")
+ATTENTION = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
 MAX_KEPT_STEP_TIMES = 4096  # time-MLP outputs an inference network keeps, one per sampling time
 NETWORK_VARIANTS = ("OB", "TB")
 # the largest value of each size, checked before any parameter is allocated
@@ -232,12 +224,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def _keeps_values() -> bool:
-    """Whether the network may keep what it computes across calls: under
-    ``no_grad`` at float32, where nothing records a graph."""
-    return not ad.grad_enabled() and ad.compute_dtype() is np.float32
-
-
 class HMINet:
     """Bundles a config with its parameter tensors and the forward pass."""
 
@@ -246,7 +232,6 @@ class HMINet:
         self.config = config
         self.params = params
         self._float32: dict[str, tuple[np.ndarray, Tensor]] = {}
-        self._groups: dict[tuple, tuple] = {}
         self._step_times: dict[tuple[float, int], tuple[tuple, Tensor]] = {}
 
     @classmethod
@@ -269,32 +254,10 @@ class HMINet:
             self._float32[name] = source, copy
         return copy
 
-    def _group(self, prefix: str, names: tuple) -> tuple[Tensor, ...]:
+    def _group(self, prefix: str, names: tuple[str, ...]) -> tuple[Tensor, ...]:
         """One layer's parameters: ``_p`` of ``{prefix}.{name}`` for each of
-        ``names``, where a tuple of names is one tensor that joins those
-        parameters along their last axis. A recorded graph joins them with
-        a ``concat`` node, through which each gets its gradient. Under
-        ``no_grad`` the float32 group, joins included, is kept and fetched
-        as one until a parameter's array is rebound."""
-        kept = _keeps_values()
-        if kept:
-            flat, sources, group = self._groups.get((prefix, names), ((), (), ()))
-            if flat and all(map(operator.is_, [self.params[n].value for n in flat], sources)):
-                return group
-        full = [[f"{prefix}.{n}" for n in ((name,) if isinstance(name, str) else name)] for name in names]
-        group = []
-        for part in full:
-            copies = [self._p(n) for n in part]
-            if len(copies) == 1:
-                group.append(copies[0])
-            elif kept:
-                group.append(Tensor(np.concatenate([c.value for c in copies], axis=-1), name="+".join(part)))
-            else:
-                group.append(ad.concat(copies, axis=-1))
-        if kept:
-            flat = tuple(n for part in full for n in part)
-            self._groups[(prefix, names)] = flat, tuple(self.params[n].value for n in flat), tuple(group)
-        return tuple(group)
+        ``names``."""
+        return tuple(self._p(f"{prefix}.{n}") for n in names)
 
     def _mlp2(self, x: Tensor, prefix: str) -> Tensor:
         return ad.mlp2(x, *self._group(prefix, MLP))
@@ -311,7 +274,7 @@ class HMINet:
     def _mfl(self, cond: Tensor, motion_feat: Tensor, prefix: str) -> Tensor:
         """The motion fusion layer: scale/shift gating of motion features by
         the condition embedding, Sigmoid(MLP(e)) * m + MLP(e)."""
-        return ad.mfl(cond, motion_feat, *self._group(prefix, MFL))
+        return ad.mfl(cond, motion_feat, *self._group(f"{prefix}.scale", MLP), *self._group(f"{prefix}.shift", MLP))
 
     # -- public forward ---------------------------------------------------
 
@@ -340,11 +303,12 @@ class HMINet:
         broadcast over the batch. It is computed in a batch of two equal
         rows when the batch has two (``rows``), because a one-row GEMM takes
         BLAS's matrix-vector path, whose last bits differ from a batch's.
-        Under ``no_grad`` it is kept per (t, rows) until the time MLP's
-        parameters change, so K-step sampling computes each step's once."""
+        Under ``no_grad`` at float32, where nothing records a graph, it is
+        kept per (t, rows) while the time MLP's float32 copies stay the same
+        tensors, so K-step sampling computes each step's once."""
         group = self._group("time", MLP)
-        kept = _keeps_values()
-        if kept and (hit := self._step_times.get((t, rows))) is not None and hit[0] is group:
+        kept = not ad.grad_enabled() and ad.compute_dtype() is np.float32
+        if kept and (hit := self._step_times.get((t, rows))) is not None and hit[0] == group:
             return hit[1]
         features = Tensor(sinusoidal_features(np.full(rows, t), self.config.token_dim))
         time = ad.slice_(ad.mlp2(features, *group), (slice(0, 1),))

@@ -166,14 +166,15 @@ class TestOpGradients:
         rng = np.random.default_rng(13)
         d = 4
         params = {"xkv": ad.parameter(rng.normal(size=(2, 3, d)), "xkv")}
-        params |= {"wqkv": ad.parameter(rng.normal(size=(d, 3 * d)), "wqkv"), "wo": ad.parameter(rng.normal(size=(d, d)), "wo")}
+        params |= {n: ad.parameter(rng.normal(size=(d, d)), n) for n in ("wq", "wk", "wv", "wo")}
         params |= {n: ad.parameter(rng.normal(size=d), n) for n in ("bq", "bv", "bo")}
         if queries == "class_token":
             params["xq"] = ad.parameter(rng.normal(size=(2, 1, d)), "xq")
         p = params
 
         def f():
-            out = ad.attention(p.get("xq", p["xkv"]), p["xkv"], p["wqkv"], p["bq"], p["bv"], p["wo"], p["bo"], heads=2)
+            out = ad.attention(p.get("xq", p["xkv"]), p["xkv"], p["wq"], p["bq"], p["wk"], p["wv"], p["bv"],
+                               p["wo"], p["bo"], heads=2)
             return ad.mean(ad.mul(out, out))
 
         report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
@@ -239,8 +240,9 @@ def _mlp_shapes(k: int, h: int, d: int) -> dict[str, tuple[int, ...]]:
 
 
 def _mfl_shapes(k: int, h: int, d: int) -> dict[str, tuple[int, ...]]:
-    """``mfl``'s weights after ``e`` and ``m``, in its parameter order."""
-    return {"w1": (k, 2 * h), "b1": (2 * h,), "w2s": (h, d), "b2s": (d,), "w2h": (h, d), "b2h": (d,)}
+    """``mfl``'s weights after ``e`` and ``m``, in its parameter order: the
+    scale perceptron's, then the shift perceptron's."""
+    return {f"{name}{part}": shape for part in "sh" for name, shape in _mlp_shapes(k, h, d).items()}
 
 
 def _op_nodes(rng) -> dict:
@@ -258,7 +260,7 @@ def _op_nodes(rng) -> dict:
         "concat": ad.concat([x, p(2, 1, 4), p(2, 2, 4)], axis=1), "slice_": ad.slice_(x, (slice(None), 1)),
         "reshape": ad.reshape(x, (6, 4)), "swapaxes": ad.swapaxes(x, 0, 2), "broadcast_to": ad.broadcast_to(v, (3, 4)),
         "mean": ad.mean(x, axis=1), "layer_norm": ad.layer_norm(x, p(4), v), "smooth_l1": ad.smooth_l1(x),
-        "attention": ad.attention(p(2, 1, 4), x, p(4, 12), v, p(4), w, p(4), heads=2),
+        "attention": ad.attention(p(2, 1, 4), x, w, v, p(4, 4), p(4, 4), p(4), p(4, 4), p(4), heads=2),
     }
 
 
@@ -311,17 +313,12 @@ def _fused_and_composed(rng, fused, composed, fused_leaves, composed_leaves) -> 
 
 def _fusion_layer_pair(rng, lead, k: int, h: int, d: int) -> tuple[list, list]:
     """``mfl`` and its composition on random float32 leaves: values, then
-    gradients in ``mfl``'s parameter order (the joined first layers' as
-    the two perceptrons' side by side)."""
+    gradients in ``mfl``'s parameter order."""
     e, m = _leaf(rng, *lead, k), _leaf(rng, *lead, d)
     scale, shift = ([_leaf(rng, *shape) for shape in _mlp_shapes(k, h, d).values()] for _ in range(2))
-    joined = [Tensor(np.concatenate([a.value, b.value], axis=-1), requires_grad=True) for a, b in zip(scale[:2], shift[:2])]
     composed = ad.add(ad.mul(ad.sigmoid(_silu_mlp(e, *scale)), m), _silu_mlp(e, *shift))
-    got, want = _fused_and_composed(rng, ad.mfl(e, m, *joined, *scale[2:], *shift[2:]), composed,
-                                    [e, m, *joined, *scale[2:], *shift[2:]], [e, m, *scale, *shift])
-    w1, b1, w2s, b2s = want[3:7]
-    return got, [*want[:3], np.concatenate([w1, want[7]], axis=-1), np.concatenate([b1, want[8]], axis=-1),
-                 w2s, b2s, *want[9:]]
+    leaves = [e, m, *scale, *shift]
+    return _fused_and_composed(rng, ad.mfl(e, m, *scale, *shift), composed, leaves, leaves)
 
 
 class TestFusedValues:
@@ -340,27 +337,30 @@ class TestFusedValues:
 
     @pytest.mark.parametrize("tq", [6, 1])
     def test_float32_attention_equals_composition(self, tq):
-        """No-grad float32 ``attention`` gives the bits of the ops it fuses."""
+        """No-grad float32 ``attention`` gives the bits of the ops it fuses,
+        at width 64 and at 40, where one GEMM over the joined query, key and
+        value weights would not give the bits of three."""
         rng = np.random.default_rng(14)
-        b, tk, d, heads = 8, 6, 64, 8
-        dh = d // heads
-        with ad.no_grad():
-            xkv = Tensor(rng.normal(size=(b, tk, d)))
-            xq = xkv if tq == tk else Tensor(rng.normal(size=(b, tq, d)))
-            wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)) / 8) for _ in range(4))
-            bq, bv, bo = (Tensor(rng.normal(size=d)) for _ in range(3))
-            wqkv = Tensor(np.concatenate([wq.value, wk.value, wv.value], axis=1))
+        b, tk, heads = 8, 6, 8
+        for d in (64, 40):
+            dh = d // heads
+            with ad.no_grad():
+                xkv = Tensor(rng.normal(size=(b, tk, d)))
+                xq = xkv if tq == tk else Tensor(rng.normal(size=(b, tq, d)))
+                wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)) / 8) for _ in range(4))
+                bq, bv, bo = (Tensor(rng.normal(size=d)) for _ in range(3))
 
-            def split(x, w, bias):  # keys take no bias: a matmul on the flattened rows
-                h = ad.matmul(ad.reshape(x, (-1, d)), w) if bias is None else ad.linear(x, w, bias)
-                return ad.swapaxes(ad.reshape(h, (b, x.shape[1], heads, dh)), 1, 2)
+                def split(x, w, bias):  # keys take no bias: a matmul on the flattened rows
+                    h = ad.matmul(ad.reshape(x, (-1, d)), w) if bias is None else ad.linear(x, w, bias)
+                    return ad.swapaxes(ad.reshape(h, (b, x.shape[1], heads, dh)), 1, 2)
 
-            scores = ad.scale(ad.matmul(split(xq, wq, bq), ad.swapaxes(split(xkv, wk, None), -1, -2)), 1.0 / np.sqrt(dh))
-            heads_out = ad.matmul(ad.softmax(scores), split(xkv, wv, bv))
-            want = ad.linear(ad.reshape(ad.swapaxes(heads_out, 1, 2), (b, tq, d)), wo, bo).value
-            got = ad.attention(xq, xkv, wqkv, bq, bv, wo, bo, heads).value
-        assert got.dtype == want.dtype == np.float32
-        assert np.array_equal(got, want)
+                scores = ad.scale(ad.matmul(split(xq, wq, bq), ad.swapaxes(split(xkv, wk, None), -1, -2)),
+                                  1.0 / np.sqrt(dh))
+                heads_out = ad.matmul(ad.softmax(scores), split(xkv, wv, bv))
+                want = ad.linear(ad.reshape(ad.swapaxes(heads_out, 1, 2), (b, tq, d)), wo, bo).value
+                got = ad.attention(xq, xkv, wq, bq, wk, wv, bv, wo, bo, heads).value
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want), d
 
     def test_layer_norm_equals_unfused_form(self):
         x = np.random.default_rng(15).normal(size=(5, 3, 16)).astype(np.float32) * 3 + 1
@@ -373,10 +373,9 @@ class TestFusedValues:
 
     def test_attention_and_layer_norm_shape_errors_name_op(self):
         x, w, v = t(np.zeros((2, 3, 4))), t(np.zeros((4, 4))), t(np.zeros(4))
-        for args, wqkv, heads in [((x, t(np.zeros((3, 3, 4)))), t(np.zeros((4, 12))), 2), ((x, x), t(np.zeros((4, 12))), 3),
-                                  ((t(np.zeros((3, 4))),) * 2, t(np.zeros((4, 12))), 2), ((x, x), w, 2)]:
+        for args, heads in [((x, t(np.zeros((3, 3, 4)))), 2), ((x, x), 3), ((t(np.zeros((3, 4))),) * 2, 2)]:
             with pytest.raises(ad.ShapeError, match="attention"):
-                ad.attention(*args, wqkv, v, v, w, v, heads=heads)
+                ad.attention(*args, w, v, w, w, v, w, v, heads=heads)
         with pytest.raises(ad.ShapeError, match="layer_norm"):
             ad.layer_norm(x, v, t(np.zeros(3)))
 
@@ -391,10 +390,11 @@ class TestFusedValues:
         for args in [(x, w1, b1, t(np.zeros((5, 3))), b2), (x, w1, t(np.zeros(5)), w2, b2), (t(np.zeros((2, 5))), w1, b1, w2, b2)]:
             with pytest.raises(ad.ShapeError, match="mlp2"):
                 ad.mlp2(*args)
-        m, w2s = t(np.zeros((2, 3))), t(np.zeros((3, 3)))
-        for e_, m_, w1_ in [(x, m, w2), (x, t(np.zeros((3, 3))), w1), (x, t(np.zeros((2, 4))), w1)]:
+        m, scale = t(np.zeros((2, 3))), (w1, b1, w2, b2)
+        for m_, shift in [(m, (w2, b1, w2, b2)), (m, (w1, b1, t(np.zeros((6, 4))), t(np.zeros(4)))),
+                          (t(np.zeros((3, 3))), scale), (t(np.zeros((2, 4))), scale)]:
             with pytest.raises(ad.ShapeError, match="mfl"):
-                ad.mfl(e_, m_, w1_, b1, w2s, b2, w2s, b2)
+                ad.mfl(x, m_, *scale, *shift)
 
     # OpenBLAS's small float32 GEMV can raise a spurious invalid flag on
     # finite operands (seen once in a full run, for a (10, 5) @ (5, 1)
@@ -405,18 +405,12 @@ class TestFusedValues:
     @given(
         lead=st.sampled_from([(1,), (2,), (7,), (3, 1), (2, 5)]),
         dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
-        mfl_width=st.sampled_from([16, 32, 64]),
         seed=st.integers(0, 2**16),
     )
-    def test_float32_fused_ops_equal_composition(self, lead, dims, mfl_width, seed):
+    def test_float32_fused_ops_equal_composition(self, lead, dims, seed):
         """``mlp2`` and ``mfl`` give the values, and their VJPs every
         gradient, of their composition from ``linear``, ``sigmoid``,
-        ``mul`` and ``add`` in a float32 graph.
-
-        ``mfl`` runs its two first layers as one GEMM when each is a
-        multiple of 16 columns wide (OpenBLAS's sgemm column block; the
-        network's widths are 64 at desk and 512 at full scale) and apart at
-        other widths: either way its bits are those of the composition."""
+        ``mul`` and ``add`` in a float32 graph."""
         k, h, d = dims
         rng = np.random.default_rng(seed)
         with ad.precision(np.float32):
@@ -424,9 +418,8 @@ class TestFusedValues:
             got, want = _fused_and_composed(rng, ad.mlp2(x, *mlp), _silu_mlp(x, *mlp), [x, *mlp], [x, *mlp])
             assert got[0].dtype == np.float32
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            for width in [mfl_width, h]:
-                got, want = _fusion_layer_pair(rng, lead, k, width, d)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want)), width
+            got, want = _fusion_layer_pair(rng, lead, k, h, d)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_sigmoid_within_three_ulp_of_two_branch_formula(self):
         x = np.random.default_rng(12).normal(size=10_000) * 8.0
@@ -465,8 +458,7 @@ class TestKeySlabReductions:
             xq, xkv = Tensor(rng.normal(size=(5, 3, d))), Tensor(rng.normal(size=(5, keys, d)))
             wq, wk = Tensor(rng.normal(size=(d, d)) * 3), Tensor(rng.normal(size=(d, d)))
             zero, one = Tensor(np.zeros(d)), Tensor(np.ones(d))
-            wqkv = Tensor(np.concatenate([wq.value, wk.value, np.zeros((d, d))], axis=1))
-            out = ad.attention(xq, xkv, wqkv, zero, one, Tensor(np.eye(d)), zero, heads)
+            out = ad.attention(xq, xkv, wq, zero, wk, Tensor(np.zeros((d, d))), one, Tensor(np.eye(d)), zero, heads)
         assert out.value.dtype == precision
         assert np.abs(out.value - 1.0).max() <= 1e-6
 
@@ -612,8 +604,7 @@ class TestNoGrad:
         xkv[0, 0] = 1.0
         eye, zero = np.eye(d), np.zeros(d)
         with ad.precision(np.float32):
-            wqkv = np.concatenate([eye, sign * 3e38 * eye, eye], axis=1)
-            args = [Tensor(v, requires_grad=grad) for v in (xkv, wqkv, zero, zero, eye, zero)]
+            args = [Tensor(v, requires_grad=grad) for v in (xkv, eye, zero, sign * 3e38 * eye, eye, zero, eye, zero)]
             x = args[0]
             with contextlib.nullcontext() if grad else ad.no_grad():
                 with pytest.raises(ad.NonFiniteError, match="node 'attention'"):
@@ -656,11 +647,11 @@ class TestFloat32Inference:
             h = ad.linear(x, w, b)
             outs = [
                 h, h + x, h * x, ad.scale(h, 0.5), ad.matmul(h, ad.swapaxes(x, -1, -2)),
-                ad.sigmoid(h), ad.mlp2(h, w, b, w, b), ad.mfl(h, x, ad.concat([w, w]), ad.concat([b, b]), w, b, w, b),
+                ad.sigmoid(h), ad.mlp2(h, w, b, w, b), ad.mfl(h, x, w, b, w, b, w, b, w, b),
                 ad.softmax(h), ad.concat([h, x], axis=1),
                 ad.slice_(h, (slice(None), 0)), ad.reshape(h, (6, 4)), ad.broadcast_to(b, (3, 4)),
                 ad.mean(h, axis=1), ad.layer_norm(h, b, b), ad.smooth_l1(h),
-                ad.attention(h, x, ad.concat([w, w, w]), b, b, w, b, heads=2),
+                ad.attention(h, x, w, b, w, w, b, w, b, heads=2),
             ]
         assert all(o.value.dtype == np.float32 for o in outs), [o.name for o in outs if o.value.dtype != np.float32]
 

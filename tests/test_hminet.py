@@ -352,7 +352,8 @@ class TestFloat32Inference:
 
     def test_replaced_parameter_is_seen(self):
         """A parameter tensor replaced in ``params`` after inference is read
-        by the next inference, though its layer's group was kept."""
+        by the next inference, though inference had made a float32 copy of
+        the tensor it replaced."""
         net = HMINet.init(SMALL, 7)
         before = predictions(net)
         net.params["mfl0.shift.w1"] = ad.parameter(np.full((16, 16), 0.1), "mfl0.shift.w1")
@@ -389,9 +390,8 @@ class TestGradients:
 
     def test_fused_layers_spot_check(self):
         """FD audit of parameters that reach the loss through the fused
-        ops: both halves of an ``mfl``'s joined first layer and both of its
-        second layers, an ``mlp2``'s first layer, and the keys of a joined
-        attention projection."""
+        ops: both first and both second layers of an ``mfl``, an ``mlp2``'s
+        first layer, and an attention's key projection."""
         rng = np.random.default_rng(13)
         net = HMINet.init(SMALL, 4)
         w = window(rng, b=3)
