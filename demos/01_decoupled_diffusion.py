@@ -50,6 +50,9 @@ class PerfectNet:
     def embed_condition(self, windows):
         return windows
 
+    def bind_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         return np.broadcast_to(-m0, noisy.shape).copy(), None
 

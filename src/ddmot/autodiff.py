@@ -22,8 +22,8 @@ In the motion network a non-finite value reaches the output of the pass
 except where a sigmoid saturates it to a finite 0 or 1, softmax turns
 a -inf score into a finite 0 weight, or an infinite variance scales a
 row to 0, so those ops check in both modes: ``sigmoid`` its input,
-``mfl`` its gate's input, ``attention`` its scores and ``layer_norm`` its
-variance. Callers check
+``mfl`` and ``mfl_condition`` their gate's input, ``attention`` its scores
+and ``layer_norm`` its variance. Callers check
 the values leaving a no-grad pass with ``check_finite``; every error names
 the op that made the value. Inference uses this mode at the precision of
 the model file, so sampling runs the training network's ops without paying
@@ -36,7 +36,10 @@ products: ``linear(x, w, b)`` is one GEMM over the flattened rows of ``x``
 plus an in-place bias add; ``mlp2(x, w1, b1, w2, b2)`` is a two-layer
 perceptron (linear, SiLU ``a * sigmoid(a)``, linear) as one node;
 ``mfl(e, m, ...)`` is a motion fusion layer ``sigmoid(mlp_s(e)) * m +
-mlp_h(e)`` as one node; ``layer_norm(x, gain, bias)`` is the affine layer
+mlp_h(e)`` as one node, and ``mfl_condition`` and ``mfl_tokens`` split it
+where ``m`` enters: the first makes the gate and shift from ``e`` alone,
+so the network can make them once per window, and the second applies them
+to ``m``; ``layer_norm(x, gain, bias)`` is the affine layer
 norm; and ``attention(...)`` is a whole multi-head attention (projections,
 scaled softmax per head, output projection), whose VJP returns all nine
 parent gradients from one pass. Its softmax maximum and sum, and the VJP's
@@ -44,7 +47,7 @@ sum, run over the few keys as one elementwise call per key slab, not as
 numpy last-axis reductions, whose per-row loop costs more than the
 arithmetic. Each fused op runs the numpy ops, GEMMs included, of the ops
 it replaces in their order, so its values and gradients have their bits.
-``sigmoid`` and the SiLU of ``mlp2`` and ``mfl`` use
+``sigmoid`` and the SiLU of ``mlp2`` and the motion fusion ops use
 ``scipy.special.expit`` on float64 input, which is stable on both tails;
 on float32 input they use ``0.5 * tanh(x / 2) + 0.5``, which is bounded,
 cannot overflow, is within 6.5e-8 of ``expit`` and runs several times
@@ -330,6 +333,37 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _make(out.reshape(*xv.shape[:-1], w2v.shape[1]), "mlp2", (x, w1, b1, w2, b2), grads)
 
 
+def _gate_shift(op: str, e2: Array, scale: tuple[Array, ...], shift: tuple[Array, ...]) -> tuple:
+    """The embedding half of a motion fusion layer on the 2D rows ``e2``:
+    the gate ``sigmoid(mlp_s(e2))``, the shift ``mlp_h(e2)`` and the hidden
+    values of each perceptron, which its gradients need. The gate's input
+    is checked in both modes, as ``sigmoid`` checks its input: the gate
+    saturates an Inf to 0 or 1. The error names the ``op``."""
+    *hidden_s, gate = _perceptron(e2, *scale)
+    if not np.isfinite(gate).all():
+        raise NonFiniteError(f"node '{op}': non-finite gate input")
+    *hidden_h, shift_out = _perceptron(e2, *shift)
+    return _sigmoid(gate), shift_out, hidden_s, hidden_h
+
+
+def _gate_shift_grads(d_gate: Array, d_shift: Array, e2: Array, scale: tuple[Array, ...], shift: tuple[Array, ...],
+                      gate: Array, hidden_s: list, hidden_h: list) -> tuple[Array, ...]:
+    """The gradients of a ``_gate_shift`` for the embedding rows through
+    the scale and then the shift perceptron, and for each perceptron's
+    weights, given the gradients ``d_gate`` of the gate and ``d_shift`` of
+    the shift (each with the embedding's leading shape)."""
+    d_gate = (d_gate.reshape(gate.shape) * gate * (1.0 - gate)).reshape(d_gate.shape)
+    de_s, *dw_s = _perceptron_grads(d_gate, e2, scale[0], scale[2], *hidden_s)
+    de_h, *dw_h = _perceptron_grads(d_shift, e2, shift[0], shift[2], *hidden_h)
+    return de_s, de_h, *dw_s, *dw_h
+
+
+def _gate_shift_shapes_ok(ev: Array, d: int, scale: tuple[Array, ...], shift: tuple[Array, ...]) -> bool:
+    """Whether ``scale`` and ``shift`` make two perceptrons from the last
+    axis of the embedding ``ev`` to ``d`` outputs."""
+    return ev.ndim >= 1 and all(_perceptron_shapes_ok(ev.shape[-1], *p) and p[3].shape == (d,) for p in (scale, shift))
+
+
 def mfl(e: Tensor, m: Tensor, w1s: Tensor, b1s: Tensor, w2s: Tensor, b2s: Tensor,
         w1h: Tensor, b1h: Tensor, w2h: Tensor, b2h: Tensor) -> Tensor:
     """The motion fusion layer ``sigmoid(mlp_s(e)) * m + mlp_h(e)``, where
@@ -337,34 +371,76 @@ def mfl(e: Tensor, m: Tensor, w1s: Tensor, b1s: Tensor, w2s: Tensor, b2s: Tensor
     perceptron ``mlp_h`` (``w1h`` .. ``b2h``) are ``mlp2`` perceptrons over
     the last axis of ``e``, as one node. ``m`` has the leading shape of
     ``e`` and the width of both perceptrons' outputs. The gate's input is
-    checked in both modes, as ``sigmoid`` checks its input: the gate
-    saturates an Inf to 0 or 1. ``e`` is a parent twice, once per
-    perceptron, so ``backward`` adds its two gradients to the others it
-    gets in the order it would add them for the unfused layer.
+    checked in both modes. ``e`` is a parent twice, once per perceptron, so
+    ``backward`` adds its two gradients to the others it gets in the order
+    it would add them for the unfused layer.
     """
     ev, mv = e.value, m.value
     scale, shift = (w1s.value, b1s.value, w2s.value, b2s.value), (w1h.value, b1h.value, w2h.value, b2h.value)
-    if (ev.ndim < 1 or mv.shape[:-1] != ev.shape[:-1]
-            or not all(_perceptron_shapes_ok(ev.shape[-1], *p) and p[3].shape == mv.shape[-1:] for p in (scale, shift))):
+    if mv.shape[:-1] != ev.shape[:-1] or not _gate_shift_shapes_ok(ev, mv.shape[-1], scale, shift):
         raise ShapeError(f"mfl: embedding {e.shape}, motion {m.shape} through {w1s.shape}, {w2s.shape}, "
                          f"{w1h.shape}, {w2h.shape} ({e.name}, {m.name})")
     d = mv.shape[-1]
     e2, m2 = ev.reshape(-1, ev.shape[-1]), mv.reshape(-1, d)
-    a_s, s_s, h_s, gate = _perceptron(e2, *scale)
-    if not np.isfinite(gate).all():
-        raise NonFiniteError("node 'mfl': non-finite gate input")
-    gate = _sigmoid(gate)
-    a_h, s_h, h_h, out = _perceptron(e2, *shift)
+    gate, out, hidden_s, hidden_h = _gate_shift("mfl", e2, scale, shift)
     out += gate * m2
 
     def grads(g: Array) -> tuple[Array, ...]:
         g2 = g.reshape(-1, d)
-        d_gate = (g2 * m2 * gate * (1.0 - gate)).reshape(mv.shape)
-        de_s, *dw_s = _perceptron_grads(d_gate, e2, scale[0], scale[2], a_s, s_s, h_s)
-        de_h, *dw_h = _perceptron_grads(g, e2, shift[0], shift[2], a_h, s_h, h_h)
-        return de_s.reshape(ev.shape), de_h.reshape(ev.shape), (g2 * gate).reshape(mv.shape), *dw_s, *dw_h
+        de_s, de_h, *dw = _gate_shift_grads((g2 * m2).reshape(mv.shape), g, e2, scale, shift, gate, hidden_s, hidden_h)
+        return de_s.reshape(ev.shape), de_h.reshape(ev.shape), (g2 * gate).reshape(mv.shape), *dw
 
     return _make(out.reshape(mv.shape), "mfl", (e, e, m, w1s, b1s, w2s, b2s, w1h, b1h, w2h, b2h), grads)
+
+
+def mfl_condition(e: Tensor, w1s: Tensor, b1s: Tensor, w2s: Tensor, b2s: Tensor,
+                  w1h: Tensor, b1h: Tensor, w2h: Tensor, b2h: Tensor) -> Tensor:
+    """The half of a motion fusion layer that reads only its (B, d)
+    embedding ``e``, as one node: the (B, 3, d) stack of ``e``, the gate
+    ``sigmoid(mlp_s(e))`` and the shift ``mlp_h(e)``, with the perceptrons
+    and the gate check of ``mfl``. ``mfl_tokens`` applies the other half.
+    ``e`` is a parent three times, for its copy in the stack and then for
+    each perceptron, so ``backward`` adds its gradients in the order it adds
+    them for ``mfl`` beside a fusion block that reads ``e``.
+    """
+    ev = e.value
+    scale, shift = (w1s.value, b1s.value, w2s.value, b2s.value), (w1h.value, b1h.value, w2h.value, b2h.value)
+    if ev.ndim != 2 or not _gate_shift_shapes_ok(ev, ev.shape[1], scale, shift):
+        raise ShapeError(f"mfl_condition: embedding {e.shape} through {w1s.shape}, {w2s.shape}, "
+                         f"{w1h.shape}, {w2h.shape} ({e.name})")
+    gate, shift_out, hidden_s, hidden_h = _gate_shift("mfl_condition", ev, scale, shift)
+
+    def grads(g: Array) -> tuple[Array, ...]:
+        # the shift's gradient stays a strided view, as the concatenated
+        # pair's split hands it to mfl: a GEMV on a copy may round differently
+        de_s, de_h, *dw = _gate_shift_grads(g[:, 1], g[:, 2], ev, scale, shift, gate, hidden_s, hidden_h)
+        return g[:, 0], de_s, de_h, *dw
+
+    return _make(np.stack([ev, gate, shift_out], axis=1), "mfl_condition",
+                 (e, e, e, w1s, b1s, w2s, b2s, w1h, b1h, w2h, b2h), grads)
+
+
+def mfl_tokens(c: Tensor, m: Tensor) -> Tensor:
+    """The half of a motion fusion layer that reads the (B, d) motion
+    features ``m``, as one node: given the (B, 3, d) stack ``c`` of an
+    embedding, its gate and its shift (``mfl_condition``), the (B, 2, d)
+    token pair of the embedding and ``shift + gate * m``, which a fusion
+    block reads. Its values, and with ``mfl_condition`` its gradients,
+    have the bits of ``mfl`` and of the pair's concatenation."""
+    cv, mv = c.value, m.value
+    if cv.ndim != 3 or cv.shape[1] != 3 or mv.shape != cv.shape[::2]:
+        raise ShapeError(f"mfl_tokens: condition {c.shape}, motion {m.shape} ({c.name}, {m.name})")
+    gate = cv[:, 1]
+    out = np.empty((cv.shape[0], 2, cv.shape[2]), cv.dtype)
+    out[:, 0] = cv[:, 0]
+    np.multiply(gate, mv, out=out[:, 1])
+    out[:, 1] += cv[:, 2]
+
+    def grads(g: Array) -> tuple[Array, Array]:
+        g_m = g[:, 1]
+        return np.stack([g[:, 0], g_m * mv, g_m], axis=1), g_m * gate
+
+    return _make(out, "mfl_tokens", (c, m), grads)
 
 
 def softmax(a: Tensor) -> Tensor:

@@ -15,6 +15,7 @@ predicted by the network.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,17 +140,25 @@ def reverse_step(noisy: NoisyMotion, dt, c, z=None, noise=None) -> NoisyMotion:
     dt = np.asarray(dt, dtype=np.float64)
     if (dt <= 0).any() or (dt > t).any():
         raise InvalidInputError(f"need 0 < dt <= t, got dt={dt!r}, t={t!r}")
-    c = np.asarray(c, dtype=np.float64)
     m = noisy.values
-    tc, dtc = _col(t, m), _col(dt, m)
+    out = _reverse(m, _col(t, m), _col(dt, m), c, z, noise)
+    return NoisyMotion(out, t - dt)
+
+
+def _reverse(m: np.ndarray, t, dt, c, z, noise) -> np.ndarray:
+    """``reverse_step``'s arithmetic on values its caller has checked: the
+    (B, 4) motion ``m`` at time ``t`` (a float, or a column that broadcasts
+    with ``m``), one step of ``dt`` back. ``c``, ``z`` and ``noise`` are
+    cast to float64 first, so a float32 head output gives the same bits."""
+    c = np.asarray(c, dtype=np.float64)
     if z is None:
-        mu = ((tc - dtc) / tc) * m - (dtc / tc) * c
+        mu = ((t - dt) / t) * m - (dt / t) * c
     else:
         z = np.asarray(z, dtype=np.float64)
-        mu = m - dtc * c - (dtc / np.sqrt(tc)) * z
-    sigma2 = dtc * (tc - dtc) / tc
-    out = mu if noise is None else mu + np.sqrt(sigma2) * np.asarray(noise, dtype=np.float64)
-    return NoisyMotion(out, t - dt)
+        mu = m - dt * c - (dt / np.sqrt(t)) * z
+    if noise is None:
+        return mu
+    return mu + np.sqrt(dt * (t - dt) / t) * np.asarray(noise, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +166,11 @@ def reverse_step(noisy: NoisyMotion, dt, c, z=None, noise=None) -> NoisyMotion:
 
 
 def encode_windows(windows, model) -> np.ndarray:
-    """The model's condition embeddings of a (B, n, 8) batch of condition
-    windows, encoded once under ``autodiff.no_grad``, as an array whose
-    row i is window i's embedding. Sampling reads them at every step."""
+    """The model's conditions of a (B, n, 8) batch of condition windows,
+    encoded once under ``autodiff.no_grad``, as an array whose row i is
+    window i's condition (for ``HMINet``, a (3, d) stack of its embedding
+    and the first fusion layer's gate and shift). Sampling reads them at
+    every step."""
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3:
         raise InvalidInputError(f"condition windows must be a (B, n, 8) batch, got shape {w.shape}")
@@ -168,39 +179,60 @@ def encode_windows(windows, model) -> np.ndarray:
     return getattr(emb, "value", emb)
 
 
+def _checked_draws(draw, b: int):
+    """``draw`` with each result checked: a finite (b, 4) float64 array."""
+    def checked(size):
+        out = np.asarray(draw(size), dtype=np.float64)
+        if out.shape != (b, 4) or not np.isfinite(out).all():
+            raise InvalidInputError(f"a draw must be a finite ({b}, 4) array, got shape {out.shape}")
+        return out
+    return checked
+
+
 def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.ndarray:
     """Generate motion by iterating the reverse step K times from t = 1.
 
-    ``emb`` holds one condition embedding per batch row, as made by
+    ``emb`` is an array whose rows are the batch's conditions, as made by
     ``encode_windows``; a caller that keeps them (the diffusion predictor's
     session) encodes a window only when it changes. ``rng`` is a numpy
     Generator, or a function that returns a (B, 4) array of standard
     normals when called with the size (B, 4) (the diffusion predictor's
-    per-track streams). Returns a (B, 4) array.
-    ``deterministic`` suppresses the noise term at every step (the final
-    step is noise-free regardless).
+    per-track streams); each of its draws is checked. Returns a (B, 4)
+    array. ``deterministic`` suppresses the noise term at every step (the
+    final step is noise-free regardless).
 
-    The model protocol is ``embed_condition(windows) -> emb``, called by
-    ``encode_windows``; ``predict_values(noisy, t, emb) -> (c_hat,
-    z_hat)``, called once per step with the (B, 4) noisy motion and the
-    step's time as a scalar, returning (B, 4) arrays (z_hat is None for
-    one-branch models); and ``history_length``, read by callers that build
-    the windows.
+    The inputs are checked once per call, and the call runs under one
+    ``autodiff.no_grad``. The model protocol is ``embed_condition(windows)
+    -> emb``, called by ``encode_windows``; ``bind_condition(emb)``, called
+    once per call, whose result is handed to every step (a model with no
+    per-call work returns ``emb``); ``predict_values(noisy, t, bound) ->
+    (c_hat, z_hat)``, called once per step with the (B, 4) noisy motion
+    and the step's time as a scalar, returning (B, 4) arrays checked to be
+    finite (z_hat is None for one-branch models); and ``history_length``,
+    read by callers that build the windows. The steps apply
+    ``reverse_step``'s arithmetic to values already checked.
     """
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Integral):
+        raise InvalidInputError(f"sampling steps must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInputError(f"sampling steps must be >= 1, got {k}")
-    b = emb.shape[0]
-    draw = rng.standard_normal if isinstance(rng, np.random.Generator) else rng
-    m = draw((b, 4))
-    for i in range(k, 0, -1):
-        t = i / k
-        dt = 1.0 / k
-        query_t = max(t, T_MIN)
-        c_hat, z_hat = model.predict_values(m, query_t, emb)
-        noise = None
-        if not deterministic and dt * (t - dt) / t > 0.0:
-            noise = draw((b, 4))
-        m = reverse_step(NoisyMotion(m, t), dt, c_hat, z=z_hat, noise=noise).values
+    if not isinstance(emb, np.ndarray) or emb.ndim < 1:
+        raise InvalidInputError(f"emb must be an array with a leading batch axis, got {type(emb).__name__}")
+    b, dt = emb.shape[0], 1.0 / k
+    if isinstance(rng, np.random.Generator):
+        draw = rng.standard_normal
+    elif callable(rng):
+        draw = _checked_draws(rng, b)
+    else:
+        raise InvalidInputError(f"rng must be a numpy Generator or a draw function, got {type(rng).__name__}")
+    with ad.no_grad():
+        bound = model.bind_condition(emb)
+        m = draw((b, 4))
+        for i in range(k, 0, -1):
+            t = i / k
+            c_hat, z_hat = model.predict_values(m, max(t, T_MIN), bound)
+            noise = None if deterministic or dt * (t - dt) / t <= 0.0 else draw((b, 4))
+            m = _reverse(m, t, dt, c_hat, z_hat, noise)
     return m
 
 

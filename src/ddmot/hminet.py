@@ -8,25 +8,32 @@ time, and is gated by the condition embedding through motion fusion
 layers (scale/shift gating). A final MLP emits the attenuation prediction
 (one-branch) or attenuation plus noise predictions (two-branch).
 
-The forward pass splits at the condition embedding. ``embed_condition``
-is the encoder; ``_fusion_head`` is the time embedding, motion fusion and
-head, run on a precomputed embedding. Training calls ``predict_graph``
-(encoder then fusion+head, recording the graph). Sampling calls
-``predict_values`` (fusion+head with no graph) once per sampling step, on
-embeddings encoded beforehand: the d2mp session keeps one per track and
-encodes a track's window only when it changes, which is sound because the
-float32 encoder is batch invariant (a window's embedding has the same bits
-in any batch of two or more windows; a one-row batch runs BLAS's
+The forward pass splits where the noisy motion enters. ``embed_condition``
+is the encoder: it returns a (B, 3, d) condition per window, the
+embedding stacked with the gate and the shift that the first motion
+fusion layer ``mfl0`` makes from it (``autodiff.mfl_condition``), which
+read nothing else. ``_fusion_head`` is the time embedding, ``mfl0``'s
+gating of the motion features (``autodiff.mfl_tokens``), the fusion blocks
+and the head, run on precomputed conditions. Training calls
+``predict_graph`` (encoder then fusion+head, recording the graph).
+Sampling calls ``predict_values`` (fusion+head with no graph) once per
+sampling step, on conditions encoded beforehand and bound once per
+sampling call (``bind_condition``: wrapped once, each parameter group
+fetched at the first step). The d2mp session keeps one condition per track
+and encodes a track's window only when it changes, which is sound because
+the float32 encoder is batch invariant (a window's condition has the same
+bits in any batch of two or more windows; a one-row batch runs BLAS's
 matrix-vector path and may differ in the last bit). Both paths share one
 network definition.
 Each layer is one autodiff node: every two-layer perceptron (time,
-motion, feed-forward, head) an ``autodiff.mlp2``, every motion fusion layer
-an ``autodiff.mfl``, each attention an ``autodiff.attention`` and each
-pre-norm an affine ``autodiff.layer_norm``. A desk-scale sampling step
-(fusion and head) runs 30 nodes, 28 once the time MLP's output for its
-sampling time is kept (``_step_time``). The no-grad ops skip the finite check, so
-``embed_condition`` and ``predict_values`` check the values they return:
-with the checks inside ``mfl`` (the gate's input), ``attention`` and
+motion, feed-forward, head) an ``autodiff.mlp2``, every later motion
+fusion layer an ``autodiff.mfl``, each attention an ``autodiff.attention``
+and each pre-norm an affine ``autodiff.layer_norm``. At desk scale an
+encode runs 21 nodes, and a sampling step (fusion and head) 27, 25 once the
+time MLP's output for its sampling time is kept (``_step_time``). The
+no-grad ops skip the finite check, so ``embed_condition`` and
+``predict_values`` check the values they return: with the checks inside
+``mfl`` and ``mfl_condition`` (the gate's input), ``attention`` and
 ``layer_norm``, sampling raises ``NonFiniteError`` exactly when the
 recorded float32 forward would.
 
@@ -59,6 +66,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -224,6 +232,19 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
+Group = Callable[[str, tuple], tuple]  # (layer prefix, parameter names) -> that layer's parameters
+
+
+class BoundCondition(NamedTuple):
+    """(B, 3, d) conditions from ``embed_condition``, wrapped once for the
+    steps of one sampling call, and ``group``, which fetches each of the
+    fusion head's parameter groups at the first step and keeps it for the
+    others."""
+
+    cond: Tensor
+    group: Group
+
+
 class HMINet:
     """Bundles a config with its parameter tensors and the forward pass."""
 
@@ -259,28 +280,29 @@ class HMINet:
         ``names``."""
         return tuple(self._p(f"{prefix}.{n}") for n in names)
 
-    def _mlp2(self, x: Tensor, prefix: str) -> Tensor:
-        return ad.mlp2(x, *self._group(prefix, MLP))
-
-    def _block(self, x: Tensor, prefix: str, queries: slice = slice(None)) -> Tensor:
+    def _block(self, x: Tensor, prefix: str, group: Group, queries: slice = slice(None)) -> Tensor:
         """Pre-norm attention block; only the ``queries`` tokens are
-        updated and returned, while keys and values come from every token."""
-        x_n = x_q = ad.layer_norm(x, *self._group(f"{prefix}.ln1", LAYER_NORM))
+        updated and returned, while keys and values come from every token.
+        Its parameters come from ``group`` (``_group`` or a bound call's)."""
+        x_n = x_q = ad.layer_norm(x, *group(f"{prefix}.ln1", LAYER_NORM))
         if queries != slice(None):
             x, x_q = ad.slice_(x, (slice(None), queries)), ad.slice_(x_n, (slice(None), queries))
-        x = x + ad.attention(x_q, x_n, *self._group(f"{prefix}.attn", ATTENTION), self.config.n_heads)
-        return x + self._mlp2(ad.layer_norm(x, *self._group(f"{prefix}.ln2", LAYER_NORM)), f"{prefix}.ffn")
+        x = x + ad.attention(x_q, x_n, *group(f"{prefix}.attn", ATTENTION), self.config.n_heads)
+        return x + ad.mlp2(ad.layer_norm(x, *group(f"{prefix}.ln2", LAYER_NORM)), *group(f"{prefix}.ffn", MLP))
 
-    def _mfl(self, cond: Tensor, motion_feat: Tensor, prefix: str) -> Tensor:
-        """The motion fusion layer: scale/shift gating of motion features by
-        the condition embedding, Sigmoid(MLP(e)) * m + MLP(e)."""
-        return ad.mfl(cond, motion_feat, *self._group(f"{prefix}.scale", MLP), *self._group(f"{prefix}.shift", MLP))
+    @staticmethod
+    def _mfl_params(group: Group, prefix: str) -> tuple[Tensor, ...]:
+        """The scale and then the shift perceptron of motion fusion layer
+        ``prefix``, in the order ``mfl`` and ``mfl_condition`` take them."""
+        return *group(f"{prefix}.scale", MLP), *group(f"{prefix}.shift", MLP)
 
     # -- public forward ---------------------------------------------------
 
     def embed_condition(self, windows: np.ndarray) -> Tensor:
-        """Encode a (B, n, 8) batch of condition windows into (B, token_dim)
-        condition embeddings."""
+        """Encode a (B, n, 8) batch of condition windows into (B, 3,
+        token_dim) conditions: row i stacks window i's embedding with the
+        gate and the shift that the first motion fusion layer ``mfl0``
+        makes from it, which read nothing else."""
         w = np.asarray(windows, dtype=np.float64)
         n = self.config.history_length
         if w.ndim != 3 or w.shape[1:] != (n, 8):
@@ -293,12 +315,13 @@ class HMINet:
         x = ad.concat([cls, x], axis=1)
         last = self.config.n_condition_layers - 1
         for i in range(last):
-            x = self._block(x, f"cond.l{i}")
+            x = self._block(x, f"cond.l{i}", self._group)
         # only the class token is read from the last block: it alone is updated
-        x = self._block(x, f"cond.l{last}", queries=slice(0, 1))
-        return ad.check_finite(ad.reshape(x, (b, d)))
+        x = self._block(x, f"cond.l{last}", self._group, queries=slice(0, 1))
+        e = ad.reshape(x, (b, d))
+        return ad.check_finite(ad.mfl_condition(e, *self._mfl_params(self._group, "mfl0")))
 
-    def _step_time(self, t: float, rows: int) -> Tensor:
+    def _step_time(self, t: float, rows: int, group: Group) -> Tensor:
         """The time MLP's (1, d) output at a sampling step's time ``t``,
         broadcast over the batch. It is computed in a batch of two equal
         rows when the batch has two (``rows``), because a one-row GEMM takes
@@ -306,48 +329,49 @@ class HMINet:
         Under ``no_grad`` at float32, where nothing records a graph, it is
         kept per (t, rows) while the time MLP's float32 copies stay the same
         tensors, so K-step sampling computes each step's once."""
-        group = self._group("time", MLP)
+        time_group = group("time", MLP)
         kept = not ad.grad_enabled() and ad.compute_dtype() is np.float32
-        if kept and (hit := self._step_times.get((t, rows))) is not None and hit[0] == group:
+        if kept and (hit := self._step_times.get((t, rows))) is not None and hit[0] == time_group:
             return hit[1]
         features = Tensor(sinusoidal_features(np.full(rows, t), self.config.token_dim))
-        time = ad.slice_(ad.mlp2(features, *group), (slice(0, 1),))
+        time = ad.slice_(ad.mlp2(features, *time_group), (slice(0, 1),))
         if kept:
             if len(self._step_times) >= MAX_KEPT_STEP_TIMES:
                 self._step_times.clear()
-            self._step_times[(t, rows)] = group, time
+            self._step_times[(t, rows)] = time_group, time
         return time
 
-    def _fusion_head(self, noisy_motion, t, e: Tensor) -> tuple[Tensor, Tensor | None]:
-        """Fusion blocks and head on a precomputed (B, d) condition
-        embedding and a (B, 4) noisy motion; returns (c_hat, z_hat) of shape
-        (B, 4). A scalar ``t`` (a sampling step's) gets its time features
-        once and shares them across the rows; a (B,) ``t`` (training's)
-        gets them per row."""
+    def _fusion_head(self, noisy_motion, t, c: Tensor, group: Group) -> tuple[Tensor, Tensor | None]:
+        """Fusion blocks and head on precomputed (B, 3, d) conditions (from
+        ``embed_condition``) and a (B, 4) noisy motion, with parameters
+        from ``group``; returns (c_hat, z_hat) of shape (B, 4). A scalar
+        ``t`` (a sampling step's) gets its time features once and shares
+        them across the rows; a (B,) ``t`` (training's) gets them per row."""
         d = self.config.token_dim
-        if e.value.ndim != 2 or e.shape[1] != d:
-            raise InvalidInputError(f"condition embedding must have shape (B, {d}), got {e.shape}")
-        b = e.shape[0]
+        if c.value.ndim != 3 or c.shape[1:] != (3, d):
+            raise InvalidInputError(f"condition embedding must have shape (B, 3, {d}), got {c.shape}")
+        b = c.shape[0]
         m = np.asarray(noisy_motion)
         if m.shape != (b, 4):
             raise InvalidInputError(f"noisy motion must have shape ({b}, 4), got {m.shape}")
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
-            time = self._step_time(float(t), min(b, 2))
+            time = self._step_time(float(t), min(b, 2), group)
         else:
-            time = self._mlp2(Tensor(sinusoidal_features(np.broadcast_to(t, (b,)), d)), "time")
+            time = ad.mlp2(Tensor(sinusoidal_features(np.broadcast_to(t, (b,)), d)), *group("time", MLP))
 
-        feat = self._mlp2(Tensor(m), "motion")
+        feat = ad.mlp2(Tensor(m), *group("motion", MLP))
         feat = feat + time
-        m_tok = self._mfl(e, feat, "mfl0")
-        e_tok = e
+        # mfl0 on the condition's gate and shift, beside the embedding: the first block's tokens
+        seq = ad.mfl_tokens(c, feat)
         for k in range(self.config.n_fusion_blocks):
-            seq = ad.concat([ad.reshape(e_tok, (b, 1, d)), ad.reshape(m_tok, (b, 1, d))], axis=1)
-            seq = self._block(seq, f"fuse.l{k}")
+            if k:
+                seq = ad.concat([ad.reshape(e_tok, (b, 1, d)), ad.reshape(m_tok, (b, 1, d))], axis=1)
+            seq = self._block(seq, f"fuse.l{k}", group)
             e_tok = ad.slice_(seq, (slice(None), 0))
-            m_tok = self._mfl(e_tok, ad.slice_(seq, (slice(None), 1)), f"fuse.l{k}.mfl")
+            m_tok = ad.mfl(e_tok, ad.slice_(seq, (slice(None), 1)), *self._mfl_params(group, f"fuse.l{k}.mfl"))
 
-        out = self._mlp2(m_tok, "head")
+        out = ad.mlp2(m_tok, *group("head", MLP))
         if self.config.variant == "TB":
             return ad.slice_(out, (slice(None), slice(0, 4))), ad.slice_(out, (slice(None), slice(4, 8)))
         return out, None
@@ -356,14 +380,35 @@ class HMINet:
         """Differentiable forward pass (training): the encoder, then fusion
         and head on a (B, n, 8) window batch, at the autodiff compute
         precision; returns (c_hat, z_hat) tensors of shape (B, 4)."""
-        return self._fusion_head(noisy_motion, t, self.embed_condition(windows))
+        return self._fusion_head(noisy_motion, t, self.embed_condition(windows), self._group)
+
+    def bind_condition(self, emb) -> BoundCondition:
+        """The (B, 3, d) conditions ``emb`` from ``embed_condition``, checked
+        and wrapped once for every step of a sampling call, as
+        ``predict_values`` takes them. Called under ``autodiff.no_grad``,
+        whose float32 parameter copies the steps read."""
+        if ad.grad_enabled():
+            raise InvalidInputError("bind_condition needs autodiff.no_grad: sampling reads float32 copies")
+        kept: dict[str, tuple[Tensor, ...]] = {}
+
+        def group(prefix: str, names: tuple) -> tuple[Tensor, ...]:
+            if (hit := kept.get(prefix)) is None:
+                hit = kept[prefix] = self._group(prefix, names)
+            return hit
+
+        return BoundCondition(Tensor(getattr(emb, "value", emb)), group)
 
     def predict_values(self, noisy_motion, t, emb) -> tuple[np.ndarray, np.ndarray | None]:
-        """One sampling step: fusion and head on an embedding from
+        """One sampling step: fusion and head on conditions from
         ``embed_condition``, run without a graph in float32; returns plain
-        (B, 4) float32 arrays."""
-        with ad.no_grad():
-            c, z = self._fusion_head(noisy_motion, t, Tensor(getattr(emb, "value", emb)))
+        (B, 4) float32 arrays, checked to be finite. ``sample_k_steps``
+        calls it under ``autodiff.no_grad`` with ``bind_condition``'s
+        result; a call of its own enters that mode and binds ``emb``."""
+        if ad.grad_enabled():
+            with ad.no_grad():
+                return self.predict_values(noisy_motion, t, emb)
+        bound = emb if isinstance(emb, BoundCondition) else self.bind_condition(emb)
+        c, z = self._fusion_head(noisy_motion, t, *bound)
         return ad.check_finite(c).value, None if z is None else ad.check_finite(z).value
 
     @property

@@ -21,8 +21,8 @@ diffusion predictor's per-track rng streams, seeded from (master seed,
 track id), keep each track's draws independent of its batch; each track
 draws its normals in blocks of ``NOISE_BLOCK`` rows, which hold the values
 of that many one-row draws, so a sampling step gathers one row per track.
-Its per-track condition embeddings are encoded only when a track starts or is
-observed: a track that misses keeps its window, and so its embedding.
+Its per-track conditions are encoded only when a track starts or is
+observed: a track that misses keeps its window, and so its condition.
 """
 from __future__ import annotations
 
@@ -312,9 +312,10 @@ class D2MPPredictor(_BoxHistoryPredictor):
     """Diffusion-based predictor on normalized boxes; predictions for a
     frame run as one batch.
 
-    The session owns its condition embeddings: ``_emb`` holds one per track
-    and ``_pending`` marks the tracks whose window changed (started or
-    observed) since the last successful predict. A predict encodes only
+    The session owns its conditions (for ``HMINet``, each window's
+    embedding with the first fusion layer's gate and shift): ``_emb`` holds
+    one per track and ``_pending`` marks the tracks whose window changed
+    (started or observed) since the last successful predict. A predict encodes only
     those rows, in one batch, and clears their marks once the encode has
     succeeded, so a predict that raises leaves them pending. A track that
     misses keeps its window and so its embedding. The table takes its
@@ -393,7 +394,7 @@ class D2MPPredictor(_BoxHistoryPredictor):
 
     def _sample(self, last: np.ndarray, emb: np.ndarray, rng) -> np.ndarray:
         """Sampled next boxes after the (B, 4) ``last`` boxes, from their
-        windows' embeddings."""
+        windows' conditions."""
         cfg = self.config
         motions = sample_k_steps(cfg.sampling_steps, emb, self.model, rng, cfg.deterministic)
         pred, clamped = _apply_motion(last, motions)

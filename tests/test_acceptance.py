@@ -72,6 +72,9 @@ class OracleNet:
     def embed_condition(self, windows):
         return windows
 
+    def bind_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         return np.broadcast_to(-self.target, noisy.shape).copy(), None
 

@@ -278,6 +278,9 @@ class StillOracle:
     def embed_condition(self, windows):
         return windows
 
+    def bind_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         return np.zeros((len(windows), 4)), None
 

@@ -234,6 +234,22 @@ class TestOpGradients:
         report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
         assert report.ok, report.flagged[:3]
 
+    def test_split_mfl_gradient(self):
+        """``mfl_tokens`` of ``mfl_condition``: every parameter of the layer,
+        the embedding ``e`` (a parent of ``mfl_condition`` three times) and
+        the motion features ``m``."""
+        rng = np.random.default_rng(18)
+        params = {"e": ad.parameter(rng.normal(size=(3, 4)), "e"), "m": ad.parameter(rng.normal(size=(3, 4)), "m")}
+        params |= {n: ad.parameter(rng.normal(size=shape), n) for n, shape in _mfl_shapes(4, 5, 4).items()}
+        e, m, *weights = params.values()
+
+        def f():
+            out = ad.mfl_tokens(ad.mfl_condition(e, *weights), m)
+            return ad.mean(ad.mul(out, out))
+
+        report = ad.finite_difference_check(f, params, h=1e-5, tolerance=1e-4)
+        assert report.ok, report.flagged[:3]
+
 
 def _mlp_shapes(k: int, h: int, d: int) -> dict[str, tuple[int, ...]]:
     return {"w1": (k, h), "b1": (h,), "w2": (h, d), "b2": (d,)}
@@ -261,6 +277,8 @@ def _op_nodes(rng) -> dict:
         "reshape": ad.reshape(x, (6, 4)), "swapaxes": ad.swapaxes(x, 0, 2), "broadcast_to": ad.broadcast_to(v, (3, 4)),
         "mean": ad.mean(x, axis=1), "layer_norm": ad.layer_norm(x, p(4), v), "smooth_l1": ad.smooth_l1(x),
         "attention": ad.attention(p(2, 1, 4), x, w, v, p(4, 4), p(4, 4), p(4), p(4, 4), p(4), heads=2),
+        "mfl_condition": ad.mfl_condition(p(3, 4), *(p(*shape) for shape in _mfl_shapes(4, 5, 4).values())),
+        "mfl_tokens": ad.mfl_tokens(p(3, 3, 4), p(3, 4)),
     }
 
 
@@ -268,8 +286,9 @@ class TestVjpContract:
     """A node's one VJP returns a gradient per parent, in parent order,
     each of its parent's shape and, in a float32 graph, float32."""
 
-    CASES = ["add", "mul", "scale", "matmul", "linear", "linear_no_bias", "sigmoid", "mlp2", "mfl", "softmax", "concat",
-             "slice_", "reshape", "swapaxes", "broadcast_to", "mean", "layer_norm", "smooth_l1", "attention"]
+    CASES = ["add", "mul", "scale", "matmul", "linear", "linear_no_bias", "sigmoid", "mlp2", "mfl", "mfl_condition",
+             "mfl_tokens", "softmax", "concat", "slice_", "reshape", "swapaxes", "broadcast_to", "mean", "layer_norm",
+             "smooth_l1", "attention"]
 
     def test_every_op_is_covered(self):
         # every public function of the module that makes a node
@@ -319,6 +338,17 @@ def _fusion_layer_pair(rng, lead, k: int, h: int, d: int) -> tuple[list, list]:
     composed = ad.add(ad.mul(ad.sigmoid(_silu_mlp(e, *scale)), m), _silu_mlp(e, *shift))
     leaves = [e, m, *scale, *shift]
     return _fused_and_composed(rng, ad.mfl(e, m, *scale, *shift), composed, leaves, leaves)
+
+
+def _split_fusion_layer_pair(rng, b: int, h: int, d: int) -> tuple[list, list]:
+    """``mfl_tokens`` of ``mfl_condition`` and the pair it replaces, the
+    (b, 2, d) concatenation of the embedding and ``mfl``, on random float32
+    leaves: values, then gradients in ``mfl``'s parameter order."""
+    e, m = _leaf(rng, b, d), _leaf(rng, b, d)
+    weights = [_leaf(rng, *shape) for shape in _mfl_shapes(d, h, d).values()]
+    pair = ad.concat([ad.reshape(e, (b, 1, d)), ad.reshape(ad.mfl(e, m, *weights), (b, 1, d))], axis=1)
+    leaves = [e, m, *weights]
+    return _fused_and_composed(rng, ad.mfl_tokens(ad.mfl_condition(e, *weights), m), pair, leaves, leaves)
 
 
 class TestFusedValues:
@@ -395,6 +425,14 @@ class TestFusedValues:
                           (t(np.zeros((3, 3))), scale), (t(np.zeros((2, 4))), scale)]:
             with pytest.raises(ad.ShapeError, match="mfl"):
                 ad.mfl(x, m_, *scale, *shift)
+        e4, square = t(np.zeros((2, 4))), (t(np.zeros((4, 6))), b1, t(np.zeros((6, 4))), t(np.zeros(4)))
+        for e_, weights in [(t(np.zeros((2, 3, 4))), square * 2), (e4, scale * 2), (e4, square + scale)]:
+            with pytest.raises(ad.ShapeError, match="mfl_condition"):
+                ad.mfl_condition(e_, *weights)
+        for c, m_ in [(t(np.zeros((2, 2, 4))), e4), (t(np.zeros((2, 3, 4))), t(np.zeros((3, 4)))),
+                      (t(np.zeros((2, 3, 4))), t(np.zeros((2, 3))))]:
+            with pytest.raises(ad.ShapeError, match="mfl_tokens"):
+                ad.mfl_tokens(c, m_)
 
     # OpenBLAS's small float32 GEMV can raise a spurious invalid flag on
     # finite operands (seen once in a full run, for a (10, 5) @ (5, 1)
@@ -410,7 +448,9 @@ class TestFusedValues:
     def test_float32_fused_ops_equal_composition(self, lead, dims, seed):
         """``mlp2`` and ``mfl`` give the values, and their VJPs every
         gradient, of their composition from ``linear``, ``sigmoid``,
-        ``mul`` and ``add`` in a float32 graph."""
+        ``mul`` and ``add`` in a float32 graph; on (B, d) rows, so do
+        ``mfl_condition`` and ``mfl_tokens`` of the embedding beside its
+        ``mfl``, the embedding's three gradients summed in the same order."""
         k, h, d = dims
         rng = np.random.default_rng(seed)
         with ad.precision(np.float32):
@@ -420,6 +460,9 @@ class TestFusedValues:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             got, want = _fusion_layer_pair(rng, lead, k, h, d)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            if len(lead) == 1:
+                got, want = _split_fusion_layer_pair(rng, lead[0], h, d)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_sigmoid_within_three_ulp_of_two_branch_formula(self):
         x = np.random.default_rng(12).normal(size=10_000) * 8.0
@@ -652,6 +695,8 @@ class TestFloat32Inference:
                 ad.slice_(h, (slice(None), 0)), ad.reshape(h, (6, 4)), ad.broadcast_to(b, (3, 4)),
                 ad.mean(h, axis=1), ad.layer_norm(h, b, b), ad.smooth_l1(h),
                 ad.attention(h, x, w, b, w, w, b, w, b, heads=2),
+                ad.mfl_condition(ad.slice_(h, (slice(None), 0)), w, b, w, b, w, b, w, b),
+                ad.mfl_tokens(x, ad.slice_(h, (slice(None), 0))),
             ]
         assert all(o.value.dtype == np.float32 for o in outs), [o.name for o in outs if o.value.dtype != np.float32]
 

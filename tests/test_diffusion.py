@@ -42,6 +42,9 @@ class OracleModel:
     def embed_condition(self, windows):
         return windows
 
+    def bind_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         c = np.broadcast_to(-self.target, noisy.shape).copy()
         if not self.with_z:
@@ -239,6 +242,54 @@ class TestSampling:
     def test_invalid_k(self):
         with pytest.raises(InvalidInputError):
             sample_k_steps(0, np.zeros((1, 5, 8)), OracleModel(np.zeros(4)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [2.0, True, np.bool_(True), "2", None])
+    def test_k_must_be_an_integer(self, k):
+        """As ``check_field_types`` rules, a bool is not an integer: True
+        does not run as K = 1, and 2.0 is not K = 2."""
+        with pytest.raises(InvalidInputError, match="integer"):
+            sample_k_steps(k, np.zeros((1, 5, 8)), OracleModel(np.zeros(4)), np.random.default_rng(0))
+
+    def test_numpy_integer_k_runs(self):
+        emb = np.zeros((2, 5, 8))
+        a = sample_k_steps(np.int64(3), emb, OracleModel(np.ones(4)), np.random.default_rng(1))
+        b = sample_k_steps(3, emb, OracleModel(np.ones(4)), np.random.default_rng(1))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("emb", [[[0.0] * 8] * 5, np.float64(0.0), 0.0, None])
+    def test_emb_must_be_an_array_with_a_batch_axis(self, emb):
+        with pytest.raises(InvalidInputError, match="emb"):
+            sample_k_steps(1, emb, OracleModel(np.zeros(4)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("emb", [np.zeros(3), np.zeros((3, 5, 8)), np.zeros((3, 2, 4, 1))])
+    def test_any_array_with_a_batch_axis_is_an_emb(self, emb):
+        """An oracle's embedding is its window, or anything else: the
+        sampler reads only its leading (batch) axis."""
+        out = sample_k_steps(2, emb, OracleModel(np.ones(4)), np.random.default_rng(0))
+        assert out.shape == (3, 4)
+
+    @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(0)])
+    def test_rng_must_be_a_generator_or_a_draw_function(self, rng):
+        with pytest.raises(InvalidInputError, match="rng"):
+            sample_k_steps(1, np.zeros((1, 5, 8)), OracleModel(np.zeros(4)), rng)
+
+    @pytest.mark.parametrize("draws", [np.zeros((2, 4)), np.zeros(4), np.full((3, 4), np.nan), np.full((3, 4), np.inf)])
+    def test_draw_function_results_are_checked(self, draws):
+        """A draw function's values enter the sample unchecked by anything
+        else: each draw must be a finite (B, 4) array."""
+        with pytest.raises(InvalidInputError, match="draw"):
+            sample_k_steps(3, np.zeros((3, 5, 8)), OracleModel(np.ones(4)), lambda size: draws)
+
+    def test_bad_draw_after_the_first_step_is_refused(self):
+        calls = []
+
+        def draw(size):
+            calls.append(size)
+            return np.zeros(size) if len(calls) < 3 else np.full(size, np.nan)
+
+        with pytest.raises(InvalidInputError, match="draw"):
+            sample_k_steps(5, np.zeros((2, 5, 8)), OracleModel(np.ones(4)), draw)
+        assert len(calls) == 3
 
     def test_single_window_rejected(self):
         # a lone (n, 8) window is not a batch of one

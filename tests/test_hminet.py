@@ -10,6 +10,7 @@ from ddmot.autodiff import Tensor
 from ddmot.core import InvalidInputError
 from ddmot.diffusion import TrainConfig, TrainingSet, attenuation_constant, forward_diffuse, train, training_loss
 from ddmot.hminet import (
+    MLP,
     HMINet,
     ModelConfig,
     apply_condition_variant,
@@ -68,10 +69,18 @@ class TestInit:
 
 class TestEmbedCondition:
     def test_output_shape(self):
+        """A condition per window: its embedding, then mfl0's gate and shift."""
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(0)
-        assert net.embed_condition(window(rng)).shape == (1, 16)
-        assert net.embed_condition(window(rng, b=7)).shape == (7, 16)
+        assert net.embed_condition(window(rng)).shape == (1, 3, 16)
+        assert net.embed_condition(window(rng, b=7)).shape == (7, 3, 16)
+
+    def test_holds_mfl0_gate_and_shift_of_the_embedding(self):
+        net = HMINet.init(SMALL, 0)
+        c = net.embed_condition(window(np.random.default_rng(1), b=4)).value
+        e = Tensor(c[:, 0])
+        gate = ad.sigmoid(mlp(net, e, "mfl0.scale")).value
+        assert np.array_equal(c[:, 1], gate) and np.array_equal(c[:, 2], mlp(net, e, "mfl0.shift").value)
 
     def test_wrong_window_length(self):
         net = HMINet.init(SMALL, 0)
@@ -136,8 +145,19 @@ def all_token_embedding(net, windows):
     cls = ad.broadcast_to(ad.reshape(net.params["cond.cls"], (1, 1, d)), (b, 1, d))
     x = ad.concat([cls, x], axis=1)
     for i in range(net.config.n_condition_layers):
-        x = net._block(x, f"cond.l{i}")
+        x = net._block(x, f"cond.l{i}", net._group)
     return ad.slice_(x, (slice(None), 0))
+
+
+def mlp(net, x, prefix):
+    """The network's two-layer perceptron ``prefix`` on ``x``."""
+    return ad.mlp2(x, *net._group(prefix, MLP))
+
+
+def mfl0_condition(net, e):
+    """mfl0's condition half on the embedding ``e``, as ``embed_condition``
+    applies it."""
+    return ad.mfl_condition(e, *net._mfl_params(net._group, "mfl0"))
 
 
 class TestClassTokenLastBlock:
@@ -149,16 +169,16 @@ class TestClassTokenLastBlock:
         net = HMINet.init(ModelConfig(token_dim=32, n_heads=4, n_condition_layers=layers), layers)
         w = window(np.random.default_rng(layers), b=9)
         np.testing.assert_allclose(
-            net.embed_condition(w).value, all_token_embedding(net, w).value, rtol=1e-12, atol=1e-14
+            net.embed_condition(w).value[:, 0], all_token_embedding(net, w).value, rtol=1e-12, atol=1e-14
         )
 
     def test_gradients_equal_all_token_reference(self):
         net = HMINet.init(ModelConfig(token_dim=16, n_heads=2), 8)
         rng = np.random.default_rng(8)
-        w, probe = window(rng, b=4), Tensor(rng.normal(size=(4, 16)))
+        w, probe = window(rng, b=4), Tensor(rng.normal(size=(4, 3, 16)))
         params = list(net.params.values())
         got = ad.backward(ad.mean(ad.mul(net.embed_condition(w), probe)), params)
-        want = ad.backward(ad.mean(ad.mul(all_token_embedding(net, w), probe)), params)
+        want = ad.backward(ad.mean(ad.mul(mfl0_condition(net, all_token_embedding(net, w)), probe)), params)
         for name, g, r in zip(net.params, got, want):
             np.testing.assert_allclose(g, r, rtol=1e-10, atol=1e-15, err_msg=name)
 
@@ -185,14 +205,16 @@ class TestConditionVariants:
 
 
 class TestFuseMotion:
-    """The motion fusion layer ``_mfl`` that the forward pass runs."""
+    """The first motion fusion layer mfl0, as the forward pass runs it:
+    ``embed_condition`` stacks its gate and shift beside the embedding and
+    ``mfl_tokens`` applies them to the motion features."""
 
     def test_shape_and_finiteness(self):
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(4)
-        feat = net._mlp2(Tensor(rng.normal(size=(1, 4))), "motion")
-        out = net._mfl(net.embed_condition(window(rng, b=1)), feat, "mfl0")
-        assert out.shape == (1, 16) and np.all(np.isfinite(out.value))
+        feat = mlp(net, Tensor(rng.normal(size=(1, 4))), "motion")
+        out = ad.mfl_tokens(net.embed_condition(window(rng, b=1)), feat)
+        assert out.shape == (1, 2, 16) and np.all(np.isfinite(out.value))
 
     def test_saturated_gate_leaves_shift_branch(self):
         net = HMINet.init(SMALL, 0)
@@ -201,9 +223,9 @@ class TestFuseMotion:
         net.params["mfl0.scale.b2"].value[:] = -60.0
         rng = np.random.default_rng(5)
         e = Tensor(rng.normal(size=(1, 16)))
-        feat = net._mlp2(Tensor(rng.normal(size=(1, 4))), "motion")
-        fused = net._mfl(e, feat, "mfl0").value[0]
-        shift = net._mlp2(e, "mfl0.shift").value[0]
+        feat = mlp(net, Tensor(rng.normal(size=(1, 4))), "motion")
+        fused = ad.mfl_tokens(mfl0_condition(net, e), feat).value[0, 1]
+        shift = mlp(net, e, "mfl0.shift").value[0]
         assert np.abs(fused - shift).max() < 1e-12
 
     def test_zero_embedding_keeps_product_term_only(self):
@@ -211,8 +233,8 @@ class TestFuseMotion:
         # branch vanishes: output = sigmoid(0) * MLP(m) = 0.5 * MLP(m)
         net = HMINet.init(SMALL, 0)
         rng = np.random.default_rng(6)
-        feat = net._mlp2(Tensor(rng.normal(size=(1, 4))), "motion")
-        fused = net._mfl(Tensor(np.zeros((1, 16))), feat, "mfl0").value[0]
+        feat = mlp(net, Tensor(rng.normal(size=(1, 4))), "motion")
+        fused = ad.mfl_tokens(mfl0_condition(net, Tensor(np.zeros((1, 16)))), feat).value[0, 1]
         assert np.abs(fused - 0.5 * feat.value[0]).max() < 1e-12
 
 

@@ -130,9 +130,9 @@ class TestEncodeOnce:
         sampled = []
         fusion_head = net._fusion_head
 
-        def spy(noisy_motion, t, emb):
-            out = fusion_head(noisy_motion, t, emb)
-            sampled.append((emb, out[0]))
+        def spy(noisy_motion, t, cond, group):
+            out = fusion_head(noisy_motion, t, cond, group)
+            sampled.append((cond, out[0]))
             return out
 
         net._fusion_head = spy
@@ -190,18 +190,18 @@ class TestModeHygiene:
 class TestFiniteCheckKept:
     """No-grad ops skip the per-op finite check. The check stays where an
     inf can vanish: the input of a sigmoid (``sigmoid`` and the gate of
-    ``mfl``), the attention scores, and the values leaving
-    ``embed_condition`` and ``predict_values``."""
+    ``mfl`` and ``mfl_condition``), the attention scores, and the values
+    leaving ``embed_condition`` and ``predict_values``."""
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_gate_overflow_raises(self):
         """Scale one unit of the first gate's output layer so that its
         pre-activation overflows to +inf. The sigmoid turns that into a
         finite 1.0 and the sample would come out finite, so only the
-        gate's input check in ``mfl`` stops it."""
+        gate's input check in ``mfl_condition`` stops it."""
         net = HMINet.init(SMALL, 4)
         window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
-        e = net.embed_condition(window).value[0]
+        e = net.embed_condition(window).value[0, 0]
         h = e @ net.params["mfl0.scale.w1"].value + net.params["mfl0.scale.b1"].value
         h = h / (1.0 + np.exp(-h))  # SiLU
         w2 = net.params["mfl0.scale.w2"]
@@ -216,12 +216,12 @@ class TestFiniteCheckKept:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_float32_gate_overflow_raises(self):
         """The same overflow with weights that float32 holds: the gate's
-        pre-activation overflows float32 only inside the no-grad forward,
-        and the gate's input check in ``mfl`` stops it there."""
+        pre-activation overflows float32 only inside the no-grad encoder,
+        and the gate's input check in ``mfl_condition`` stops it there."""
         net = HMINet.init(SMALL, 4)
         window = np.random.default_rng(7).normal(size=(1, 5, 8)) * 0.3
         with ad.no_grad():
-            e = net.embed_condition(window).value[0]
+            e = net.embed_condition(window).value[0, 0]
             a = ad.linear(Tensor(e), net._p("mfl0.scale.w1"), net._p("mfl0.scale.b1"))
             h = ad.mul(a, ad.sigmoid(a)).value  # SiLU
         w2 = net.params["mfl0.scale.w2"]
@@ -229,7 +229,7 @@ class TestFiniteCheckKept:
         w2.value[:, 0] = np.where(h >= 0, 1.0, -1.0) * 3e38
         assert np.isposinf(h @ w2.value[:, 0].astype(np.float32))
         assert np.isfinite(h.astype(np.float64) @ w2.value[:, 0])
-        with pytest.raises(NonFiniteError, match="node 'mfl'"):
+        with pytest.raises(NonFiniteError, match="node 'mfl_condition'"):
             window_sample(1, window, net, np.random.default_rng(8))
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -291,3 +291,45 @@ def test_one_step_call_runs_at_most_60_nodes(monkeypatch):
     monkeypatch.setattr(ad, "_make", make)
     window_sample(1, windows, net, np.random.default_rng(12))
     assert 0 < len(ops) <= 60, sorted(ops)
+
+
+def test_mfl0_runs_once_per_encode_and_a_k10_step_in_25_nodes(monkeypatch):
+    """mfl0's gate and shift read only the embedding, so each encode runs
+    mfl0's two perceptrons once and no sampling step runs them. A
+    desk-scale K=10 step runs 25 autodiff nodes (28 while each step ran
+    mfl0), plus 2 for the time MLP the first time the network meets the
+    step's time."""
+    net = HMINet.init(ModelConfig(), 0)
+    windows = np.random.default_rng(11).normal(size=(8, 5, 8)) * 0.3
+    ops, perceptron_weights, steps = [], [], []
+    real_make, real_perceptron, predict = ad._make, ad._perceptron, net.predict_values
+
+    def make(value, op, parents, vjp):
+        ops.append(op)
+        return real_make(value, op, parents, vjp)
+
+    def perceptron(x2, w1, *rest):
+        perceptron_weights.append(w1)
+        return real_perceptron(x2, w1, *rest)
+
+    def step(*args):
+        before = len(ops), len(perceptron_weights)
+        out = predict(*args)
+        steps.append((ops[before[0]:], perceptron_weights[before[1]:]))
+        return out
+
+    monkeypatch.setattr(ad, "_make", make)
+    monkeypatch.setattr(ad, "_perceptron", perceptron)
+    monkeypatch.setattr(net, "predict_values", step)
+    with ad.no_grad():
+        mfl0 = {id(net._p(f"mfl0.{part}.w1").value) for part in ("scale", "shift")}
+    emb = encode_windows(windows, net)
+    assert ops.count("mfl_condition") == 1
+    assert sum(id(w) in mfl0 for w in perceptron_weights) == 2
+    for call, nodes in enumerate([27, 25]):
+        steps.clear()
+        sample_k_steps(10, emb, net, np.random.default_rng(12))
+        assert [len(step_ops) for step_ops, _ in steps] == [nodes] * 10, call
+        for step_ops, weights in steps:
+            assert "mfl_condition" not in step_ops and step_ops.count("mfl_tokens") == 1
+            assert not any(id(w) in mfl0 for w in weights)

@@ -368,6 +368,9 @@ class NoiseRecorder:
     def embed_condition(self, windows):
         return windows
 
+    def bind_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         self.noisy.append(np.array(noisy))
         return np.zeros((len(windows), 4)), None

@@ -18,6 +18,7 @@ from ddmot.predictors import (
     D2MPPredictor,
     KalmanPredictor,
     MIN_BOX_EXTENT,
+    MotionPredictor,
     NOISE_BLOCK,
     PREDICTOR_KINDS,
     PredictorConfig,
@@ -49,6 +50,9 @@ class LookupOracle:
     def embed_condition(self, windows):
         return windows
 
+    def bind_condition(self, windows):
+        return windows
+
     def predict_values(self, noisy, t, windows):
         out = []
         for row in windows:
@@ -65,6 +69,9 @@ class WindowRecorder:
         self.windows = []
 
     def embed_condition(self, windows):
+        return windows
+
+    def bind_condition(self, windows):
         return windows
 
     def predict_values(self, noisy, t, windows):
@@ -404,7 +411,7 @@ class TestEmbeddingCache:
         predict_encodes([4, 5])
         predict_encodes([])
 
-    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 3, 10])
     @settings(max_examples=20, deadline=None)
     @given(stream=detection_streams, max_age=st.integers(0, 3), seed=st.integers(0, 2**16))
     def test_cached_predictions_equal_reencoding_every_row(self, steps, stream, max_age, seed):
@@ -429,6 +436,66 @@ class TestEmbeddingCache:
         assert len(predictions[0]) == len(predictions[1]) == len(stream)
         for cached, full in zip(*predictions):
             assert np.array_equal(cached, full)
+
+    @pytest.mark.parametrize("steps", [1, 10])
+    def test_table_of_one_row_equals_reencoding_every_row(self, steps):
+        """A table that shrinks to one row and grows again. Its only row is
+        encoded alone, on BLAS's matrix-vector path, at every predict, and a
+        lone changed row of a larger table as a batch of two; either way the
+        cached conditions keep the bits of re-encoding every row."""
+        net = HMINet.init(ModelConfig(), 1)
+        config = PredictorConfig(kind="d2mp", sampling_steps=steps, seed=5)
+        sessions = [D2MPPredictor(net, config), ReencodingD2MP(net, config)]
+        cx = {tid: 0.15 * tid for tid in range(1, 6)}
+        predictions, sizes = [], []
+
+        def each(method, *args):
+            for session in sessions:
+                getattr(session, method)(*args)
+
+        def start(ids):
+            each("start", ids, stack_boxes([nbox(cx[tid], 0.5) for tid in ids]))
+
+        def observe(rows):
+            ids = sessions[0].ids[rows]
+            for tid in ids:
+                cx[tid] += 0.01
+            each("observe", rows, stack_boxes([nbox(cx[tid], 0.5) for tid in ids]))
+
+        def predict():
+            predictions.append([s.predict_all() for s in sessions])
+            sizes.append(sessions[0].ids.size)
+
+        start([1, 2, 3])
+        predict()
+        observe([0, 1, 2])
+        predict()
+        each("drop", [0, 2])
+        predict()
+        predict()  # a miss
+        observe([0])
+        predict()
+        start([4, 5])
+        predict()
+        observe([1])  # a lone changed row of three
+        predict()
+        each("drop", [0, 1])
+        predict()
+        assert sizes == [3, 3, 1, 1, 1, 3, 3, 1]
+        for cached, full in predictions:
+            assert np.array_equal(cached, full)
+
+    @pytest.mark.parametrize("steps", [1, 10])
+    def test_two_box_diagnosis_equals_reencoding_session(self, steps):
+        """``diagnose_trajectory`` encodes and samples a 2-box trajectory's
+        one window as a batch of one, as a session does with its only row:
+        the same bits, and the same draws from the track's stream."""
+        net = HMINet.init(ModelConfig(), 1)
+        config = PredictorConfig(kind="d2mp", sampling_steps=steps, seed=5)
+        boxes = stack_boxes([nbox(0.3, 0.4), nbox(0.32, 0.41)])
+        batched = D2MPPredictor(net, config).diagnose_trajectory(boxes, track_id=7)
+        looped = MotionPredictor.diagnose_trajectory(ReencodingD2MP(net, config), boxes, track_id=7)
+        assert batched.shape == (1, 4) and np.array_equal(batched, looped)
 
     def test_failed_predict_leaves_rows_pending(self):
         """A predict that raises encodes nothing for good: the next one
