@@ -193,8 +193,11 @@ def sample_k_steps(k: int, emb, model, rng, deterministic: bool = False) -> np.n
     """Generate motion by iterating the reverse step K times from t = 1.
 
     ``emb`` is an array whose rows are the batch's conditions, as made by
-    ``encode_windows``; a caller that keeps them (the diffusion predictor's
-    session) encodes a window only when it changes. ``rng`` is a numpy
+    ``encode_windows``: for ``HMINet`` each row stacks a window's embedding
+    with the gate and shift of the first motion fusion layer, which read
+    nothing else. A caller that keeps them (the diffusion predictor's
+    session) so keeps that layer's work too, and encodes a window only when
+    it changes. ``rng`` is a numpy
     Generator, or a function that returns a (B, 4) array of standard
     normals when called with the size (B, 4) (the diffusion predictor's
     per-track streams); each of its draws is checked. Returns a (B, 4)
